@@ -22,13 +22,14 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from pathlib import Path
 
-from sympy import Poly, Rational, Symbol, divisors, factorint, primefactors, primerange, totient
+from sympy import Poly, Rational, Symbol, divisors, factorint, primefactors, primerange
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from eiscong import qpoly  # noqa: E402
+from eiscong import fppoly, qpoly  # noqa: E402
 from eiscong.characters import DirichletChar, primitive_characters  # noqa: E402
-from eiscong.cyclotomic import CycNum, _phi  # noqa: E402
+from eiscong.cyclotomic import (CycNum, _phi, _solve_columns, clear_denominators,  # noqa: E402
+                                 cyclotomic_poly)
 from eiscong.lvalues import l_value_at_negative  # noqa: E402
 from eiscong.newforms import NewformData, delta_an, save_fixture, sturm_bound  # noqa: E402
 
@@ -267,51 +268,14 @@ class KField:
             if not ech.add(vec):
                 break
             power = self.mul(power, a)
-        n = len(powers) - 1
-        mat = [[powers[i][j] for i in range(n)] for j in range(self.deg)]
-        target = powers[n]
-        sol = _solve(mat, target)
+        sol = _solve_columns(powers[:-1], powers[-1])
         assert sol is not None
         return qpoly.trim([-c for c in sol] + [ONE])
 
     def coords_over(self, a, gen_powers) -> list[Fraction] | None:
         """Express a as a Q-combination of the given K-elements (or None)."""
-        mat = [[(gp[j] if j < len(gp) else ZERO) for gp in gen_powers]
-               for j in range(self.deg)]
-        vec = [a[j] if j < len(a) else ZERO for j in range(self.deg)]
-        return _solve(mat, vec)
-
-
-def _solve(mat: list[list[Fraction]], target: list[Fraction]):
-    """Solve mat * x = target over Q (mat given as rows of the equations);
-    returns None when inconsistent."""
-    rows = [list(r) + [t] for r, t in zip(mat, target)]
-    n = len(rows)
-    ncols = len(mat[0]) if mat else 0
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, n) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if rows[i][ncols]:
-            return None
-    sol = [ZERO] * ncols
-    for i, c in enumerate(piv_cols):
-        sol[c] = rows[i][ncols]
-    return sol
+        cols = [list(gp) + [ZERO] * (self.deg - len(gp)) for gp in gen_powers]
+        return _solve_columns(cols, list(a) + [ZERO] * (self.deg - len(a)))
 
 
 # ----------------------------------------------------------------------
@@ -531,9 +495,7 @@ def annihilator(cmat, u, dim) -> list[Fraction]:
         if not ech.add(vec):
             break
         vec = matvec(cmat, vec)
-    n = len(krylov) - 1
-    mat = [[krylov[i][j] for i in range(n)] for j in range(dim)]
-    sol = _solve(mat, krylov[n])
+    sol = _solve_columns(krylov[:-1], krylov[-1])
     assert sol is not None
     return qpoly.trim([-c for c in sol] + [ONE])
 
@@ -705,7 +667,7 @@ def extract_newforms(space: Space, old_packets) -> list[EigenPacket]:
             eigs[q] = a_q
         zimg_vec = kmatvec(zmat, v, kf)
         z = kf.mul(zimg_vec[pivot], inv_piv)
-        assert kf.eval_poly(list(qpoly.cyclotomic_poly(space.c)), z) == []
+        assert kf.eval_poly(list(cyclotomic_poly(space.c)), z) == []
         # q-expansion over K
         flat_k = [[] for _ in range(space.width)]
         for i in range(dim):
@@ -929,9 +891,8 @@ def find_root_in_field(field_minpoly: list[Fraction], target_poly: list[Fraction
     deg = len(field_minpoly) - 1
     assert len(target_poly) - 1 == deg
     kk = KField(field_minpoly)
-    f_int = _clear_denoms(field_minpoly)
-    t_int = _clear_denoms(target_poly)
-    from eiscong import fppoly
+    f_int = clear_denominators(field_minpoly)[0]
+    t_int = clear_denominators(target_poly)[0]
     for p in primerange(10**4, 10**5):
         f_mod = [c % p for c in f_int]
         t_mod = [c % p for c in t_int]
@@ -973,15 +934,7 @@ def find_root_in_field(field_minpoly: list[Fraction], target_poly: list[Fraction
     raise RuntimeError("no root of the target polynomial in the field")
 
 
-def _clear_denoms(poly: list[Fraction]) -> list[int]:
-    den = 1
-    for c in poly:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return [int(c * den) for c in poly]
-
-
 def _roots_mod_p(poly: list[int], p: int) -> list[int]:
-    from eiscong import fppoly
     f = fppoly.normalize(poly, p)
     return sorted(r for r in range(p) if fppoly.evaluate(f, r, p) == 0)
 
@@ -992,17 +945,10 @@ def _newton_lift(poly: list[int], root: int, p: int, prec: int) -> int:
     dpoly = [i * c for i, c in enumerate(poly)][1:]
     while modulus < p**prec:
         modulus = min(modulus * modulus, p**prec)
-        fx = _eval_int(poly, x, modulus)
-        dfx = _eval_int(dpoly, x, modulus)
+        fx = fppoly.evaluate(poly, x, modulus)
+        dfx = fppoly.evaluate(dpoly, x, modulus)
         x = (x - fx * pow(dfx, -1, modulus)) % modulus
     return x
-
-
-def _eval_int(poly: list[int], x: int, m: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * x + c) % m
-    return acc
 
 
 def _solve_mod(mat, target, m):

@@ -8,57 +8,71 @@ zeta_n -> zeta_lcm^(lcm/n).  There is no automatic conductor
 minimisation: an element of Q(zeta_6) that happens to be rational keeps
 conductor 6 unless :meth:`CycNum.try_descend` is called explicitly.
 
+Reduction clears denominators to integer numerators over one common
+denominator and long-divides by the monic integer Phi_n (the layout of
+ANTIC's ``nf_elem``); the stored vector stays a tuple of ``Fraction``.
 Values are immutable after construction and safe to share between
-threads; the per-conductor reduction tables are built once and only
-appended to.
+threads; the only shared state is the memoised Phi_n table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-
-from sympy import totient
+from functools import lru_cache
+from math import lcm
 
 from . import qpoly
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# x^j mod Phi_n for j = phi(n) .. 2*phi(n)-2, used to fold products.
-_FOLD_ROWS: dict[int, list[tuple[Fraction, ...]]] = {}
-_PHI: dict[int, int] = {}
+
+@lru_cache(maxsize=None)
+def cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Integer coefficients of the n-th cyclotomic polynomial, lowest
+    degree first, from Phi_n(x) = Phi_m(x^p) when p^2 | n and
+    Phi_n(x) = Phi_m(x^p) / Phi_m(x) otherwise (p the least prime of n,
+    m = n/p)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n == 1:
+        return (-1, 1)
+    p = next(q for q in range(2, n + 1) if n % q == 0)
+    m = n // p
+    g = cyclotomic_poly(m)
+    f = [0] * ((len(g) - 1) * p + 1)
+    f[::p] = g
+    if m % p == 0:
+        return tuple(f)
+    return tuple(_divide_monic(f, g))
 
 
 def _phi(n: int) -> int:
-    try:
-        return _PHI[n]
-    except KeyError:
-        _PHI[n] = int(totient(n))
-        return _PHI[n]
+    return len(cyclotomic_poly(n)) - 1
 
 
-def _fold_rows(n: int) -> list[tuple[Fraction, ...]]:
-    rows = _FOLD_ROWS.get(n)
-    if rows is None:
-        d = _phi(n)
-        phi_n = list(qpoly.cyclotomic_poly(n))
-        rows = []
-        # iterate x^j = x * x^(j-1) reduced, starting from x^d
-        prev = [-c for c in phi_n[:-1]]  # x^d mod Phi_n (Phi_n monic)
-        rows.append(tuple(prev + [_ZERO] * (d - len(prev))))
-        for _ in range(d - 2):
-            nxt = [_ZERO] + prev
-            if len(nxt) > d:
-                top = nxt.pop()
-                if top:
-                    for i in range(d):
-                        nxt[i] += top * rows[0][i]
-            nxt += [_ZERO] * (d - len(nxt))
-            rows.append(tuple(nxt))
-            prev = nxt
-        _FOLD_ROWS[n] = rows
-    return rows
+def _divide_monic(f: list[int], g) -> list[int]:
+    """Long-divide f in place by the monic integer polynomial g, using only
+    g's nonzero terms; returns the quotient and leaves the remainder in
+    f[:len(g) - 1]."""
+    e = len(g) - 1
+    terms = [(i, c) for i, c in enumerate(g[:e]) if c]
+    q = [0] * max(0, len(f) - e)
+    for j in range(len(f) - 1, e - 1, -1):
+        c = f[j]
+        if c:
+            off = j - e
+            q[off] = c
+            for i, t in terms:
+                f[off + i] -= c * t
+    return q
+
+
+def clear_denominators(coeffs) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator of a vector of
+    Fractions."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _reduce(n: int, coeffs: list[Fraction]) -> list[Fraction]:
@@ -67,40 +81,9 @@ def _reduce(n: int, coeffs: list[Fraction]) -> list[Fraction]:
     d = _phi(n)
     if len(coeffs) <= d:
         return list(coeffs) + [_ZERO] * (d - len(coeffs))
-    if len(coeffs) <= 2 * d - 1:
-        rows = _fold_rows(n)
-        out = list(coeffs[:d])
-        for j in range(d, len(coeffs)):
-            c = coeffs[j]
-            if c:
-                row = rows[j - d]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return out
-    if all(c.denominator == 1 for c in coeffs):
-        rem = _int_mod_cyclotomic([c.numerator for c in coeffs], n)
-        return [Fraction(c) for c in rem] + [_ZERO] * (d - len(rem))
-    rem = qpoly.mod(qpoly.trim(list(coeffs)), list(qpoly.cyclotomic_poly(n)))
-    return rem + [_ZERO] * (d - len(rem))
-
-
-def _int_mod_cyclotomic(coeffs: list[int], n: int) -> list[int]:
-    """Remainder of an integer vector modulo the (monic, integer) Phi_n."""
-    phi_n = [int(c) for c in qpoly.cyclotomic_poly(n)]
-    f = list(coeffs)
-    deg_g = len(phi_n) - 1
-    while len(f) > deg_g:
-        c = f[-1]
-        if c:
-            off = len(f) - 1 - deg_g
-            for i in range(deg_g):
-                if phi_n[i]:
-                    f[off + i] -= c * phi_n[i]
-        f.pop()
-    while f and f[-1] == 0:
-        f.pop()
-    return f
+    nums, den = clear_denominators(coeffs)
+    _divide_monic(nums, cyclotomic_poly(n))
+    return [Fraction(x, den) for x in nums[:d]]
 
 
 class CycNum:
@@ -279,8 +262,7 @@ class CycNum:
         if n == 1 or self.is_rational():
             inv = _ONE / self.coeffs[0]
             return CycNum(n, [inv])
-        u, _v, d = qpoly.ext_gcd(qpoly.trim(list(self.coeffs)),
-                                 list(qpoly.cyclotomic_poly(n)))
+        u, _v, d = qpoly.ext_gcd(qpoly.trim(list(self.coeffs)), cyclotomic_poly(n))
         assert d == [_ONE], "cyclotomic polynomial must be coprime to a unit"
         return CycNum(n, u)
 
@@ -291,14 +273,8 @@ class CycNum:
             return _ZERO
         if self.conductor == 1:
             return self.coeffs[0]
-        return qpoly.resultant(list(qpoly.cyclotomic_poly(self.conductor)),
+        return qpoly.resultant(cyclotomic_poly(self.conductor),
                                qpoly.trim(list(self.coeffs)))
-
-    def denominator_lcm(self) -> int:
-        out = 1
-        for c in self.coeffs:
-            out = out * c.denominator // gcd(out, c.denominator)
-        return out
 
     # -- serialisation ------------------------------------------------
 

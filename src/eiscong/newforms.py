@@ -218,7 +218,11 @@ class LmfdbClient:
         self._last_request = 0.0
 
     def _get(self, table: str, query: dict) -> list[dict]:
-        import requests
+        try:
+            import requests
+        except ImportError as exc:
+            raise NetworkError("fetching from the LMFDB needs requests: "
+                               "pip install 'eiscong[web]'") from exc
 
         wait = self._last_request + 1.0 - time.monotonic()
         if wait > 0:

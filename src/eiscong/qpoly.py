@@ -2,16 +2,13 @@
 
 Polynomials are lists of ``Fraction`` coefficients, lowest degree first,
 with no trailing zeros; ``[]`` is the zero polynomial.  These kernels back
-the cyclotomic field arithmetic and the coefficient-field handling of
-newform data, so everything here is exact.
+the inverses and norms of cyclotomic numbers and the coefficient-field
+handling of newform data, so everything here is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-
-from sympy import divisors
 
 Poly = list  # list[Fraction], lowest degree first, trimmed
 
@@ -160,22 +157,3 @@ def resultant(f: list, g: list) -> Fraction:
         if degree(f) % 2 == 1 and degree(g) % 2 == 1:
             sign = -sign
         f, g = g, r
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(n: int) -> tuple:
-    """Coefficients of the n-th cyclotomic polynomial, lowest degree first.
-
-    Built by exact division of x**n - 1 by the proper-divisor cyclotomics.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    f = [_ZERO] * (n + 1)
-    f[0], f[n] = Fraction(-1), _ONE
-    f = trim(f)
-    for d in divisors(n):
-        if d < n:
-            q, r = divmod_poly(f, list(cyclotomic_poly(d)))
-            assert not r
-            f = q
-    return tuple(f)

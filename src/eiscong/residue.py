@@ -15,24 +15,12 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import fppoly, qpoly
-from .cyclotomic import CycNum
+from sympy import isprime
+
+from . import fppoly
+from .cyclotomic import CycNum, clear_denominators, cyclotomic_poly
 from .errors import (CapExceeded, DenominatorDivisibleByEll, NotASubfield,
                      RamifiedUnsupported)
-
-
-def _int_poly(coeffs) -> list[int]:
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ValueError("expected integer coefficients")
-        out.append(int(c))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic_int(m: int) -> tuple[int, ...]:
-    return tuple(_int_poly(qpoly.cyclotomic_poly(m)))
 
 
 @dataclass(frozen=True)
@@ -49,7 +37,7 @@ class PrimeAbove:
         return len(self.factor) - 1
 
     def pretty(self) -> str:
-        if self.m == 1 or self.residue_degree == len(_cyclotomic_int(self.m)) - 1:
+        if self.m == 1 or self.residue_degree == len(cyclotomic_poly(self.m)) - 1:
             return f"<{self.ell}>"
         return f"<{self.ell}, {_poly_str(self.factor, f'z{self.m}')}>"
 
@@ -85,12 +73,14 @@ def primes_above(ell: int, m: int) -> list[PrimeAbove]:
     When ell | m the reduction factors with multiplicity phi(ell-part);
     the distinct factors are those of Phi_(m'), m' the ell-free part.
     """
+    if not isprime(ell):
+        raise ValueError(f"ell must be a prime > 1, got {ell}")
     if m < 1:
         raise ValueError("m must be >= 1")
     m0 = m
     while m0 % ell == 0:
         m0 //= ell
-    factors = fppoly.factor_squarefree(list(_cyclotomic_int(m0)), ell)
+    factors = fppoly.factor_squarefree(list(cyclotomic_poly(m0)), ell)
     return [PrimeAbove(ell, m, tuple(f)) for f in factors]
 
 
@@ -185,15 +175,19 @@ def reduce_cyc(x: CycNum, lam: PrimeAbove) -> FFElem:
     variable; requires conductor(x) | m and denominator coprime to ell."""
     if lam.m % x.conductor:
         raise ValueError(f"conductor {x.conductor} does not divide m = {lam.m}")
-    x = x.coerce(lam.m)
     ell = lam.ell
-    den = x.denominator_lcm()
+    num, den = _numerators(x.coerce(lam.m), ell)
+    inv = pow(den, -1, ell)
+    return FFElem.make(ell, lam.factor, [c * inv % ell for c in num])
+
+
+def _numerators(x: CycNum, ell: int) -> tuple[list[int], int]:
+    """Integer numerators of x over a common denominator prime to ell."""
+    num, den = clear_denominators(x.coeffs)
     if den % ell == 0:
         raise DenominatorDivisibleByEll(
             f"denominator {den} is divisible by ell = {ell}")
-    inv = pow(den, -1, ell)
-    vec = [int(c.numerator * (den // c.denominator)) * inv % ell for c in x.coeffs]
-    return FFElem.make(ell, lam.factor, vec)
+    return num, den
 
 
 def ord_positive(x: CycNum, lam: PrimeAbove) -> bool:
@@ -212,16 +206,11 @@ def ord_exact(x: CycNum, lam: PrimeAbove, cap: int = 64) -> int:
         raise ValueError("cap must be >= 1")
     if not x:
         raise ValueError("valuation of zero is undefined")
-    x = x.coerce(m)
-    den = x.denominator_lcm()
-    if den % ell == 0:
-        raise DenominatorDivisibleByEll(
-            f"denominator {den} is divisible by ell = {ell}")
-    num = [int(c.numerator * (den // c.denominator)) for c in x.coeffs]
+    num, den = _numerators(x.coerce(m), ell)
     t = min(4, cap + 1)
     while True:
         modulus = ell**t
-        lifted = fppoly.hensel_lift_factor(list(_cyclotomic_int(m)),
+        lifted = fppoly.hensel_lift_factor(list(cyclotomic_poly(m)),
                                            list(lam.factor), ell, t)
         inv = pow(den, -1, modulus)
         vec = [c * inv % modulus for c in num]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,3 +145,32 @@ def test_json_roundtrips_schema(capsys):
     assert set(rep) >= {"params", "ell", "lambda_prime", "cond1", "cond2",
                         "admissible", "satisfied"}
     assert rep["lambda_prime"] == {"ell": 257, "m": 2, "factor": [1, 1]}
+
+
+@pytest.mark.parametrize("ell", ["0", "15"])
+def test_check_non_prime_ell_exit_2(capsys, ell):
+    code = run(["check", "--M", "2", "--k", "8", "--psi", "1.1", "--phi", "5.4",
+                "--ell", ell])
+    assert code == 2
+    assert f"got {ell}" in capsys.readouterr().err
+
+
+def test_check_ell_one_exit_2_in_bounded_time():
+    # in a subprocess with a timeout, so a hang fails the test instead of the suite
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "eiscong.cli", "check", "--M", "2", "--k", "8",
+         "--psi", "1.1", "--phi", "5.4", "--ell", "1"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2
+    assert "got 1" in proc.stderr
+
+
+def test_fetch_without_requests_exit_2(capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "requests", None)  # import now fails
+    monkeypatch.delenv("EISCONG_OFFLINE", raising=False)
+    code = run(["--endpoint", "http://127.0.0.1:9", "verify", "--label", "3.4.a.a",
+                "--ell", "5", "--psi", "1.1", "--phi", "1.1", "--M", "3", "--k", "4"])
+    assert code == 2
+    assert "eiscong[web]" in capsys.readouterr().err

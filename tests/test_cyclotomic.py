@@ -3,9 +3,53 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Poly, Symbol
+from sympy import cyclotomic_poly as sympy_cyclotomic
 
-from eiscong.cyclotomic import CycNum
+from eiscong.cyclotomic import CycNum, cyclotomic_poly
 from helpers import assert_close, cyc_to_complex, random_cycnum
+
+X = Symbol("x")
+
+
+def test_cyclotomic_matches_sympy():
+    for n in list(range(1, 40)) + [60, 105, 1332]:
+        mine = cyclotomic_poly(n)
+        assert all(type(c) is int for c in mine)
+        assert Poly(list(reversed(mine)), X) == Poly(sympy_cyclotomic(n, X), X), n
+
+
+def test_cyclotomic_frozen_examples():
+    assert cyclotomic_poly(1) == (-1, 1)            # x - 1
+    assert cyclotomic_poly(6) == (1, -1, 1)         # x^2 - x + 1
+    assert cyclotomic_poly(5) == (1,) * 5           # x^4+x^3+x^2+x+1
+
+
+_COEF = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_reduce_matches_sympy_remainder(data):
+    # one case per input shape the reduction serves: already reduced,
+    # a product of two reduced vectors, an integer vector as built by
+    # zeta/coerce/gauss_sum, and a long vector with mixed denominators
+    n = data.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 12, 15, 20, 21, 30, 60]))
+    d = len(cyclotomic_poly(n)) - 1
+    shape = data.draw(st.sampled_from(["reduced", "product", "integer", "long"]))
+    if shape == "reduced":
+        coeffs = data.draw(st.lists(_COEF, max_size=d))
+    elif shape == "product":
+        coeffs = data.draw(st.lists(_COEF, min_size=2 * d - 1, max_size=2 * d - 1))
+    elif shape == "integer":
+        coeffs = data.draw(st.lists(st.integers(-10**6, 10**6), max_size=n))
+    else:
+        coeffs = data.draw(st.lists(_COEF, min_size=2 * d, max_size=3 * n + 2))
+    rem = Poly(list(reversed(coeffs)) or [0], X, domain="QQ").rem(
+        Poly(sympy_cyclotomic(n, X), X, domain="QQ"))
+    expect = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
+    expect += [Fraction(0)] * (d - len(expect))
+    assert CycNum(n, coeffs).coeffs == tuple(expect)
 
 
 def test_zeta6_square_reduction():

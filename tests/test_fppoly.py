@@ -3,7 +3,8 @@ import random
 import pytest
 from sympy import GF, Poly, Symbol
 
-from eiscong import fppoly, qpoly
+from eiscong import fppoly
+from eiscong.cyclotomic import cyclotomic_poly
 
 X = Symbol("x")
 
@@ -58,16 +59,16 @@ def test_factor_squarefree_matches_sympy(ell, coeffs):
 
 def test_factor_cyclotomic_cases():
     # Phi_6 mod 337: roots -128 and -208
-    phi6 = [int(c) for c in qpoly.cyclotomic_poly(6)]
+    phi6 = list(cyclotomic_poly(6))
     facs = fppoly.factor_squarefree(phi6, 337)
     assert facs == [[128, 1], [208, 1]]
     # Phi_5 mod 2 is irreducible (2 has order 4 mod 5)
-    phi5 = [int(c) for c in qpoly.cyclotomic_poly(5)]
+    phi5 = list(cyclotomic_poly(5))
     assert fppoly.factor_squarefree(phi5, 2) == [fppoly.normalize(phi5, 2)]
 
 
 def test_factor_deterministic():
-    phi7 = [int(c) for c in qpoly.cyclotomic_poly(7)]
+    phi7 = list(cyclotomic_poly(7))
     a = fppoly.factor_squarefree(phi7, 2)
     b = fppoly.factor_squarefree(phi7, 2)
     assert a == b and len(a) == 2 and all(len(g) == 4 for g in a)
@@ -90,7 +91,7 @@ def test_lex_least_irreducible():
 
 
 def test_hensel_lift_factor():
-    phi6 = [int(c) for c in qpoly.cyclotomic_poly(6)]
+    phi6 = list(cyclotomic_poly(6))
     f0 = [128, 1]
     for prec in (1, 2, 5, 9):
         lifted = fppoly.hensel_lift_factor(phi6, f0, 337, prec)
@@ -103,6 +104,6 @@ def test_hensel_lift_factor():
 
 
 def test_hensel_rejects_non_factor():
-    phi6 = [int(c) for c in qpoly.cyclotomic_poly(6)]
+    phi6 = list(cyclotomic_poly(6))
     with pytest.raises(ValueError):
         fppoly.hensel_lift_factor(phi6, [5, 1], 337, 3)

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 from sympy import Poly, Symbol
-from sympy import cyclotomic_poly as sympy_cyclotomic
 from sympy import resultant as sympy_resultant
 
 from eiscong import qpoly
@@ -12,19 +11,6 @@ X = Symbol("x")
 
 def to_sympy(f):
     return Poly(list(reversed(f)) or [0], X, domain="QQ")
-
-
-def test_cyclotomic_matches_sympy():
-    for n in list(range(1, 40)) + [60, 105]:
-        mine = to_sympy(list(qpoly.cyclotomic_poly(n)))
-        assert mine == Poly(sympy_cyclotomic(n, X), X, domain="QQ")
-
-
-def test_cyclotomic_frozen_examples():
-    one = Fraction(1)
-    assert list(qpoly.cyclotomic_poly(1)) == [-one, one]            # x - 1
-    assert list(qpoly.cyclotomic_poly(6)) == [one, -one, one]       # x^2 - x + 1
-    assert list(qpoly.cyclotomic_poly(5)) == [one] * 5              # x^4+x^3+x^2+x+1
 
 
 def test_divmod_roundtrip():
