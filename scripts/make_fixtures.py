@@ -30,6 +30,7 @@ from eiscong import fppoly, qpoly  # noqa: E402
 from eiscong.characters import DirichletChar, primitive_characters  # noqa: E402
 from eiscong.cyclotomic import (CycNum, _phi, _solve_columns, clear_denominators,  # noqa: E402
                                  cyclotomic_poly)
+from eiscong.eisenstein import sigma_power_div  # noqa: E402
 from eiscong.lvalues import l_value_at_negative  # noqa: E402
 from eiscong.newforms import NewformData, delta_an, save_fixture, sturm_bound  # noqa: E402
 
@@ -59,21 +60,7 @@ def sigma_series(k1: int, psi: DirichletChar, phi: DirichletChar, b: int) -> lis
         a0 = CycNum.zero(1)
     if k1 == 1 and phi.modulus == 1:
         a0 = a0 + l_value_at_negative(1, phi.inverse() * psi) * Fraction(1, 2)
-    out = [a0]
-    psi_vals = [psi(r) for r in range(u)] if u > 1 else [CycNum.one()]
-    phi_vals = [phi(r) for r in range(phi.modulus)] if phi.modulus > 1 else [CycNum.one()]
-    for n in range(1, b + 1):
-        acc = CycNum.zero(1)
-        for d in divisors(n):
-            a = psi_vals[(n // d) % u] if u > 1 else psi_vals[0]
-            if not a:
-                continue
-            c = phi_vals[d % phi.modulus] if phi.modulus > 1 else phi_vals[0]
-            if not c:
-                continue
-            acc = acc + a * c * Fraction(d) ** (k1 - 1)
-        out.append(acc)
-    return out
+    return [a0] + [sigma_power_div(n, k1, psi, phi) for n in range(1, b + 1)]
 
 
 def e2t_series(t: int, b: int) -> list[CycNum]:

@@ -1,15 +1,19 @@
 """Dirichlet characters in the Conrey labelling.
 
 A character mod q is named by a Conrey index a coprime to q (label
-"q.a").  Evaluation goes through discrete logarithms on each prime-power
-factor of the modulus: odd prime powers use the smallest integer that is
-a primitive root mod p and mod p^2 (hence mod every p^e); powers of two
-use the {-1, 5} generator pair.  Values are exact roots of unity
-(:class:`~eiscong.cyclotomic.CycNum`), and character structure (order,
-conductor, parity) is derived from the same local data.
+"q.a").  Each prime power p^e exactly dividing q has fixed Conrey
+generators of (Z/p^e)^x: for odd p the smallest integer g that is a
+primitive root mod p and mod p^2 (hence mod every p^e), and for 2^e the
+pair -1 (when e >= 2) and 5 (when e >= 3).  A unit n has exponents y_j
+on these generators, and chi_a(n) = exp(2 pi i * sum_j x_j y_j / o_j),
+with x_j the exponents of the index a and o_j the generator orders.  A
+character stores the x_j, each scaled to w_j = x_j * L / o_j over L, the
+lcm of all the o_j, so chi_a(g_j) = exp(2 pi i * w_j / L).  Order,
+conductor, lifts and primitive parts are all read off the w_j.  Values
+are exact roots of unity (:class:`~eiscong.cyclotomic.CycNum`).
 
-Discrete-log tables are built per prime power and cached; readers may
-share them freely, initialisation is idempotent.
+The generators and exponent table of each prime power are built once and
+cached; readers may share them freely, initialisation is idempotent.
 """
 
 from __future__ import annotations
@@ -17,13 +21,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from sympy import factorint, primefactors
 
 from .cyclotomic import CycNum
 from .errors import NotAMultiple, NotPrimitive, NotSquareFree
-
-_ZERO = Fraction(0)
 
 
 @lru_cache(maxsize=None)
@@ -43,68 +46,59 @@ def conrey_generator(p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _dlog_table_odd(p: int, e: int) -> dict[int, int]:
+def _local(p: int, e: int) -> tuple[tuple[tuple[int, int], ...], dict[int, tuple[int, ...]]]:
+    """Conrey generators (g, order) of (Z/p^e)^x, e >= 1, and the table
+    n -> exponents of n on them."""
     q = p**e
-    g = conrey_generator(p)
-    table = {}
-    acc = 1
-    for i in range(q - q // p):
-        table[acc] = i
-        acc = acc * g % q
-    return table
+    if p == 2:
+        gens = ((q - 1, 2),) * (e >= 2) + ((5, q >> 2),) * (e >= 3)
+    else:
+        gens = ((conrey_generator(p), q - q // p),)
+    table = {1: ()}
+    for g, o in gens:
+        powers = [1] * o
+        for i in range(1, o):
+            powers[i] = powers[i - 1] * g % q
+        table = {n * gi % q: xs + (i,) for n, xs in table.items()
+                 for i, gi in enumerate(powers)}
+    return gens, table
 
 
 @lru_cache(maxsize=None)
-def _dlog_table_two(e: int) -> dict[int, int]:
-    """n -> t with n = 5^t mod 2^e over n = 1 mod 4 (e >= 3)."""
-    q = 1 << e
-    table = {}
-    acc = 1
-    for t in range(1 << (e - 2)):
-        table[acc] = t
-        acc = acc * 5 % q
-    return table
-
-
-def _two_decompose(n: int, e: int) -> tuple[int, int]:
-    """(s, t) with n = (-1)^s * 5^t mod 2^e, for odd n and e >= 3."""
-    q = 1 << e
-    n %= q
-    if n % 4 == 1:
-        return 0, _dlog_table_two(e)[n]
-    return 1, _dlog_table_two(e)[(-n) % q]
+def _layout(q: int) -> tuple[int, tuple]:
+    """(L, parts) for modulus q: L the lcm of all generator orders, and one
+    part (p, p^e, exponent table, (L / o_j per generator)) per p^e || q."""
+    local = [(p, p**e, *_local(p, e)) for p, e in _factor(q)]
+    den = lcm(*(o for *_, gens, _ in local for _, o in gens))
+    return den, tuple((p, pe, table, tuple(den // o for _, o in gens))
+                      for p, pe, gens, table in local)
 
 
 class DirichletChar:
     """Dirichlet character of given modulus in the Conrey convention."""
 
-    __slots__ = ("modulus", "index", "_local", "_order", "_conductor", "_values")
+    __slots__ = ("modulus", "index", "order", "_parts", "_den", "_conductor", "_values")
 
     def __init__(self, modulus: int, index: int):
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
-        index %= max(modulus, 1)
+        index %= modulus
         if index == 0:
             index = modulus  # canonical representative in [1, q]
-        if modulus == 1:
-            index = 1
         if gcd(index, modulus) != 1:
             raise ValueError(f"index {index} not coprime to modulus {modulus}")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "index", index)
-        local = []
-        for p, e in _factor(modulus):
-            if p == 2:
-                if e == 1:
-                    local.append((2, 1, None))
-                elif e == 2:
-                    local.append((2, 2, index % 4 == 3))
-                else:
-                    local.append((2, e, _two_decompose(index, e)))
-            else:
-                local.append((p, e, _dlog_table_odd(p, e)[index % p**e]))
-        object.__setattr__(self, "_local", tuple(local))
-        object.__setattr__(self, "_order", None)
+        # one part (p, p^e, exponent table, (w_j)) per prime power p^e || q
+        den, layout = _layout(modulus)
+        parts, g = [], den
+        for p, pe, table, scales in layout:
+            weights = tuple(map(mul, table[index % pe], scales))
+            parts.append((p, pe, table, weights))
+            g = gcd(g, *weights)
+        object.__setattr__(self, "_parts", tuple(parts))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "order", den // g)
         object.__setattr__(self, "_conductor", None)
         object.__setattr__(self, "_values", {})
 
@@ -122,7 +116,7 @@ class DirichletChar:
         try:
             q, a = label.split(".")
             return cls(int(q), int(a))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, AttributeError) as exc:
             raise ValueError(f"bad character label {label!r}; expected 'modulus.index'") from exc
 
     def __eq__(self, other):
@@ -140,31 +134,17 @@ class DirichletChar:
     def exponent(self, n: int) -> Fraction | None:
         """chi(n) = e^(2 pi i * exponent); None encodes the value 0."""
         q = self.modulus
-        if q == 1:
-            return _ZERO
         n %= q
         if gcd(n, q) != 1:
             return None
-        total = _ZERO
-        for p, e, data in self._local:
-            if p == 2:
-                if e == 1:
-                    continue
-                if e == 2:
-                    if data and n % 4 == 3:
-                        total += Fraction(1, 2)
-                else:
-                    sa, ta = data
-                    sn, tn = _two_decompose(n, e)
-                    total += Fraction(sa * sn, 2) + Fraction(ta * tn, 1 << (e - 2))
-            else:
-                pe = p**e
-                ln = _dlog_table_odd(p, e)[n % pe]
-                total += Fraction(data * ln, pe - pe // p)
-        return Fraction(total.numerator % total.denominator, total.denominator)
+        num = 0
+        for _, pe, table, weights in self._parts:
+            for w, y in zip(weights, table[n % pe]):
+                num += w * y
+        return Fraction(num % self._den, self._den)
 
     def __call__(self, n: int) -> CycNum:
-        n %= max(self.modulus, 1)
+        n %= self.modulus
         val = self._values.get(n)
         if val is None:
             expo = self.exponent(n)
@@ -179,53 +159,21 @@ class DirichletChar:
     # -- structure ----------------------------------------------------------
 
     @property
-    def order(self) -> int:
-        if self._order is None:
-            o = 1
-            for p, e, data in self._local:
-                if p == 2:
-                    if e == 1:
-                        lo = 1
-                    elif e == 2:
-                        lo = 2 if data else 1
-                    else:
-                        sa, ta = data
-                        half = 1 << (e - 2)
-                        lo = lcm(2 if sa else 1, half // gcd(ta, half))
-                else:
-                    pe = p**e
-                    phi = pe - pe // p
-                    lo = phi // gcd(data, phi)
-                o = lcm(o, lo)
-            object.__setattr__(self, "_order", o)
-        return self._order
-
-    @property
     def conductor(self) -> int:
+        """Product over p of the least p^f with the p-part of chi trivial at
+        1 + p^f; those elements generate the units = 1 mod p^f for f >= 1
+        (p odd) and f >= 2 (p = 2), and a nontrivial 2-part is never
+        trivial on all units, so its search starts at f = 2."""
         if self._conductor is None:
-            f = 1
-            for p, e, data in self._local:
-                if p == 2:
-                    if e == 1:
-                        continue
-                    if e == 2:
-                        f *= 4 if data else 1
-                    else:
-                        sa, ta = data
-                        half = 1 << (e - 2)
-                        d5 = half // gcd(ta, half)
-                        f *= 4 * d5 if d5 > 1 else (4 if sa else 1)
-                else:
-                    pe = p**e
-                    phi = pe - pe // p
-                    d = phi // gcd(data, phi)
-                    if d > 1:
-                        a = 0
-                        while d % p == 0:
-                            d //= p
-                            a += 1
-                        f *= p ** (a + 1)
-            object.__setattr__(self, "_conductor", f)
+            c = 1
+            for p, pe, table, weights in self._parts:
+                if not any(weights):
+                    continue
+                f = 2 if p == 2 else 1
+                while sum(w * y for w, y in zip(weights, table[(1 + p**f) % pe])) % self._den:
+                    f += 1
+                c *= p**f
+            object.__setattr__(self, "_conductor", c)
         return self._conductor
 
     @property
@@ -241,84 +189,35 @@ class DirichletChar:
 
     # -- arithmetic on characters ------------------------------------------
 
-    def lift(self, new_modulus: int) -> "DirichletChar":
-        """Character mod new_modulus induced by this one."""
-        q = self.modulus
-        if new_modulus % q:
-            raise NotAMultiple(f"{new_modulus} is not a multiple of modulus {q}")
-        if new_modulus == q:
+    def _at_modulus(self, q: int) -> "DirichletChar":
+        """The character mod q that agrees with this one on units, for q a
+        multiple of the modulus or of the conductor dividing it.  The
+        exponent on each generator of order o mod the new prime power is
+        w_j * o / L, the old exponent scaled by the ratio of the orders
+        (generators one of the two prime powers lacks carry exponent 0),
+        and the index is rebuilt by CRT."""
+        if q == self.modulus:
             return self
+        old = {p: weights for p, _, _, weights in self._parts}
         residues, moduli = [], []
-        for p, E in _factor(new_modulus):
+        for p, E in _factor(q):
             pE = p**E
-            e = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                e += 1
-            if p == 2:
-                if e <= 1:
-                    b = 1
-                elif e == 2:
-                    b = pE - 1 if self.index % 4 == 3 else 1
-                else:
-                    sa, ta = _two_decompose(self.index, e)
-                    b = pow(5, ta << (E - e), pE)
-                    if sa:
-                        b = (-b) % pE
-            else:
-                if e == 0:
-                    b = 1
-                else:
-                    la = _dlog_table_odd(p, e)[self.index % p**e]
-                    b = pow(conrey_generator(p), la * p ** (E - e), pE)
+            b = 1
+            for (g, o), w in zip(_local(p, E)[0], old.get(p, ())):
+                b = b * pow(g, w * o // self._den, pE) % pE
             residues.append(b)
             moduli.append(pE)
-        return DirichletChar(new_modulus, _crt(residues, moduli))
+        return DirichletChar(q, _crt(residues, moduli))
+
+    def lift(self, new_modulus: int) -> "DirichletChar":
+        """Character mod new_modulus induced by this one."""
+        if new_modulus % self.modulus:
+            raise NotAMultiple(f"{new_modulus} is not a multiple of modulus {self.modulus}")
+        return self._at_modulus(new_modulus)
 
     def primitive(self) -> "DirichletChar":
         """The primitive character inducing this one."""
-        f = self.conductor
-        if f == self.modulus:
-            return self
-        if f == 1:
-            return DirichletChar(1, 1)
-        residues, moduli = [], []
-        for p, e, data in self._local:
-            pc = 1
-            if p == 2:
-                if e >= 2:
-                    if e == 2:
-                        if data:
-                            pc, b = 4, 3
-                    else:
-                        sa, ta = data
-                        half = 1 << (e - 2)
-                        d5 = half // gcd(ta, half)
-                        if d5 > 1:
-                            j = (4 * d5).bit_length() - 1
-                            b = pow(5, ta >> (e - j), 1 << j)
-                            if sa:
-                                b = (-b) % (1 << j)
-                            pc = 1 << j
-                        elif sa:
-                            pc, b = 4, 3
-            else:
-                pe = p**e
-                phi = pe - pe // p
-                d = phi // gcd(data, phi)
-                if d > 1:
-                    a = 0
-                    dd = d
-                    while dd % p == 0:
-                        dd //= p
-                        a += 1
-                    pc = p ** (a + 1)
-                    b = pow(conrey_generator(p), data // p ** (e - a - 1), pc)
-            if pc > 1:
-                residues.append(b)
-                moduli.append(pc)
-        return DirichletChar(f, _crt(residues, moduli) if moduli else 1)
+        return self._at_modulus(self.conductor)
 
     def __mul__(self, other: "DirichletChar") -> "DirichletChar":
         if not isinstance(other, DirichletChar):
@@ -342,13 +241,7 @@ class DirichletChar:
     def galois_conjugates(self) -> list["DirichletChar"]:
         """All chi^s with gcd(s, order) = 1, this character first."""
         o = self.order
-        out = [self.power(s) for s in range(1, o + 1) if gcd(s, o) == 1]
-        seen, uniq = set(), []
-        for ch in out:
-            if ch.index not in seen:
-                seen.add(ch.index)
-                uniq.append(ch)
-        return uniq
+        return [self.power(s) for s in range(1, o + 1) if gcd(s, o) == 1]
 
 
 def _crt(residues, moduli) -> int:

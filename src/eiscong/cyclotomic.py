@@ -263,7 +263,8 @@ class CycNum:
             inv = _ONE / self.coeffs[0]
             return CycNum(n, [inv])
         u, _v, d = qpoly.ext_gcd(qpoly.trim(list(self.coeffs)), cyclotomic_poly(n))
-        assert d == [_ONE], "cyclotomic polynomial must be coprime to a unit"
+        if d != [_ONE]:
+            raise ZeroDivisionError(f"{self!r} shares a factor with Phi_{n}")
         return CycNum(n, u)
 
     def norm(self) -> Fraction:

@@ -55,6 +55,10 @@ class NetworkError(EiscongError, IOError):
     """Remote fetch failed after the offline fallback was attempted."""
 
 
+class BadFixture(EiscongError, ValueError):
+    """A fixture file lacks a field or holds one of the wrong type."""
+
+
 class BadPrimeForBasis(EiscongError, ArithmeticError):
     """ell divides a denominator of the stored integral-basis matrix."""
 

@@ -163,7 +163,8 @@ def distinct_degree_factor(f, ell):
         if len(g) > 1:
             out.append((g, d))
             f, rem = divmod_poly(f, g, ell)
-            assert not rem
+            if rem:
+                raise ArithmeticError(f"degree-{d} gcd does not divide f mod {ell}")
             h = mod(h, f, ell)
     if len(f) > 1:
         out.append((f, len(f) - 1))
@@ -191,7 +192,8 @@ def _split_equal_degree(f, d, ell, rng):
         g = gcd(w, f, ell)
         if 1 < len(g) < len(f):
             rest, rem = divmod_poly(f, g, ell)
-            assert not rem
+            if rem:
+                raise ArithmeticError(f"split factor does not divide f mod {ell}")
             return _split_equal_degree(g, d, ell, rng) + \
                 _split_equal_degree(monic(rest, ell), d, ell, rng)
 
@@ -262,6 +264,8 @@ def hensel_lift_factor(full_int, f0, ell: int, precision: int):
         s = sub(s, dd, m2)
         t = sub(t, add(mul(t, b, m2), mul(c, g, m2), m2), m2)
         m = m2
-        assert not sub(full, mul(g, h, m), m)
-        assert sub(add(mul(s, g, m), mul(t, h, m), m), [1], m) == []
+        if sub(full, mul(g, h, m), m):
+            raise ArithmeticError(f"Hensel step lost the factorization mod {m}")
+        if sub(add(mul(s, g, m), mul(t, h, m), m), [1], m):
+            raise ArithmeticError(f"Hensel step lost the Bezout identity mod {m}")
     return normalize(h, target)

@@ -31,11 +31,6 @@ def from_ints(coeffs) -> list:
     return trim([Fraction(c) for c in coeffs])
 
 
-def constant(c) -> list:
-    c = Fraction(c)
-    return [c] if c else []
-
-
 def add(f: list, g: list) -> list:
     n = max(len(f), len(g))
     out = [_ZERO] * n
@@ -72,13 +67,6 @@ def scale(f: list, c) -> list:
     return [a * c for a in f]
 
 
-def shift(f: list, n: int) -> list:
-    """Multiply by x**n."""
-    if not f:
-        return []
-    return [_ZERO] * n + list(f)
-
-
 def divmod_poly(f: list, g: list) -> tuple[list, list]:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
@@ -100,21 +88,10 @@ def mod(f: list, g: list) -> list:
     return divmod_poly(f, g)[1]
 
 
-def evaluate(f: list, x):
-    acc = _ZERO
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
 def monic(f: list) -> list:
     if not f:
         return []
     return scale(f, _ONE / f[-1])
-
-
-def derivative(f: list) -> list:
-    return trim([i * c for i, c in enumerate(f)][1:])
 
 
 def gcd(f: list, g: list) -> list:

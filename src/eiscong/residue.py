@@ -160,7 +160,8 @@ class FFElem:
             raise ZeroDivisionError("inverse of zero")
         u, _v, d = fppoly.ext_gcd(fppoly.trim(list(self.coeffs)),
                                   list(self.modulus), self.ell)
-        assert d == [1]
+        if d != [1]:
+            raise ZeroDivisionError(f"{self!r} is not invertible: the modulus is not irreducible")
         return FFElem.make(self.ell, self.modulus, u)
 
     def frobenius(self, times: int = 1) -> "FFElem":

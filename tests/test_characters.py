@@ -1,10 +1,10 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import legendre_symbol, totient
+from sympy import factorint, legendre_symbol, totient
 
 from eiscong.characters import (DirichletChar, conrey_generator, enumerate_pairs,
                                 gauss_sum, is_square_free, parity_matches,
@@ -12,6 +12,29 @@ from eiscong.characters import (DirichletChar, conrey_generator, enumerate_pairs
 from eiscong.cyclotomic import CycNum
 from eiscong.errors import NotAMultiple, NotPrimitive, NotSquareFree
 from helpers import char_to_complex, cyc_to_complex
+
+# every modulus up to 64, and the 2-power moduli up to 2^7
+SWEEP_MODULI = list(range(1, 65)) + [128]
+
+
+def all_characters(q):
+    return [DirichletChar(q, a) for a in range(1, q + 1) if gcd(a, q) == 1]
+
+
+def agree_on_units(chi, other, q):
+    """Whether two characters have equal values on the units mod q."""
+    return all(chi.exponent(n) == other.exponent(n) for n in range(1, q + 1) if gcd(n, q) == 1)
+
+
+def local_units(m):
+    """For each prime power p^e exactly dividing m, every unit mod p^e
+    lifted to 1 mod m / p^e: a set that generates (Z/m)^x."""
+    out = []
+    for p, e in factorint(m).items():
+        pe, rest = p**e, m // p**e
+        t = pow(pe, -1, rest) if rest > 1 else 0
+        out += [r + pe * ((1 - r) * t % rest) for r in range(1, pe) if r % p]
+    return out
 
 
 def test_quadratic_character_mod5_is_legendre():
@@ -65,7 +88,7 @@ def test_parity_matches_value_at_minus_one():
 
 
 def test_order_conductor_against_brute_force():
-    for q in (3, 4, 5, 7, 8, 9, 12, 16, 24, 21, 45):
+    for q in (3, 4, 5, 7, 8, 9, 12, 16, 24, 21, 45, 32, 48, 64, 80):
         for a in range(1, q + 1):
             if gcd(a, q) != 1:
                 continue
@@ -87,14 +110,11 @@ def test_order_conductor_against_brute_force():
 
 
 def test_primitive_part_matches_on_units():
-    for q, a in [(12, 5), (12, 7), (20, 9), (45, 8), (10, 9), (8, 5)]:
-        chi = DirichletChar(q, a)
-        prim = chi.primitive()
-        assert prim.modulus == chi.conductor
-        assert prim.is_primitive()
-        for n in range(1, q + 1):
-            if gcd(n, q) == 1:
-                assert prim(n) == chi(n)
+    for q in SWEEP_MODULI:
+        for chi in all_characters(q):
+            prim = chi.primitive()
+            assert prim.modulus == chi.conductor and prim.is_primitive(), chi
+            assert agree_on_units(chi, prim, q), chi
 
 
 def test_lift_definition_and_conductor():
@@ -127,6 +147,13 @@ def test_lift_conductor_preserved_many():
     for q, a, m in [(3, 2, 12), (4, 3, 8), (7, 3, 42), (5, 2, 40), (8, 5, 48)]:
         chi = DirichletChar(q, a)
         assert chi.lift(m * 1).conductor == chi.conductor
+    for q in SWEEP_MODULI:
+        targets = {2 * q, 3 * q} | ({128} if 128 % q == 0 else set())
+        for chi in all_characters(q):
+            for m in targets:
+                lifted = chi.lift(m)
+                assert lifted.modulus == m and lifted.conductor == chi.conductor, (chi, m)
+                assert agree_on_units(chi, lifted, m), (chi, m)
 
 
 def test_char_mul_and_inverse():
@@ -152,11 +179,57 @@ def test_mul_matches_pointwise_at_lcm():
         a2 = rng.choice([a for a in range(1, q2 + 1) if gcd(a, q2) == 1])
         c1, c2 = DirichletChar(q1, a1), DirichletChar(q2, a2)
         prod = c1 * c2
-        from math import lcm
         q = lcm(q1, q2)
         for n in range(1, q + 1):
             if gcd(n, q) == 1:
                 assert prod(n) == c1(n) * c2(n)
+    partners = [DirichletChar.from_label(lab)
+                for lab in ("4.3", "8.3", "9.2", "5.2")]
+    for q in SWEEP_MODULI:
+        for chi in all_characters(q):
+            assert (chi * chi.inverse()).is_trivial()
+            for other in partners:
+                prod = chi * other
+                m = lcm(q, other.modulus)
+                assert prod.modulus == m
+                # both sides are characters mod m, so agreeing on a
+                # generating set of units means agreeing on all units
+                for n in local_units(m):
+                    assert prod.exponent(n) == (chi.exponent(n) + other.exponent(n)) % 1
+
+
+# labels recorded from the implementation that walked each prime's local
+# data separately; every --json output carries these labels
+FROZEN_LIFTS = [
+    ("8.3", 48, "48.7"), ("8.5", 16, "16.9"), ("8.7", 128, "128.127"),
+    ("4.3", 40, "40.31"), ("16.3", 96, "96.55"), ("32.9", 64, "64.17"),
+    ("3.2", 12, "12.5"), ("5.2", 40, "40.17"), ("7.3", 42, "42.31"),
+    ("9.2", 54, "54.35"), ("25.2", 125, "125.32"), ("12.5", 72, "72.17"),
+    ("15.7", 90, "90.37"), ("20.3", 120, "120.103"), ("1.1", 10, "10.1"),
+    ("64.63", 128, "128.127"),
+]
+FROZEN_PRIMITIVES = [
+    ("12.5", "3.2"), ("12.7", "4.3"), ("20.9", "5.4"), ("45.8", "15.8"),
+    ("10.9", "5.4"), ("8.5", "8.5"), ("48.7", "8.3"), ("64.17", "16.13"),
+    ("128.3", "128.3"), ("128.65", "8.5"), ("80.31", "4.3"), ("72.55", "4.3"),
+    ("96.95", "12.11"), ("63.20", "63.20"), ("125.26", "25.6"), ("100.51", "4.3"),
+    ("90.7", "45.7"), ("12.1", "1.1"),
+]
+FROZEN_PRODUCTS = [
+    ("3.2", "5.2", "15.2"), ("4.3", "8.5", "8.3"), ("8.3", "16.5", "16.3"),
+    ("9.2", "27.4", "27.5"), ("12.5", "20.3", "60.23"), ("7.3", "28.3", "28.23"),
+    ("32.3", "48.5", "96.11"), ("5.2", "1.1", "5.2"), ("64.3", "64.5", "64.15"),
+    ("45.2", "12.7", "180.47"),
+]
+
+
+def test_frozen_labels():
+    for lab, m, want in FROZEN_LIFTS:
+        assert DirichletChar.from_label(lab).lift(m).label == want
+    for lab, want in FROZEN_PRIMITIVES:
+        assert DirichletChar.from_label(lab).primitive().label == want
+    for a, b, want in FROZEN_PRODUCTS:
+        assert (DirichletChar.from_label(a) * DirichletChar.from_label(b)).label == want
 
 
 def test_gauss_sum_trivial_and_quadratic():

@@ -8,6 +8,8 @@ import pytest
 
 from eiscong.cli import run
 
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "eiscong" / "fixtures"
+
 
 def run_json(capsys, argv):
     code = run(argv)
@@ -100,6 +102,19 @@ def test_verify_unknown_label_exit_2(capsys):
     code = run(["--offline", "verify", "--label", "3.4.a.a", "--ell", "5",
                 "--psi", "1.1", "--phi", "1.1", "--M", "3", "--k", "4"])
     assert code == 2
+
+
+def test_fixture_missing_field_exit_2(capsys, tmp_path):
+    fixture = json.loads(FIXTURES.joinpath("1.12.a.a.json").read_text())
+    del fixture["basis"]
+    path = tmp_path / "1.12.a.a.json"
+    path.write_text(json.dumps(fixture))
+    code = run(["--offline", "verify", "--label", "1.12.a.a", "--ell", "691",
+                "--psi", "1.1", "--phi", "1.1", "--M", "1", "--k", "12",
+                "--fixtures", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "'basis'" in err
 
 
 def test_bk_subcommand(capsys):

@@ -207,13 +207,25 @@ def canned_api(url, params=None, timeout=None):
 
 
 def test_lmfdb_client_conversion(monkeypatch, tmp_path):
+    import types
+
     import requests
     from eiscong import newforms as nfmod
     monkeypatch.setattr(requests, "get", canned_api)
+    # a fake clock: sleeping advances it, and the waits are recorded
+    clock, waits = [1000.0], []
+
+    def sleep(s):
+        waits.append(s)
+        clock[0] += s
+    monkeypatch.setattr(nfmod, "time", types.SimpleNamespace(monotonic=lambda: clock[0],
+                                                             sleep=sleep))
     client = LmfdbClient(endpoint="https://example.test/api")
     nf = client.fetch("1.12.a.a")
     assert nf.label == "1.12.a.a" and nf.b_data == 40
     assert nf.a_vector(2) == (-24,)
+    # two requests: no wait before the first, about 1 s before the second
+    assert waits == [pytest.approx(1.0, abs=0.05)]
     # fetch_newform caches into the fixture directory once the store misses
     monkeypatch.setattr(nfmod, "_PACKAGED_FIXTURES", tmp_path / "none")
     monkeypatch.delenv("EISCONG_FIXTURES", raising=False)

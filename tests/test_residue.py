@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,6 +191,21 @@ def test_ffelem_field_axioms():
             assert a * a.inverse() == FFElem.one(7, mod)
     a = FFElem.make(7, mod, [1, 2, 3])
     assert a ** (7**3 - 1) == FFElem.one(7, mod)  # multiplicative order divides q-1
+
+
+def test_inverse_of_zero_divisor_raises_under_optimize():
+    # x^2 + 1 = (x - 2)(x + 2) over F_5, so x + 2 has no inverse; the check
+    # must hold under python -O, which strips asserts
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("from eiscong.residue import FFElem\n"
+            "try:\n"
+            "    FFElem.make(5, (1, 0, 1), [2, 1]).inverse()\n"
+            "except ZeroDivisionError:\n"
+            "    print('raised')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 def test_canonical_modulus_is_deterministic_and_irreducible():
