@@ -1,16 +1,23 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-A :class:`CycNum` is a vector of rationals on the power basis
-zeta_n^0, ..., zeta_n^(phi(n)-1), reduced modulo the n-th cyclotomic
-polynomial.  Elements carry their own conductor; binary operations coerce
-both sides into Q(zeta_lcm) through the ring embedding
-zeta_n -> zeta_lcm^(lcm/n).  There is no automatic conductor
-minimisation: an element of Q(zeta_6) that happens to be rational keeps
-conductor 6 unless :meth:`CycNum.try_descend` is called explicitly.
+A :class:`CycNum` is an element of Q(zeta_n) on the power basis
+zeta_n^0, ..., zeta_n^(phi(n)-1), stored as a tuple ``num`` of phi(n)
+integer numerators over one common denominator ``den`` (the layout of
+ANTIC's ``nf_elem``).  The pair is kept in normal form: ``den > 0``,
+gcd(num..., den) = 1, and zero is all zeros over 1, so equal elements of
+one conductor have equal fields.  ``coeffs`` is a derived view of the
+same vector as ``Fraction`` for serialisation and display.
 
-Reduction clears denominators to integer numerators over one common
-denominator and long-divides by the monic integer Phi_n (the layout of
-ANTIC's ``nf_elem``); the stored vector stays a tuple of ``Fraction``.
+Elements carry their own conductor; binary operations coerce both sides
+into Q(zeta_lcm) through the ring embedding zeta_n -> zeta_lcm^(lcm/n).
+There is no automatic conductor minimisation: an element of Q(zeta_6)
+that happens to be rational keeps conductor 6 unless
+:meth:`CycNum.try_descend` is called explicitly.
+
+Products pack each numerator vector into one Python int (Kronecker
+substitution), multiply once, unpack the product and long-divide it by
+the monic integer Phi_n; the new denominator is the product of the two.
+An inverse is the product of the other Galois conjugates over the norm.
 Values are immutable after construction and safe to share between
 threads; the only shared state is the memoised Phi_n table.
 """
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from . import qpoly
 
@@ -75,52 +82,125 @@ def clear_denominators(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _reduce(n: int, coeffs: list[Fraction]) -> list[Fraction]:
-    """Reduce an arbitrary-length coefficient vector mod Phi_n, returning a
-    dense vector of length phi(n)."""
+def _mod_phi(n: int, nums: list[int]) -> list[int]:
+    """Integer vector of any length reduced mod Phi_n to length phi(n)
+    (in place when it is longer)."""
     d = _phi(n)
-    if len(coeffs) <= d:
-        return list(coeffs) + [_ZERO] * (d - len(coeffs))
-    nums, den = clear_denominators(coeffs)
-    _divide_monic(nums, cyclotomic_poly(n))
-    return [Fraction(x, den) for x in nums[:d]]
+    if len(nums) > d:
+        _divide_monic(nums, cyclotomic_poly(n))
+        del nums[d:]
+    elif len(nums) < d:
+        nums = nums + [0] * (d - len(nums))
+    return nums
+
+
+def _reduce(n: int, nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """Numerators nums over den (nonzero, any sign) reduced mod Phi_n and
+    normalised to den > 0 and gcd(num..., den) = 1."""
+    nums = _mod_phi(n, nums)
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [x // g for x in nums]
+        den //= g
+    return tuple(nums), den
+
+
+def _offset(length: int, width: int) -> int:
+    """2^(8*width - 1) in each of length slots of width bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
+
+
+def _pack(v, width: int, half: int) -> int:
+    """sum v[i] * 2^(8*width*i) for |v[i]| < half = 2^(8*width - 1)."""
+    return int.from_bytes(b"".join((x + half).to_bytes(width, "little") for x in v),
+                          "little") - _offset(len(v), width)
+
+
+def _ks_mul(a, b) -> list[int]:
+    """Product of two integer coefficient vectors by Kronecker substitution:
+    each vector becomes one int in base 2^(8*width), the two are multiplied
+    once, and the signed slots of the product are read back with a single
+    offset.  A slot holds the inputs and every product coefficient, which
+    is at most max|a| * max|b| * min(len a, len b), plus a sign bit."""
+    ma = max(map(abs, a))
+    mb = max(map(abs, b))
+    top = max(ma * mb * min(len(a), len(b)), ma, mb)
+    width = (top.bit_length() + 8) // 8
+    half = 1 << (8 * width - 1)
+    pa = _pack(a, width, half)
+    prod = pa * pa if a is b else pa * _pack(b, width, half)
+    length = len(a) + len(b) - 1
+    raw = (prod + _offset(length, width)).to_bytes(length * width, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, length * width, width)]
+
+
+def _mul_mod(n: int, a, b) -> list[int]:
+    return _mod_phi(n, _ks_mul(a, b))
+
+
+def _new(n: int, num: tuple[int, ...], den: int) -> "CycNum":
+    """A CycNum from numerators already in normal form."""
+    x = object.__new__(CycNum)
+    _SET_CONDUCTOR(x, n)
+    _SET_NUM(x, num)
+    _SET_DEN(x, den)
+    return x
+
+
+def _from_ints(n: int, nums: list[int], den: int) -> "CycNum":
+    return _new(n, *_reduce(n, nums, den))
 
 
 class CycNum:
-    """Element of Q(zeta_n) on the reduced power basis."""
+    """Element of Q(zeta_n) on the reduced power basis, as integer
+    numerators ``num`` over a positive denominator ``den``."""
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, coeffs):
         if conductor < 1:
             raise ValueError("conductor must be >= 1")
-        object.__setattr__(self, "conductor", conductor)
-        vec = _reduce(conductor, [Fraction(c) for c in coeffs])
-        object.__setattr__(self, "coeffs", tuple(vec))
+        vec = list(coeffs)
+        den = 1
+        if not all(type(c) is int for c in vec):
+            vec, den = clear_denominators([Fraction(c) for c in vec])
+        num, den = _reduce(conductor, vec, den)
+        _SET_CONDUCTOR(self, conductor)
+        _SET_NUM(self, num)
+        _SET_DEN(self, den)
 
     def __setattr__(self, *args):
         raise AttributeError("CycNum is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficient vector as ``Fraction``s."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_rational(cls, r, conductor: int = 1) -> "CycNum":
-        return cls(conductor, [Fraction(r)])
+        r = Fraction(r)
+        return _from_ints(conductor, [r.numerator], r.denominator)
 
     @classmethod
     def zero(cls, conductor: int = 1) -> "CycNum":
-        return cls(conductor, [])
+        return _from_ints(conductor, [], 1)
 
     @classmethod
     def one(cls, conductor: int = 1) -> "CycNum":
-        return cls(conductor, [_ONE])
+        return _from_ints(conductor, [1], 1)
 
     @classmethod
     def zeta(cls, n: int, power: int = 1) -> "CycNum":
         """zeta_n**power as an element of conductor n."""
         power %= n
-        vec = [_ZERO] * power + [_ONE]
-        return cls(n, vec)
+        return _from_ints(n, [0] * power + [1], 1)
 
     # -- structure ----------------------------------------------------
 
@@ -132,11 +212,9 @@ class CycNum:
         if m % n:
             raise ValueError(f"cannot coerce conductor {n} into {m}")
         step = m // n
-        out = [_ZERO] * ((len(self.coeffs) - 1) * step + 1) if self.coeffs else []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * step] = c
-        return CycNum(m, out)
+        out = [0] * ((len(self.num) - 1) * step + 1)
+        out[::step] = self.num
+        return _from_ints(m, out, self.den)
 
     def try_descend(self, d: int) -> "CycNum | None":
         """Rewrite in Q(zeta_d) when possible (d | conductor), else None."""
@@ -152,12 +230,12 @@ class CycNum:
         return CycNum(d, sol)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0] if self.coeffs else _ZERO
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -169,49 +247,48 @@ class CycNum:
         m = lcm(self.conductor, other.conductor)
         return self.coerce(m), other.coerce(m)
 
-    def __add__(self, other):
+    def _scale(self, p: int, q: int) -> "CycNum":
+        """self * p / q for integers p and q != 0."""
+        return _from_ints(self.conductor, [x * p for x in self.num], self.den * q)
+
+    def _add(self, other, sign: int):
+        """self + sign * other over the cross-multiplied denominator."""
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
-        return CycNum(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        da, db = a.den, b.den
+        s = sign * da
+        return _from_ints(a.conductor, [x * db + y * s for x, y in zip(a.num, b.num)],
+                          da * db)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.conductor, [-c for c in self.coeffs])
+        return _new(self.conductor, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return CycNum(a.conductor, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return CycNum(self.conductor, [x * c for x in self.coeffs])
-        if not isinstance(other, CycNum):
-            return NotImplemented
-        if other.conductor == 1:
-            c = other.coeffs[0] if other.coeffs else _ZERO
-            return CycNum(self.conductor, [x * c for x in self.coeffs])
-        if self.conductor == 1:
-            c = self.coeffs[0] if self.coeffs else _ZERO
-            return CycNum(other.conductor, [x * c for x in other.coeffs])
-        a, b = self._pair(other)
-        n = a.conductor
-        d = _phi(n)
-        out = [_ZERO] * (2 * d - 1)
-        bc = b.coeffs
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(bc):
-                    if y:
-                        out[i + j] += x * y
-        return CycNum(n, out)
+        if isinstance(other, CycNum):
+            if other.conductor == 1:
+                return self._scale(other.num[0], other.den)
+            if self.conductor == 1:
+                return other._scale(self.num[0], self.den)
+            a, b = self._pair(other)
+            n = a.conductor
+            return _from_ints(n, _mul_mod(n, a.num, b.num), a.den * b.den)
+        if isinstance(other, int):
+            return self._scale(other, 1)
+        if isinstance(other, Fraction):
+            return self._scale(other.numerator, other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -220,7 +297,7 @@ class CycNum:
             c = Fraction(other)
             if not c:
                 raise ZeroDivisionError("division by zero")
-            return CycNum(self.conductor, [x / c for x in self.coeffs])
+            return self._scale(c.denominator, c.numerator)
         if not isinstance(other, CycNum):
             return NotImplemented
         return self * other.inverse()
@@ -241,41 +318,46 @@ class CycNum:
         return acc
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CycNum.from_rational(other)
         if not isinstance(other, CycNum):
             return NotImplemented
-        if self.conductor == other.conductor:
-            return self.coeffs == other.coeffs
-        a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        a, b = (self, other) if self.conductor == other.conductor else self._pair(other)
+        return a.num == b.num and a.den == b.den
 
     __hash__ = None  # cross-conductor equality makes a consistent hash costly
 
     def inverse(self) -> "CycNum":
+        """1/x = (product of the conjugates sigma_a(x), a != 1) / N(x), with
+        the conjugates multiplied pairwise in a balanced tree."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        n = self.conductor
-        if n == 1 or self.is_rational():
-            inv = _ONE / self.coeffs[0]
-            return CycNum(n, [inv])
-        u, _v, d = qpoly.ext_gcd(qpoly.trim(list(self.coeffs)), cyclotomic_poly(n))
-        if d != [_ONE]:
+        n, num, den = self.conductor, self.num, self.den
+        if self.is_rational():
+            return _from_ints(n, [den], num[0])
+        level = [_conjugate(n, num, a) for a in range(2, n) if gcd(a, n) == 1]
+        while len(level) > 1:
+            level = [_mul_mod(n, *level[i:i + 2]) if i + 1 < len(level) else level[i]
+                     for i in range(0, len(level), 2)]
+        rest = level[0]
+        nrm = _mul_mod(n, num, rest)
+        if not nrm[0] or any(nrm[1:]):
             raise ZeroDivisionError(f"{self!r} shares a factor with Phi_{n}")
-        return CycNum(n, u)
+        return _from_ints(n, [x * den for x in rest], nrm[0])
 
     def norm(self) -> Fraction:
         """Field norm down to Q: the product of all conjugates, computed as
         the resultant of Phi_n with the representing polynomial."""
         if not self:
             return _ZERO
-        if self.conductor == 1:
-            return self.coeffs[0]
-        return qpoly.resultant(cyclotomic_poly(self.conductor),
-                               qpoly.trim(list(self.coeffs)))
+        n = self.conductor
+        if n == 1:
+            return Fraction(self.num[0], self.den)
+        res = qpoly.resultant(cyclotomic_poly(n), qpoly.trim(list(self.num)))
+        return Fraction(res, self.den ** _phi(n))
 
     # -- serialisation ------------------------------------------------
 
@@ -304,6 +386,19 @@ class CycNum:
                 z = f"z{n}" if i == 1 else f"z{n}^{i}"
                 terms.append(z if c == 1 else f"-{z}" if c == -1 else f"{c}*{z}")
         return " + ".join(terms).replace("+ -", "- ")
+
+
+_SET_CONDUCTOR = CycNum.conductor.__set__
+_SET_NUM = CycNum.num.__set__
+_SET_DEN = CycNum.den.__set__
+
+
+def _conjugate(n: int, num, a: int) -> list[int]:
+    """Integer numerators of sigma_a, zeta_n -> zeta_n^a, applied to num."""
+    out = [0] * n
+    for i, c in enumerate(num):
+        out[i * a % n] = c
+    return _mod_phi(n, out)
 
 
 def _solve_columns(cols, target):

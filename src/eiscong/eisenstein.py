@@ -323,15 +323,23 @@ def cusp_representatives(level: int) -> list[CuspMatrix]:
     return out
 
 
+def _gauss_ratio(psi: DirichletChar, phi: DirichletChar) -> CycNum:
+    """g(psi phi^-1) / g(phi^-1), where 1/g(phi^-1) = phi(-1) g(phi) / v
+    because g(phi) g(phi^-1) = phi(-1) v for primitive phi of conductor v."""
+    return (gauss_sum(psi * phi.inverse()) * gauss_sum(phi)
+            * Fraction(phi.parity, phi.modulus))
+
+
 def c_gamma(params: EisensteinParams, gamma: CuspMatrix) -> CycNum:
     """The cusp constant
     -(g(psi phi^-1)/g(phi^-1)) (phi^-1(a) psi(-b/v) / u^k) L(1-k, psi^-1 phi)/2,
-    defined when v | b."""
+    defined when v | b.  The Gauss-sum ratio is taken without an inverse,
+    as g(psi phi^-1) g(phi) phi(-1) / v (from g(phi) g(phi^-1) = phi(-1) v)."""
     v = params.v
     if gamma.b % v:
         raise ValueError("c_gamma requires v | b")
     psi, phi = params.psi, params.phi
-    ratio = gauss_sum(psi * phi.inverse()) * gauss_sum(phi.inverse()).inverse()
+    ratio = _gauss_ratio(psi, phi)
     val = ratio * phi.inverse()(gamma.a) * psi(-gamma.b // v)
     val = val * l_value_at_negative(params.k, psi.inverse() * phi)
     return val * Fraction(-1, 2 * params.u ** params.k)
@@ -347,7 +355,7 @@ def constant_term_alpha_m(params: EisensteinParams, m: int, gamma: CuspMatrix) -
     if b1 % v:
         return CycNum.zero(1)
     psi, phi = params.psi, params.phi
-    ratio = gauss_sum(psi * phi.inverse()) * gauss_sum(phi.inverse()).inverse()
+    ratio = _gauss_ratio(psi, phi)
     val = ratio * phi.inverse()(m1 * gamma.a) * psi(-b1 // v)
     val = val * l_value_at_negative(params.k, psi.inverse() * phi)
     return val * Fraction(-1, 2 * (params.u * m1) ** params.k)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -223,14 +224,28 @@ def save_fixture(nf: NewformData, fixture_dir) -> Path:
 
 class LmfdbClient:
     """Minimal, polite client for the LMFDB API: at most one request per
-    second, exponential backoff, results always cached to disk by the
-    caller.  Endpoint configurable for mirrors."""
+    second from the whole process, whichever client sends it, exponential
+    backoff, results always cached to disk by the caller.  Endpoint
+    configurable for mirrors."""
+
+    # shared by all clients, since fetch_newform builds one per call
+    _last_request = 0.0
+    _pace_lock = threading.Lock()
 
     def __init__(self, endpoint: str | None = None, timeout: float = 30.0):
         self.endpoint = (endpoint or os.environ.get("EISCONG_ENDPOINT")
                          or "https://www.lmfdb.org/api").rstrip("/")
         self.timeout = timeout
-        self._last_request = 0.0
+
+    @staticmethod
+    def _pace():
+        """Wait until one second after the process's last request, then
+        stamp this one."""
+        with LmfdbClient._pace_lock:
+            wait = LmfdbClient._last_request + 1.0 - time.monotonic()
+            if wait > 0:
+                time.sleep(wait)
+            LmfdbClient._last_request = time.monotonic()
 
     def _get(self, table: str, query: dict) -> list[dict]:
         try:
@@ -239,15 +254,12 @@ class LmfdbClient:
             raise NetworkError("fetching from the LMFDB needs requests: "
                                "pip install 'eiscong[web]'") from exc
 
-        wait = self._last_request + 1.0 - time.monotonic()
-        if wait > 0:
-            time.sleep(wait)
         url = f"{self.endpoint}/{table}/"
         params = dict(query)
         params["_format"] = "json"
         delay = 1.0
         for attempt in range(3):
-            self._last_request = time.monotonic()
+            self._pace()
             try:
                 resp = requests.get(url, params=params, timeout=self.timeout)
                 if resp.status_code == 200:

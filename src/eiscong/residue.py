@@ -18,7 +18,7 @@ from functools import lru_cache
 from sympy import isprime
 
 from . import fppoly
-from .cyclotomic import CycNum, clear_denominators, cyclotomic_poly
+from .cyclotomic import CycNum, cyclotomic_poly
 from .errors import (CapExceeded, DenominatorDivisibleByEll, NotASubfield,
                      RamifiedUnsupported)
 
@@ -182,13 +182,12 @@ def reduce_cyc(x: CycNum, lam: PrimeAbove) -> FFElem:
     return FFElem.make(ell, lam.factor, [c * inv % ell for c in num])
 
 
-def _numerators(x: CycNum, ell: int) -> tuple[list[int], int]:
+def _numerators(x: CycNum, ell: int) -> tuple[tuple[int, ...], int]:
     """Integer numerators of x over a common denominator prime to ell."""
-    num, den = clear_denominators(x.coeffs)
-    if den % ell == 0:
+    if x.den % ell == 0:
         raise DenominatorDivisibleByEll(
-            f"denominator {den} is divisible by ell = {ell}")
-    return num, den
+            f"denominator {x.den} is divisible by ell = {ell}")
+    return x.num, x.den
 
 
 def ord_positive(x: CycNum, lam: PrimeAbove) -> bool:

@@ -189,3 +189,16 @@ def test_fetch_without_requests_exit_2(capsys, monkeypatch):
                 "--ell", "5", "--psi", "1.1", "--phi", "1.1", "--M", "3", "--k", "4"])
     assert code == 2
     assert "eiscong[web]" in capsys.readouterr().err
+
+
+def test_eis_cusp_frozen_payloads(capsys):
+    # constant_term and c_gamma recorded with the Gauss-sum ratio taken
+    # through an inverse by the extended Euclidean algorithm: psi trivial
+    # with phi = 13.2 (values in Q(zeta_156)), psi nontrivial, and M = 6
+    # with a mixed delta-choice
+    cases = json.loads((Path(__file__).resolve().parent / "data" /
+                        "eis_cusp_payloads.json").read_text())
+    for case in cases:
+        code, payload = run_json(capsys, case["argv"])
+        assert code == 0
+        assert payload == case["payload"], case["argv"]

@@ -1,12 +1,15 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Poly, Symbol
 from sympy import cyclotomic_poly as sympy_cyclotomic
 
-from eiscong.cyclotomic import CycNum, cyclotomic_poly
+from eiscong.cyclotomic import CycNum, _ks_mul, cyclotomic_poly
 from helpers import assert_close, cyc_to_complex, random_cycnum
 
 X = Symbol("x")
@@ -167,3 +170,113 @@ def test_division():
     z5 = CycNum.zeta(5)
     assert (z5 + 2) / (z5 + 2) == 1
     assert (z5 * 6) / 3 == z5 * 2
+
+
+# -- the integer-numerator kernel ------------------------------------------
+
+
+def assert_normal(x: CycNum):
+    """num has phi(n) int entries over an int den > 0 with gcd 1; zero is
+    all zeros over 1."""
+    assert len(x.num) == len(cyclotomic_poly(x.conductor)) - 1
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert x.den == 1
+
+
+def _sympy_product(n1, a, n2, b) -> tuple[Fraction, ...]:
+    """rem(a(x^(m/n1)) * b(x^(m/n2)), Phi_m) over QQ, m = lcm(n1, n2)."""
+    m = lcm(n1, n2)
+    pa = Poly(list(reversed(a)) or [0], X, domain="QQ").compose(Poly(X ** (m // n1), X))
+    pb = Poly(list(reversed(b)) or [0], X, domain="QQ").compose(Poly(X ** (m // n2), X))
+    rem = (pa * pb).rem(Poly(sympy_cyclotomic(m, X), X, domain="QQ"))
+    out = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
+    return tuple(out + [Fraction(0)] * (len(cyclotomic_poly(m)) - 1 - len(out)))
+
+
+_KERNEL_N = [1, 2, 3, 4, 5, 6, 7, 12, 15, 21, 60, 105]
+
+
+@st.composite
+def _factor(draw, n):
+    """A coefficient list for conductor n of one of four shapes: zero, a
+    single term, small integers next to one coefficient of size 10^50, and
+    negative entries over mixed denominators."""
+    d = len(cyclotomic_poly(n)) - 1
+    shape = draw(st.sampled_from(["zero", "single", "huge", "mixed"]))
+    if shape == "zero":
+        return []
+    if shape == "single":
+        j = draw(st.integers(0, d - 1))
+        return [0] * j + [draw(st.sampled_from([1, -1, 2, Fraction(-3, 7)]))]
+    if shape == "huge":
+        vec = draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))
+        vec[draw(st.integers(0, d - 1))] = draw(st.sampled_from([10**50, -10**50 + 1]))
+        return vec
+    return draw(st.lists(_COEF, min_size=1, max_size=d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_product_matches_sympy_remainder(data):
+    n1 = data.draw(st.sampled_from(_KERNEL_N))
+    # half the cases share a conductor; the rest need coercion to the lcm
+    n2 = data.draw(st.sampled_from([n1] + [n for n in _KERNEL_N if lcm(n, n1) <= 420]))
+    a, b = data.draw(_factor(n1)), data.draw(_factor(n2))
+    x, y = CycNum(n1, a), CycNum(n2, b)
+    prod = x * y
+    assert_normal(prod)
+    assert prod.conductor == lcm(n1, n2)
+    assert prod.coeffs == _sympy_product(n1, a, n2, b)
+    assert y * x == prod
+    assert (x * x).coeffs == _sympy_product(n1, a, n1, a)  # one packed factor
+    for out in (x + y, x - y, -x, x * Fraction(-5, 3), x / 7):
+        assert_normal(out)
+
+
+def test_ks_mul_slot_width_covers_inputs():
+    # the product bound is 0 when one factor is zero and small next to a
+    # single unit term, but the slot must still hold the other factor
+    big = [10**50, -3, 0, -10**50 + 1]
+    assert _ks_mul([0, 0], big) == [0] * 5
+    assert _ks_mul([0, 1], big) == [0] + big
+    assert _ks_mul(big, [-1]) == [-c for c in big]
+    assert _ks_mul(big, big) == [sum(big[i] * big[k - i] for i in range(4) if 0 <= k - i < 4)
+                                 for k in range(7)]
+
+
+def test_zero_and_rationals_in_normal_form():
+    for n in (1, 6, 105):
+        z = CycNum.zero(n)
+        assert z.num == (0,) * (len(cyclotomic_poly(n)) - 1) and z.den == 1
+        for x in (z, CycNum.zeta(n) - CycNum.zeta(n), CycNum(n, [Fraction(4, -6)]),
+                  CycNum.from_rational(Fraction(-2, 4), n) * 0):
+            assert_normal(x)
+    assert CycNum(6, [Fraction(4, -6), Fraction(2, 3)]).num == (-2, 2)
+
+
+def test_frozen_dense_product_1332():
+    # recorded from the Fraction-vector kernel before the integer kernel
+    d = len(cyclotomic_poly(1332)) - 1
+    x = CycNum(1332, [Fraction((i * 7919) % 23 - 11, 1 + i % 3) for i in range(d)])
+    y = CycNum(1332, [Fraction((i * 104729) % 17 - 8, 1 + i % 5) for i in range(d)])
+    prod = x * y
+    assert_normal(prod)
+    js = prod.to_json()
+    assert js["coeffs"][:3] == [["-55547", "120"], ["-35857", "120"], ["6211", "40"]]
+    assert js["coeffs"][-1] == ["61087", "180"]
+    assert hashlib.sha256(json.dumps(js, sort_keys=True).encode()).hexdigest() == \
+        "70f9835ac61a1165426daf92bb5f62af591d34d17c1b57596286d4b8893198a2"
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_inverse_up_to_105(seed):
+    rng = random.Random(seed)
+    n = rng.choice([3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24, 28, 30, 60, 84, 105])
+    a = random_cycnum(rng, n, 10**6)
+    if a:
+        inv = a.inverse()
+        assert_normal(inv)
+        assert a * inv == 1

@@ -5,8 +5,9 @@ from math import gcd
 import pytest
 from sympy import divisors, primefactors, primerange
 
-from eiscong.characters import DirichletChar
-from eiscong.cyclotomic import CycNum
+from eiscong import qpoly
+from eiscong.characters import DirichletChar, gauss_sum, primitive_characters
+from eiscong.cyclotomic import CycNum, cyclotomic_poly
 from eiscong.eisenstein import (CuspMatrix, DeltaChoice, EisensteinParams,
                                 alpha_m, c_gamma, constant_term_alpha_m,
                                 constant_term_e_delta, cusp_matrix_for,
@@ -189,6 +190,21 @@ def test_c_gamma_character_factors_are_units():
         while num % v == 0:
             num //= v
         assert num == 1
+
+
+def test_gauss_sum_inverse_identity():
+    # 1/g(phi^-1) = phi(-1) g(phi) / v, the identity the cusp constants use
+    # in place of an inverse, against the inverse by the extended Euclidean
+    # algorithm over Q for every primitive phi of conductor <= 13
+    for v in range(1, 14):
+        for phi in primitive_characters(v):
+            g = gauss_sum(phi.inverse())
+            n = g.conductor
+            u, _, d = qpoly.ext_gcd(qpoly.trim(list(g.coeffs)),
+                                    qpoly.from_ints(cyclotomic_poly(n)))
+            assert d == [1]
+            expect = phi(-1) * gauss_sum(phi) / v
+            assert CycNum(n, u) == expect == g.inverse(), phi.label
 
 
 def test_constant_term_alpha_m_reduces_to_c_gamma():

@@ -220,6 +220,8 @@ def test_lmfdb_client_conversion(monkeypatch, tmp_path):
         clock[0] += s
     monkeypatch.setattr(nfmod, "time", types.SimpleNamespace(monotonic=lambda: clock[0],
                                                              sleep=sleep))
+    # the last-request instant is per process; start this test from none
+    monkeypatch.setattr(LmfdbClient, "_last_request", 0.0, raising=False)
     client = LmfdbClient(endpoint="https://example.test/api")
     nf = client.fetch("1.12.a.a")
     assert nf.label == "1.12.a.a" and nf.b_data == 40
@@ -234,6 +236,13 @@ def test_lmfdb_client_conversion(monkeypatch, tmp_path):
                         cache_dir=tmp_path / "cache")
     assert got.b_data == 40
     assert (tmp_path / "cache" / "1.12.a.a.json").is_file()
+    # two fetches in a row, each with a new client, still send one request
+    # per second: the second fetch's first request waits about 1 s
+    for i in range(2):
+        waits.clear()
+        fetch_newform("1.12.a.a", min_coeffs=30, fixture_dir=tmp_path / "empty",
+                      endpoint="https://example.test/api", cache_dir=tmp_path / f"cache{i}")
+        assert waits == [pytest.approx(1.0, abs=0.05)] * 2, i
 
 
 def test_convert_lmfdb_records_with_basis_matrix():
