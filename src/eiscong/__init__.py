@@ -16,7 +16,7 @@ from .lvalues import (bernoulli, bernoulli_poly, bk_quotient_order_factor,
 from .newforms import (CongruenceCertificate, NewformData, delta_qexp,
                        fetch_newform, load_fixture, replay_certificate,
                        residue_maps_of_kf, save_fixture, sturm_bound,
-                       verify_congruence)
+                       verify_at_ell, verify_congruence)
 from .residue import (FFElem, PrimeAbove, canonical_modulus, ff_embed,
                       ff_embed_all, ord_exact, ord_positive, primes_above,
                       reduce_cyc)

@@ -20,7 +20,7 @@ from .eisenstein import CuspMatrix, DeltaChoice, EisensteinParams, c_gamma, \
     constant_term_e_delta, e_delta
 from .errors import EiscongError
 from .lvalues import l_value_at_negative
-from .newforms import fetch_newform, sturm_bound, verify_congruence
+from .newforms import fetch_newform, sturm_bound, verify_at_ell
 from .residue import primes_above
 
 
@@ -83,25 +83,17 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _verify_at_ell(params, label, ell, bound, include_ell, offline, fixtures, endpoint):
+def _fetch(args, params, label, bound):
     min_coeffs = bound if bound is not None else sturm_bound(params.k, params.N * params.M)
-    nf = fetch_newform(label, min_coeffs, offline=offline,
-                       fixture_dir=fixtures, endpoint=endpoint)
-    best = None
-    for lam in primes_above(ell, value_conductor(params)):
-        cert = verify_congruence(nf, params, lam, bound=bound, include_ell=include_ell)
-        if cert.passed:
-            return cert
-        if best is None:
-            best = cert
-    return best
+    return fetch_newform(label, min_coeffs, offline=args.offline,
+                         fixture_dir=args.fixtures, endpoint=args.endpoint)
 
 
 def cmd_verify(args) -> int:
     params = _build_params(args)
-    cert = _verify_at_ell(params, args.label, args.ell, args.bound,
-                          not args.exclude_ell, args.offline, args.fixtures,
-                          args.endpoint)
+    nf = _fetch(args, params, args.label, args.bound)
+    cert = verify_at_ell(nf, params, args.ell, bound=args.bound,
+                         include_ell=not args.exclude_ell)
     payload = cert.to_json()
     verdict = "PASS" if cert.passed else f"FAIL at q={cert.first_failing_q}"
     lines = [f"verify {args.label} mod {cert.lambda_prime.pretty()} "
@@ -184,9 +176,8 @@ def cmd_reproduce(args) -> int:
             lines.append(f"  predicted congruence prime ell={ell} lambda'={lam.pretty()}")
         payload["search"] = [rep.to_json() for _, _, rep in triples]
         try:
-            cert = _verify_at_ell(params, spec["label"], triples[0][0],
-                                  spec["bound"], True, args.offline,
-                                  args.fixtures, args.endpoint)
+            nf = _fetch(args, params, spec["label"], spec["bound"])
+            cert = verify_at_ell(nf, params, triples[0][0], bound=spec["bound"])
         except EiscongError as exc:
             if phi != phi0.galois_conjugates()[-1]:
                 continue  # conjugate character may match the stored newform

@@ -17,7 +17,8 @@ that happens to be rational keeps conductor 6 unless
 Products pack each numerator vector into one Python int (Kronecker
 substitution), multiply once, unpack the product and long-divide it by
 the monic integer Phi_n; the new denominator is the product of the two.
-An inverse is the product of the other Galois conjugates over the norm.
+The norm is x times the product of its other Galois conjugates, which is
+rational, and the inverse is that product over the norm.
 Values are immutable after construction and safe to share between
 threads; the only shared state is the memoised Phi_n table.
 """
@@ -27,8 +28,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-from . import qpoly
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -331,33 +330,22 @@ class CycNum:
     __hash__ = None  # cross-conductor equality makes a consistent hash costly
 
     def inverse(self) -> "CycNum":
-        """1/x = (product of the conjugates sigma_a(x), a != 1) / N(x), with
-        the conjugates multiplied pairwise in a balanced tree."""
+        """1/x = (product of the conjugates sigma_a(x), a != 1) / N(x)."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
         n, num, den = self.conductor, self.num, self.den
         if self.is_rational():
             return _from_ints(n, [den], num[0])
-        level = [_conjugate(n, num, a) for a in range(2, n) if gcd(a, n) == 1]
-        while len(level) > 1:
-            level = [_mul_mod(n, *level[i:i + 2]) if i + 1 < len(level) else level[i]
-                     for i in range(0, len(level), 2)]
-        rest = level[0]
-        nrm = _mul_mod(n, num, rest)
-        if not nrm[0] or any(nrm[1:]):
-            raise ZeroDivisionError(f"{self!r} shares a factor with Phi_{n}")
-        return _from_ints(n, [x * den for x in rest], nrm[0])
+        rest, nrm = _conjugate_product(n, num)
+        return _from_ints(n, [x * den for x in rest], nrm)
 
     def norm(self) -> Fraction:
-        """Field norm down to Q: the product of all conjugates, computed as
-        the resultant of Phi_n with the representing polynomial."""
-        if not self:
-            return _ZERO
-        n = self.conductor
-        if n == 1:
-            return Fraction(self.num[0], self.den)
-        res = qpoly.resultant(cyclotomic_poly(n), qpoly.trim(list(self.num)))
-        return Fraction(res, self.den ** _phi(n))
+        """Field norm down to Q: the product of all conjugates, read off x
+        times the product of the others."""
+        if self.is_rational():
+            return self.rational_value() ** _phi(self.conductor)
+        _, nrm = _conjugate_product(self.conductor, self.num)
+        return Fraction(nrm, self.den ** _phi(self.conductor))
 
     # -- serialisation ------------------------------------------------
 
@@ -399,6 +387,22 @@ def _conjugate(n: int, num, a: int) -> list[int]:
     for i, c in enumerate(num):
         out[i * a % n] = c
     return _mod_phi(n, out)
+
+
+def _conjugate_product(n: int, num) -> tuple[list[int], int]:
+    """Numerators of the product of the conjugates sigma_a(x), a != 1, of
+    the integer vector num (not rational), multiplied pairwise in a
+    balanced tree, and the integer N = x * that product."""
+    level = [_conjugate(n, num, a) for a in range(2, n) if gcd(a, n) == 1]
+    while len(level) > 1:
+        level = [_mul_mod(n, *level[i:i + 2]) if i + 1 < len(level) else level[i]
+                 for i in range(0, len(level), 2)]
+    rest = level[0]
+    nrm = _mul_mod(n, num, rest)
+    if not nrm[0] or any(nrm[1:]):
+        raise ArithmeticError(f"a product of conjugates in Q(zeta_{n}) "
+                              "is not a nonzero rational")
+    return rest, nrm[0]
 
 
 def _solve_columns(cols, target):

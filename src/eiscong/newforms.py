@@ -23,15 +23,16 @@ from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
 
-from sympy import Poly, Symbol, isprime, primerange
+from sympy import Poly, Symbol, primefactors, primerange
 
 from . import fppoly
 from .characters import DirichletChar
+from .congruence import value_conductor
 from .cyclotomic import CycNum
 from .eisenstein import EisensteinParams, QExpansion
 from .errors import (BadFixture, BadPrimeForBasis, CharacterMismatch, InsufficientData,
                      NetworkError, NonSquarefreeReduction, NotFound)
-from .residue import FFElem, PrimeAbove, ff_embed, reduce_cyc
+from .residue import FFElem, PrimeAbove, ff_embed, primes_above, reduce_cyc
 
 _PACKAGED_FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -40,7 +41,7 @@ def sturm_bound(k: int, level: int) -> int:
     """ceil(k * mu / 12) with mu the index of Gamma_0(level): a sufficient
     coefficient bound for eigenform congruences."""
     mu = Fraction(level)
-    for p in {p for p in range(2, level + 1) if level % p == 0 and isprime(p)}:
+    for p in primefactors(level):
         mu *= Fraction(p + 1, p)
     val = Fraction(k) * mu / 12
     return -(-val.numerator // val.denominator)
@@ -505,6 +506,22 @@ def verify_congruence(nf: NewformData, params: EisensteinParams, lam: PrimeAbove
                 if best is None or npass > best[0]:
                     best = (npass, cert)
     return best[1]
+
+
+def verify_at_ell(nf: NewformData, params: EisensteinParams, ell: int,
+                  bound: int | None = None, include_ell: bool = True
+                  ) -> CongruenceCertificate:
+    """:func:`verify_congruence` at each prime of Z[psi, phi] above ell in
+    :func:`primes_above` order; the first passing certificate, else the
+    certificate of the first prime."""
+    first = None
+    for lam in primes_above(ell, value_conductor(params)):
+        cert = verify_congruence(nf, params, lam, bound=bound, include_ell=include_ell)
+        if cert.passed:
+            return cert
+        if first is None:
+            first = cert
+    return first
 
 
 def replay_certificate(cert: CongruenceCertificate, nf: NewformData) -> bool:

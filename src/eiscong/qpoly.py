@@ -1,16 +1,15 @@
 """Dense univariate polynomial arithmetic over the rationals.
 
 Polynomials are lists of ``Fraction`` coefficients, lowest degree first,
-with no trailing zeros; ``[]`` is the zero polynomial.  These kernels back
-the inverses and norms of cyclotomic numbers and the coefficient-field
-handling of newform data, so everything here is exact.
+with no trailing zeros; ``[]`` is the zero polynomial.  These exact
+kernels serve the fixture builder (``scripts/make_fixtures.py``), which
+does its coefficient-field arithmetic with them, and the test oracles;
+the library itself does not import this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-Poly = list  # list[Fraction], lowest degree first, trimmed
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -115,22 +114,3 @@ def ext_gcd(f: list, g: list) -> tuple[list, list, list]:
     lead = r0[-1]
     inv = _ONE / lead
     return scale(u0, inv), scale(v0, inv), scale(r0, inv)
-
-
-def resultant(f: list, g: list) -> Fraction:
-    """Res(f, g), normalised so that for monic f it equals the product of
-    g over the roots of f."""
-    if not f or not g:
-        return _ZERO
-    sign = 1
-    acc = _ONE
-    while True:
-        if degree(g) == 0:
-            return sign * acc * g[0] ** degree(f)
-        r = mod(f, g)
-        if not r:
-            return _ZERO
-        acc *= g[-1] ** (degree(f) - degree(r))
-        if degree(f) % 2 == 1 and degree(g) % 2 == 1:
-            sign = -sign
-        f, g = g, r

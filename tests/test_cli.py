@@ -152,6 +152,16 @@ def test_reproduce_paper_examples(capsys, example, ell):
     assert payload["certificates"][0]["passed"] is True
 
 
+@pytest.mark.parametrize("example", ["ramanujan", "5.1", "5.2", "5.3"])
+def test_reproduce_json_golden(capsys, example):
+    # the whole stdout, byte for byte, as recorded from the sources before
+    # the norm moved onto the conjugate product
+    golden = (Path(__file__).resolve().parent / "data" / f"reproduce_{example}.json").read_text()
+    code = run(["reproduce", example, "--offline", "--json"])
+    assert code == 0
+    assert capsys.readouterr().out == golden
+
+
 def test_json_roundtrips_schema(capsys):
     code, payload = run_json(capsys, [
         "--json", "search", "--M", "2", "--k", "8", "--psi", "1.1", "--phi", "5.4"])

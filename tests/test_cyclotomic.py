@@ -89,6 +89,8 @@ def test_norms():
     assert (z6 + 1).norm() == 3
     assert (CycNum.one() - CycNum.zeta(5)).norm() == 5
     assert CycNum.from_rational(Fraction(-7, 3)).norm() == Fraction(-7, 3)
+    assert CycNum.from_rational(Fraction(-7, 3), 12).norm() == Fraction(2401, 81)
+    assert CycNum.zero(12).norm() == 0
 
 
 def test_norm_against_conjugate_product_oracle():
@@ -280,3 +282,37 @@ def test_inverse_up_to_105(seed):
         inv = a.inverse()
         assert_normal(inv)
         assert a * inv == 1
+
+
+_NORM_N = [1, 2, 3, 4, 5, 6, 7, 12, 15, 60, 105, 156]
+
+
+def _sympy_norm(x: CycNum) -> Fraction:
+    """Res(Phi_n, f) / den^phi(n), f the numerator polynomial of x."""
+    n = x.conductor
+    f = Poly(list(reversed(x.num)), X, domain="ZZ")
+    res = Poly(sympy_cyclotomic(n, X), X, domain="ZZ").resultant(f)
+    return Fraction(int(res), x.den ** (len(cyclotomic_poly(n)) - 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_norm_matches_sympy_resultant(data):
+    n = data.draw(st.sampled_from(_NORM_N))
+    # the kernel shapes (zero, single terms, 10^50 entries, negative mixed
+    # denominators) and rationals of conductor n
+    coeffs = data.draw(st.one_of(_factor(n), st.lists(_COEF, min_size=1, max_size=1)))
+    x = CycNum(n, coeffs)
+    assert x.norm() == _sympy_norm(x)
+
+
+def test_norm_of_inverse_420():
+    rng = random.Random(420)
+    x = CycNum(420, [rng.choice([-1, 0, 1]) for _ in range(96)])
+    assert x.norm() * x.inverse().norm() == 1
+
+
+def test_norm_multiplicative_420():
+    rng = random.Random(421)
+    a, b = random_cycnum(rng, 420), random_cycnum(rng, 420)
+    assert (a * b).norm() == a.norm() * b.norm()

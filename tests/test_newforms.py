@@ -12,7 +12,7 @@ from eiscong.newforms import (CongruenceCertificate, LmfdbClient, NewformData,
                               convert_lmfdb_records, delta_an, delta_qexp,
                               fetch_newform, load_fixture, replay_certificate,
                               residue_maps_of_kf, save_fixture, sturm_bound,
-                              verify_congruence)
+                              verify_at_ell, verify_congruence)
 from eiscong.residue import primes_above
 
 TRIV = DirichletChar(1, 1)
@@ -136,6 +136,21 @@ def test_verify_congruence_example51_and_replay():
     obj = cert.to_json()
     assert obj["ell"] == 257 and obj["passed"] is True
     assert obj["bound"] == 100
+
+
+def test_verify_at_ell_prefers_a_passing_prime():
+    # example 5.3 passes at the second prime above 73 only; at 13 no prime
+    # passes and the first prime's certificate is returned
+    p53 = EisensteinParams(7, 6, 6, TRIV, DirichletChar(7, 4))
+    nf = load_fixture("42.6.e.c")
+    first, second = primes_above(73, value_conductor(p53))
+    assert not verify_congruence(nf, p53, first).passed
+    assert verify_at_ell(nf, p53, 73) == verify_congruence(nf, p53, second)
+    lams = primes_above(13, value_conductor(p53))
+    assert len(lams) == 2
+    cert = verify_at_ell(nf, p53, 13, bound=20)
+    assert not cert.passed
+    assert cert == verify_congruence(nf, p53, lams[0], bound=20)
 
 
 def test_verify_refuses_wrong_character():
