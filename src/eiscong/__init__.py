@@ -3,7 +3,8 @@ for newforms of square-free level with character."""
 
 from .characters import DirichletChar, enumerate_pairs, gauss_sum, parity_matches
 from .congruence import (BKReport, ConditionsReport, bk_report, check_conditions,
-                         diamond_hypothesis, search_congruence_primes, value_conductor)
+                         check_conditions_above, diamond_hypothesis,
+                         search_congruence_primes, value_conductor)
 from .cyclotomic import CycNum
 from .eisenstein import (CuspMatrix, DeltaChoice, EisensteinParams, QExpansion,
                          alpha_m, c_gamma, constant_term_alpha_m,

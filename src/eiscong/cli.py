@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = ran fine (including "conditions not satisfied" reports),
-1 = a congruence verification ran and failed, 2 = usage or data errors.
+1 = a congruence verification ran and failed, 2 = usage or data errors,
+3 = an internal error (any other exception), reported on one line.
 Characters are named by Conrey labels "modulus.index" ("1.1" is the
 trivial character).  A config file of KEY=VALUE lines may set `endpoint`
 and `fixtures`; environment variables EISCONG_ENDPOINT, EISCONG_FIXTURES
@@ -15,7 +16,7 @@ import json
 import sys
 
 from .characters import DirichletChar
-from .congruence import bk_report, check_conditions, search_congruence_primes, value_conductor
+from .congruence import bk_report, check_conditions_above, search_congruence_primes, value_conductor
 from .eisenstein import CuspMatrix, DeltaChoice, EisensteinParams, c_gamma, \
     constant_term_e_delta, e_delta
 from .errors import EiscongError
@@ -71,8 +72,7 @@ def cmd_search(args) -> int:
 
 def cmd_check(args) -> int:
     params = _build_params(args)
-    reports = [check_conditions(params, args.ell, lam)
-               for lam in primes_above(args.ell, value_conductor(params))]
+    reports = check_conditions_above(params, args.ell)
     payload = [r.to_json() for r in reports]
     lines = []
     for r in reports:
@@ -322,6 +322,12 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # any other error is a fault of the program: without this it would
+        # exit 1, which means "verification ran and failed", with a traceback
+        detail = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 3
 
 
 def main():

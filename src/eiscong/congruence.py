@@ -2,9 +2,18 @@
 over candidate residue characteristics, the level-raising hypothesis at a
 single prime, and the Selmer-quotient order bookkeeping.
 
-Candidate primes come from the rational norm of the full Condition-(1)
-quantity: any prime of Z[psi, phi] with positive order contributes to the
-norm numerator, so the enumeration cannot miss one.
+A prime lambda' above ell counts when it divides the Condition-(1)
+quantity L(1-k, psi^-1 phi) * prod_{p | M} E_p and, for every p | M, one
+of E_p = psi(p) - phi(p) p^k and E'_p = psi(p) - phi(p) p^(k-2)
+(Condition (2)).  Candidates for ell come from Condition (2) when M > 1:
+as gcd(N, M) = 1, psi(p) and phi(p) are roots of unity, so E_p and E'_p
+are nonzero algebraic integers (their terms differ in absolute value),
+and lambda' dividing either one puts ell in N(E_p) * N(E'_p).  So only
+the two norms at one p | M are factored; a candidate must also divide
+N(E_p) * N(E'_p) at the other p | M and, by Condition (1), the numerator
+of the Condition-(1) norm, which is never factored.  For M = 1 the
+candidates are the primes of that numerator.  Either way the enumeration
+cannot miss a prime that satisfies both conditions.
 """
 
 from __future__ import annotations
@@ -24,14 +33,6 @@ from .residue import FFElem, PrimeAbove, ff_embed, ord_exact, ord_positive, prim
 def value_conductor(params: EisensteinParams) -> int:
     """Conductor m with Z[psi, phi] = Z[zeta_m]."""
     return lcm(params.psi.order, params.phi.order)
-
-
-def condition_one_quantity(params: EisensteinParams) -> CycNum:
-    """L(1-k, psi^-1 phi) * prod_{p | M} (psi(p) - phi(p) p^k)."""
-    acc = l_value_at_negative(params.k, params.psi.inverse() * params.phi)
-    for p in params.m_primes:
-        acc = acc * euler_factor(params, p)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -67,25 +68,64 @@ class ConditionsReport:
         }
 
 
+class _Quantities:
+    """The Condition-(1) quantity and, per p | M, the pair (E_p, E'_p),
+    evaluated once for a parameter set and shared by all its reports."""
+
+    def __init__(self, params: EisensteinParams):
+        self.params = params
+        self.factors = {p: (euler_factor(params, p, 0), euler_factor(params, p, 2))
+                        for p in params.m_primes}
+        self.cond1 = l_value_at_negative(params.k, params.psi.inverse() * params.phi)
+        for e_k, _ in self.factors.values():
+            self.cond1 = self.cond1 * e_k
+
+    def report(self, ell: int, lam: PrimeAbove) -> ConditionsReport:
+        if lam.ell != ell:
+            raise ValueError("lambda' does not lie above ell")
+        params = self.params
+        cond1 = ord_positive(self.cond1, lam)
+        cond2 = {p: {"factor_k": ord_positive(e_k, lam), "factor_k2": ord_positive(e_k2, lam)}
+                 for p, (e_k, e_k2) in self.factors.items()}
+        admissible = ell > params.k + 1 and (params.N * params.M) % ell != 0
+        return ConditionsReport(params, ell, lam, cond1, cond2, admissible)
+
+
+def condition_one_quantity(params: EisensteinParams) -> CycNum:
+    """L(1-k, psi^-1 phi) * prod_{p | M} (psi(p) - phi(p) p^k)."""
+    return _Quantities(params).cond1
+
+
 def check_conditions(params: EisensteinParams, ell: int, lam: PrimeAbove) -> ConditionsReport:
     """Evaluate both conditions at lambda'; Condition (1) tests the combined
     L-value-times-Euler-product quantity, Condition (2) is reported per
     prime of M with both factor memberships kept separately."""
-    if lam.ell != ell:
-        raise ValueError("lambda' does not lie above ell")
-    cond1 = ord_positive(condition_one_quantity(params), lam)
-    cond2 = {}
-    for p in params.m_primes:
-        fk = ord_positive(euler_factor(params, p, 0), lam)
-        fk2 = ord_positive(euler_factor(params, p, 2), lam)
-        cond2[p] = {"factor_k": fk, "factor_k2": fk2}
-    admissible = ell > params.k + 1 and (params.N * params.M) % ell != 0
-    return ConditionsReport(params, ell, lam, cond1, cond2, admissible)
+    return _Quantities(params).report(ell, lam)
 
 
-def _numerator_primes(x: CycNum) -> set[int]:
-    n = abs(x.norm().numerator)
+def check_conditions_above(params: EisensteinParams, ell: int) -> list[ConditionsReport]:
+    """check_conditions at every prime above ell, in primes_above order,
+    with the quantities of both conditions evaluated once."""
+    quantities = _Quantities(params)
+    return [quantities.report(ell, lam) for lam in primes_above(ell, value_conductor(params))]
+
+
+def _norm_numerator(x: CycNum) -> int:
+    return abs(x.norm().numerator)
+
+
+def _prime_factors(n: int) -> set[int]:
     return set(factorint(n)) if n > 1 else set()
+
+
+def _condition_two_candidates(quantities: _Quantities) -> set[int]:
+    """Candidate ell for M > 1, as search_congruence_primes describes."""
+    local = [(_norm_numerator(e_k), _norm_numerator(e_k2))
+             for e_k, e_k2 in quantities.factors.values()]
+    cond1 = _norm_numerator(quantities.cond1)
+    a, b = min(local, key=lambda ab: ab[0] * ab[1])
+    return {ell for ell in _prime_factors(a) | _prime_factors(b)
+            if cond1 % ell == 0 and all(x * y % ell == 0 for x, y in local)}
 
 
 def search_congruence_primes(params: EisensteinParams, ell_max: int | None = None,
@@ -93,16 +133,24 @@ def search_congruence_primes(params: EisensteinParams, ell_max: int | None = Non
     """All (ell, lambda', report) with both conditions satisfied at an
     admissible ell, sorted by ell then by the canonical factor order.
 
-    Candidates are the prime factors of the norm numerator of the
-    Condition-(1) quantity, together with (diagnostics only) factors of
-    the norms of the individual weight-(k-2) Euler quantities; the latter
-    cannot pass Condition (1) but are checked and reported when
-    include_failures is set.
+    For M > 1 the candidates for ell are the primes of N(E_p0) N(E'_p0)
+    at the p0 | M where that product is smallest.  One is kept when it
+    divides N(E_p) N(E'_p) at every p | M, which Condition (2) forces (see
+    the module docstring), and the Condition-(1) norm numerator, which
+    Condition (1) forces; the Condition-(1) norm is never factored.
+    For M = 1, or when include_failures is set, the candidates are the
+    prime factors of the Condition-(1) norm numerator and of every
+    N(E'_q), and include_failures returns every report at them, satisfied
+    or not, as diagnostics.  Both rules give the same satisfied triples.
     """
     m = value_conductor(params)
-    candidates = _numerator_primes(condition_one_quantity(params))
-    for p in params.m_primes:
-        candidates |= _numerator_primes(euler_factor(params, p, 2))
+    quantities = _Quantities(params)
+    if quantities.factors and not include_failures:
+        candidates = _condition_two_candidates(quantities)
+    else:
+        candidates = _prime_factors(_norm_numerator(quantities.cond1))
+        for _, e_k2 in quantities.factors.values():
+            candidates |= _prime_factors(_norm_numerator(e_k2))
     nm = params.N * params.M
     out = []
     for ell in sorted(candidates):
@@ -111,7 +159,7 @@ def search_congruence_primes(params: EisensteinParams, ell_max: int | None = Non
         if ell_max is not None and ell > ell_max:
             continue
         for lam in primes_above(ell, m):
-            report = check_conditions(params, ell, lam)
+            report = quantities.report(ell, lam)
             if report.satisfied or include_failures:
                 out.append((ell, lam, report))
     out.sort(key=lambda t: (t[0], t[1].factor))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from eiscong import congruence
 from eiscong.cli import run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "eiscong" / "fixtures"
@@ -45,6 +46,35 @@ def test_check_satisfied(capsys):
         "--json", "check", "--M", "2", "--k", "8",
         "--psi", "1.1", "--phi", "5.4", "--ell", "257"])
     assert code == 0 and payload[0]["satisfied"]
+
+
+def test_check_evaluates_condition_one_once(capsys, monkeypatch):
+    # 337 splits into two primes of Z[zeta_6]; both reports share one L-value
+    calls = []
+    real = congruence.l_value_at_negative
+    monkeypatch.setattr(congruence, "l_value_at_negative",
+                        lambda *a: calls.append(a) or real(*a))
+    code, payload = run_json(capsys, [
+        "--json", "check", "--M", "2", "--k", "7",
+        "--psi", "1.1", "--phi", "7.3", "--ell", "337"])
+    assert code == 0
+    assert len(payload) == 2 and len(calls) == 1
+
+
+@pytest.mark.parametrize("exc", [ArithmeticError("no inverse"), KeyError("x"),
+                                 RecursionError("maximum recursion depth exceeded")])
+def test_internal_error_exit_3(capsys, monkeypatch, exc):
+    def kernel(*args):
+        raise exc
+
+    monkeypatch.setattr(congruence, "primes_above", kernel)
+    code = run(["check", "--M", "2", "--k", "8", "--psi", "1.1", "--phi", "5.4",
+                "--ell", "257"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: internal: {type(exc).__name__}: ")
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_2(capsys):

@@ -1,12 +1,18 @@
-import pytest
+import json
+from math import gcd, lcm
+from pathlib import Path
 
-from eiscong.characters import DirichletChar
+import pytest
+from sympy import factorint
+
+from eiscong import congruence
+from eiscong.characters import DirichletChar, enumerate_pairs, parity_matches
 from eiscong.congruence import (bk_report, check_conditions, condition_one_quantity,
                                 diamond_hypothesis, search_congruence_primes,
                                 value_conductor)
 from eiscong.cyclotomic import CycNum
 from eiscong.eisenstein import EisensteinParams
-from eiscong.lvalues import euler_factor
+from eiscong.lvalues import euler_factor, l_value_at_negative
 from eiscong.residue import FFElem, ord_exact, ord_positive, primes_above, reduce_cyc
 
 TRIV = DirichletChar(1, 1)
@@ -84,6 +90,17 @@ def test_search_determinism_and_replay():
     for ell, lam, rep in a:
         rep2 = check_conditions(P53, ell, lam)
         assert rep2.to_json() == rep.to_json()
+
+
+def test_search_evaluates_condition_one_once(monkeypatch):
+    calls = []
+    real = congruence.l_value_at_negative
+    monkeypatch.setattr(congruence, "l_value_at_negative",
+                        lambda *a: calls.append(a) or real(*a))
+    for params in (P0, P51, P53):
+        calls.clear()
+        search_congruence_primes(params)
+        assert len(calls) == 1
 
 
 def test_search_include_failures_reports_diagnostics():
@@ -165,3 +182,91 @@ def test_diamond_requires_prime_m():
     lam = primes_above(73, 3)[0]
     with pytest.raises(ValueError):
         diamond_hypothesis(P53, FFElem.from_int(73, lam.factor, 1), lam)
+
+
+SEARCH_GRID = Path(__file__).resolve().parent / "data" / "search_grid.json"
+
+
+def _params(psi: str, phi: str, m: int, k: int) -> EisensteinParams:
+    a, b = DirichletChar.from_label(psi), DirichletChar.from_label(phi)
+    return EisensteinParams(a.conductor * b.conductor, m, k, a, b)
+
+
+def search_grid_json(entries) -> str:
+    """The search grid's golden text: per (psi, phi, M, k), every report."""
+    out = []
+    for e in entries:
+        triples = search_congruence_primes(_params(e["psi"], e["phi"], e["M"], e["k"]))
+        out.append({"psi": e["psi"], "phi": e["phi"], "M": e["M"], "k": e["k"],
+                    "reports": [rep.to_json() for _, _, rep in triples]})
+    return json.dumps(out, indent=1) + "\n"
+
+
+def test_search_grid_golden():
+    # 60 parameter sets (psi trivial and not, phi of conductor up to 29,
+    # M in {1, 2, 6}, k in 6..12), recorded from the sources that factored
+    # the whole Condition-(1) norm
+    golden = SEARCH_GRID.read_text()
+    entries = json.loads(golden)
+    assert len(entries) == 60
+    assert search_grid_json(entries) == golden
+
+
+def _search_by_full_factoring(params: EisensteinParams) -> list:
+    """The search as it was before Condition (2) picked the candidates:
+    every prime of the whole Condition-(1) norm numerator and of each
+    N(E'_p), every lambda' above them checked, the satisfied ones kept."""
+    q = l_value_at_negative(params.k, params.psi.inverse() * params.phi)
+    for p in params.m_primes:
+        q = q * euler_factor(params, p)
+    candidates = set(factorint(abs(q.norm().numerator)))
+    for p in params.m_primes:
+        candidates |= set(factorint(abs(euler_factor(params, p, 2).norm().numerator)))
+    out = []
+    for ell in sorted(candidates):
+        if ell <= params.k + 1 or (params.N * params.M) % ell == 0:
+            continue
+        for lam in primes_above(ell, value_conductor(params)):
+            cond2 = {p: {"factor_k": ord_positive(euler_factor(params, p, 0), lam),
+                         "factor_k2": ord_positive(euler_factor(params, p, 2), lam)}
+                     for p in params.m_primes}
+            if ord_positive(q, lam) and all(v["factor_k"] or v["factor_k2"]
+                                            for v in cond2.values()):
+                out.append((ell, lam.factor, cond2))
+    return sorted(out, key=lambda t: t[:2])
+
+
+def _orbit_representatives(n: int) -> list:
+    """One (psi, phi) of conductor product n per Galois orbit (psi^s, phi^s)."""
+    reps = {}
+    for psi, phi in enumerate_pairs(n):
+        o = lcm(psi.order, phi.order)
+        key = min((psi.power(s).label, phi.power(s).label)
+                  for s in range(1, o + 1) if gcd(s, o) == 1)
+        reps.setdefault(key, (psi, phi))
+    return list(reps.values())
+
+
+def test_search_matches_full_factoring():
+    # M with one prime and with two, N <= 13 and k <= 9, one character pair
+    # per Galois orbit: 420 parameter sets whose whole Condition-(1)
+    # norm sympy factors at once
+    seen_k2_only = seen_two_primes = 0
+    for m in (2, 3, 5, 6, 10, 15):
+        for n in (1, 3, 5, 7, 13):
+            if gcd(n, m) != 1:
+                continue
+            for psi, phi in _orbit_representatives(n):
+                for k in range(3, 10):
+                    if not parity_matches(psi, phi, k):
+                        continue
+                    params = EisensteinParams(n, m, k, psi, phi)
+                    got = [(ell, lam.factor, rep.cond2)
+                           for ell, lam, rep in search_congruence_primes(params)]
+                    assert got == _search_by_full_factoring(params), params.describe()
+                    seen_two_primes += len(params.m_primes) == 2 and bool(got)
+                    seen_k2_only += any(v["factor_k2"] and not v["factor_k"]
+                                        for _, _, cond2 in got for v in cond2.values())
+    # the grid reaches satisfied triples through the weight-(k-2) factor
+    # alone and at M with two primes
+    assert seen_k2_only >= 10 and seen_two_primes >= 10
