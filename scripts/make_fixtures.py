@@ -22,11 +22,12 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from pathlib import Path
 
-from sympy import Poly, Rational, Symbol, divisors, factorint, primefactors, primerange
+from sympy import Poly, Rational, Symbol
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from eiscong import fppoly, qpoly  # noqa: E402
+from eiscong.arith import divisors, factorint, primefactors, primerange  # noqa: E402
 from eiscong.characters import DirichletChar, primitive_characters  # noqa: E402
 from eiscong.cyclotomic import (CycNum, _phi, _solve_columns, clear_denominators,  # noqa: E402
                                  cyclotomic_poly)

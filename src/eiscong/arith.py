@@ -1,0 +1,380 @@
+"""Integer arithmetic for the runtime: primes, primality and factoring.
+
+A bytearray sieve serves the primes below 2^15 and :func:`primerange`.
+:func:`isprime` is trial division followed by BPSW (a strong base-2
+test and a strong Lucas test with Selfridge's parameters; Baillie and
+Wagstaff, 1980), which no composite is known to pass.
+
+:func:`factorint` takes out the primes below 2^15 by trial division (for
+n >= 2^30, only of those dividing gcd(n, their product)), then splits
+each cofactor that is neither prime nor a perfect power with a short
+Brent rho, Pollard's p-1 (stage 1), a longer but bounded Brent rho, and
+two-stage ECM on Montgomery curves with Suyama's parametrisation
+(Lenstra, 1987; Montgomery, 1987).
+The curve generator is seeded from the integer, so every factorization
+is reproducible.  The result is checked before it is returned: the
+prime powers multiply back to n and every prime passes :func:`isprime`.
+"""
+
+from __future__ import annotations
+
+import random
+from functools import lru_cache
+from itertools import compress
+from math import gcd, isqrt, prod
+
+_TRIAL = 1 << 15
+
+
+def _sieve(n: int) -> bytearray:
+    """flags[i] == 1 exactly when i < n is prime, for n >= 2."""
+    flags = bytearray([1]) * n
+    flags[:2] = b"\0\0"
+    for p in range(2, isqrt(n - 1) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, n, p)))
+    return flags
+
+
+_SMALL = _sieve(_TRIAL)
+_SMALL_PRIMES = list(compress(range(_TRIAL), _SMALL))
+_ISPRIME_TRIAL = _SMALL_PRIMES[:54]  # the primes below 256
+
+
+def primerange(a: int, b: int) -> list[int]:
+    """The primes p with a <= p < b, in increasing order (segmented sieve)."""
+    a = max(a, 2)
+    if b <= a:
+        return []
+    if b <= _TRIAL:
+        return list(compress(range(a, b), _SMALL[a:b]))
+    flags = bytearray([1]) * (b - a)
+    for p in primerange(2, isqrt(b - 1) + 1):
+        start = max(p * p, -(-a // p) * p) - a
+        flags[start::p] = bytes(len(range(start, b - a, p)))
+    return list(compress(range(a, b), flags))
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_probable_prime_base2(n: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(2, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with P = 1 and Selfridge's D (odd n, not a square)."""
+    d = 5
+    while True:
+        j = _jacobi(d, n)
+        if j == -1:
+            break
+        if j == 0 and abs(d) != n:
+            return False
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    # U_j, V_j and Q^j mod n for j the prefix of k read so far, from j = 1
+    u, v, qj = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qj = u * v % n, (v * v - 2 * qj) % n, qj * qj % n
+        if bit == "1":
+            u, v = u + v, d * u + v
+            u = (u + n if u & 1 else u) // 2 % n
+            v = (v + n if v & 1 else v) // 2 % n
+            qj = qj * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qj = (v * v - 2 * qj) % n, qj * qj % n
+        if v == 0:
+            return True
+    return False
+
+
+def isprime(n: int) -> bool:
+    """Trial division by the primes below 256, then BPSW."""
+    if n < _TRIAL:
+        return n >= 2 and bool(_SMALL[n])
+    for p in _ISPRIME_TRIAL:
+        if n % p == 0:
+            return False
+    if isqrt(n) ** 2 == n:
+        return False
+    return _strong_probable_prime_base2(n) and _strong_lucas_probable_prime(n)
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(n: int) -> tuple[int, int]:
+    """(r, k) with r^k = n and k maximal, for n free of primes below 2^15."""
+    for k in _SMALL_PRIMES:
+        if _TRIAL ** k > n:
+            break
+        r = _iroot(n, k)
+        if r ** k == n:
+            s, j = _perfect_power(r)
+            return s, j * k
+    return n, 1
+
+
+@lru_cache(maxsize=None)
+def _primorial() -> int:
+    return prod(_SMALL_PRIMES)
+
+
+@lru_cache(maxsize=None)
+def _smooth_exponent(bound: int) -> int:
+    """The product of the largest powers of each prime p <= bound that
+    stay <= bound."""
+    out = 1
+    for p in primerange(2, bound + 1):
+        q = p
+        while q * p <= bound:
+            q *= p
+        out *= q
+    return out
+
+
+def _pminus1(n: int) -> int | None:
+    """Pollard p-1, stage 1 to 10^4."""
+    g = gcd(pow(2, _smooth_exponent(10_000), n) - 1, n)
+    return g if 1 < g < n else None
+
+
+def _brent_rho(n: int, max_r: int) -> int | None:
+    """Brent's variant of Pollard rho on x -> x^2 + 1, cycle lengths up to
+    max_r, with one gcd per 128 steps."""
+    y, r, q, g = 2, 1, 1, 1
+    x = ys = y
+    while g == 1 and r <= max_r:
+        x = y
+        for _ in range(r):
+            y = (y * y + 1) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(128, r - k)):
+                y = (y * y + 1) % n
+                q = q * (x - y) % n
+            g = gcd(q, n)
+            k += 128
+        r *= 2
+    if g == n:
+        g = 1
+        while g == 1:
+            ys = (ys * ys + 1) % n
+            g = gcd(x - ys, n)
+    return g if 1 < g < n else None
+
+
+# -- ECM: x-only arithmetic on b y^2 = x^3 + A x^2 + x, a24 = (A + 2) / 4 --
+
+def _xdbl(x, z, a24, n):
+    s, d = (x + z) ** 2 % n, (x - z) ** 2 % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _xadd(xp, zp, xq, zq, xd, zd, n):
+    """P + Q from P, Q and P - Q."""
+    u = (xp - zp) * (xq + zq)
+    v = (xp + zp) * (xq - zq)
+    return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
+
+
+def _ladder(k, x, z, a24, n):
+    """k * (x : z) by the Montgomery ladder, k >= 1."""
+    x0, z0, x1, z1 = x, z, *_xdbl(x, z, a24, n)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            x0, z0 = _xadd(x1, z1, x0, z0, x, z, n)
+            x1, z1 = _xdbl(x1, z1, a24, n)
+        else:
+            x1, z1 = _xadd(x1, z1, x0, z0, x, z, n)
+            x0, z0 = _xdbl(x0, z0, a24, n)
+    return x0, z0
+
+
+@lru_cache(maxsize=4)
+def _stage_two_plan(b1: int, b2: int) -> tuple[int, int, tuple]:
+    """(D, r0, blocks): the primes in [b1, b2] written r + 2*delta with
+    r = r0 + 2*D*i and 1 <= delta <= D; blocks[i] lists those deltas."""
+    d = isqrt(b2)
+    r0 = b1 - 1 if b1 % 2 == 0 else b1 - 2
+    flags = _sieve(b2 + 2 * d + 1)
+    blocks = tuple(tuple(delta for delta in range(1, d + 1) if flags[r + 2 * delta])
+                   for r in range(r0, b2, 2 * d))
+    return d, r0, blocks
+
+
+def _ecm_curve(n: int, b1: int, b2: int, rng: random.Random) -> int | None:
+    """One curve: stage 1 to b1, stage 2 to b2; a proper factor or None."""
+    sigma = rng.randrange(6, n - 1)
+    u, v = (sigma * sigma - 5) % n, 4 * sigma % n
+    den = 16 * pow(u, 3, n) * v % n
+    g = gcd(den, n)
+    if g != 1:
+        return g if g < n else None
+    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+    x, z = _ladder(_smooth_exponent(b1), pow(u, 3, n), pow(v, 3, n), a24, n)
+    g = gcd(z, n)
+    if g != 1:
+        return g if g < n else None
+    d, r0, blocks = _stage_two_plan(b1, b2)
+    # s[j] = 2j * Q for 1 <= j <= d, with beta[j] = X * Z of it
+    s = [None, _xdbl(x, z, a24, n)]
+    s.append(_xdbl(*s[1], a24, n))
+    for j in range(3, d + 1):
+        s.append(_xadd(*s[j - 1], *s[1], *s[j - 2], n))
+    beta = [0] + [xs * zs % n for xs, zs in s[1:]]
+    t = _ladder(r0 - 2 * d, x, z, a24, n)
+    r = _ladder(r0, x, z, a24, n)
+    acc = 1
+    for deltas in blocks:
+        xr, zr = r
+        alpha = xr * zr % n
+        for delta in deltas:
+            xs, zs = s[delta]
+            # X_R Z_S - X_S Z_R, zero mod p when r * Q = +-2 delta * Q mod p
+            acc = acc * ((xr - xs) * (zr + zs) - alpha + beta[delta]) % n
+        t, r = r, _xadd(*r, *s[d], *t, n)
+    g = gcd(acc, n)
+    return g if 1 < g < n else None
+
+
+def _ecm(n: int, rng: random.Random) -> int:
+    """Curves until one splits n: 50 with B1 = 10^4 and B2 = 100 B1, then
+    each round five times B1 and twice the curves."""
+    b1, curves = 10_000, 50
+    while True:
+        for _ in range(curves):
+            g = _ecm_curve(n, b1, 100 * b1, rng)
+            if g:
+                return g
+        b1, curves = 5 * b1, 2 * curves
+
+
+def _proper_factor(n: int, rng: random.Random) -> int:
+    """A divisor 1 < g < n of the odd composite n, not a perfect power.
+
+    A short rho comes first: it splits a cofactor with a prime below about
+    10^6 in under a millisecond, while p-1 costs 2-5 ms even when it fails.
+    """
+    return (_brent_rho(n, 1 << 10) or _pminus1(n) or _brent_rho(n, 1 << 14)
+            or _ecm(n, rng))
+
+
+def _factor_large(n: int, out: dict[int, int]):
+    """Add to out the factorization of n, which has no prime below 2^15."""
+    rng = random.Random(n)
+    stack = [(n, 1)]
+    while stack:
+        m, e = stack.pop()
+        if m < _TRIAL * _TRIAL or isprime(m):
+            out[m] = out.get(m, 0) + e
+            continue
+        r, k = _perfect_power(m)
+        if k > 1:
+            stack.append((r, e * k))
+            continue
+        g = _proper_factor(m, rng)
+        stack += [(g, e), (m // g, e)]
+
+
+def _remove(n: int, p: int) -> tuple[int, int]:
+    """(n / p^e, e) with p^e the largest power of p dividing n."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return n, e
+
+
+def factorint(n: int, limit: int | None = None) -> dict[int, int]:
+    """{p: e} with n = prod p^e, in increasing p, for n >= 1.
+
+    With limit, only the primes p <= limit: for limit <= 2^15 this is
+    trial division alone and nothing is factored; for a larger limit n
+    is factored in full and the result filtered.  Raises ArithmeticError
+    if the factorization does not multiply back to n or holds a p that
+    fails isprime.
+    """
+    if n < 1:
+        raise ValueError(f"factorint needs n >= 1, got {n}")
+    out: dict[int, int] = {}
+    rest = n
+    trial_only = limit is not None and limit <= _TRIAL
+    # small has the primes below 2^15 that divide n, and no others once
+    # n >= 2^30: one gcd in place of trial division of a large n
+    small = n if n < _TRIAL * _TRIAL else gcd(n, _primorial())
+    for p in _SMALL_PRIMES:
+        if p * p > small or trial_only and p > limit:
+            break
+        if small % p == 0:
+            small = _remove(small, p)[0]
+            rest, out[p] = _remove(rest, p)
+    if small > 1 and p * p > small:  # every prime below p is out, so small is prime
+        rest, out[small] = _remove(rest, small)
+    if rest > 1 and not trial_only:
+        _factor_large(rest, out)
+        rest = 1
+    if prod(p ** e for p, e in out.items()) * rest != n or not all(map(isprime, out)):
+        raise ArithmeticError(f"factorization of {n} failed its check: {out}")
+    return {p: e for p, e in sorted(out.items()) if limit is None or p <= limit}
+
+
+def primefactors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, increasing."""
+    return list(factorint(n))
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, increasing."""
+    out = [1]
+    for p, e in factorint(n).items():
+        out = [d * p ** i for d in out for i in range(e + 1)]
+    return sorted(out)
+
+
+def totient(n: int) -> int:
+    """Euler's phi of n >= 1."""
+    out = n
+    for p in factorint(n):
+        out -= out // p
+    return out

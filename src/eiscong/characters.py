@@ -23,8 +23,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from sympy import factorint, primefactors
-
+from .arith import factorint, primefactors
 from .cyclotomic import CycNum
 from .errors import NotAMultiple, NotPrimitive, NotSquareFree
 

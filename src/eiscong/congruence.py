@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from sympy import factorint
-
+from .arith import factorint
 from .cyclotomic import CycNum
 from .eisenstein import EisensteinParams
 from .lvalues import bk_quotient_order_factor, euler_factor, l_value_at_negative
@@ -114,17 +113,19 @@ def _norm_numerator(x: CycNum) -> int:
     return abs(x.norm().numerator)
 
 
-def _prime_factors(n: int) -> set[int]:
-    return set(factorint(n)) if n > 1 else set()
+def _prime_factors(n: int, limit: int | None) -> set[int]:
+    """The primes of n, only those <= limit when limit is set."""
+    return set(factorint(n, limit=limit)) if n > 1 else set()
 
 
-def _condition_two_candidates(quantities: _Quantities) -> set[int]:
-    """Candidate ell for M > 1, as search_congruence_primes describes."""
+def _condition_two_candidates(quantities: _Quantities, limit: int | None) -> set[int]:
+    """Candidate ell <= limit for M > 1, as search_congruence_primes
+    describes."""
     local = [(_norm_numerator(e_k), _norm_numerator(e_k2))
              for e_k, e_k2 in quantities.factors.values()]
     cond1 = _norm_numerator(quantities.cond1)
     a, b = min(local, key=lambda ab: ab[0] * ab[1])
-    return {ell for ell in _prime_factors(a) | _prime_factors(b)
+    return {ell for ell in _prime_factors(a, limit) | _prime_factors(b, limit)
             if cond1 % ell == 0 and all(x * y % ell == 0 for x, y in local)}
 
 
@@ -142,21 +143,21 @@ def search_congruence_primes(params: EisensteinParams, ell_max: int | None = Non
     prime factors of the Condition-(1) norm numerator and of every
     N(E'_q), and include_failures returns every report at them, satisfied
     or not, as diagnostics.  Both rules give the same satisfied triples.
+    With ell_max, every rule takes only the primes <= ell_max of the norms
+    it factors, which for ell_max <= 2^15 is trial division alone.
     """
     m = value_conductor(params)
     quantities = _Quantities(params)
     if quantities.factors and not include_failures:
-        candidates = _condition_two_candidates(quantities)
+        candidates = _condition_two_candidates(quantities, ell_max)
     else:
-        candidates = _prime_factors(_norm_numerator(quantities.cond1))
+        candidates = _prime_factors(_norm_numerator(quantities.cond1), ell_max)
         for _, e_k2 in quantities.factors.values():
-            candidates |= _prime_factors(_norm_numerator(e_k2))
+            candidates |= _prime_factors(_norm_numerator(e_k2), ell_max)
     nm = params.N * params.M
     out = []
     for ell in sorted(candidates):
         if ell <= params.k + 1 or nm % ell == 0:
-            continue
-        if ell_max is not None and ell > ell_max:
             continue
         for lam in primes_above(ell, m):
             report = quantities.report(ell, lam)

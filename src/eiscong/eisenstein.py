@@ -16,8 +16,7 @@ from functools import cached_property
 from itertools import product as iter_product
 from math import gcd, prod
 
-from sympy import divisors, primefactors
-
+from .arith import divisors, primefactors
 from .characters import DirichletChar, gauss_sum, is_square_free
 from .cyclotomic import CycNum
 from .errors import InsufficientPrecision, NotSquareFree

@@ -5,14 +5,19 @@ Polynomials are lists of ints in [0, m), lowest degree first, trimmed.
 Factorization is distinct-degree followed by Cantor-Zassenhaus
 equal-degree splitting with a per-call seeded generator, so the factor
 set (and hence every prime enumeration built on it) is reproducible.
+Irreducibility over Q is decided from these kernels alone: factor at a
+good prime, Hensel-lift, recombine.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import isqrt, lcm
 
-from sympy import primefactors
+from .arith import isprime, primefactors
 
 
 def trim(f: list[int]) -> list[int]:
@@ -269,3 +274,68 @@ def hensel_lift_factor(full_int, f0, ell: int, precision: int):
         if sub(add(mul(s, g, m), mul(t, h, m), m), [1], m):
             raise ArithmeticError(f"Hensel step lost the Bezout identity mod {m}")
     return normalize(h, target)
+
+
+def _divides_monic(h, g) -> bool:
+    """Whether monic h divides g in Z[x]."""
+    r = list(g)
+    for i in range(len(g) - len(h), -1, -1):
+        c = r[i + len(h) - 1]
+        if c:
+            for j, b in enumerate(h):
+                r[i + j] -= c * b
+    return not any(r[:len(h) - 1])
+
+
+def is_irreducible_over_q(coeffs) -> bool:
+    """Whether the monic polynomial with rational coefficients coeffs
+    (lowest degree first) is irreducible over Q (Zassenhaus, 1969).
+
+    x -> x/D with D the lcm of the denominators gives a monic g in Z[x].
+    g is factored mod the good prime ell, among the first five, with the
+    fewest factors; each factor is Hensel-lifted until ell^a exceeds
+    twice the Landau-Mignotte bound 2^d ||g||_2, so every monic factor of
+    g over Z is the symmetric residue of one product of lifted factors,
+    and the products of at most half of them are tried by exact division.
+    """
+    d = len(coeffs) - 1
+    if d <= 1:
+        return d == 1
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    g = [int(Fraction(c) * den ** (d - i)) for i, c in enumerate(coeffs)]
+    norm = isqrt(sum(c * c for c in g)) + 1
+    # a squarefree g has a discriminant 0 < |disc| <= d^d ||g||^(2d-2), so
+    # fewer bad primes than its bit length; past them g has a square factor
+    bad_left = (d ** d * norm ** (2 * d - 2)).bit_length()
+    best = None
+    ell, samples = 1, 5
+    while samples:
+        ell += 1
+        if not isprime(ell):
+            continue
+        gbar = normalize(g, ell)
+        if len(gcd(gbar, derivative(gbar, ell), ell)) > 1:
+            bad_left -= 1
+            if bad_left < 0:
+                return False
+            continue
+        factors = factor_squarefree(gbar, ell)
+        if len(factors) == 1:
+            return True
+        if best is None or len(factors) < len(best[1]):
+            best = (ell, factors)
+        samples -= 1
+    ell, factors = best
+    a = 1
+    while ell ** a <= 2 * 2 ** d * norm:
+        a += 1
+    m = ell ** a
+    lifted = [hensel_lift_factor(g, f, ell, a) for f in factors]
+    for size in range(1, len(lifted) // 2 + 1):
+        for subset in combinations(lifted, size):
+            h = [1]
+            for f in subset:
+                h = mul(h, f, m)
+            if _divides_monic([c - m if 2 * c > m else c for c in h], g):
+                return False
+    return True

@@ -15,8 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from sympy import primefactors, totient
-
+from .arith import primefactors, totient
 from .characters import DirichletChar
 from .cyclotomic import CycNum
 from .errors import BadDivisor
@@ -92,7 +91,7 @@ def partial_l_order_data(params) -> CycNum:
     nm = n * m
     ps = primefactors(nm)
     sign = (-1) ** (len(ps) + k)
-    pref = Fraction(sign, 2 * factorial(k - 1) * int(totient(nm)) * (n * n * m) ** k)
+    pref = Fraction(sign, 2 * factorial(k - 1) * totient(nm) * (n * n * m) ** k)
     acc = l_value_at_negative(k, params.psi.inverse() * params.phi)
     for p in ps:
         acc = acc * euler_factor(params, p)
@@ -110,7 +109,7 @@ def bk_quotient_order_factor(params, d: int, weight_shift: int = 0) -> CycNum:
         raise BadDivisor(f"d = {d} must be a proper divisor of M = {m}")
     md = m // d
     ks = params.k - weight_shift
-    acc = CycNum.from_rational(Fraction(1, int(totient(md)) * md**ks))
+    acc = CycNum.from_rational(Fraction(1, totient(md) * md**ks))
     for p in primefactors(md):
         acc = acc * euler_factor(params, p, weight_shift)
     return acc

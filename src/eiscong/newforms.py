@@ -23,9 +23,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
 
-from sympy import Poly, Symbol, primefactors, primerange
-
 from . import fppoly
+from .arith import primefactors, primerange
 from .characters import DirichletChar
 from .congruence import value_conductor
 from .cyclotomic import CycNum
@@ -130,9 +129,7 @@ class NewformData:
             raise ValueError("field_poly must be monic")
         if any(len(row) != d for row in self.basis) or len(self.basis) != d:
             raise ValueError("basis must be a square matrix of the field degree")
-        x = Symbol("x")
-        if d > 1 and not Poly([Fraction(c) for c in reversed(self.field_poly)], x,
-                              domain="QQ").is_irreducible:
+        if not fppoly.is_irreducible_over_q(self.field_poly):
             raise ValueError("field_poly is reducible")
         one = [Fraction(0)] * d
         for j, c in enumerate(self.a_vector(1)):

@@ -15,9 +15,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from sympy import isprime
-
 from . import fppoly
+from .arith import isprime
 from .cyclotomic import CycNum, cyclotomic_poly
 from .errors import (CapExceeded, DenominatorDivisibleByEll, NotASubfield,
                      RamifiedUnsupported)

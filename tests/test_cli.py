@@ -222,6 +222,19 @@ def test_check_ell_one_exit_2_in_bounded_time():
     assert "got 1" in proc.stderr
 
 
+def test_search_ell_max_bounded_time():
+    # its Euler-factor norms have 102-235 digits; with --ell-max the search
+    # trial-divides them and factors nothing
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "eiscong.cli", "--json", "search", "--psi", "1.1",
+         "--phi", "61.2", "--M", "30", "--k", "21", "--ell-max", "1000"],
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_fetch_without_requests_exit_2(capsys, monkeypatch):
     monkeypatch.setitem(sys.modules, "requests", None)  # import now fails
     monkeypatch.delenv("EISCONG_OFFLINE", raising=False)

@@ -212,6 +212,27 @@ def test_search_grid_golden():
     assert search_grid_json(entries) == golden
 
 
+def test_search_ell_max_filters_the_full_search():
+    # the M = 1 and M > 1 rules with ell_max on both sides of 2^15, where
+    # the bounded search stops factoring and trial-divides alone
+    entries = json.loads(SEARCH_GRID.read_text())
+    assert {e["M"] for e in entries} >= {1, 2, 6}
+    for bound in (40, 700, 2**15, 10**9):
+        for e in entries:
+            got = search_congruence_primes(_params(e["psi"], e["phi"], e["M"], e["k"]),
+                                           ell_max=bound)
+            assert [rep.to_json() for _, _, rep in got] == \
+                [rep for rep in e["reports"] if rep["ell"] <= bound], (e, bound)
+
+
+def test_search_include_failures_ell_max():
+    for params in (P0, P51, P52, P53):
+        full = search_congruence_primes(params, include_failures=True)
+        for bound in (13, 300):
+            got = search_congruence_primes(params, ell_max=bound, include_failures=True)
+            assert got == [t for t in full if t[0] <= bound]
+
+
 def _search_by_full_factoring(params: EisensteinParams) -> list:
     """The search as it was before Condition (2) picked the candidates:
     every prime of the whole Condition-(1) norm numerator and of each

@@ -92,6 +92,26 @@ def test_newform_validation_rejects_bad_a1():
                     an=((2,), (0,))).validate()
 
 
+@pytest.mark.parametrize("poly, irreducible", [
+    ((64, 0, -15, 0, 1), True),                    # 10.8.b.a
+    ((1, 0, 0, 0, 1), True),                       # x^4 + 1, split mod every prime
+    ((64, 0, -16, 0, 1), False),                   # (x^2 - 8)^2
+    ((Fraction(-1, 4), 0, 0, 0, 1), False),        # (x^2 - 1/2)(x^2 + 1/2)
+])
+def test_newform_validation_checks_irreducibility(poly, irreducible):
+    d = len(poly) - 1
+    nf = NewformData(label="x", level=1, weight=12, character=TRIV,
+                     field_poly=tuple(map(Fraction, poly)),
+                     basis=tuple(tuple(Fraction(int(i == j)) for j in range(d))
+                                 for i in range(d)),
+                     an=((1,) + (0,) * (d - 1),))
+    if irreducible:
+        nf.validate()
+    else:
+        with pytest.raises(ValueError, match="reducible"):
+            nf.validate()
+
+
 def test_residue_maps_delta():
     nf = load_fixture("1.12.a.a")
     maps = residue_maps_of_kf(nf, 691)
