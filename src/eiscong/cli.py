@@ -56,11 +56,14 @@ def _emit(args, payload, human_lines):
 
 
 def cmd_search(args) -> int:
+    if args.ell_max is not None and args.ell_max < 2:
+        raise EiscongError(f"--ell-max must be at least 2, got {args.ell_max}")
     params = _build_params(args)
     triples = search_congruence_primes(params, ell_max=args.ell_max)
     payload = [rep.to_json() for _, _, rep in triples]
+    limited = "" if args.ell_max is None else f" (only ell <= {args.ell_max} searched)"
     lines = [f"search N={params.N} M={params.M} k={params.k} "
-             f"psi={params.psi.label} phi={params.phi.label}:"]
+             f"psi={params.psi.label} phi={params.phi.label}{limited}:"]
     if triples:
         for ell, lam, _rep in triples:
             lines.append(f"  congruence prime: ell={ell}  lambda'={lam.pretty()}")

@@ -2,6 +2,7 @@
 runtime no longer imports but the tests keep as their oracle."""
 
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -84,13 +85,43 @@ def test_factorint_squares_and_cubes(m, e):
     assert arith.factorint(m ** e) == dict(sorted(sympy.factorint(m ** e).items()))
 
 
-def test_factorint_search_grid_norms():
+# (digits of p, digits of q, seed): seeded products p * q of a 9-13-digit
+# prime and a 14-40-digit one, like the search's norms; the first ECM round
+# (B1 = 2000) splits all but the last, which goes on to B1 = 10^4
+SEMIPRIMES = [(9, 14, 1), (10, 25, 3), (11, 40, 0), (13, 14, 1), (12, 25, 3)]
+
+
+def test_factorint_search_grid_norms(monkeypatch):
+    b1s = set()
+    curve = arith._ecm_curve
+    monkeypatch.setattr(arith, "_ecm_curve",
+                        lambda n, b1, b2, rng: b1s.add(b1) or curve(n, b1, b2, rng))
     # a 38-digit norm with an 11-digit factor and a 69-digit one with a
-    # 12-digit factor, both out of reach of the bounded rho
+    # 12-digit factor, both split by ECM
     for f in [{2: 6, 79176562369: 1, 5192911867660585049670889: 1},
               {2: 6, 37: 1, 694146268537: 1,
                177740459061679146827198392716455946609939334717434829: 1}]:
         assert arith.factorint(prod(p ** e for p, e in f.items())) == f
+    for dp, dq, seed in SEMIPRIMES:
+        rng = random.Random(seed)
+        p = _next_prime(rng.randrange(10 ** (dp - 1), 10 ** dp))
+        q = _next_prime(rng.randrange(10 ** (dq - 1), 10 ** dq))
+        assert (len(str(p)), len(str(q))) == (dp, dq)
+        assert arith.factorint(p * q) == {p: 1, q: 1} == sympy.factorint(p * q)
+    assert b1s == {2000, 10_000}
+
+
+@pytest.mark.parametrize("b1", [2000, 10_000])
+def test_stage_two_plan_lists_each_prime_once(b1):
+    # the primes in (b1, b2] as r + 2 delta, r = r0 + 2 D i: a plan that
+    # dropped one would only make ECM slower, which no result test sees
+    b2 = 50 * b1
+    d, r0, blocks = arith._stage_two_plan(b1, b2)
+    listed = [r0 + 2 * d * i + 2 * delta
+              for i, deltas in enumerate(blocks) for delta in deltas]
+    assert listed == sorted(set(listed)) and listed[0] > b1
+    assert [m for m in listed if m <= b2] == list(sympy.primerange(b1 + 1, b2 + 1))
+    assert all(map(sympy.isprime, listed))
 
 
 @given(st.integers(1, 10**12), st.integers(0, 2**16))

@@ -28,9 +28,16 @@ def test_search_ramanujan(capsys):
 
 
 def test_search_human_output(capsys):
-    code = run(["search", "--M", "2", "--k", "8", "--psi", "1.1", "--phi", "5.4"])
+    argv = ["search", "--M", "2", "--k", "8", "--psi", "1.1", "--phi", "5.4"]
+    code = run(argv)
     out = capsys.readouterr().out
-    assert code == 0 and "ell=257" in out
+    assert code == 0 and "ell=257" in out and "searched" not in out
+    # a search limited by --ell-max says so in its header; --json stays a bare list
+    assert run(argv + ["--ell-max", "300"]) == 0
+    out = capsys.readouterr().out
+    assert "only ell <= 300 searched" in out.splitlines()[0] and "ell=257" in out
+    code, payload = run_json(capsys, ["--json"] + argv + ["--ell-max", "300"])
+    assert code == 0 and [rep["ell"] for rep in payload] == [257]
 
 
 def test_check_unsatisfied_exits_zero(capsys):
@@ -233,6 +240,16 @@ def test_search_ell_max_bounded_time():
         env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize("ell_max", ["-5", "0", "1"])
+def test_search_ell_max_below_two_exit_2(capsys, ell_max):
+    code = run(["search", "--M", "2", "--k", "8", "--psi", "1.1", "--phi", "5.4",
+                "--ell-max", ell_max])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--ell-max" in captured.err and f"got {ell_max}" in captured.err
+    assert captured.out == ""
 
 
 def test_fetch_without_requests_exit_2(capsys, monkeypatch):
