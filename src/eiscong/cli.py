@@ -42,8 +42,13 @@ def _parse_delta(params: EisensteinParams, spec: str) -> DeltaChoice:
         return DeltaChoice.constant(params, spec)
     selection = {}
     for item in spec.split(","):
-        p, side = item.split(":")
-        selection[int(p)] = side
+        fields = item.split(":")
+        if len(fields) != 2 or not fields[0].isdecimal():
+            raise EiscongError(f"--delta item {item!r} is not of the form p:psi or p:phi")
+        p = int(fields[0])
+        if p in selection:
+            raise EiscongError(f"--delta item {item!r} repeats the prime {p}")
+        selection[p] = fields[1]
     return DeltaChoice(params, selection)
 
 

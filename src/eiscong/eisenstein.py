@@ -1,11 +1,11 @@
 """q-expansions of the character Eisenstein series, their lifts to level
 N*M, Hecke action, and exact constant terms at arbitrary cusps.
 
-The lifted series attached to a delta-choice is computed from its
-inclusion-exclusion expansion over divisors of M (no precision is lost
-that way); the operator-product construction is kept alongside as a
-reference path, with its working precision computed up front so the two
-can be compared coefficient by coefficient.
+The lifted series attached to a delta-choice is the product of one
+factor (1 - delta_p alpha_p) per prime p | M applied to the base series
+(no precision is lost that way); the operator-product construction is
+kept alongside as a reference path, with its working precision computed
+up front so the two can be compared coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iter_product
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .arith import divisors, primefactors
 from .characters import DirichletChar, gauss_sum, is_square_free
@@ -161,19 +161,21 @@ class QExpansion:
 
 
 def sigma_power_div(n: int, k: int, psi: DirichletChar, phi: DirichletChar) -> CycNum:
-    """Twisted power-divisor sum: sum over d | n of psi(n/d) phi(d) d^(k-1)."""
+    """Twisted power-divisor sum: sum over d | n of psi(n/d) phi(d) d^(k-1),
+    accumulated from the characters' exponents as one vector over zeta_o,
+    o = lcm(ord psi, ord phi), and reduced once (the rational zero when no
+    term is nonzero)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    acc = CycNum.zero(1)
+    o = lcm(psi.order, phi.order)
+    vec, hit = [0] * o, False
     for d in divisors(n):
-        a = psi(n // d)
-        if not a:
+        if (a := psi.exponent(n // d)) is None or (b := phi.exponent(d)) is None:
             continue
-        b = phi(d)
-        if not b:
-            continue
-        acc = acc + a * b * Fraction(d) ** (k - 1)
-    return acc
+        slot = a.numerator * (o // a.denominator) + b.numerator * (o // b.denominator)
+        vec[slot % o] += d ** (k - 1) if k >= 1 else Fraction(d) ** (k - 1)
+        hit = True
+    return CycNum(o, vec) if hit else CycNum.zero(1)
 
 
 # coefficient prefixes are shared across calls: they are immutable and the
@@ -235,24 +237,19 @@ def hecke_tp(f: QExpansion, p: int, out_prec: int | None = None) -> QExpansion:
 
 
 def e_delta(params: EisensteinParams, delta: DeltaChoice, b: int) -> QExpansion:
-    """The level-NM lift attached to a delta-choice, via the alternating
-    divisor expansion sum_{m | M} (-1)^(#P_m) delta_m alpha_m E."""
+    """The level-NM lift attached to a delta-choice,
+    prod_{p | M} (1 - delta_p alpha_p) E, which is the alternating divisor
+    sum sum_{m | M} (-1)^(#P_m) delta_m alpha_m E since the alpha_p commute
+    and alpha_p alpha_q = alpha_pq.  Each factor rewrites a_n for the
+    multiples n of p, downwards, so a_(n/p) is read before it is rewritten."""
     if b < 1:
         raise ValueError("precision must be >= 1")
-    base = _base_coeffs(params, b)
-    m_div = divisors(params.M)
-    weights = {m: delta.delta_m(m) * (-1) ** len(primefactors(m)) for m in m_div}
-    coeffs = []
-    for n in range(b + 1):
-        acc = CycNum.zero(1)
-        for m in m_div:
-            if n % m == 0:
-                w = weights[m]
-                if w:
-                    acc = acc + w * base[n // m]
-        coeffs.append(acc)
-    level = params.N * params.M
-    return QExpansion(params.k, level, params.chi_tilde, tuple(coeffs))
+    coeffs = _base_coeffs(params, b)  # a copy: the cached prefix is not written
+    for p in params.m_primes:
+        d = delta.delta(p)
+        for n in range(b - b % p, -1, -p):
+            coeffs[n] = coeffs[n] - d * coeffs[n // p]
+    return QExpansion(params.k, params.N * params.M, params.chi_tilde, tuple(coeffs))
 
 
 def e_delta_via_hecke(params: EisensteinParams, delta: DeltaChoice, b: int) -> QExpansion:

@@ -272,3 +272,27 @@ def test_eis_cusp_frozen_payloads(capsys):
         code, payload = run_json(capsys, case["argv"])
         assert code == 0
         assert payload == case["payload"], case["argv"]
+
+
+@pytest.mark.parametrize("spec, complaint", [
+    ("2", "'2' is not of the form"), ("2:psi:phi", "'2:psi:phi' is not of the form"),
+    ("x:psi", "'x:psi' is not of the form"), ("2:psi,2:phi", "'2:phi' repeats the prime 2")])
+def test_eis_bad_delta_exit_2(capsys, spec, complaint):
+    code = run(["eis", "qexp", "--M", "2", "--k", "8", "--psi", "1.1", "--phi", "5.4",
+                "--delta", spec])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: --delta item {complaint}")
+    assert captured.out == ""
+
+
+def test_eis_qexp_json_golden(capsys):
+    # stdout of `eis qexp --json --prec 41` for every delta-choice of the
+    # acceptance grid and of (3.2, 5.2, M = 154, k = 6), recorded from the
+    # sources that summed alpha_m E over the divisors m of M
+    cases = json.loads((Path(__file__).resolve().parent / "data" /
+                        "eis_qexp.json").read_text())
+    assert len(cases) == 24
+    for case in cases:
+        assert run(case["argv"]) == 0
+        assert capsys.readouterr().out == case["stdout"], case["argv"]

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from sympy import divisors, primefactors, primerange
 
 from eiscong import qpoly
@@ -113,6 +114,63 @@ def test_powerdiv_identity_randomized():
         rhs = (psi(p) + phi(p) * Fraction(p) ** (k - 1)) * sigma_power_div(n, k, psi, phi)
         assert lhs == rhs
         cases += 1
+
+
+PRIMITIVE_30 = [c for q in range(1, 31) for c in primitive_characters(q)]
+
+
+def sigma_by_cycnum(n, k, psi, phi):
+    # one CycNum product and sum per divisor, from the rational zero
+    acc = CycNum.zero(1)
+    for d in divisors(n):
+        a, b = psi(n // d), phi(d)
+        if a and b:
+            acc = acc + a * b * Fraction(d) ** (k - 1)
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 500), st.integers(3, 12),
+       st.sampled_from(PRIMITIVE_30), st.sampled_from(PRIMITIVE_30))
+# psi and phi share a prime of n: every term vanishes in the first three,
+# and the sum must stay the rational zero, not a zero of conductor o
+@example(3, 6, DirichletChar(3, 2), DirichletChar(3, 2))
+@example(6, 5, DirichletChar(12, 11), DirichletChar(4, 3))
+@example(10, 7, DirichletChar(5, 2), DirichletChar(10, 3))
+@example(30, 8, DirichletChar(15, 2), DirichletChar(5, 2))
+def test_sigma_power_div_matches_cycnum_sum(n, k, psi, phi):
+    # to_json compares the conductor as well as the value
+    assert sigma_power_div(n, k, psi, phi).to_json() == \
+        sigma_by_cycnum(n, k, psi, phi).to_json()
+
+
+P30 = EisensteinParams(7, 30, 6, TRIV, PHI74)
+P154 = EisensteinParams(15, 154, 6, DirichletChar(3, 2), DirichletChar(5, 2))
+
+
+@pytest.mark.parametrize("params", [P0, P51, P53, P30, P154], ids=lambda p: f"M{p.M}")
+def test_e_delta_matches_alternating_divisor_sum(params):
+    # sum_{m | M} (-1)^(#P_m) delta_m alpha_m E, each coefficient from the
+    # rational zero; to_json compares conductors too
+    b = 41
+    base = eisenstein_qexp(params, b).coeffs
+    for dc in DeltaChoice.all_choices(params):
+        want = []
+        for n in range(b + 1):
+            acc = CycNum.zero(1)
+            for m in divisors(params.M):
+                if n % m == 0:
+                    acc = acc + dc.delta_m(m) * (-1) ** len(primefactors(m)) * base[n // m]
+            want.append(acc.to_json())
+        assert [c.to_json() for c in e_delta(params, dc, b).coeffs] == want, dc
+
+
+def test_e_delta_leaves_series_cache_alone():
+    params = EisensteinParams(5, 6, 8, TRIV, PHI5)
+    before = [c.to_json() for c in eisenstein_qexp(params, 40).coeffs]
+    for dc in DeltaChoice.all_choices(params):
+        e_delta(params, dc, 40)
+    assert [c.to_json() for c in eisenstein_qexp(params, 40).coeffs] == before
 
 
 def test_e_delta_m1_is_plain_series():
