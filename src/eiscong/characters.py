@@ -130,8 +130,9 @@ class DirichletChar:
 
     # -- evaluation -------------------------------------------------------
 
-    def exponent(self, n: int) -> Fraction | None:
-        """chi(n) = e^(2 pi i * exponent); None encodes the value 0."""
+    def slot(self, n: int) -> int | None:
+        """The j in [0, order) with chi(n) = zeta_order^j; None encodes the
+        value 0."""
         q = self.modulus
         n %= q
         if gcd(n, q) != 1:
@@ -140,18 +141,19 @@ class DirichletChar:
         for _, pe, table, weights in self._parts:
             for w, y in zip(weights, table[n % pe]):
                 num += w * y
-        return Fraction(num % self._den, self._den)
+        return num % self._den * self.order // self._den
+
+    def exponent(self, n: int) -> Fraction | None:
+        """chi(n) = e^(2 pi i * exponent); None encodes the value 0."""
+        j = self.slot(n)
+        return None if j is None else Fraction(j, self.order)
 
     def __call__(self, n: int) -> CycNum:
         n %= self.modulus
         val = self._values.get(n)
         if val is None:
-            expo = self.exponent(n)
-            if expo is None:
-                val = CycNum.zero(1)
-            else:
-                o = self.order
-                val = CycNum.zeta(o, int(expo * o))
+            j = self.slot(n)
+            val = CycNum.zero(1) if j is None else CycNum.zeta(self.order, j)
             self._values[n] = val  # values are immutable; idempotent writes
         return val
 
@@ -177,8 +179,7 @@ class DirichletChar:
 
     @property
     def parity(self) -> int:
-        expo = self.exponent(-1)
-        return 1 if expo == 0 else -1
+        return 1 if self.slot(-1) == 0 else -1
 
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus
@@ -268,10 +269,9 @@ def gauss_sum(phi: DirichletChar) -> CycNum:
     big = lcm(v, o)
     vec = [0] * big
     for n in range(v):
-        expo = phi.exponent(n)
-        if expo is None:
-            continue
-        vec[(int(expo * o) * (big // o) + n * (big // v)) % big] += 1
+        j = phi.slot(n)
+        if j is not None:
+            vec[(j * (big // o) + n * (big // v)) % big] += 1
     return CycNum(big, vec)
 
 

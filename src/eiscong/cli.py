@@ -314,6 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    # a value the commands compute may have more digits than the
+    # interpreter's default int <-> str limit, and must still print; argv
+    # is bounded by the OS, so parsing stays bounded without the limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

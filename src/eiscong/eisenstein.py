@@ -20,14 +20,14 @@ from .arith import divisors, primefactors
 from .characters import DirichletChar, gauss_sum, is_square_free
 from .cyclotomic import CycNum
 from .errors import InsufficientPrecision, NotSquareFree
-from .lvalues import l_value_at_negative
+from .lvalues import check_weight, l_value_at_negative
 
 
 @dataclass(frozen=True)
 class EisensteinParams:
     """Shape of one congruence instance: coprime square-free N = u*v and M,
-    weight k > 2, and an ordered pair of primitive characters of conductors
-    u and v with (psi*phi)(-1) = (-1)^k."""
+    weight 2 < k <= lvalues.K_MAX, and an ordered pair of primitive
+    characters of conductors u and v with (psi*phi)(-1) = (-1)^k."""
 
     N: int
     M: int
@@ -44,6 +44,7 @@ class EisensteinParams:
             raise ValueError("N and M must be coprime")
         if self.k <= 2:
             raise ValueError("weight must satisfy k > 2")
+        check_weight(self.k)
         if not self.psi.is_primitive() or not self.phi.is_primitive():
             raise ValueError("psi and phi must be primitive")
         if self.psi.modulus * self.phi.modulus != self.N:
@@ -162,18 +163,18 @@ class QExpansion:
 
 def sigma_power_div(n: int, k: int, psi: DirichletChar, phi: DirichletChar) -> CycNum:
     """Twisted power-divisor sum: sum over d | n of psi(n/d) phi(d) d^(k-1),
-    accumulated from the characters' exponents as one vector over zeta_o,
+    accumulated from the characters' slots as one vector over zeta_o,
     o = lcm(ord psi, ord phi), and reduced once (the rational zero when no
     term is nonzero)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     o = lcm(psi.order, phi.order)
+    sa, sb = o // psi.order, o // phi.order
     vec, hit = [0] * o, False
     for d in divisors(n):
-        if (a := psi.exponent(n // d)) is None or (b := phi.exponent(d)) is None:
+        if (a := psi.slot(n // d)) is None or (b := phi.slot(d)) is None:
             continue
-        slot = a.numerator * (o // a.denominator) + b.numerator * (o // b.denominator)
-        vec[slot % o] += d ** (k - 1) if k >= 1 else Fraction(d) ** (k - 1)
+        vec[(a * sa + b * sb) % o] += d ** (k - 1) if k >= 1 else Fraction(d) ** (k - 1)
         hit = True
     return CycNum(o, vec) if hit else CycNum.zero(1)
 

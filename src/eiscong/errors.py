@@ -39,6 +39,11 @@ class NotASubfield(EiscongError, ValueError):
     """No field embedding exists (degree does not divide target degree)."""
 
 
+class WeightTooLarge(EiscongError, ValueError):
+    """k is above lvalues.K_MAX, the ceiling on Bernoulli numbers, L-values
+    and Eisenstein weights."""
+
+
 class BadDivisor(EiscongError, ValueError):
     """d must be a proper divisor of M."""
 

@@ -6,31 +6,72 @@ attached to the trivial character at k = 1 is +1/2 (the two standard
 conventions disagree only there, and nothing downstream evaluates at
 k = 1 anyway since all Eisenstein parameters require k > 2).
 
-Everything is exact; the only consumer of these values is prime-ideal
-valuation, so no floating point appears anywhere.
+Everything is exact and computed in integers: the plain numbers come
+from the tangent numbers (Brent and Harvey, *Fast computation of
+Bernoulli, tangent and secant numbers*, 2011), and B_{k,chi} is one
+integer vector over zeta_ord(chi) divided once by a common denominator.
+The weight is capped at K_MAX, so every L-value ends in bounded time;
+the only consumer of these values is prime-ideal valuation, so no
+floating point appears anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .arith import primefactors, totient
 from .characters import DirichletChar
 from .cyclotomic import CycNum
-from .errors import BadDivisor
+from .errors import BadDivisor, WeightTooLarge
+
+# the largest k accepted for B_k, B_{k,chi} and L(1-k, chi), and so for the
+# weight of Eisenstein parameters: the tangent numbers behind B_0 ... B_k
+# cost O(k^2) operations on O(k log k)-bit integers
+K_MAX = 1000
 
 _BERNOULLI: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 
 
+def check_weight(k: int) -> None:
+    """Raise WeightTooLarge when k is above K_MAX."""
+    if k > K_MAX:
+        raise WeightTooLarge(f"k = {k} is above the ceiling K_MAX = {K_MAX} "
+                             "for Bernoulli numbers and L-values")
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    """T_1 ... T_n (index 0 unused), the coefficients of tan x =
+    sum T_m x^(2m-1) / (2m-1)!, by Brent and Harvey's in-place integer
+    recurrence."""
+    t = [0, 1] + [0] * (n - 1)
+    for i in range(2, n + 1):
+        t[i] = (i - 1) * t[i - 1]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return t
+
+
 def bernoulli(k: int) -> Fraction:
-    """B_k with B_1 = -1/2, by the recurrence sum_j C(m+1, j) B_j = 0."""
+    """B_k with B_1 = -1/2, for 0 <= k <= K_MAX.
+
+    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) with T_m the tangent
+    numbers; odd B_k vanish for k >= 3.  A request past the cached range
+    refills it in one go to max(k, twice its length), capped at K_MAX, so
+    raising k step by step costs a constant factor over one fill."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    while len(_BERNOULLI) <= k:
-        m = len(_BERNOULLI)
-        acc = sum(comb(m + 1, j) * _BERNOULLI[j] for j in range(m))
-        _BERNOULLI.append(-acc / (m + 1))
+    check_weight(k)
+    have = len(_BERNOULLI)
+    if k >= have:
+        top = min(max(k, 2 * have), K_MAX)
+        t = _tangent_numbers(top // 2)
+        new = [Fraction(0)] * (top + 1 - have)
+        for m in range((have + 1) // 2, top // 2 + 1):
+            four = 4**m
+            new[2 * m - have] = Fraction((-1) ** (m - 1) * 2 * m * t[m], four * (four - 1))
+        _BERNOULLI.extend(new)
     return _BERNOULLI[k]
 
 
@@ -38,9 +79,10 @@ def bernoulli_poly(k: int) -> list[Fraction]:
     """Coefficients of B_k(x) = sum_j C(k, j) B_j x^(k-j), lowest first."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    bernoulli(k)
     out = [Fraction(0)] * (k + 1)
     for j in range(k + 1):
-        out[k - j] = comb(k, j) * bernoulli(j)
+        out[k - j] = comb(k, j) * _BERNOULLI[j]
     while out and out[-1] == 0:
         out.pop()
     return out
@@ -48,21 +90,30 @@ def bernoulli_poly(k: int) -> list[Fraction]:
 
 def generalized_bernoulli(k: int, chi: DirichletChar) -> CycNum:
     """B_{k,chi} = F^(k-1) sum_{a=1}^{F} chi(a) B_k(a/F) at the character's
-    own modulus F."""
+    own modulus F.
+
+    With D the lcm of the denominators of B_0 ... B_k, the polynomial
+    D F^k B_k(a/F) = sum_j D C(k, j) B_j F^j a^(k-j) has integer
+    coefficients.  It is evaluated by Horner's rule in integers at each a
+    with chi(a) = zeta^j != 0 and added into slot j of one vector over
+    zeta_ord(chi), which is divided by D F and reduced once."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    bernoulli(k)
+    bs = _BERNOULLI[:k + 1]
     f = chi.modulus
-    poly = bernoulli_poly(k)
-    total = CycNum.zero(1)
+    d = lcm(*(b.denominator for b in bs))
+    poly = [b.numerator * (d // b.denominator) * comb(k, j) * f**j
+            for j, b in enumerate(bs)]  # highest power of a first
+    vec = [0] * chi.order
     for a in range(1, f + 1):
-        val = chi(a)
-        if val:
-            b = Fraction(0)
-            x = Fraction(a, f)
-            for c in reversed(poly):
-                b = b * x + c
-            total = total + val * b
-    return total * Fraction(f) ** (k - 1)
+        j = chi.slot(a)
+        if j is not None:
+            acc = 0
+            for c in poly:
+                acc = acc * a + c
+            vec[j] += acc
+    return CycNum(chi.order, vec) / (d * f)
 
 
 def l_value_at_negative(k: int, chi: DirichletChar) -> CycNum:

@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 from eiscong import congruence
+from eiscong.characters import DirichletChar
 from eiscong.cli import run
+from eiscong.cyclotomic import CycNum
+from eiscong.lvalues import K_MAX, l_value_at_negative
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "eiscong" / "fixtures"
 
@@ -16,6 +19,15 @@ def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def run_cli(*argv, timeout=20):
+    """The CLI in a fresh interpreter under a time limit, so that a hang
+    fails the test instead of the suite."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-m", "eiscong.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def test_search_ramanujan(capsys):
@@ -98,9 +110,11 @@ def test_contradictory_level_exit_2(capsys):
 
 
 def test_lvalue(capsys):
+    limit = sys.get_int_max_str_digits()
     code, payload = run_json(capsys, ["--json", "lvalue", "--k", "12", "--chi", "1.1"])
     assert code == 0
     assert payload == {"conductor": 1, "coeffs": [["691", "32760"]]}
+    assert sys.get_int_max_str_digits() == limit  # run() restores the interpreter's limit
 
 
 def test_eis_qexp(capsys):
@@ -218,13 +232,8 @@ def test_check_non_prime_ell_exit_2(capsys, ell):
 
 
 def test_check_ell_one_exit_2_in_bounded_time():
-    # in a subprocess with a timeout, so a hang fails the test instead of the suite
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "eiscong.cli", "check", "--M", "2", "--k", "8",
-         "--psi", "1.1", "--phi", "5.4", "--ell", "1"],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)})
+    proc = run_cli("check", "--M", "2", "--k", "8", "--psi", "1.1", "--phi", "5.4",
+                   "--ell", "1", timeout=60)
     assert proc.returncode == 2
     assert "got 1" in proc.stderr
 
@@ -232,12 +241,8 @@ def test_check_ell_one_exit_2_in_bounded_time():
 def test_search_ell_max_bounded_time():
     # its Euler-factor norms have 102-235 digits; with --ell-max the search
     # trial-divides them and factors nothing
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "eiscong.cli", "--json", "search", "--psi", "1.1",
-         "--phi", "61.2", "--M", "30", "--k", "21", "--ell-max", "1000"],
-        capture_output=True, text=True, timeout=20,
-        env={**os.environ, "PYTHONPATH": str(src)})
+    proc = run_cli("--json", "search", "--psi", "1.1", "--phi", "61.2", "--M", "30",
+                   "--k", "21", "--ell-max", "1000")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
 
@@ -296,3 +301,36 @@ def test_eis_qexp_json_golden(capsys):
     for case in cases:
         assert run(case["argv"]) == 0
         assert capsys.readouterr().out == case["stdout"], case["argv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--M", "2", "--k", "100000", "--psi", "1.1", "--phi", "5.4"],
+    ["check", "--M", "2", "--k", "100000", "--psi", "1.1", "--phi", "5.4", "--ell", "13"],
+    ["lvalue", "--k", "100000", "--chi", "5.2"],
+    ["lvalue", "--k", str(K_MAX + 1), "--chi", "1.1"]])
+def test_k_above_ceiling_exit_2_in_bounded_time(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    k = argv[argv.index("--k") + 1]
+    assert proc.stderr.startswith(f"error: k = {k} is above the ceiling K_MAX = {K_MAX}")
+    assert proc.stdout == ""
+
+
+def test_lvalue_near_ceiling_in_bounded_time():
+    proc = run_cli("--json", "lvalue", "--k", "999", "--chi", "29.2")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["conductor"] == 28
+
+
+def test_lvalue_prints_past_the_int_str_digit_limit():
+    # its numerators run past the interpreter's default 4300 digits
+    proc = run_cli("--json", "lvalue", "--k", "999", "--chi", "401.3")
+    assert proc.returncode == 0, proc.stderr
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        got = CycNum.from_json(json.loads(proc.stdout))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert max(len(p) for p, _ in json.loads(proc.stdout)["coeffs"]) > limit
+    assert got == l_value_at_negative(999, DirichletChar.from_label("401.3"))

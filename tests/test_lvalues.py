@@ -1,20 +1,23 @@
-import random
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 from sympy import bernoulli as sympy_bernoulli
 
+from eiscong import lvalues
 from eiscong.characters import DirichletChar, primitive_characters
 from eiscong.cyclotomic import CycNum
 from eiscong.eisenstein import EisensteinParams
-from eiscong.errors import BadDivisor
-from eiscong.lvalues import (bernoulli, bernoulli_poly, bk_quotient_order_factor,
+from eiscong.errors import BadDivisor, WeightTooLarge
+from eiscong.lvalues import (K_MAX, bernoulli, bernoulli_poly, bk_quotient_order_factor,
                              euler_factor, generalized_bernoulli,
                              l_value_at_negative, partial_l_order_data)
 from helpers import char_to_complex, cyc_to_complex
 
 TRIV = DirichletChar(1, 1)
+LVALUES = Path(__file__).resolve().parent / "data" / "lvalues.json"
 
 
 def test_bernoulli_base_cases_and_b12():
@@ -25,15 +28,17 @@ def test_bernoulli_base_cases_and_b12():
     assert (-bernoulli(12) / 24).numerator % 691 == 0
 
 
-def test_bernoulli_matches_sympy():
-    for k in range(0, 30):
+def test_bernoulli_matches_sympy(monkeypatch):
+    # from an empty cache, in mixed order, so that both refills are covered;
+    # sympy >= 1.12 uses B_1 = +1/2, our convention is -1/2
+    monkeypatch.setattr(lvalues, "_BERNOULLI", [Fraction(1), Fraction(-1, 2)])
+    for k in (7, 400, 3):
+        bernoulli(k)
+    assert len(lvalues._BERNOULLI) == 401
+    for k in range(401):
         b = sympy_bernoulli(k)
-        expect = Fraction(int(b.p), int(b.q)) if k != 1 else Fraction(-1, 2)
-        if k == 1:
-            # sympy >= 1.12 uses B_1 = +1/2; our convention is -1/2
-            assert bernoulli(1) == Fraction(-1, 2)
-        else:
-            assert bernoulli(k) == expect
+        expect = Fraction(-1, 2) if k == 1 else Fraction(int(b.p), int(b.q))
+        assert bernoulli(k) == expect, k
 
 
 def test_bernoulli_odd_vanishing():
@@ -102,6 +107,13 @@ def test_parity_vanishing():
 def test_l_value_uses_primitive_part():
     chi10 = DirichletChar(5, 4).lift(10)
     assert l_value_at_negative(8, chi10) == l_value_at_negative(8, DirichletChar(5, 4))
+    for label, modulus in [("1.1", 6), ("5.2", 15), ("7.3", 28), ("12.11", 60), ("29.2", 58)]:
+        chi = DirichletChar.from_label(label)
+        lifted = chi.lift(modulus)
+        assert not lifted.is_primitive()
+        for k in range(1, 13):
+            assert l_value_at_negative(k, lifted).to_json() == \
+                l_value_at_negative(k, chi).to_json(), (label, modulus, k)
 
 
 def test_partial_l_order_data_level_one():
@@ -163,3 +175,68 @@ def test_functional_equation_specialisation():
     expected = l_value_at_negative(12, TRIV).rational_value() * \
         Fraction((-1) ** 12, 2 * factorial(11))
     assert partial_l_order_data(params).rational_value() == expected
+
+
+def test_bernoulli_refill_stops_at_the_ceiling(monkeypatch):
+    monkeypatch.setattr(lvalues, "_BERNOULLI", [Fraction(1), Fraction(-1, 2)] +
+                        [bernoulli(k) for k in range(2, 601)])
+    bernoulli(601)  # twice the cached length would be 1202
+    assert len(lvalues._BERNOULLI) == K_MAX + 1
+
+
+def _textbook_bernoulli(k: int, chi: DirichletChar, b_at) -> CycNum:
+    """F^(k-1) sum_a chi(a) B_k(a/F), one CycNum term per a."""
+    f = chi.modulus
+    total = CycNum.zero(1)
+    for a in range(1, f + 1):
+        total = total + chi(a) * b_at[a]
+    return total * Fraction(f) ** (k - 1)
+
+
+def test_generalized_bernoulli_matches_textbook_sum():
+    for f in range(1, 41):
+        chars = primitive_characters(f)
+        for k in range(1, 15):
+            poly = bernoulli_poly(k)
+            b_at = {}
+            for a in range(1, f + 1):
+                x, acc = Fraction(a, f), Fraction(0)
+                for c in reversed(poly):
+                    acc = acc * x + c
+                b_at[a] = acc
+            for chi in chars:
+                assert generalized_bernoulli(k, chi).to_json() == \
+                    _textbook_bernoulli(k, chi, b_at).to_json(), (chi.label, k)
+
+
+def lvalues_json(entries) -> str:
+    """The L-value golden text: json.dumps(L(1-k, chi).to_json()) per (chi, k)."""
+    out = [{"chi": e["chi"], "k": e["k"],
+            "value": json.dumps(l_value_at_negative(e["k"], DirichletChar.from_label(e["chi"]))
+                                .to_json())}
+           for e in entries]
+    return json.dumps(out, indent=1) + "\n"
+
+
+def test_l_values_golden():
+    # every primitive chi of conductor <= 30 at k = 1..12 (both parities, so
+    # the zeros too), and k = 100, 300 at 1.1, 5.2, 29.2 and 7.3, recorded
+    # from the sources that ran the Bernoulli recurrence and summed
+    # chi(a) B_k(a/F) in Fractions
+    golden = LVALUES.read_text()
+    entries = json.loads(golden)
+    expect = [(chi.label, k) for f in range(1, 31) for chi in primitive_characters(f)
+              for k in range(1, 13)]
+    expect += [(label, k) for k in (100, 300) for label in ("1.1", "5.2", "29.2", "7.3")]
+    assert [(e["chi"], e["k"]) for e in entries] == expect
+    assert lvalues_json(entries) == golden
+
+
+@pytest.mark.parametrize("k", [K_MAX + 1, 10**5])
+def test_weight_ceiling(k):
+    five2, five4 = DirichletChar(5, 2), DirichletChar(5, 4)
+    for call in (lambda: bernoulli(k), lambda: bernoulli_poly(k),
+                 lambda: generalized_bernoulli(k, five2), lambda: l_value_at_negative(k, five2),
+                 lambda: EisensteinParams(5, 2, k, TRIV, five4)):
+        with pytest.raises(WeightTooLarge, match=rf"k = {k} .*K_MAX = {K_MAX}"):
+            call()
