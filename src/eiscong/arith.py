@@ -383,3 +383,17 @@ def totient(n: int) -> int:
     for p in factorint(n):
         out -= out // p
     return out
+
+
+def multiplicative_order(a: int, n: int) -> int:
+    """The least e >= 1 with a^e = 1 mod n, for n >= 1 and a prime to n:
+    phi(n) with each prime p taken out while a^(e/p) is still 1."""
+    if n < 1:
+        raise ValueError(f"multiplicative_order needs n >= 1, got {n}")
+    if gcd(a, n) != 1:
+        raise ValueError(f"{a} is not prime to {n}")
+    order = totient(n)
+    for p in factorint(order):
+        while order % p == 0 and pow(a, order // p, n) == 1:
+            order //= p
+    return order

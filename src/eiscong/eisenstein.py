@@ -20,14 +20,15 @@ from .arith import divisors, primefactors
 from .characters import DirichletChar, gauss_sum, is_square_free
 from .cyclotomic import CycNum
 from .errors import InsufficientPrecision, NotSquareFree
-from .lvalues import check_weight, l_value_at_negative
+from .lvalues import check_order, check_weight, l_value_at_negative
 
 
 @dataclass(frozen=True)
 class EisensteinParams:
     """Shape of one congruence instance: coprime square-free N = u*v and M,
     weight 2 < k <= lvalues.K_MAX, and an ordered pair of primitive
-    characters of conductors u and v with (psi*phi)(-1) = (-1)^k."""
+    characters of conductors u and v with (psi*phi)(-1) = (-1)^k whose
+    values generate Q(zeta_m), m = lcm(ord psi, ord phi) <= lvalues.ORDER_MAX."""
 
     N: int
     M: int
@@ -45,6 +46,7 @@ class EisensteinParams:
         if self.k <= 2:
             raise ValueError("weight must satisfy k > 2")
         check_weight(self.k)
+        check_order(lcm(self.psi.order, self.phi.order), self.psi, self.phi)
         if not self.psi.is_primitive() or not self.phi.is_primitive():
             raise ValueError("psi and phi must be primitive")
         if self.psi.modulus * self.phi.modulus != self.N:

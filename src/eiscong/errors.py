@@ -44,6 +44,11 @@ class WeightTooLarge(EiscongError, ValueError):
     and Eisenstein weights."""
 
 
+class OrderTooLarge(EiscongError, ValueError):
+    """A character order is above lvalues.ORDER_MAX, the ceiling on the
+    cyclotomic fields of L-values and Eisenstein parameters."""
+
+
 class BadDivisor(EiscongError, ValueError):
     """d must be a proper divisor of M."""
 

@@ -1,12 +1,16 @@
 """Primes of Z[zeta_m] above a rational prime, residue fields, reduction
 of cyclotomic numbers, and exact lambda'-valuations.
 
-A prime above ell is named by an irreducible factor of Phi_m mod ell;
-the factor set for fixed (ell, m) is enumerated canonically (sorted by
-degree then coefficient vector), so certificates replay bit-identically.
-Membership (ord > 0) works in ramified cases too; exact multiplicities
-are restricted to ell coprime to m and go through Hensel lifting of the
-chosen factor.
+A prime above ell is named by an irreducible factor of Phi_m' mod ell,
+m' the ell-free part of m; the factor set for fixed (ell, m) is
+enumerated canonically (sorted by degree then coefficient vector), so
+certificates replay bit-identically.  Every factor has the one residue
+degree d = ord_m'(ell) (Cohen, *A Course in Computational Algebraic
+Number Theory*, 1993, 4.8.1); for d = 1 the factors are x - r^a over the
+a prime to m', r an element of exact order m' mod ell, and need no
+factorization.  Membership (ord > 0) works in ramified cases too; exact
+multiplicities are restricted to ell coprime to m and go through Hensel
+lifting of the chosen factor.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 from . import fppoly
-from .arith import isprime
+from .arith import isprime, multiplicative_order, primefactors
 from .cyclotomic import CycNum, cyclotomic_poly
 from .errors import (CapExceeded, DenominatorDivisibleByEll, NotASubfield,
                      RamifiedUnsupported)
@@ -71,6 +76,8 @@ def primes_above(ell: int, m: int) -> list[PrimeAbove]:
 
     When ell | m the reduction factors with multiplicity phi(ell-part);
     the distinct factors are those of Phi_(m'), m' the ell-free part.
+    Each has degree d = ord_m'(ell): for d = 1 they are the x - r^a of
+    :func:`_roots_of_unity`, otherwise the factors of Phi_m' mod ell.
     """
     if not isprime(ell):
         raise ValueError(f"ell must be a prime > 1, got {ell}")
@@ -79,8 +86,33 @@ def primes_above(ell: int, m: int) -> list[PrimeAbove]:
     m0 = m
     while m0 % ell == 0:
         m0 //= ell
-    factors = fppoly.factor_squarefree(list(cyclotomic_poly(m0)), ell)
+    d = multiplicative_order(ell, m0)
+    if d == 1:
+        factors = sorted([-r % ell, 1] for r in _roots_of_unity(ell, m0))
+    else:
+        factors = fppoly.factor_squarefree(list(cyclotomic_poly(m0)), ell)
     return [PrimeAbove(ell, m, tuple(f)) for f in factors]
+
+
+def _roots_of_unity(ell: int, n: int) -> list[int]:
+    """The phi(n) roots of Phi_n mod ell for ell = 1 mod n: the powers r^a,
+    a prime to n, of r = g^((ell-1)/n) for the least g >= 2 that gives r
+    of exact order n."""
+    if (ell - 1) % n:
+        raise ValueError(f"ell = {ell} is not 1 mod {n}")
+    qs = primefactors(n)
+    for g in range(2, ell + 2):
+        r = pow(g, (ell - 1) // n, ell)
+        if pow(r, n, ell) == 1 and all(pow(r, n // q, ell) != 1 for q in qs):
+            break
+    else:
+        raise ArithmeticError(f"no element of order {n} mod {ell}")
+    roots, power = [], 1
+    for a in range(1, n + 1):
+        power = power * r % ell
+        if gcd(a, n) == 1:
+            roots.append(power)
+    return roots
 
 
 @dataclass(frozen=True)
@@ -206,13 +238,13 @@ def ord_exact(x: CycNum, lam: PrimeAbove, cap: int = 64) -> int:
     if not x:
         raise ValueError("valuation of zero is undefined")
     num, den = _numerators(x.coerce(m), ell)
+    phi = list(cyclotomic_poly(m))
     t = min(4, cap + 1)
     while True:
         modulus = ell**t
-        lifted = fppoly.hensel_lift_factor(list(cyclotomic_poly(m)),
-                                           list(lam.factor), ell, t)
         inv = pow(den, -1, modulus)
         vec = [c * inv % modulus for c in num]
+        lifted = fppoly.hensel_lift_factor(phi, list(lam.factor), ell, t)
         rem = fppoly.mod(vec, lifted, modulus)
         if rem:
             val = min(_val_int(c, ell) for c in rem if c)

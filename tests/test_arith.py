@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, Symbol
 
@@ -162,6 +162,19 @@ def test_divisor_functions_match_sympy(n):
     assert arith.primefactors(n) == sympy.primefactors(n)
     assert arith.divisors(n) == sympy.divisors(n)
     assert arith.totient(n) == sympy.totient(n)
+
+
+@example(7, 1)
+@example(1, 0)
+@given(st.integers(-10**20, 10**20), st.integers(0, 10**9))
+def test_multiplicative_order_matches_sympy(a, n):
+    if n == 0 or sympy.gcd(a, n) != 1:
+        with pytest.raises(ValueError):
+            arith.multiplicative_order(a, n)
+    elif n == 1:
+        assert arith.multiplicative_order(a, n) == 1
+    else:
+        assert arith.multiplicative_order(a, n) == sympy.n_order(a, n)
 
 
 @given(st.integers(-10, 70000), st.integers(0, 3000))

@@ -10,7 +10,7 @@ from eiscong import congruence
 from eiscong.characters import DirichletChar
 from eiscong.cli import run
 from eiscong.cyclotomic import CycNum
-from eiscong.lvalues import K_MAX, l_value_at_negative
+from eiscong.lvalues import K_MAX, ORDER_MAX, l_value_at_negative
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "eiscong" / "fixtures"
 
@@ -314,6 +314,27 @@ def test_k_above_ceiling_exit_2_in_bounded_time(argv):
     k = argv[argv.index("--k") + 1]
     assert proc.stderr.startswith(f"error: k = {k} is above the ceiling K_MAX = {K_MAX}")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["lvalue", "--k", "12", "--chi", "100003.2"],
+    ["search", "--M", "2", "--k", "7", "--psi", "1.1", "--phi", "100003.2"]])
+def test_order_above_ceiling_exit_2_in_bounded_time(argv):
+    # 100003.2 has order 100002: building its Phi by long division runs for
+    # minutes
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: order 100002 of ")
+    assert f"above the ceiling ORDER_MAX = {ORDER_MAX}" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_lvalue_at_order_ceiling_in_bounded_time():
+    # order 4946 = 2 * 2473: an order 2p near the ceiling, the dearest shape
+    # for building and applying Phi
+    proc = run_cli("--json", "lvalue", "--k", "12", "--chi", "39569.6561")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["conductor"] == 4946
 
 
 def test_lvalue_near_ceiling_in_bounded_time():

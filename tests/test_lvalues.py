@@ -10,9 +10,9 @@ from eiscong import lvalues
 from eiscong.characters import DirichletChar, primitive_characters
 from eiscong.cyclotomic import CycNum
 from eiscong.eisenstein import EisensteinParams
-from eiscong.errors import BadDivisor, WeightTooLarge
-from eiscong.lvalues import (K_MAX, bernoulli, bernoulli_poly, bk_quotient_order_factor,
-                             euler_factor, generalized_bernoulli,
+from eiscong.errors import BadDivisor, OrderTooLarge, WeightTooLarge
+from eiscong.lvalues import (K_MAX, ORDER_MAX, bernoulli, bernoulli_poly,
+                             bk_quotient_order_factor, euler_factor, generalized_bernoulli,
                              l_value_at_negative, partial_l_order_data)
 from helpers import char_to_complex, cyc_to_complex
 
@@ -239,4 +239,17 @@ def test_weight_ceiling(k):
                  lambda: generalized_bernoulli(k, five2), lambda: l_value_at_negative(k, five2),
                  lambda: EisensteinParams(5, 2, k, TRIV, five4)):
         with pytest.raises(WeightTooLarge, match=rf"k = {k} .*K_MAX = {K_MAX}"):
+            call()
+
+
+def test_order_ceiling():
+    # 5003.2 has order 5002; 101.2 and 103.5 have orders 100 and 102, each
+    # below the ceiling, but their values generate Q(zeta_5100)
+    big, a, b = DirichletChar(5003, 2), DirichletChar(101, 2), DirichletChar(103, 5)
+    assert (big.order, a.order, b.order) == (5002, 100, 102) and ORDER_MAX < 5002
+    for order, call in ((5002, lambda: generalized_bernoulli(12, big)),
+                        (5002, lambda: l_value_at_negative(12, big)),
+                        (5002, lambda: EisensteinParams(5003, 2, 7, TRIV, big)),
+                        (5100, lambda: EisensteinParams(101 * 103, 2, 6, a, b))):
+        with pytest.raises(OrderTooLarge, match=rf"order {order} .*ORDER_MAX = {ORDER_MAX}"):
             call()

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import isprime, n_order, primerange, totient
 
-from eiscong.cyclotomic import CycNum
+from eiscong import fppoly
+from eiscong.cyclotomic import CycNum, cyclotomic_poly
 from eiscong.errors import (CapExceeded, DenominatorDivisibleByEll, NotASubfield,
                             RamifiedUnsupported)
 from eiscong.residue import (FFElem, PrimeAbove, canonical_modulus, ff_embed,
@@ -60,6 +61,8 @@ def test_ramified_distinct_factors():
     assert [p.factor for p in ps] == [(1, 1)]
     ps = primes_above(5, 5)
     assert [p.factor for p in ps] == [(4, 1)]  # x - 1 = x + 4
+    ps = primes_above(2, 8)  # Phi_8 mod 2 = (x+1)^4
+    assert [p.factor for p in ps] == [(1, 1)]
 
 
 def test_reduce_examples():
@@ -209,7 +212,6 @@ def test_inverse_of_zero_divisor_raises_under_optimize():
 
 
 def test_canonical_modulus_is_deterministic_and_irreducible():
-    from eiscong import fppoly
     for ell, r in [(5, 2), (7, 4), (337, 2), (2, 3)]:
         m1 = canonical_modulus(ell, r)
         assert m1 == canonical_modulus(ell, r)
@@ -250,3 +252,67 @@ def test_ff_embed_requires_divisibility():
 def test_prime_above_json_roundtrip():
     lam = primes_above(337, 6)[0]
     assert PrimeAbove.from_json(lam.to_json()) == lam
+
+
+def _split_prime(m: int, digits: int) -> int:
+    """The least prime ell = 1 mod m above 10**(digits - 1)."""
+    ell = (10 ** (digits - 1) // m + 1) * m + 1
+    while not isprime(ell):
+        ell += m
+    return ell
+
+
+def test_primes_above_degree_one_are_the_roots_of_phi():
+    # ell = 1 mod m splits Phi_m into phi(m) linear factors x + c, named in
+    # increasing c, one per root -c; ell runs over 1 to 20 digits
+    for m in range(1, 201):
+        ell = _split_prime(m, 1 + m % 20)
+        phi = list(cyclotomic_poly(m))
+        lams = primes_above(ell, m)
+        cs = [p.factor[0] for p in lams]
+        assert all(p.factor[1:] == (1,) for p in lams)
+        assert len(cs) == int(totient(m)), (ell, m)
+        assert cs == sorted(set(cs)), (ell, m)
+        assert all(fppoly.evaluate(phi, -c, ell) == 0 for c in cs), (ell, m)
+
+
+def test_primes_above_degree_one_factors_nothing(monkeypatch):
+    # ell = 1 mod m' needs no polynomial arithmetic at all
+    def fail(*args, **kwargs):
+        raise AssertionError("called")
+
+    for name in ("factor_squarefree", "distinct_degree_factor", "normalize",
+                 "mul", "mod", "pow_mod", "evaluate"):
+        monkeypatch.setattr(fppoly, name, fail)
+    assert [p.factor for p in primes_above(337, 6)] == [(128, 1), (208, 1)]
+    assert [p.factor for p in primes_above(7, 42)] == [(2, 1), (4, 1)]
+
+
+def _higher_degree_pairs():
+    # every ell < 200 where Phi_m' has degree <= 8, and ell = 2, 3 at every
+    # m <= 60 (m' the ell-free part of m, ell | m included)
+    for m in range(1, 61):
+        for ell in primerange(2, 200):
+            m0 = m
+            while m0 % ell == 0:
+                m0 //= ell
+            if (m0 > 1 and n_order(ell, m0) > 1
+                    and (totient(m0) <= 8 or ell in (2, 3))):
+                yield ell, m, m0
+
+
+def test_primes_above_higher_degree_splits_phi():
+    # distinct monic factors of the one degree ord_m'(ell), sorted, whose
+    # product is Phi_m' mod ell: as every irreducible factor of Phi_m' has
+    # that degree, each is irreducible
+    pairs = list(_higher_degree_pairs())
+    assert len(pairs) > 600
+    for ell, m, m0 in pairs:
+        d = n_order(ell, m0)
+        factors = [list(p.factor) for p in primes_above(ell, m)]
+        assert all(len(f) == d + 1 and f[-1] == 1 for f in factors), (ell, m)
+        assert factors == sorted(factors) and len(set(map(tuple, factors))) == len(factors)
+        product = [1]
+        for f in factors:
+            product = fppoly.mul(product, f, ell)
+        assert product == fppoly.normalize(cyclotomic_poly(m0), ell), (ell, m)
