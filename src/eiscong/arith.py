@@ -240,7 +240,7 @@ def _stage_two_plan(b1: int, b2: int) -> tuple[int, int, tuple]:
     d = isqrt(b2)
     r0 = b1 - 1 if b1 % 2 == 0 else b1 - 2
     flags = _sieve(b2 + 2 * d + 1)
-    blocks = tuple(tuple(delta for delta in range(1, d + 1) if flags[r + 2 * delta])
+    blocks = tuple(tuple(compress(range(1, d + 1), flags[r + 2: r + 2 * d + 1: 2]))
                    for r in range(r0, b2, 2 * d))
     return d, r0, blocks
 

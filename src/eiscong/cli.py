@@ -118,7 +118,7 @@ def cmd_eis(args) -> int:
         _emit(args, f.to_json(),
               [f"E_delta[{delta.label()}] level {f.level} weight {f.weight} "
                f"char {f.character.label}:"] +
-              [f"  a_{n} = {f.coeffs[n]!r}" for n in range(f.precision + 1)])
+              [f"  a_{n} = {a!r}" for n, a in enumerate(f.coeffs)])
     else:
         gamma = CuspMatrix(args.a, args.beta, args.b, args.d)
         ct = constant_term_e_delta(params, delta, gamma)

@@ -6,11 +6,18 @@ factor (1 - delta_p alpha_p) per prime p | M applied to the base series
 (no precision is lost that way); the operator-product construction is
 kept alongside as a reference path, with its working precision computed
 up front so the two can be compared coefficient by coefficient.
+
+A q-expansion is stored as integer rows over one field Q(zeta_o): one
+row of phi(o) numerators per coefficient, over one common denominator,
+with a conductor tag per row.  The series cache keeps the base series in
+that form; e_delta and hecke_tp rewrite rows through the integer matrix
+of one multiplier per prime, and coefficients are built as CycNum, in
+their tag's field, only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iter_product
@@ -18,9 +25,9 @@ from math import gcd, lcm, prod
 
 from .arith import divisors, primefactors
 from .characters import DirichletChar, gauss_sum, is_square_free
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, _from_ints
 from .errors import InsufficientPrecision, NotSquareFree
-from .lvalues import check_order, check_weight, l_value_at_negative
+from .lvalues import check_order, check_precision, check_weight, l_value_at_negative
 
 
 @dataclass(frozen=True)
@@ -127,40 +134,112 @@ class DeltaChoice:
         return f"DeltaChoice({self.label()})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QExpansion:
-    """Truncated q-expansion a_0 + a_1 q + ... + a_B q^B."""
+    """Truncated q-expansion a_0 + ... + a_B q^B: rows[n] holds the phi(o)
+    integer numerators of a_n in Q(zeta_o), o = ``field``, over the common
+    denominator ``den``.  tags[n] is the conductor a_n is read in, the lcm
+    of the conductors it was computed from (rationals count as 1), as CycNum
+    arithmetic would give it (in the series built here, only a_0 and zero
+    rows have tags below o)."""
 
     weight: int
     level: int
     character: DirichletChar
-    coeffs: tuple
+    rows: tuple
+    tags: tuple
+    field: int = 1
+    den: int = 1
 
     @property
     def precision(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.rows) - 1
 
     def __getitem__(self, n: int) -> CycNum:
-        return self.coeffs[n]
+        row, tag = self.rows[n], self.tags[n]
+        if not any(row):
+            return CycNum.zero(tag)
+        x = _from_ints(self.field, list(row), self.den)
+        return x if tag == self.field else x.try_descend(tag)
+
+    @cached_property
+    def coeffs(self) -> tuple:
+        return tuple(self[n] for n in range(len(self.rows)))
 
     def truncate(self, b: int) -> "QExpansion":
         if b > self.precision:
             raise InsufficientPrecision(f"have {self.precision}, need {b}")
-        return QExpansion(self.weight, self.level, self.character, self.coeffs[: b + 1])
+        return replace(self, rows=self.rows[: b + 1], tags=self.tags[: b + 1])
 
     def scale(self, c) -> "QExpansion":
-        return QExpansion(self.weight, self.level, self.character,
-                          tuple(a * c for a in self.coeffs))
+        c = c if isinstance(c, CycNum) else CycNum.from_rational(c)
+        o = lcm(self.field, c.conductor)
+        x = c.coerce(o)
+        axpy, zero = _multiplier(x), (0,) * len(x.num)
+        return replace(self, rows=tuple(axpy(zero, row) for row in _rows_in(self, o)), field=o,
+                       tags=tuple(lcm(t, c.conductor) for t in self.tags), den=self.den * x.den)
 
     def sub(self, other: "QExpansion") -> "QExpansion":
         b = min(self.precision, other.precision)
-        return QExpansion(self.weight, self.level, self.character,
-                          tuple(self.coeffs[n] - other.coeffs[n] for n in range(b + 1)))
+        o, den = lcm(self.field, other.field), lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        rows = tuple(tuple(x * s - y * t for x, y in zip(r, q)) for r, q in
+                     zip(_rows_in(self.truncate(b), o), _rows_in(other.truncate(b), o)))
+        return replace(self, rows=rows, tags=tuple(map(lcm, self.tags[: b + 1], other.tags)),
+                       field=o, den=den)
 
     def to_json(self) -> dict:
         return {"weight": self.weight, "level": self.level,
                 "character": self.character.label, "precision": self.precision,
                 "coeffs": [c.to_json() for c in self.coeffs]}
+
+
+def _row(x: CycNum, o: int, den: int) -> tuple:
+    """Numerators of x in Q(zeta_o) over den, a multiple of their own
+    denominator there."""
+    x = x.coerce(o)
+    s = den // x.den
+    return x.num if s == 1 else tuple(v * s for v in x.num)
+
+
+def _rows_in(f: QExpansion, o: int) -> tuple:
+    """The rows of f coerced into Q(zeta_o), o a multiple of f.field (still
+    over f.den: a CycNum over 1 is never renormalised)."""
+    if o == f.field:
+        return f.rows
+    return tuple(CycNum(f.field, row).coerce(o).num for row in f.rows)
+
+
+def _multiplier(x: CycNum):
+    """(acc, row) -> the numerators acc + x * row on Z[zeta_o], o = x.conductor,
+    through the integer matrix of x's numerators: column j, the image of
+    zeta_o^j, is kept as its nonzero (index, entry) pairs."""
+    o, num = x.conductor, CycNum(x.conductor, x.num)
+    cols = [[(i, v) for i, v in enumerate((num * CycNum.zeta(o, j)).num) if v]
+            for j in range(len(x.num))]
+
+    def axpy(acc: tuple, row: tuple) -> tuple:
+        out = list(acc)
+        for v, col in zip(row, cols):
+            if v:
+                for i, c in col:
+                    out[i] += c * v
+        return tuple(out)
+    return axpy
+
+
+def _plus_dilated(f: QExpansion, c: CycNum, p: int, step: int, b: int) -> QExpansion:
+    """The expansion with a_n = a_(n*step) + c * a_(n/p) for the n <= b that p
+    divides and a_n = a_(n*step) for the others, all read from f."""
+    o = lcm(f.field, c.conductor)
+    rows, x = _rows_in(f, o), c.coerce(o)
+    axpy, s = _multiplier(x), x.den
+    out = [row if s == 1 else tuple(v * s for v in row) for row in rows[: b * step + 1: step]]
+    tags = list(f.tags[: b * step + 1: step])
+    for n in range(0, b + 1, p):
+        out[n] = axpy(out[n], rows[n // p])
+        tags[n] = lcm(tags[n], c.conductor, f.tags[n // p])
+    return replace(f, rows=tuple(out), tags=tuple(tags), field=o, den=f.den * s)
 
 
 def sigma_power_div(n: int, k: int, psi: DirichletChar, phi: DirichletChar) -> CycNum:
@@ -181,31 +260,33 @@ def sigma_power_div(n: int, k: int, psi: DirichletChar, phi: DirichletChar) -> C
     return CycNum(o, vec) if hit else CycNum.zero(1)
 
 
-# coefficient prefixes are shared across calls: they are immutable and the
-# per-parameter list only ever grows (single-writer appends)
-_SERIES_CACHE: dict[EisensteinParams, list] = {}
+# per parameter set: the rows' field o, their denominator (that of a_0) and
+# the (row, tag) pairs computed so far, a list that only grows (single writer)
+_SERIES_CACHE: dict[EisensteinParams, tuple[int, int, list]] = {}
 
 
-def _base_coeffs(params: EisensteinParams, b: int) -> list:
-    lst = _SERIES_CACHE.get(params)
-    if lst is None:
+def eisenstein_qexp(params: EisensteinParams, b: int) -> QExpansion:
+    """The normalised weight-k Eisenstein series attached to (psi, phi),
+    new at level N, to precision b <= lvalues.PREC_MAX."""
+    if b < 1:
+        raise ValueError("precision must be >= 1")
+    check_precision(b)
+    entry = _SERIES_CACHE.get(params)
+    if entry is None:
         if params.psi.modulus == 1:
             a0 = l_value_at_negative(params.k, params.psi.inverse() * params.phi) \
                 * Fraction(1, 2)
         else:
             a0 = CycNum.zero(1)
-        lst = _SERIES_CACHE.setdefault(params, [a0])
+        o = lcm(params.psi.order, params.phi.order, a0.conductor)
+        den = a0.coerce(o).den
+        entry = _SERIES_CACHE.setdefault(params, (o, den, [(_row(a0, o, den), a0.conductor)]))
+    o, den, lst = entry
     for n in range(len(lst), b + 1):
-        lst.append(sigma_power_div(n, params.k, params.psi, params.phi))
-    return lst[: b + 1]
-
-
-def eisenstein_qexp(params: EisensteinParams, b: int) -> QExpansion:
-    """The normalised weight-k Eisenstein series attached to (psi, phi),
-    new at level N, to precision b."""
-    if b < 1:
-        raise ValueError("precision must be >= 1")
-    return QExpansion(params.k, params.N, params.chi, tuple(_base_coeffs(params, b)))
+        c = sigma_power_div(n, params.k, params.psi, params.phi)
+        lst.append((_row(c, o, den), c.conductor))
+    rows, tags = zip(*lst[: b + 1])
+    return QExpansion(params.k, params.N, params.chi, rows, tags, o, den)
 
 
 def alpha_m(f: QExpansion, m: int) -> QExpansion:
@@ -214,10 +295,11 @@ def alpha_m(f: QExpansion, m: int) -> QExpansion:
         raise ValueError("m must be >= 1")
     if m == 1:
         return f
-    zero = CycNum.zero(1)
-    coeffs = tuple(f.coeffs[n // m] if n % m == 0 else zero
-                   for n in range(f.precision + 1))
-    return QExpansion(f.weight, f.level * m, f.character.lift(f.level * m), coeffs)
+    zero = (0,) * len(f.rows[0])
+    idx = range(f.precision + 1)
+    return replace(f, level=f.level * m, character=f.character.lift(f.level * m),
+                   rows=tuple(f.rows[n // m] if n % m == 0 else zero for n in idx),
+                   tags=tuple(f.tags[n // m] if n % m == 0 else 1 for n in idx))
 
 
 def hecke_tp(f: QExpansion, p: int, out_prec: int | None = None) -> QExpansion:
@@ -229,30 +311,19 @@ def hecke_tp(f: QExpansion, p: int, out_prec: int | None = None) -> QExpansion:
         raise InsufficientPrecision(
             f"T_{p} to precision {out_prec} needs input precision {out_prec * p}, "
             f"have {f.precision}")
-    cp = f.character(p) * Fraction(p) ** (f.weight - 1)
-    coeffs = []
-    for n in range(out_prec + 1):
-        a = f.coeffs[n * p]
-        if n % p == 0:
-            a = a + cp * f.coeffs[n // p]
-        coeffs.append(a)
-    return QExpansion(f.weight, f.level, f.character, tuple(coeffs))
+    return _plus_dilated(f, f.character(p) * Fraction(p) ** (f.weight - 1), p, p, out_prec)
 
 
 def e_delta(params: EisensteinParams, delta: DeltaChoice, b: int) -> QExpansion:
     """The level-NM lift attached to a delta-choice,
     prod_{p | M} (1 - delta_p alpha_p) E, which is the alternating divisor
     sum sum_{m | M} (-1)^(#P_m) delta_m alpha_m E since the alpha_p commute
-    and alpha_p alpha_q = alpha_pq.  Each factor rewrites a_n for the
-    multiples n of p, downwards, so a_(n/p) is read before it is rewritten."""
-    if b < 1:
-        raise ValueError("precision must be >= 1")
-    coeffs = _base_coeffs(params, b)  # a copy: the cached prefix is not written
+    and alpha_p alpha_q = alpha_pq.  Each factor rewrites the rows n of
+    the multiples of p, through the integer matrix of -delta_p."""
+    f = eisenstein_qexp(params, b)
     for p in params.m_primes:
-        d = delta.delta(p)
-        for n in range(b - b % p, -1, -p):
-            coeffs[n] = coeffs[n] - d * coeffs[n // p]
-    return QExpansion(params.k, params.N * params.M, params.chi_tilde, tuple(coeffs))
+        f = _plus_dilated(f, -delta.delta(p), p, 1, b)
+    return replace(f, level=params.N * params.M, character=params.chi_tilde)
 
 
 def e_delta_via_hecke(params: EisensteinParams, delta: DeltaChoice, b: int) -> QExpansion:

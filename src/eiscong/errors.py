@@ -49,6 +49,10 @@ class OrderTooLarge(EiscongError, ValueError):
     cyclotomic fields of L-values and Eisenstein parameters."""
 
 
+class PrecisionTooLarge(EiscongError, ValueError):
+    """A q-expansion precision is above lvalues.PREC_MAX."""
+
+
 class BadDivisor(EiscongError, ValueError):
     """d must be a proper divisor of M."""
 

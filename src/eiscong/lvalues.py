@@ -11,7 +11,8 @@ from the tangent numbers (Brent and Harvey, *Fast computation of
 Bernoulli, tangent and secant numbers*, 2011), and B_{k,chi} is one
 integer vector over zeta_ord(chi) divided once by a common denominator.
 The weight is capped at K_MAX and the character order at ORDER_MAX, so
-every L-value ends in bounded time;
+every L-value ends in bounded time (PREC_MAX, beside them, caps the
+precision of Eisenstein q-expansions);
 the only consumer of these values is prime-ideal valuation, so no
 floating point appears anywhere.
 """
@@ -24,7 +25,7 @@ from math import comb, factorial, lcm
 from .arith import primefactors, totient
 from .characters import DirichletChar
 from .cyclotomic import CycNum
-from .errors import BadDivisor, OrderTooLarge, WeightTooLarge
+from .errors import BadDivisor, OrderTooLarge, PrecisionTooLarge, WeightTooLarge
 
 # the largest k accepted for B_k, B_{k,chi} and L(1-k, chi), and so for the
 # weight of Eisenstein parameters: the tangent numbers behind B_0 ... B_k
@@ -39,6 +40,12 @@ K_MAX = 1000
 # (orders 2p are the worst case)
 ORDER_MAX = 5000
 
+# the largest precision b accepted for a q-expansion a_0 + ... + a_b q^b
+# of an Eisenstein series: each a_n is a divisor sum, built and printed by
+# `eis qexp` one by one, so `eis qexp --psi 1.1 --phi 5.4 --M 6 --k 8` at
+# b = PREC_MAX takes about 6 s and prints 4.3 MB on a 2-vCPU x86 host
+PREC_MAX = 10**5
+
 _BERNOULLI: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 
 
@@ -47,6 +54,13 @@ def check_weight(k: int) -> None:
     if k > K_MAX:
         raise WeightTooLarge(f"k = {k} is above the ceiling K_MAX = {K_MAX} "
                              "for Bernoulli numbers and L-values")
+
+
+def check_precision(b: int) -> None:
+    """Raise PrecisionTooLarge when b is above PREC_MAX."""
+    if b > PREC_MAX:
+        raise PrecisionTooLarge(f"precision {b} is above the ceiling PREC_MAX = {PREC_MAX} "
+                                "for q-expansions")
 
 
 def check_order(order: int, *chars: DirichletChar) -> None:

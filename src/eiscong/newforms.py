@@ -27,7 +27,6 @@ from . import fppoly
 from .arith import primefactors, primerange
 from .characters import DirichletChar
 from .congruence import value_conductor
-from .cyclotomic import CycNum
 from .eisenstein import EisensteinParams, QExpansion
 from .errors import (BadFixture, BadPrimeForBasis, CharacterMismatch, InsufficientData,
                      NetworkError, NonSquarefreeReduction, NotFound)
@@ -50,8 +49,8 @@ def delta_qexp(b: int) -> QExpansion:
     """q * prod (1-q^n)^24 to precision b, the offline oracle for the
     level-one weight-12 cusp form."""
     coeffs = delta_an(b)
-    return QExpansion(12, 1, DirichletChar(1, 1),
-                      tuple(CycNum.from_rational(c) for c in coeffs))
+    return QExpansion(12, 1, DirichletChar(1, 1), tuple((c,) for c in coeffs),
+                      (1,) * len(coeffs))
 
 
 def delta_an(b: int) -> list[int]:

@@ -122,6 +122,10 @@ def test_stage_two_plan_lists_each_prime_once(b1):
     assert listed == sorted(set(listed)) and listed[0] > b1
     assert [m for m in listed if m <= b2] == list(sympy.primerange(b1 + 1, b2 + 1))
     assert all(map(sympy.isprime, listed))
+    # the sliced flags give the blocks of a flag test per delta
+    flags = arith._sieve(b2 + 2 * d + 1)
+    assert blocks == tuple(tuple(delta for delta in range(1, d + 1) if flags[r + 2 * delta])
+                           for r in range(r0, b2, 2 * d))
 
 
 @given(st.integers(1, 10**12), st.integers(0, 2**16))

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from eiscong import congruence
+from eiscong import congruence, eisenstein
 from eiscong.characters import DirichletChar
 from eiscong.cli import run
 from eiscong.cyclotomic import CycNum
-from eiscong.lvalues import K_MAX, ORDER_MAX, l_value_at_negative
+from eiscong.lvalues import K_MAX, ORDER_MAX, PREC_MAX, l_value_at_negative
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "eiscong" / "fixtures"
 
@@ -124,6 +124,20 @@ def test_eis_qexp(capsys):
     assert code == 0
     assert payload["weight"] == 12 and payload["precision"] == 3
     assert payload["coeffs"][2]["coeffs"][0][0] == "2049"
+
+
+def test_eis_qexp_prec_above_ceiling_exit_2(capsys, monkeypatch):
+    # refused before any coefficient is computed: a divisor sum would fail
+    def no_work(*args):
+        raise AssertionError("a coefficient was computed")
+    monkeypatch.setattr(eisenstein, "sigma_power_div", no_work)
+    prec = PREC_MAX + 1
+    assert run(["eis", "qexp", "--M", "6", "--k", "8", "--psi", "1.1", "--phi", "5.4",
+                "--prec", str(prec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: precision {prec} is above the ceiling "
+                            f"PREC_MAX = {PREC_MAX} for q-expansions\n")
+    assert captured.out == ""
 
 
 def test_eis_cusp(capsys):

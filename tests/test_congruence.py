@@ -117,6 +117,17 @@ def test_condition_one_quantity_value():
     assert condition_one_quantity(P51).rational_value().numerator % 257 == 0
 
 
+def test_condition_one_quantity_lives_in_the_value_field_at_m1():
+    # for M = 1 the quantity is L(1 - k, psi^-1 phi), of conductor
+    # ord(psi^-1 phi) = lcm(ord psi, ord phi) since u and v are coprime, so
+    # there is no smaller field Q(zeta_o), o < m, to take its norm in
+    entries = [e for e in json.loads(SEARCH_GRID.read_text()) if e["M"] == 1]
+    assert len(entries) == 25
+    for e in entries:
+        params = _params(e["psi"], e["phi"], 1, e["k"])
+        assert condition_one_quantity(params).conductor == value_conductor(params), e
+
+
 def test_check_conditions_wrong_ell_rejected():
     lam = primes_above(257, 1)[0]
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -7,14 +8,16 @@ from hypothesis import example, given, settings, strategies as st
 from sympy import divisors, primefactors, primerange
 
 from eiscong import qpoly
-from eiscong.characters import DirichletChar, gauss_sum, primitive_characters
+from eiscong.characters import DirichletChar, gauss_sum, is_square_free, primitive_characters
 from eiscong.cyclotomic import CycNum, cyclotomic_poly
-from eiscong.eisenstein import (CuspMatrix, DeltaChoice, EisensteinParams,
-                                alpha_m, c_gamma, constant_term_alpha_m,
+from eiscong.eisenstein import (_SERIES_CACHE, CuspMatrix, DeltaChoice, EisensteinParams,
+                                QExpansion, alpha_m, c_gamma, constant_term_alpha_m,
                                 constant_term_e_delta, cusp_matrix_for,
                                 cusp_representatives, e_delta, e_delta_via_hecke,
                                 eisenstein_qexp, hecke_tp, sigma_power_div)
 from eiscong.errors import InsufficientPrecision, NotSquareFree
+from helpers import (CoeffQExpansion, ref_alpha_m, ref_e_delta, ref_e_delta_via_hecke,
+                     ref_eisenstein_qexp, ref_hecke_tp)
 
 TRIV = DirichletChar(1, 1)
 PHI5 = DirichletChar(5, 4)
@@ -171,6 +174,65 @@ def test_e_delta_leaves_series_cache_alone():
     for dc in DeltaChoice.all_choices(params):
         e_delta(params, dc, 40)
     assert [c.to_json() for c in eisenstein_qexp(params, 40).coeffs] == before
+
+
+# every (psi, phi) of the parameter sets with N = u * v <= 15
+SMALL_PAIRS = [(psi, phi) for u in range(1, 16) for v in range(1, 15 // u + 1)
+               if gcd(u, v) == 1 and is_square_free(u * v)
+               for psi in primitive_characters(u) for phi in primitive_characters(v)]
+
+
+@st.composite
+def small_params(draw):
+    psi, phi = draw(st.sampled_from(SMALL_PAIRS))
+    n = psi.modulus * phi.modulus
+    m = draw(st.sampled_from([m for m in range(1, 78) if gcd(m, n) == 1 and is_square_free(m)]))
+    k = draw(st.sampled_from([k for k in range(3, 11)
+                              if (-1) ** k == psi.parity * phi.parity]))
+    return EisensteinParams(n, m, k, psi, phi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_params(), st.integers(1, 60))
+# at delta = 2:psi,7:psi,11:psi, a zero a_0 of conductor 2 among rows of
+# conductor 4
+@example(P154, 41)
+def test_rows_match_per_coefficient_reference(params, b):
+    # to_json compares the conductor of every coefficient as well as its value
+    want = ref_eisenstein_qexp(params, b)
+    assert eisenstein_qexp(params, b).to_json() == want.to_json()
+    o, den, cached = _SERIES_CACHE[params]
+    before = (o, den, list(cached[: b + 1]))
+    assert alpha_m(eisenstein_qexp(params, b), 3).to_json() == ref_alpha_m(want, 3).to_json()
+    for dc in DeltaChoice.all_choices(params):
+        f, ref = e_delta(params, dc, b), ref_e_delta(params, dc, b)
+        assert f.to_json() == ref.to_json(), dc
+        for p in (2, 3, 5):
+            assert hecke_tp(f, p).to_json() == ref_hecke_tp(ref, p).to_json(), (dc, p)
+        if b * params.M <= 300:
+            assert e_delta_via_hecke(params, dc, b).to_json() == \
+                ref_e_delta_via_hecke(params, dc, b).to_json(), dc
+    assert (o, den, cached[: b + 1]) == before
+
+
+def test_row_ops_across_fields():
+    # rational rows under a character of order 4: T_2 moves the rows n = 2j
+    # into Q(zeta_4) and leaves the others rational, read back through
+    # try_descend in conductor 1; scale and sub then join Q(zeta_3)
+    chi = DirichletChar(5, 2)
+    nums = [3, 1, -2, 5, 7, 0, 13, 17, 19, 23, 29, 31, 37]
+    f = QExpansion(3, 5, chi, tuple((a,) for a in nums), (1,) * len(nums), den=4)
+    ref = CoeffQExpansion(3, 5, chi, tuple(CycNum.from_rational(Fraction(a, 4)) for a in nums))
+    t2 = hecke_tp(f, 2)
+    assert t2.field == 4 and t2.tags[1] == 1 and t2[1].conductor == 1
+    assert t2.to_json() == ref_hecke_tp(ref, 2).to_json()
+    z3 = CycNum.zeta(3)
+    assert t2.scale(z3).sub(f).to_json() == \
+        ref_hecke_tp(ref, 2).scale(z3).sub(ref).to_json()
+    assert f.scale(Fraction(2, 3)).to_json() == ref.scale(Fraction(2, 3)).to_json()
+    # at weight 0, chi(p) p^(k-1) has denominator p
+    assert hecke_tp(replace(f, weight=0), 2).to_json() == \
+        ref_hecke_tp(replace(ref, weight=0), 2).to_json()
 
 
 def test_e_delta_m1_is_plain_series():
