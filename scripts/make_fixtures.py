@@ -12,6 +12,7 @@ coefficient multiplicativity and recursions, Atkin-Lehner squares) before
 being serialised into the package fixture schema.
 
 Run from the repository root:  python scripts/make_fixtures.py
+(it refuses ``python -O``, which would strip the asserts guarding them).
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ import sys
 import time
 from fractions import Fraction
 from math import gcd, lcm, prod
+from functools import cached_property
 from pathlib import Path
-
-from sympy import Poly, Rational, Symbol
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -31,6 +31,7 @@ from eiscong.arith import divisors, factorint, primefactors, primerange  # noqa:
 from eiscong.characters import DirichletChar, primitive_characters  # noqa: E402
 from eiscong.cyclotomic import (CycNum, _phi, _solve_columns, clear_denominators,  # noqa: E402
                                  cyclotomic_poly)
+from eiscong.errors import NotSquareFree  # noqa: E402
 from eiscong.eisenstein import sigma_power_div  # noqa: E402
 from eiscong.lvalues import l_value_at_negative  # noqa: E402
 from eiscong.newforms import NewformData, delta_an, save_fixture, sturm_bound  # noqa: E402
@@ -39,8 +40,6 @@ FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "eiscong" / "fixt
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-X = Symbol("x")
 
 
 def log(msg: str):
@@ -158,7 +157,7 @@ class Echelon:
             c = vec[piv]
             coords.append(c)
             if c:
-                for i in range(piv, self.width):
+                for i in range(piv, len(vec)):
                     if row[i]:
                         vec[i] -= c * row[i]
         return coords, vec
@@ -191,19 +190,9 @@ class Echelon:
         """Coordinates of vec over the basis rows; vec may be truncated, in
         which case all pivots must lie inside it and the residual is checked
         on the available columns."""
-        cols = len(vec)
-        assert all(p < cols for p in self.pivots), "vector too short for the pivot set"
-        coords = []
-        vec = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            c = vec[piv]
-            coords.append(c)
-            if c:
-                for i in range(piv, cols):
-                    if row[i]:
-                        vec[i] -= c * row[i]
-        top = cols if check_cols is None else min(check_cols, cols)
-        assert not any(vec[:top]), "vector is not in the span"
+        assert all(p < len(vec) for p in self.pivots), "vector too short for the pivot set"
+        coords, rem = self._reduce(vec)
+        assert not any(rem[:check_cols]), "vector is not in the span"
         return coords
 
 
@@ -244,21 +233,6 @@ class KField:
         for c in reversed(coeffs):
             acc = self.add(self.mul(acc, point), self.of_fraction(c))
         return acc
-
-    def minpoly_of(self, a) -> list[Fraction]:
-        """Minimal polynomial over Q of a in K (monic, lowest degree first)."""
-        ech = Echelon(self.deg)
-        power = [ONE]
-        powers = []
-        for _ in range(self.deg + 1):
-            vec = list(power) + [ZERO] * (self.deg - len(power))
-            powers.append(vec)
-            if not ech.add(vec):
-                break
-            power = self.mul(power, a)
-        sol = _solve_columns(powers[:-1], powers[-1])
-        assert sol is not None
-        return qpoly.trim([-c for c in sol] + [ONE])
 
     def coords_over(self, a, gen_powers) -> list[Fraction] | None:
         """Express a as a Q-combination of the given K-elements (or None)."""
@@ -359,9 +333,10 @@ class Space:
 
     # -- flattening ----------------------------------------------------
 
-    def flat(self, coeffs: list[CycNum]) -> list[Fraction]:
-        out = [ZERO] * self.width
-        for n, a in enumerate(coeffs[: self.b0 + 1]):
+    def flat(self, coeffs: list[CycNum], prec: int | None = None) -> list[Fraction]:
+        prec = self.b0 if prec is None else prec
+        out = [ZERO] * ((prec + 1) * self.w)
+        for n, a in enumerate(coeffs[: prec + 1]):
             if a:
                 v = a.coerce(self.c)
                 base = n * self.w
@@ -388,15 +363,13 @@ class Space:
 
     # -- basis ----------------------------------------------------------
 
-    def build_basis(self, extra_series: list[list[CycNum]] = ()):
+    def build_basis(self):
         ech = Echelon(self.width)
         sources = []
         for atom in self.eis_atoms:
             sources.append(("eis", atom))
         for pair in self.pairs:
             sources.append(("prod", pair))
-        for s in extra_series:
-            sources.append(("extra", s))
         series_cache = {}
 
         def atom_series(atom):
@@ -410,11 +383,9 @@ class Space:
                 break
             if kind == "eis":
                 coeffs = atom_series(payload)
-            elif kind == "prod":
+            else:
                 x, y = payload
                 coeffs = mul_series(atom_series(x), atom_series(y), self.b0)
-            else:
-                coeffs = payload
             vec = self.flat(coeffs)
             for _ in range(self.w):
                 ech.add(vec)
@@ -436,12 +407,7 @@ class Space:
             if n % q == 0:
                 a = a + cp * coeffs[n // q]
             out.append(a)
-        flat = [ZERO] * ((out_prec + 1) * self.w)
-        for n, a in enumerate(out):
-            v = a.coerce(self.c)
-            for j, cc in enumerate(v.coeffs):
-                flat[n * self.w + j] = cc
-        return flat
+        return self.flat(out, out_prec)
 
     def hecke_matrix(self, q: int) -> list[list[Fraction]]:
         rows = []
@@ -472,17 +438,15 @@ def kmatvec(mat, vec, kf: KField):
     return out
 
 
-def annihilator(cmat, u, dim) -> list[Fraction]:
-    """Monic minimal polynomial of the matrix restricted to the cyclic
-    subspace generated by u."""
+def minpoly(step, u, dim) -> list[Fraction]:
+    """Monic minimal polynomial of the linear map step on the cyclic
+    subspace generated by u, a vector of length dim (shorter ones are
+    padded with zeros)."""
     ech = Echelon(dim)
-    krylov = []
-    vec = list(u)
-    while True:
-        krylov.append(list(vec))
-        if not ech.add(vec):
-            break
-        vec = matvec(cmat, vec)
+    krylov = [list(u) + [ZERO] * (dim - len(u))]
+    while ech.add(krylov[-1]):
+        vec = step(krylov[-1])
+        krylov.append(list(vec) + [ZERO] * (dim - len(vec)))
     sol = _solve_columns(krylov[:-1], krylov[-1])
     assert sol is not None
     return qpoly.trim([-c for c in sol] + [ONE])
@@ -496,17 +460,6 @@ def poly_apply(coeffs, cmat, u):
         if c:
             acc = [a + c * b for a, b in zip(acc, u)]
     return acc
-
-
-def factor_over_q(poly: list[Fraction]) -> list[list[Fraction]]:
-    """Irreducible monic factors (no multiplicities) via sympy."""
-    sp = Poly([Rational(c.numerator, c.denominator) for c in reversed(poly)], X)
-    out = []
-    for fac, _mult in sp.factor_list()[1]:
-        fac = fac.monic()
-        coeffs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
-        out.append(coeffs)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -543,8 +496,29 @@ class EigenPacket:
             acc = self.kf.mul(acc, self.zeta_img)
         return acc
 
-    def dim(self) -> int:
-        return self.kf.deg
+    @cached_property
+    def coefficient_field(self):
+        """A generator theta of Q({a_n}) inside K, its minimal polynomial,
+        and the coordinates of every a_n over the power basis of theta."""
+        kf = self.kf
+        best = None
+        for theta in theta_candidates(self):
+            mp = minpoly(lambda v: kf.mul(v, theta), [ONE], kf.deg)
+            if best is None or len(mp) > len(best[1]):
+                best = (theta, mp)
+            if len(mp) - 1 == kf.deg:
+                break
+        theta, mp = best
+        deg = len(mp) - 1
+        powers = [[ONE]]
+        for _ in range(deg - 1):
+            powers.append(kf.mul(powers[-1], theta))
+        coords = []
+        for a in self.a:
+            sol = kf.coords_over(a, powers)
+            assert sol is not None, "coefficient not in Q(theta); enlarge theta"
+            coords.append(sol)
+        return theta, mp, coords
 
 
 def extract_newforms(space: Space, old_packets) -> list[EigenPacket]:
@@ -592,14 +566,14 @@ def extract_newforms(space: Space, old_packets) -> list[EigenPacket]:
                             crow[j] += coeff * row[j]
         u0 = [Fraction((7 * i * i + 3 * i + 5 + attempt) % 101 - 50, 1)
               for i in range(dim)]
-        m_all = annihilator(cmat, u0, dim)
+        m_all = minpoly(lambda v: matvec(cmat, v), u0, dim)
         mu_polys = []
         for idx in range(min(3, u_ech.rank)):
             uu = [ZERO] * dim
             for j, row in enumerate(u_ech.rows):
                 w_ = Fraction(((idx + 2) * (j + 1) * (j + 3)) % 19 + 1)
                 uu = [a + w_ * b for a, b in zip(uu, row)]
-            mu_polys.append(annihilator(cmat, uu, dim))
+            mu_polys.append(minpoly(lambda v: matvec(cmat, v), uu, dim))
         m_u = [ONE]
         for p in mu_polys:
             g_ = qpoly.gcd(m_u, p)
@@ -612,7 +586,10 @@ def extract_newforms(space: Space, old_packets) -> list[EigenPacket]:
             new_part, rem = qpoly.divmod_poly(new_part, g_)
             assert not rem
             g_ = qpoly.gcd(new_part, m_u)
-        factors = factor_over_q(new_part)
+        try:
+            factors = fppoly.factor_over_q(new_part)
+        except NotSquareFree:  # a repeated factor: the mix did not separate
+            factors = []
         if sum(len(f) - 1 for f in factors) == dim_new:
             break
         log(f"  combination {mix} did not separate (attempt {attempt}); retrying")
@@ -745,30 +722,6 @@ def theta_candidates(packet: EigenPacket):
     return [c for c in cands if c]
 
 
-def find_kf(packet: EigenPacket):
-    """A generator theta of Q({a_n}) inside K, its minimal polynomial, and
-    the coordinates of every a_n over the power basis of theta."""
-    kf = packet.kf
-    best = None
-    for theta in theta_candidates(packet):
-        mp = kf.minpoly_of(theta)
-        if best is None or len(mp) > len(best[1]):
-            best = (theta, mp)
-        if len(mp) - 1 == kf.deg:
-            break
-    theta, mp = best
-    deg = len(mp) - 1
-    powers = [[ONE]]
-    for _ in range(deg - 1):
-        powers.append(kf.mul(powers[-1], theta))
-    coords = []
-    for a in packet.a:
-        sol = kf.coords_over(a, powers)
-        assert sol is not None, "coefficient not in Q(theta); enlarge theta"
-        coords.append(sol)
-    return theta, mp, coords
-
-
 def trace_sequence(mp: list[Fraction], coords: list[list[Fraction]], upto: int):
     """Tr_{Q(theta)/Q}(a_n) for n = 1..upto from power sums of the roots."""
     deg = len(mp) - 1
@@ -842,7 +795,7 @@ def hnf_lattice(coords: list[list[Fraction]], deg: int):
 
 def packet_to_fixture(packet: EigenPacket, label: str, b_data: int,
                       field_poly: list[Fraction] | None = None) -> NewformData:
-    theta, mp, coords = find_kf_cached(packet)
+    theta, mp, coords = packet.coefficient_field
     kf = packet.kf
     if field_poly is not None:
         rho = find_root_in_field(mp, field_poly)
@@ -923,8 +876,12 @@ def find_root_in_field(field_minpoly: list[Fraction], target_poly: list[Fraction
 
 
 def _roots_mod_p(poly: list[int], p: int) -> list[int]:
-    f = fppoly.normalize(poly, p)
-    return sorted(r for r in range(p) if fppoly.evaluate(f, r, p) == 0)
+    """The roots of poly mod p in increasing order; none where poly is not
+    squarefree mod p."""
+    f = fppoly.monic(fppoly.normalize(poly, p), p)
+    if len(fppoly.gcd(f, fppoly.derivative(f, p), p)) > 1:
+        return []
+    return sorted(-g[0] % p for g in fppoly.factor_squarefree(f, p) if len(g) == 2)
 
 
 def _newton_lift(poly: list[int], root: int, p: int, prec: int) -> int:
@@ -991,25 +948,15 @@ def build_space_packets(level, k, chi, b0, qset, old_specs, cache):
 
 
 def packet_dim(packet):
-    theta, mp, _ = find_kf_cached(packet)
+    theta, mp, _ = packet.coefficient_field
     return len(mp) - 1
-
-
-_KF_CACHE: dict[int, tuple] = {}
-
-
-def find_kf_cached(packet):
-    key = id(packet)
-    if key not in _KF_CACHE:
-        _KF_CACHE[key] = find_kf(packet)
-    return _KF_CACHE[key]
 
 
 def orbit_key(packet):
     """Intrinsic invariants of the newform orbit: coefficient-field degree
     and the rational trace sequence (identical for the conjugate copies
     that restriction of scalars can produce)."""
-    theta, mp, coords = find_kf_cached(packet)
+    theta, mp, coords = packet.coefficient_field
     traces = tuple(trace_sequence(mp, coords, min(50, len(coords))))
     return (len(mp) - 1, traces)
 
@@ -1024,6 +971,8 @@ def dedupe_orbits(packets):
 
 
 def main():
+    if not __debug__:
+        sys.exit("make_fixtures.py: its asserts guard every fixture; run it without -O")
     FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
     cache = {}
 
@@ -1088,7 +1037,7 @@ def main():
     # LMFDB letters sort by dimension, then lexicographically by traces
     decorated = []
     for p in packets42:
-        theta, mp, coords = find_kf_cached(p)
+        theta, mp, coords = p.coefficient_field
         traces = tuple(trace_sequence(mp, coords, 20))
         decorated.append(((len(mp) - 1, traces), p))
     decorated.sort(key=lambda x: x[0])

@@ -14,7 +14,7 @@ class NotPrimitive(EiscongError, ValueError):
 
 
 class NotSquareFree(EiscongError, ValueError):
-    """Operation requires a square-free integer."""
+    """Operation requires a square-free integer or polynomial."""
 
 
 class InsufficientPrecision(EiscongError, ValueError):

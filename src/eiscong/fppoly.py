@@ -5,8 +5,8 @@ Polynomials are lists of ints in [0, m), lowest degree first, trimmed.
 Factorization is distinct-degree followed by Cantor-Zassenhaus
 equal-degree splitting with a per-call seeded generator, so the factor
 set (and hence every prime enumeration built on it) is reproducible.
-Irreducibility over Q is decided from these kernels alone: factor at a
-good prime, Hensel-lift, recombine.
+Factorization and irreducibility over Q come from these kernels alone:
+factor at a good prime, Hensel-lift, recombine.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from itertools import combinations
 from math import isqrt, lcm
 
 from .arith import isprime, primefactors
+from .errors import NotSquareFree
 
 
 def trim(f: list[int]) -> list[int]:
@@ -203,14 +204,14 @@ def _split_equal_degree(f, d, ell, rng):
                 _split_equal_degree(monic(rest, ell), d, ell, rng)
 
 
-def factor_squarefree(f, ell, seed: int = 0):
+def factor_squarefree(f, ell):
     """Sorted distinct irreducible factors of squarefree monic f over F_ell.
 
     The splitting RNG is seeded from the input, so concurrent calls are
     deterministic and independent.
     """
     f = monic(normalize(f, ell), ell)
-    rng = random.Random((seed, ell, tuple(f)).__repr__())
+    rng = random.Random((0, ell, tuple(f)).__repr__())
     out = []
     for block, d in distinct_degree_factor(f, ell):
         out.extend(_split_equal_degree(block, d, ell, rng))
@@ -276,33 +277,35 @@ def hensel_lift_factor(full_int, f0, ell: int, precision: int):
     return normalize(h, target)
 
 
-def _divides_monic(h, g) -> bool:
-    """Whether monic h divides g in Z[x]."""
+def _exact_quotient(g, h):
+    """g / h in Z[x] for monic h, or None when h does not divide g."""
     r = list(g)
+    q = [0] * (len(g) - len(h) + 1)
     for i in range(len(g) - len(h), -1, -1):
-        c = r[i + len(h) - 1]
+        c = q[i] = r[i + len(h) - 1]
         if c:
             for j, b in enumerate(h):
                 r[i + j] -= c * b
-    return not any(r[:len(h) - 1])
+    return None if any(r[:len(h) - 1]) else q
 
 
-def is_irreducible_over_q(coeffs) -> bool:
-    """Whether the monic polynomial with rational coefficients coeffs
-    (lowest degree first) is irreducible over Q (Zassenhaus, 1969).
+def factor_over_q(coeffs) -> list[list[Fraction]]:
+    """Monic irreducible factors over Q of the squarefree monic rational
+    polynomial coeffs (lowest degree first), by Zassenhaus (1969).
 
-    x -> x/D with D the lcm of the denominators gives a monic g in Z[x].
-    g is factored mod the good prime ell, among the first five, with the
-    fewest factors; each factor is Hensel-lifted until ell^a exceeds
-    twice the Landau-Mignotte bound 2^d ||g||_2, so every monic factor of
-    g over Z is the symmetric residue of one product of lifted factors,
-    and the products of at most half of them are tried by exact division.
+    x -> x/D with D the lcm of the denominators gives a monic g in Z[x],
+    factored mod the good prime ell, among the first five, with the fewest
+    factors. Each is Hensel-lifted until ell^a exceeds twice the
+    Landau-Mignotte bound 2^d ||g||_2; products of ever more lifted factors
+    are tried by exact division, and a factor found leaves g together with
+    its lifted factors. A repeated factor raises NotSquareFree.
     """
-    d = len(coeffs) - 1
+    f = [Fraction(c) for c in coeffs]
+    d = len(f) - 1
     if d <= 1:
-        return d == 1
-    den = lcm(*(Fraction(c).denominator for c in coeffs))
-    g = [int(Fraction(c) * den ** (d - i)) for i, c in enumerate(coeffs)]
+        return [f] if d == 1 else []
+    den = lcm(*(c.denominator for c in f))
+    g = [int(c * den ** (d - i)) for i, c in enumerate(f)]
     norm = isqrt(sum(c * c for c in g)) + 1
     # a squarefree g has a discriminant 0 < |disc| <= d^d ||g||^(2d-2), so
     # fewer bad primes than its bit length; past them g has a square factor
@@ -317,11 +320,11 @@ def is_irreducible_over_q(coeffs) -> bool:
         if len(gcd(gbar, derivative(gbar, ell), ell)) > 1:
             bad_left -= 1
             if bad_left < 0:
-                return False
+                raise NotSquareFree("polynomial is not squarefree")
             continue
         factors = factor_squarefree(gbar, ell)
         if len(factors) == 1:
-            return True
+            return [f]
         if best is None or len(factors) < len(best[1]):
             best = (ell, factors)
         samples -= 1
@@ -330,12 +333,27 @@ def is_irreducible_over_q(coeffs) -> bool:
     while ell ** a <= 2 * 2 ** d * norm:
         a += 1
     m = ell ** a
-    lifted = [hensel_lift_factor(g, f, ell, a) for f in factors]
-    for size in range(1, len(lifted) // 2 + 1):
-        for subset in combinations(lifted, size):
+    lifted = [hensel_lift_factor(g, u, ell, a) for u in factors]
+    found, size = [], 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
             h = [1]
-            for f in subset:
-                h = mul(h, f, m)
-            if _divides_monic([c - m if 2 * c > m else c for c in h], g):
-                return False
-    return True
+            for i in subset:
+                h = mul(h, lifted[i], m)
+            h = [c - m if 2 * c > m else c for c in h]
+            if (q := _exact_quotient(g, h)) is not None:
+                found, g = found + [h], q
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return [[Fraction(c, den ** (len(h) - 1 - i)) for i, c in enumerate(h)]
+            for h in found + [g]]
+
+
+def is_irreducible_over_q(coeffs) -> bool:
+    """Whether the monic rational polynomial coeffs is irreducible over Q."""
+    try:
+        return len(factor_over_q(coeffs)) == 1
+    except NotSquareFree:
+        return False

@@ -525,8 +525,10 @@ def replay_certificate(cert: CongruenceCertificate, nf: NewformData) -> bool:
     (factor, twists, bound, prime list) reproduces its stored outcome,
     including the first failing prime on a fail certificate."""
     params, lam = cert.params, cert.lambda_prime
-    kmap = next(m for m in residue_maps_of_kf(nf, cert.ell)
-                if m.factor == cert.field_poly_factor)
+    kmap = next((m for m in residue_maps_of_kf(nf, cert.ell)
+                 if m.factor == cert.field_poly_factor), None)
+    if kmap is None:
+        return False
     r = cert.embedding_degree
     k = params.k
     for q in cert.checked_primes:

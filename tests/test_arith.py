@@ -1,4 +1,4 @@
-"""eiscong.arith and fppoly.is_irreducible_over_q against sympy, which the
+"""eiscong.arith and fppoly's factoring over Q against sympy, which the
 runtime no longer imports but the tests keep as their oracle."""
 
 import json
@@ -11,11 +11,12 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, Symbol
 
-from eiscong import arith, fppoly
+from eiscong import arith, fppoly, qpoly
+from eiscong.errors import NotSquareFree
 
 X = Symbol("x")
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "eiscong" / "fixtures"
@@ -231,6 +232,46 @@ def test_irreducible_over_q_products(f, g):
 def test_irreducible_over_q_matches_sympy(coeffs):
     coeffs = coeffs + [Fraction(1)]
     assert fppoly.is_irreducible_over_q(coeffs) == _sympy_irreducible(coeffs)
+
+
+monic_frac_poly = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=6),
+                          min_size=1, max_size=4).map(lambda c: c + [Fraction(1)])
+
+FACTOR_EXAMPLES = [
+    [(1, 0, -10, 0, 1)],                          # irreducible, reducible mod every prime
+    [(-1, 1), (1, 1), (1, 0, 1), (1, -1, 1)],     # Phi_1 Phi_2 Phi_4 Phi_6
+    [(64, 0, -15, 0, 1)],
+    [(1, 0, 1), (-2, 0, 1), (Fraction(-1, 3), 0, 1), (1, 1, 1)],  # four quadratics
+] + [[p] for p in _fixture_polys()]
+
+
+def _with_examples(examples):
+    def wrap(test):
+        for ex in examples:
+            test = example(ex)(test)
+        return test
+    return wrap
+
+
+@_with_examples(FACTOR_EXAMPLES)
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(monic_int_poly, monic_frac_poly), min_size=1, max_size=4))
+def test_factor_over_q_matches_sympy(polys):
+    f = [Fraction(1)]
+    for p in polys:
+        f = qpoly.mul(f, [Fraction(c) for c in p])
+    theirs = Poly(list(reversed(f)), X, domain="QQ").factor_list()[1]
+    assume(all(mult == 1 for _, mult in theirs))
+    theirs = sorted(tuple(Fraction(str(c)) for c in reversed(g.monic().all_coeffs()))
+                    for g, _ in theirs)
+    mine = fppoly.factor_over_q(f)
+    assert all(isinstance(c, Fraction) for g in mine for c in g)
+    assert sorted(tuple(g) for g in mine) == theirs
+
+
+def test_factor_over_q_refuses_a_repeated_factor():
+    with pytest.raises(NotSquareFree):
+        fppoly.factor_over_q([2, -3, 0, 1])  # (x - 1)^2 (x + 2)
 
 
 def test_library_does_not_import_sympy():

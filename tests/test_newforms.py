@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,15 @@ def test_verify_congruence_example51_and_replay():
     obj = cert.to_json()
     assert obj["ell"] == 257 and obj["passed"] is True
     assert obj["bound"] == 100
+
+
+def test_replay_rejects_a_factor_not_dividing_the_field_poly():
+    nf = load_fixture("10.8.b.a")
+    lam = primes_above(257, value_conductor(P51))[0]
+    cert = verify_congruence(nf, P51, lam, bound=20)
+    assert cert.passed and replay_certificate(cert, nf)
+    assert (3, 1) not in [m.factor for m in residue_maps_of_kf(nf, 257)]
+    assert not replay_certificate(replace(cert, field_poly_factor=(3, 1)), nf)
 
 
 def test_verify_at_ell_prefers_a_passing_prime():
