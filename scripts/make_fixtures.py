@@ -26,7 +26,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from eiscong import fppoly, qpoly  # noqa: E402
+from eiscong import fppoly  # noqa: E402
 from eiscong.arith import divisors, factorint, primefactors, primerange  # noqa: E402
 from eiscong.characters import DirichletChar, primitive_characters  # noqa: E402
 from eiscong.cyclotomic import (CycNum, _phi, _solve_columns, clear_denominators,  # noqa: E402
@@ -201,37 +201,66 @@ class Echelon:
 # ----------------------------------------------------------------------
 
 
+def trim(f: list) -> list:
+    """f without its trailing zeros, so that [] is the zero element."""
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
 class KField:
+    """K = Q[x]/(g) for monic irreducible g; elements are trimmed lists of
+    Fractions of length at most deg g."""
+
     def __init__(self, g: list[Fraction]):
-        self.g = qpoly.trim([Fraction(c) for c in g])
+        self.g = trim([Fraction(c) for c in g])
+        assert self.g[-1] == 1, "KField needs a monic modulus"
         self.deg = len(self.g) - 1
 
     def mul(self, a, b):
-        return qpoly.mod(qpoly.mul(a, b), self.g)
+        """The product, reduced by the monic g from the top down."""
+        if not a or not b:
+            return []
+        out = [ZERO] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        d = self.deg
+        low = self.g[:d]
+        while len(out) > d:
+            c = out.pop()
+            if c:
+                base = len(out) - d
+                for i, gi in enumerate(low):
+                    out[base + i] -= c * gi
+        return trim(out)
 
     def add(self, a, b):
-        return qpoly.add(a, b)
-
-    def sub(self, a, b):
-        return qpoly.sub(a, b)
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return trim(out)
 
     def scal(self, a, c: Fraction):
-        return qpoly.scale(a, c)
+        return [x * c for x in a] if c else []
 
     def inv(self, a):
-        u, _v, d = qpoly.ext_gcd(qpoly.trim(list(a)), self.g)
-        assert d == [ONE], "element is not invertible"
-        return qpoly.mod(u, self.g)
-
-    def of_fraction(self, c) -> list[Fraction]:
-        c = Fraction(c)
-        return [c] if c else []
+        """y with a*y = 1: the coordinates of 1 over the columns a*x^j."""
+        cols = [a]
+        for _ in range(self.deg - 1):
+            cols.append(self.mul(cols[-1], [ZERO, ONE]))
+        y = self.coords_over([ONE], cols)
+        assert y is not None, "element is not invertible"
+        return trim(y)
 
     def eval_poly(self, coeffs, point):
         """Evaluate a polynomial with Fraction coefficients at a K-point."""
         acc: list[Fraction] = []
         for c in reversed(coeffs):
-            acc = self.add(self.mul(acc, point), self.of_fraction(c))
+            acc = self.add(self.mul(acc, point), [Fraction(c)])
         return acc
 
     def coords_over(self, a, gen_powers) -> list[Fraction] | None:
@@ -449,7 +478,7 @@ def minpoly(step, u, dim) -> list[Fraction]:
         krylov.append(list(vec) + [ZERO] * (dim - len(vec)))
     sol = _solve_columns(krylov[:-1], krylov[-1])
     assert sol is not None
-    return qpoly.trim([-c for c in sol] + [ONE])
+    return [-c for c in sol] + [ONE]
 
 
 def poly_apply(coeffs, cmat, u):
@@ -477,7 +506,6 @@ class EigenPacket:
                  block_series):
         self.space = space
         self.kf = KField(g)
-        self.g = g
         self.a = a_list          # a[n-1] = K-element for a_n
         self.zeta_img = zeta_img
         self.chi = chi
@@ -486,8 +514,9 @@ class EigenPacket:
     def a_n(self, n: int):
         return self.a[n - 1]
 
-    def chi_image(self, n: int):
-        expo = self.chi.exponent(n)
+    def chi_image(self, n: int, chi=None):
+        """The image in K of (chi or the packet's character)(n)."""
+        expo = (chi or self.chi).exponent(n)
         if expo is None:
             return []
         t = int(expo * self.space.c)
@@ -574,22 +603,14 @@ def extract_newforms(space: Space, old_packets) -> list[EigenPacket]:
                 w_ = Fraction(((idx + 2) * (j + 1) * (j + 3)) % 19 + 1)
                 uu = [a + w_ * b for a, b in zip(uu, row)]
             mu_polys.append(minpoly(lambda v: matvec(cmat, v), uu, dim))
-        m_u = [ONE]
-        for p in mu_polys:
-            g_ = qpoly.gcd(m_u, p)
-            quo, rem = qpoly.divmod_poly(p, g_)
-            assert not rem
-            m_u = qpoly.mul(m_u, quo)
-        new_part = list(m_all)
-        g_ = qpoly.gcd(new_part, m_u)
-        while len(g_) > 1:
-            new_part, rem = qpoly.divmod_poly(new_part, g_)
-            assert not rem
-            g_ = qpoly.gcd(new_part, m_u)
+        # m_all is squarefree: C combines commuting semisimple operators
         try:
-            factors = fppoly.factor_over_q(new_part)
+            all_factors = fppoly.factor_over_q(m_all)
         except NotSquareFree:  # a repeated factor: the mix did not separate
-            factors = []
+            all_factors = []
+        x = [ZERO, ONE]
+        factors = [f for f in all_factors
+                   if all(KField(f).eval_poly(mu, x) for mu in mu_polys)]
         if sum(len(f) - 1 for f in factors) == dim_new:
             break
         log(f"  combination {mix} did not separate (attempt {attempt}); retrying")
@@ -599,9 +620,11 @@ def extract_newforms(space: Space, old_packets) -> list[EigenPacket]:
     packets = []
     for g in sorted(factors, key=lambda f: (len(f), [str(c) for c in f])):
         kf = KField(g)
-        quo, rem = qpoly.divmod_poly(m_all, g)
-        assert not rem
-        w = poly_apply(quo, cmat, u0)
+        # w = (m_all / g)(C) u0, one other factor of m_all at a time
+        w = u0
+        for h in all_factors:
+            if h != g:
+                w = poly_apply(h, cmat, w)
         assert any(w), "projection collapsed; retry with another vector"
         # v = q(C, lambda) w with q(x, lam) = (g(x) - g(lam)) / (x - lam)
         d = kf.deg
@@ -628,7 +651,7 @@ def extract_newforms(space: Space, old_packets) -> list[EigenPacket]:
             img = kmatvec(mat, v, kf)
             a_q = kf.mul(img[pivot], inv_piv)
             for i in range(dim):
-                assert kf.sub(img[i], kf.mul(a_q, v[i])) == [], f"not an eigenvector of T_{q}"
+                assert img[i] == kf.mul(a_q, v[i]), f"not an eigenvector of T_{q}"
             eigs[q] = a_q
         zimg_vec = kmatvec(zmat, v, kf)
         z = kf.mul(zimg_vec[pivot], inv_piv)
@@ -697,13 +720,7 @@ def verify_packet(packet: EigenPacket):
     for p in primefactors(level):
         if chi0.modulus % p == 0 or (level // p) % p == 0:
             continue
-        val = chi0(p)
-        expo = chi0.exponent(p)
-        t = int(expo * space.c)
-        img = [ONE]
-        for _ in range(t):
-            img = kf.mul(img, packet.zeta_img)
-        rhs = kf.scal(img, Fraction(p) ** (k - 2))
+        rhs = kf.scal(packet.chi_image(p, chi0), Fraction(p) ** (k - 2))
         lhs = kf.mul(packet.a_n(p), packet.a_n(p))
         assert lhs == rhs, f"Atkin-Lehner square failed at {p}"
     log(f"    packet verified (hecke structure to {b}, AL squares)")
@@ -850,8 +867,11 @@ def find_root_in_field(field_minpoly: list[Fraction], target_poly: list[Fraction
     while modulus < 10**120:
         modulus *= p
         prec += 1
-    f_roots = [_newton_lift(f_int, r, p, prec) for r in f_roots]
-    t_roots = [_newton_lift(t_int, r, p, prec) for r in t_roots]
+    # each simple root mod p, read off its Hensel-lifted linear factor
+    f_roots = [-fppoly.hensel_lift_factor(f_int, [-r % p, 1], p, prec)[0] % modulus
+               for r in f_roots]
+    t_roots = [-fppoly.hensel_lift_factor(t_int, [-r % p, 1], p, prec)[0] % modulus
+               for r in t_roots]
     # solve for rho = h(theta): h(f_roots[i]) = t_roots[sigma(i)]
     from itertools import permutations
     van = [[pow(r, j, modulus) for j in range(deg)] for r in f_roots]
@@ -860,18 +880,12 @@ def find_root_in_field(field_minpoly: list[Fraction], target_poly: list[Fraction
         sol = _solve_mod(van, target, modulus)
         if sol is None:
             continue
-        cand = []
-        ok = True
-        for c in sol:
-            rec = _rational_reconstruct(c, modulus)
-            if rec is None:
-                ok = False
-                break
-            cand.append(rec)
-        if not ok:
+        cand = [_rational_reconstruct(c, modulus) for c in sol]
+        if None in cand:
             continue
-        if kk.eval_poly(target_poly, qpoly.trim(list(cand))) == []:
-            return qpoly.trim(cand)
+        cand = trim(cand)
+        if kk.eval_poly(target_poly, cand) == []:
+            return cand
     raise RuntimeError("no root of the target polynomial in the field")
 
 
@@ -882,18 +896,6 @@ def _roots_mod_p(poly: list[int], p: int) -> list[int]:
     if len(fppoly.gcd(f, fppoly.derivative(f, p), p)) > 1:
         return []
     return sorted(-g[0] % p for g in fppoly.factor_squarefree(f, p) if len(g) == 2)
-
-
-def _newton_lift(poly: list[int], root: int, p: int, prec: int) -> int:
-    modulus = p
-    x = root
-    dpoly = [i * c for i, c in enumerate(poly)][1:]
-    while modulus < p**prec:
-        modulus = min(modulus * modulus, p**prec)
-        fx = fppoly.evaluate(poly, x, modulus)
-        dfx = fppoly.evaluate(dpoly, x, modulus)
-        x = (x - fx * pow(dfx, -1, modulus)) % modulus
-    return x
 
 
 def _solve_mod(mat, target, m):
@@ -970,6 +972,25 @@ def dedupe_orbits(packets):
     return list(seen.values())
 
 
+def fixture_10_8_b_a(cache) -> NewformData:
+    """The quartic orbit at level 10 (old forms from level 5), rebased onto
+    the field polynomial x^4 - 15x^2 + 64."""
+    chi10 = DirichletChar(5, 4).lift(10)
+    chi5 = DirichletChar(5, 4)
+    packets10 = build_space_packets(
+        10, 8, chi10, 130, [3, 7],
+        old_specs=[(5, 8, chi5, 130, [2, 3], [])],
+        cache=cache)
+    packets10 = dedupe_orbits(packets10)
+    log(f"level 10: {len(packets10)} newform orbits, dims "
+        f"{[packet_dim(p) for p in packets10]}")
+    target = [p for p in packets10 if packet_dim(p) == 4]
+    assert len(target) == 1, "expected a unique quartic orbit at level 10"
+    return packet_to_fixture(target[0], "10.8.b.a", 110,
+                             field_poly=[Fraction(64), Fraction(0), Fraction(-15),
+                                         Fraction(0), Fraction(1)])
+
+
 def main():
     if not __debug__:
         sys.exit("make_fixtures.py: its asserts guard every fixture; run it without -O")
@@ -989,21 +1010,7 @@ def main():
     save_fixture(nf, FIXTURE_DIR)
 
     # --- 10.8.b.a ----------------------------------------------------------
-    chi10 = DirichletChar(5, 4).lift(10)
-    chi5 = DirichletChar(5, 4)
-    packets10 = build_space_packets(
-        10, 8, chi10, 130, [3, 7],
-        old_specs=[(5, 8, chi5, 130, [2, 3], [])],
-        cache=cache)
-    packets10 = dedupe_orbits(packets10)
-    log(f"level 10: {len(packets10)} newform orbits, dims "
-        f"{[packet_dim(p) for p in packets10]}")
-    target = [p for p in packets10 if packet_dim(p) == 4]
-    assert len(target) == 1, "expected a unique quartic orbit at level 10"
-    fx = packet_to_fixture(target[0], "10.8.b.a", 110,
-                           field_poly=[Fraction(64), Fraction(0), Fraction(-15),
-                                       Fraction(0), Fraction(1)])
-    save_fixture(fx, FIXTURE_DIR)
+    save_fixture(fixture_10_8_b_a(cache), FIXTURE_DIR)
     log("wrote 10.8.b.a")
 
     # --- 14.7.d.a ----------------------------------------------------------

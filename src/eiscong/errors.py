@@ -49,6 +49,11 @@ class OrderTooLarge(EiscongError, ValueError):
     cyclotomic fields of L-values and Eisenstein parameters."""
 
 
+class ModulusTooLarge(EiscongError, ValueError):
+    """A character modulus is above characters.MODULUS_MAX, the ceiling on
+    the unit tables a character is built from."""
+
+
 class PrecisionTooLarge(EiscongError, ValueError):
     """A q-expansion precision is above lvalues.PREC_MAX."""
 

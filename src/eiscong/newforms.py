@@ -130,6 +130,9 @@ class NewformData:
             raise ValueError("basis must be a square matrix of the field degree")
         if not fppoly.is_irreducible_over_q(self.field_poly):
             raise ValueError("field_poly is reducible")
+        for n, vec in enumerate(self.an, 1):
+            if len(vec) != d:
+                raise ValueError(f"a_{n} has {len(vec)} entries, the field degree is {d}")
         one = [Fraction(0)] * d
         for j, c in enumerate(self.a_vector(1)):
             for i in range(d):

@@ -377,12 +377,7 @@ def _embedding_orbit(ell: int, src_modulus: tuple[int, ...], r: int) -> tuple:
     d = len(src_modulus) - 1
     if r % d:
         raise NotASubfield(f"degree {d} does not divide {r}")
-    target = canonical_modulus(ell, r)
-    if d == 1:
-        # constant embedding: the generator is the root of a linear poly
-        root = FFElem.from_int(ell, target, (-src_modulus[0]) % ell)
-        return (root,)
-    rho = _find_root(src_modulus, ell, target)
+    rho = _find_root(src_modulus, ell, canonical_modulus(ell, r))
     orbit = [rho]
     for _ in range(d - 1):
         orbit.append(orbit[-1] ** ell)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from sympy import Poly, Symbol
 
 from eiscong.characters import DirichletChar
 from eiscong.cyclotomic import CycNum
@@ -24,6 +25,17 @@ from eiscong.eisenstein import sigma_power_div
 from eiscong.lvalues import l_value_at_negative
 
 mp.mp.dps = 60
+X = Symbol("x")
+
+
+def qq(coeffs) -> Poly:
+    """The rational polynomial with these coefficients, lowest degree first."""
+    return Poly(list(reversed(coeffs)) or [0], X, domain="QQ")
+
+
+def from_qq(poly: Poly) -> list[Fraction]:
+    """The coefficients of poly as Fractions, lowest degree first; [] for 0."""
+    return [Fraction(str(c)) for c in reversed(poly.all_coeffs())] if poly else []
 
 
 def cyc_to_complex(x: CycNum) -> mp.mpc:

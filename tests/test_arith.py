@@ -15,8 +15,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, Symbol
 
-from eiscong import arith, fppoly, qpoly
+from eiscong import arith, fppoly
 from eiscong.errors import NotSquareFree
+from helpers import from_qq, qq
 
 X = Symbol("x")
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "eiscong" / "fixtures"
@@ -257,10 +258,11 @@ def _with_examples(examples):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.one_of(monic_int_poly, monic_frac_poly), min_size=1, max_size=4))
 def test_factor_over_q_matches_sympy(polys):
-    f = [Fraction(1)]
+    product = qq([1])
     for p in polys:
-        f = qpoly.mul(f, [Fraction(c) for c in p])
-    theirs = Poly(list(reversed(f)), X, domain="QQ").factor_list()[1]
+        product *= qq(p)
+    f = from_qq(product)
+    theirs = product.factor_list()[1]
     assume(all(mult == 1 for _, mult in theirs))
     theirs = sorted(tuple(Fraction(str(c)) for c in reversed(g.monic().all_coeffs()))
                     for g, _ in theirs)

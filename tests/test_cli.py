@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from eiscong import congruence, eisenstein
-from eiscong.characters import DirichletChar
+from eiscong.characters import MODULUS_MAX, DirichletChar
 from eiscong.cli import run
 from eiscong.cyclotomic import CycNum
 from eiscong.lvalues import K_MAX, ORDER_MAX, PREC_MAX, l_value_at_negative
@@ -182,6 +182,24 @@ def test_fixture_missing_field_exit_2(capsys, tmp_path):
     assert str(path) in err and "'basis'" in err
 
 
+@pytest.mark.parametrize("n, change", [(3, -1), (3, 1), (1, 1)])
+def test_fixture_an_of_wrong_length_exit_2(capsys, tmp_path, n, change):
+    # a vector one entry short or long is a bad fixture, not a failed or
+    # passed verification
+    fixture = json.loads(FIXTURES.joinpath("10.8.b.a.json").read_text())
+    vec = fixture["an"][n - 1]
+    fixture["an"][n - 1] = vec[:-1] if change < 0 else vec + ["0"]
+    path = tmp_path / "10.8.b.a.json"
+    path.write_text(json.dumps(fixture))
+    code = run(["--offline", "verify", "--label", "10.8.b.a", "--ell", "257",
+                "--psi", "1.1", "--phi", "5.4", "--M", "2", "--k", "8",
+                "--bound", "100", "--fixtures", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert f"a_{n} has {4 + change} entries, the field degree is 4" in err
+
+
 def test_bk_subcommand(capsys):
     code, payload = run_json(capsys, [
         "--json", "bk", "--M", "2", "--k", "8", "--psi", "1.1", "--phi", "5.4",
@@ -340,6 +358,18 @@ def test_order_above_ceiling_exit_2_in_bounded_time(argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: order 100002 of ")
     assert f"above the ceiling ORDER_MAX = {ORDER_MAX}" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["lvalue", "--k", "12", "--chi", "10000019.2"],
+    ["search", "--M", "2", "--k", "7", "--psi", "1.1", "--phi", "10000019.2"]])
+def test_modulus_above_ceiling_exit_2_in_bounded_time(argv):
+    # the unit tables of a character mod 10000019 would take about 2 GiB
+    proc = run_cli(*argv, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: modulus 10000019 is above the ceiling "
+                                  f"MODULUS_MAX = {MODULUS_MAX}")
     assert proc.stdout == ""
 
 

@@ -6,11 +6,11 @@ from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import Poly, Symbol
+from sympy import Poly, Symbol, div
 from sympy import cyclotomic_poly as sympy_cyclotomic
 
 from eiscong.cyclotomic import CycNum, _ks_mul, cyclotomic_poly
-from helpers import assert_close, cyc_to_complex, random_cycnum
+from helpers import assert_close, cyc_to_complex, qq, random_cycnum
 
 X = Symbol("x")
 
@@ -304,6 +304,27 @@ def test_norm_matches_sympy_resultant(data):
     coeffs = data.draw(st.one_of(_factor(n), st.lists(_COEF, min_size=1, max_size=1)))
     x = CycNum(n, coeffs)
     assert x.norm() == _sympy_norm(x)
+
+
+@pytest.mark.parametrize("f,g", [
+    ([1, 0, 1], [3, 1]),
+    ([1, 1, 1, 1], [5, -2, 1]),
+    ([-1, 0, 0, 0, 1], [7, 1, 2]),
+])
+def test_resultant_matches_sympy(f, g):
+    # f is a product of cyclotomic polynomials, so Res(f, g) is the product
+    # of the norms of g(zeta_n) over the factors Phi_n of f
+    rest, mine = qq(f), Fraction(1)
+    for n in range(1, 4 * len(f)):
+        phi = qq(cyclotomic_poly(n))
+        while rest.degree() >= phi.degree():
+            q, r = div(rest, phi)
+            if not r.is_zero:
+                break
+            rest, mine = q, mine * CycNum(n, g).norm()
+    assert rest == qq([1])
+    theirs = qq(f).resultant(qq(g))
+    assert mine == Fraction(int(theirs))
 
 
 def test_norm_of_inverse_420():

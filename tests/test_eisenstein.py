@@ -5,9 +5,8 @@ from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from sympy import divisors, primefactors, primerange
+from sympy import divisors, invert, primefactors, primerange
 
-from eiscong import qpoly
 from eiscong.characters import DirichletChar, gauss_sum, is_square_free, primitive_characters
 from eiscong.cyclotomic import CycNum, cyclotomic_poly
 from eiscong.eisenstein import (_SERIES_CACHE, CuspMatrix, DeltaChoice, EisensteinParams,
@@ -16,8 +15,8 @@ from eiscong.eisenstein import (_SERIES_CACHE, CuspMatrix, DeltaChoice, Eisenste
                                 cusp_representatives, e_delta, e_delta_via_hecke,
                                 eisenstein_qexp, hecke_tp, sigma_power_div)
 from eiscong.errors import InsufficientPrecision, NotSquareFree
-from helpers import (CoeffQExpansion, ref_alpha_m, ref_e_delta, ref_e_delta_via_hecke,
-                     ref_eisenstein_qexp, ref_hecke_tp)
+from helpers import (CoeffQExpansion, from_qq, qq, ref_alpha_m, ref_e_delta,
+                     ref_e_delta_via_hecke, ref_eisenstein_qexp, ref_hecke_tp)
 
 TRIV = DirichletChar(1, 1)
 PHI5 = DirichletChar(5, 4)
@@ -314,15 +313,13 @@ def test_c_gamma_character_factors_are_units():
 
 def test_gauss_sum_inverse_identity():
     # 1/g(phi^-1) = phi(-1) g(phi) / v, the identity the cusp constants use
-    # in place of an inverse, against the inverse by the extended Euclidean
-    # algorithm over Q for every primitive phi of conductor <= 13
+    # in place of an inverse, against sympy's inverse modulo Phi_n over Q for
+    # every primitive phi of conductor <= 13
     for v in range(1, 14):
         for phi in primitive_characters(v):
             g = gauss_sum(phi.inverse())
             n = g.conductor
-            u, _, d = qpoly.ext_gcd(qpoly.trim(list(g.coeffs)),
-                                    qpoly.from_ints(cyclotomic_poly(n)))
-            assert d == [1]
+            u = from_qq(invert(qq(g.coeffs), qq(cyclotomic_poly(n))))
             expect = phi(-1) * gauss_sum(phi) / v
             assert CycNum(n, u) == expect == g.inverse(), phi.label
 

@@ -6,15 +6,14 @@ the full Hecke eigensystem structure is verified exactly there, then the
 archimedean size bounds are checked through high-precision embeddings.
 """
 
-from fractions import Fraction
 from math import gcd
 
 import mpmath as mp
 import pytest
-from sympy import primefactors, primerange
+from sympy import Rational, primefactors, primerange
 
-from eiscong import qpoly
 from eiscong.newforms import load_fixture
+from helpers import qq
 
 LABELS = ["1.12.a.a", "10.8.b.a", "14.7.d.a", "42.6.e.c"]
 
@@ -24,21 +23,19 @@ class FieldView:
 
     def __init__(self, nf):
         self.nf = nf
-        self.poly = qpoly.trim([Fraction(c) for c in nf.field_poly])
-        self.basis = [qpoly.trim([Fraction(c) for c in row]) for row in nf.basis]
+        self.poly = qq(nf.field_poly)
+        self.basis = [qq(row) for row in nf.basis]
+        self.one = qq([1])
 
     def a(self, n):
-        acc = []
-        for c, row in zip(self.nf.a_vector(n), self.basis):
-            if c:
-                acc = qpoly.add(acc, qpoly.scale(row, Fraction(c)))
-        return acc
+        return sum((c * row for c, row in zip(self.nf.a_vector(n), self.basis) if c),
+                   qq([]))
 
     def mul(self, x, y):
-        return qpoly.mod(qpoly.mul(x, y), self.poly)
+        return (x * y).rem(self.poly)
 
     def pow(self, x, e):
-        acc = [Fraction(1)]
+        acc = self.one
         while e:
             if e & 1:
                 acc = self.mul(acc, x)
@@ -80,20 +77,20 @@ def test_prime_power_recursions_and_nebentypus_structure(label):
                 pj *= p
             continue
         # chi(p) p^(k-1) recovered from the first recursion step
-        cp = qpoly.sub(fv.mul(ap, ap), fv.a(p * p))
+        cp = fv.mul(ap, ap) - fv.a(p * p)
         # it must be p^(k-1) times a root of unity of the character's order
-        u = qpoly.scale(cp, Fraction(1, p ** (k - 1)))
-        assert fv.pow(u, order) == [Fraction(1)], (label, p)
+        u = cp * Rational(1, p ** (k - 1))
+        assert fv.pow(u, order) == fv.one, (label, p)
         # and it must drive every further prime-power step
         pj = p * p
         while pj * p <= b:
-            expect = qpoly.sub(fv.mul(ap, fv.a(pj)), fv.mul(cp, fv.a(pj // p)))
+            expect = fv.mul(ap, fv.a(pj)) - fv.mul(cp, fv.a(pj // p))
             assert fv.a(pj * p) == expect, (label, p, pj)
             pj *= p
         # exact match with the stored character where its values are rational
         if order <= 2:
             val = nf.character(p)
-            assert u == qpoly.trim([val.rational_value()]), (label, p)
+            assert u == qq([val.rational_value()]), (label, p)
 
 
 @pytest.mark.parametrize("label", ["10.8.b.a", "14.7.d.a", "42.6.e.c"])
@@ -107,10 +104,10 @@ def test_atkin_lehner_squares(label):
             continue  # |a_p| = p^((k-1)/2), not a rational-square relation
         sq = fv.mul(fv.a(p), fv.a(p))
         # a_p^2 = chi'(p) p^(k-2) with chi'(p) a root of unity
-        u = qpoly.scale(sq, Fraction(1, p ** (k - 2)))
-        assert fv.pow(u, chi0.order) == [Fraction(1)], (label, p)
+        u = sq * Rational(1, p ** (k - 2))
+        assert fv.pow(u, chi0.order) == fv.one, (label, p)
         if chi0.order <= 2:
-            assert u == [chi0(p).rational_value()], (label, p)
+            assert u == qq([chi0(p).rational_value()]), (label, p)
 
 
 @pytest.mark.parametrize("label", LABELS)

@@ -1,11 +1,21 @@
-"""scripts/make_fixtures.py as a program: it loads without sympy, and it
+"""scripts/make_fixtures.py as a program: it loads without sympy, it
 refuses to run under ``python -O``, where the asserts that guard every
-fixture it writes would vanish."""
+fixture it writes would vanish, its field arithmetic agrees with sympy,
+and it rebuilds a packaged fixture from scratch."""
 
 import os
+import random
+import runpy
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+from sympy import invert
+
+from eiscong.newforms import load_fixture
+from helpers import from_qq, qq
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "make_fixtures.py"
@@ -34,3 +44,30 @@ def test_make_fixtures_refuses_python_O():
     assert len(proc.stderr.strip().splitlines()) == 1 and "-O" in proc.stderr
     assert proc.stdout == ""
     assert snapshot() == before
+
+
+@pytest.fixture(scope="module")
+def builder():
+    return runpy.run_path(str(SCRIPT), run_name="make_fixtures")
+
+
+@pytest.mark.parametrize("label", ["1.12.a.a", "10.8.b.a", "14.7.d.a", "42.6.e.c"])
+def test_kfield_mul_and_inv_match_sympy(builder, label):
+    g = list(load_fixture(label).field_poly)
+    kf = builder["KField"](g)
+    rng = random.Random(label)
+    for _ in range(20):
+        a, b = ([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(kf.deg)]
+                for _ in range(2))
+        a, b = builder["trim"](a), builder["trim"](b)
+        assert kf.mul(a, b) == from_qq((qq(a) * qq(b)).rem(qq(g)))
+        if a:
+            assert kf.inv(a) == from_qq(invert(qq(a), qq(g)))
+            assert kf.mul(a, kf.inv(a)) == [1]
+
+
+def test_rebuilds_10_8_b_a(builder):
+    # levels 5 and 10 from Eisenstein series, the level-5 old forms split
+    # off, and the rebase onto x^4 - 15x^2 + 64
+    built = builder["fixture_10_8_b_a"]({})
+    assert built.to_json() == load_fixture("10.8.b.a").to_json()
