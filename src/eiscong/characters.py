@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .arith import factorint, primefactors
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, _from_ints
 from .errors import ModulusTooLarge, NotAMultiple, NotPrimitive, NotSquareFree
 
 # the largest modulus accepted for a character: each prime power p^e of the
@@ -281,7 +281,7 @@ def gauss_sum(phi: DirichletChar) -> CycNum:
         j = phi.slot(n)
         if j is not None:
             vec[(j * (big // o) + n * (big // v)) % big] += 1
-    return CycNum(big, vec)
+    return _from_ints(big, vec, 1)
 
 
 def is_square_free(n: int) -> bool:

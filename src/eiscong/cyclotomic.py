@@ -15,12 +15,15 @@ that happens to be rational keeps conductor 6 unless
 :meth:`CycNum.try_descend` is called explicitly.
 
 Products pack each numerator vector into one Python int (Kronecker
-substitution), multiply once, unpack the product and long-divide it by
-the monic integer Phi_n; the new denominator is the product of the two.
+substitution) and multiply once; the new denominator is the product of
+the two.  From phi(n) = 32 on, reduction mod Phi_n stays packed (a fold
+mod x^n - 1 by shifts, the quotient from the high slots of a product by
+the sparse Psi_n = (x^n - 1) / Phi_n, only the remainder's phi(n) slots
+unpacked); below that it is long division.
 The norm is x times the product of its other Galois conjugates, which is
 rational, and the inverse is that product over the norm.
 Values are immutable after construction and safe to share between
-threads; the only shared state is the memoised Phi_n table.
+threads; the only shared state is the memoised Phi_n and Psi_n tables.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .arith import primefactors, totient
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -36,42 +41,44 @@ _ONE = Fraction(1)
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, lowest
-    degree first, from Phi_n(x) = Phi_m(x^p) when p^2 | n and
-    Phi_n(x) = Phi_m(x^p) / Phi_m(x) otherwise (p the least prime of n,
-    m = n/p)."""
+    degree first: for n > 1, Phi_n = prod_{d | n} (1 - x^d)^mu(n/d) taken
+    as a power series to degree phi(n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return (-1, 1)
-    p = next(q for q in range(2, n + 1) if n % q == 0)
-    m = n // p
-    g = cyclotomic_poly(m)
-    f = [0] * ((len(g) - 1) * p + 1)
-    f[::p] = g
-    if m % p == 0:
-        return tuple(f)
-    return tuple(_divide_monic(f, g))
+    return (-1, 1) if n == 1 else tuple(_binomial_product(n, 1, totient(n) + 1))
+
+
+def _binomial_product(n: int, sign: int, length: int) -> list[int]:
+    """prod_{d | n} (1 - x^d)^(sign * mu(n/d)) mod x^length, one stride-d pass
+    per factor: times 1 - x^d, or the power-series quotient g_i = f_i + g_(i-d)."""
+    f = [1] + [0] * (length - 1)
+    moebius = [(n, 1)]  # (n/s, mu(s)) over the square-free s | n
+    for p in primefactors(n):
+        moebius += [(d // p, -mu) for d, mu in moebius]
+    for d, mu in moebius:
+        if d < length and sign * mu > 0:
+            f[d:] = [a - b for a, b in zip(f[d:], f)]
+        elif d < length:
+            for j in range(d, length, d):
+                f[j:j + d] = [a + b for a, b in zip(f[j:j + d], f[j - d:j])]
+    return f
 
 
 def _phi(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
 
 
-def _divide_monic(f: list[int], g) -> list[int]:
+def _divide_monic(f: list[int], g):
     """Long-divide f in place by the monic integer polynomial g, using only
-    g's nonzero terms; returns the quotient and leaves the remainder in
-    f[:len(g) - 1]."""
+    g's nonzero terms; the remainder is left in f[:len(g) - 1]."""
     e = len(g) - 1
     terms = [(i, c) for i, c in enumerate(g[:e]) if c]
-    q = [0] * max(0, len(f) - e)
     for j in range(len(f) - 1, e - 1, -1):
         c = f[j]
         if c:
             off = j - e
-            q[off] = c
             for i, t in terms:
                 f[off + i] -= c * t
-    return q
 
 
 def clear_denominators(coeffs) -> tuple[list[int], int]:
@@ -81,11 +88,22 @@ def clear_denominators(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+# From this phi(n) on _packed_mod_phi reduces, below it _divide_monic.  On
+# x86-64 with Python 3.11, dense products are faster packed from phi(n) = 12
+# (n = 21: 12 against 16 us), length-n vectors with few slots above phi(n),
+# as gauss_sum builds, only from about 44 (n = 63: 16 against 8 us; n = 105:
+# 28 against 56 us); a cusp-constants pass moved < 4% for cutoffs 12 to 64.
+_PACKED_MIN_DEGREE = 32
+
+
 def _mod_phi(n: int, nums: list[int]) -> list[int]:
     """Integer vector of any length reduced mod Phi_n to length phi(n)
-    (in place when it is longer)."""
+    (in place when it is longer and phi(n) is below the packed cutoff)."""
     d = _phi(n)
     if len(nums) > d:
+        if d >= _PACKED_MIN_DEGREE:  # a fold adds <= ceil(len / n) entries per slot
+            width = _packed_width(n, max(map(abs, nums)) * -(-len(nums) // n))
+            return _packed_mod_phi(n, _pack(nums, width), width)
         _divide_monic(nums, cyclotomic_poly(n))
         del nums[d:]
     elif len(nums) < d:
@@ -97,12 +115,9 @@ def _reduce(n: int, nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
     """Numerators nums over den (nonzero, any sign) reduced mod Phi_n and
     normalised to den > 0 and gcd(num..., den) = 1."""
     nums = _mod_phi(n, nums)
-    g = gcd(den, *nums)
-    if den < 0:
-        g = -g
+    g = -gcd(den, *nums) if den < 0 else gcd(den, *nums)
     if g != 1:
-        nums = [x // g for x in nums]
-        den //= g
+        return tuple([x // g for x in nums]), den // g
     return tuple(nums), den
 
 
@@ -111,10 +126,20 @@ def _offset(length: int, width: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
 
 
-def _pack(v, width: int, half: int) -> int:
-    """sum v[i] * 2^(8*width*i) for |v[i]| < half = 2^(8*width - 1)."""
-    return int.from_bytes(b"".join((x + half).to_bytes(width, "little") for x in v),
-                          "little") - _offset(len(v), width)
+def _pack(v, width: int) -> int:
+    """sum v[i] * 2^(8*width*i) for |v[i]| < 2^(8*width - 1)."""
+    half = 1 << (8 * width - 1)
+    zero = half.to_bytes(width, "little")
+    return int.from_bytes(b"".join([(x + half).to_bytes(width, "little") if x else zero
+                                    for x in v]), "little") - _offset(len(v), width)
+
+
+def _unpack(v: int, length: int, width: int) -> list[int]:
+    """The slots of v - _offset(length, width), 0 <= v < 2^(8*width*length)."""
+    half = 1 << (8 * width - 1)
+    raw = v.to_bytes(length * width, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, length * width, width)]
 
 
 def _ks_mul(a, b) -> list[int]:
@@ -125,19 +150,66 @@ def _ks_mul(a, b) -> list[int]:
     is at most max|a| * max|b| * min(len a, len b), plus a sign bit."""
     ma = max(map(abs, a))
     mb = max(map(abs, b))
-    top = max(ma * mb * min(len(a), len(b)), ma, mb)
-    width = (top.bit_length() + 8) // 8
-    half = 1 << (8 * width - 1)
-    pa = _pack(a, width, half)
-    prod = pa * pa if a is b else pa * _pack(b, width, half)
+    width = (max(ma * mb * min(len(a), len(b)), ma, mb).bit_length() + 8) // 8
+    pa = _pack(a, width)
+    prod = pa * pa if a is b else pa * _pack(b, width)
     length = len(a) + len(b) - 1
-    raw = (prod + _offset(length, width)).to_bytes(length * width, "little")
-    return [int.from_bytes(raw[i:i + width], "little") - half
-            for i in range(0, length * width, width)]
+    return _unpack(prod + _offset(length, width), length, width)
+
+
+@lru_cache(maxsize=None)
+def _packed_moduli(n: int) -> tuple[list, list, int]:
+    """The nonzero terms (i, c) of Phi_n and of Psi_n = (x^n - 1) / Phi_n =
+    -prod_{d | n} (1 - x^d)^(-mu(n/d)), and 1 + |Phi_n|_1 * |Psi_n|_1."""
+    phi = cyclotomic_poly(n)
+    psi = [-c for c in _binomial_product(n, -1, n - len(phi) + 2)] if n > 1 else [1]
+    return ([(i, c) for i, c in enumerate(phi) if c], [(i, c) for i, c in enumerate(psi) if c],
+            1 + sum(map(abs, phi)) * sum(map(abs, psi)))
+
+
+def _packed_width(n: int, top: int, inputs: int = 0) -> int:
+    """Slot bytes for _packed_mod_phi when the fold f' mod x^n - 1 has
+    entries <= top in absolute value: q = f' div Phi_n is the high half of
+    f' * Psi_n, so q * Phi_n and every partial sum of f' - q * Phi_n have
+    entries <= top * (1 + |Phi_n|_1 * |Psi_n|_1).  A slot holds that, the
+    packed inputs (<= inputs), a spare bit (checked) and a sign bit."""
+    return (2 * max(top * _packed_moduli(n)[2], inputs)).bit_length() // 8 + 1
+
+
+def _packed_mod_phi(n: int, f: int, width: int) -> list[int]:
+    """The phi(n) numerators of F mod Phi_n, for the vector F packed as
+    f = F(2^(8*width)), width from _packed_width.  Each fold mod x^n - 1
+    adds the slots of f from n up, rounded off, to the rest; as Phi_n *
+    Psi_n = x^n - 1, q = F div Phi_n is the slots from n up of F * Psi_n."""
+    bits = 8 * width
+    top = bits * n
+    while hi := ((f >> (top - 1)) + 1) >> 1:
+        f += hi - (hi << top)
+    phi_terms, psi_terms, _ = _packed_moduli(n)
+    # q = sum_j psi_j * (F div x^(n-j)), each quotient a rounded shift of f
+    q = sum(c * (((f >> (bits * (n - j) - 1)) + 1) >> 1) for j, c in psi_terms)
+    d = _phi(n)
+    r = f + _offset(d, width)
+    for i, c in phi_terms:
+        t = q << bits * i
+        r = r - t if c == 1 else r + t if c == -1 else r - c * t
+    # too narrow a width leaves a slot at or above phi(n) or uses the spare bit
+    out = None if r >> (bits * d) else _unpack(r, d, width)
+    if out is None or max(map(abs, out)) >> (bits - 2):
+        raise ArithmeticError(f"packed reduction mod Phi_{n}: the remainder does not fit "
+                              f"its {d} slots of {width} bytes")
+    return out
 
 
 def _mul_mod(n: int, a, b) -> list[int]:
-    return _mod_phi(n, _ks_mul(a, b))
+    """a * b mod Phi_n for integer vectors of length <= phi(n)."""
+    if _phi(n) < _PACKED_MIN_DEGREE:
+        return _mod_phi(n, _ks_mul(a, b))
+    ma, mb = max(map(abs, a)), max(map(abs, b))
+    # folded mod x^n - 1, a * b is a cyclic convolution (len a, len b < n)
+    width = _packed_width(n, ma * mb * min(len(a), len(b)), max(ma, mb))
+    pa = _pack(a, width)
+    return _packed_mod_phi(n, pa * pa if a is b else pa * _pack(b, width), width)
 
 
 def _new(n: int, num: tuple[int, ...], den: int) -> "CycNum":
@@ -224,9 +296,7 @@ class CycNum:
             return self
         cols = [CycNum.zeta(d, j).coerce(n).coeffs for j in range(_phi(d))]
         sol = _solve_columns(cols, self.coeffs)
-        if sol is None:
-            return None
-        return CycNum(d, sol)
+        return None if sol is None else CycNum(d, sol)
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])

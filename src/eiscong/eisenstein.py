@@ -24,9 +24,9 @@ from itertools import product as iter_product
 from math import gcd, lcm, prod
 
 from .arith import divisors, primefactors
-from .characters import DirichletChar, gauss_sum, is_square_free
+from .characters import MODULUS_MAX, DirichletChar, gauss_sum, is_square_free
 from .cyclotomic import CycNum, _from_ints
-from .errors import InsufficientPrecision, NotSquareFree
+from .errors import InsufficientPrecision, ModulusTooLarge, NotSquareFree
 from .lvalues import check_order, check_precision, check_weight, l_value_at_negative
 
 
@@ -35,7 +35,8 @@ class EisensteinParams:
     """Shape of one congruence instance: coprime square-free N = u*v and M,
     weight 2 < k <= lvalues.K_MAX, and an ordered pair of primitive
     characters of conductors u and v with (psi*phi)(-1) = (-1)^k whose
-    values generate Q(zeta_m), m = lcm(ord psi, ord phi) <= lvalues.ORDER_MAX."""
+    values generate Q(zeta_m), m = lcm(ord psi, ord phi) <= lvalues.ORDER_MAX,
+    and level N*M <= characters.MODULUS_MAX, the modulus of chi_tilde."""
 
     N: int
     M: int
@@ -54,6 +55,9 @@ class EisensteinParams:
             raise ValueError("weight must satisfy k > 2")
         check_weight(self.k)
         check_order(lcm(self.psi.order, self.phi.order), self.psi, self.phi)
+        if self.N * self.M > MODULUS_MAX:
+            raise ModulusTooLarge(f"level N*M = {self.N * self.M} is above the ceiling "
+                                  f"MODULUS_MAX = {MODULUS_MAX} on character moduli")
         if not self.psi.is_primitive() or not self.phi.is_primitive():
             raise ValueError("psi and phi must be primitive")
         if self.psi.modulus * self.phi.modulus != self.N:

@@ -373,6 +373,20 @@ def test_modulus_above_ceiling_exit_2_in_bounded_time(argv):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--M", "46189", "--k", "8", "--psi", "1.1", "--phi", "5.4"],
+    ["check", "--M", "46189", "--k", "8", "--psi", "1.1", "--phi", "5.4", "--ell", "257"]])
+def test_level_above_modulus_ceiling_exit_2(argv):
+    # N*M = 5 * 46189 = 230945: every prime power is small, but chi_tilde
+    # would be a character mod N*M above the ceiling, so search refuses it
+    # as check does, and neither prints a result
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: level N*M = 230945 is above the ceiling "
+                                  f"MODULUS_MAX = {MODULUS_MAX}")
+    assert proc.stdout == ""
+
+
 def test_lvalue_at_order_ceiling_in_bounded_time():
     # order 4946 = 2 * 2473: an order 2p near the ceiling, the dearest shape
     # for building and applying Phi

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Poly, Symbol, div
 from sympy import cyclotomic_poly as sympy_cyclotomic
 
+from eiscong import cyclotomic
 from eiscong.cyclotomic import CycNum, _ks_mul, cyclotomic_poly
 from helpers import assert_close, cyc_to_complex, qq, random_cycnum
 
@@ -16,7 +17,7 @@ X = Symbol("x")
 
 
 def test_cyclotomic_matches_sympy():
-    for n in list(range(1, 40)) + [60, 105, 1332]:
+    for n in list(range(1, 40)) + [60, 105, 1332, 2310, 4946]:
         mine = cyclotomic_poly(n)
         assert all(type(c) is int for c in mine)
         assert Poly(list(reversed(mine)), X) == Poly(sympy_cyclotomic(n, X), X), n
@@ -36,18 +37,23 @@ _COEF = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 def test_reduce_matches_sympy_remainder(data):
     # one case per input shape the reduction serves: already reduced,
     # a product of two reduced vectors, an integer vector as built by
-    # zeta/coerce/gauss_sum, and a long vector with mixed denominators
-    n = data.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 12, 15, 20, 21, 30, 60]))
+    # zeta/coerce/gauss_sum, and a long vector with mixed denominators,
+    # also one long enough to be folded twice mod x^n - 1; conductors on
+    # both sides of the packed kernel's cutoff
+    n = data.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 12, 15, 20, 21, 30, 60,
+                                   105, 156, 210]))
     d = len(cyclotomic_poly(n)) - 1
-    shape = data.draw(st.sampled_from(["reduced", "product", "integer", "long"]))
+    shape = data.draw(st.sampled_from(["reduced", "product", "integer", "long", "folded"]))
     if shape == "reduced":
         coeffs = data.draw(st.lists(_COEF, max_size=d))
     elif shape == "product":
         coeffs = data.draw(st.lists(_COEF, min_size=2 * d - 1, max_size=2 * d - 1))
     elif shape == "integer":
         coeffs = data.draw(st.lists(st.integers(-10**6, 10**6), max_size=n))
-    else:
+    elif shape == "long":
         coeffs = data.draw(st.lists(_COEF, min_size=2 * d, max_size=3 * n + 2))
+    else:
+        coeffs = data.draw(st.lists(_COEF, min_size=2 * n + 1, max_size=3 * n + 2))
     rem = Poly(list(reversed(coeffs)) or [0], X, domain="QQ").rem(
         Poly(sympy_cyclotomic(n, X), X, domain="QQ"))
     expect = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
@@ -197,7 +203,7 @@ def _sympy_product(n1, a, n2, b) -> tuple[Fraction, ...]:
     return tuple(out + [Fraction(0)] * (len(cyclotomic_poly(m)) - 1 - len(out)))
 
 
-_KERNEL_N = [1, 2, 3, 4, 5, 6, 7, 12, 15, 21, 60, 105]
+_KERNEL_N = [1, 2, 3, 4, 5, 6, 7, 12, 15, 21, 60, 105, 156, 210, 420]
 
 
 @st.composite
@@ -246,6 +252,73 @@ def test_ks_mul_slot_width_covers_inputs():
     assert _ks_mul(big, [-1]) == [-c for c in big]
     assert _ks_mul(big, big) == [sum(big[i] * big[k - i] for i in range(4) if 0 <= k - i < 4)
                                  for k in range(7)]
+
+
+def _by_division(n, v):
+    """v mod Phi_n by the long division of the short-vector kernel."""
+    v = list(v)
+    cyclotomic._divide_monic(v, cyclotomic_poly(n))
+    d = len(cyclotomic_poly(n)) - 1
+    return (v + [0] * d)[:d]
+
+
+def test_packed_reduction_matches_division_every_n():
+    # both kernels on every conductor up to 400, whichever side of the
+    # cutoff it falls on: a product-length vector of 30-digit entries, a
+    # length n + 1 vector of small ones (folded once, with one slot above
+    # n) and a 6-digit one of length 2n + 1 (folded twice mod x^n - 1)
+    rng = random.Random(400)
+    for n in range(1, 401):
+        d = len(cyclotomic_poly(n)) - 1
+        for length, size in [(2 * d - 1, 10**30), (n + 1, 9), (2 * n + 1, 10**6)]:
+            v = [rng.randint(-size, size) for _ in range(length)]
+            width = cyclotomic._packed_width(n, size * -(-length // n))
+            packed = cyclotomic._packed_mod_phi(n, cyclotomic._pack(v, width), width)
+            assert packed == _by_division(n, v), (n, length)
+
+
+def test_packed_slot_width_covers_inputs():
+    # as for _ks_mul: a 10^50 entry next to zeros, against a zero factor, a
+    # unit and itself, and alone in a vector long enough to fold twice
+    n = 105
+    assert len(cyclotomic_poly(n)) - 1 >= cyclotomic._PACKED_MIN_DEGREE
+    big = [0] * 20 + [10**50, -3] + [0] * 25 + [-10**50 + 1]
+    unit = [1] + [0] * 47
+    assert cyclotomic._mul_mod(n, [0] * 48, big) == [0] * 48
+    assert cyclotomic._mul_mod(n, unit, big) == big
+    assert cyclotomic._mul_mod(n, big, [-1]) == [-c for c in big]
+    assert cyclotomic._mul_mod(n, big, big) == _by_division(n, _ks_mul(big, big))
+    long = [0] * 300 + [10**50] + [0] * 16
+    assert cyclotomic._mod_phi(n, list(long)) == _by_division(n, long)
+
+
+def test_packed_product_large_conductors():
+    # the conductors of cusp-constants' largest fields, against the product
+    # reduced by long division
+    rng = random.Random(1332)
+    for n in (812, 930, 1332):
+        d = len(cyclotomic_poly(n)) - 1
+        a = [rng.randint(-2**40, 2**40) for _ in range(d)]
+        b = [rng.randint(-9, 9) for _ in range(d)]
+        assert cyclotomic._mul_mod(n, a, b) == _by_division(n, _ks_mul(a, b))
+        assert cyclotomic._mul_mod(n, a, a) == _by_division(n, _ks_mul(a, a))
+
+
+def test_packed_width_guard_raises(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "_packed_width", lambda n, top, inputs=0: 1)
+    with pytest.raises(ArithmeticError, match="Phi_105"):
+        cyclotomic._mod_phi(105, [100] * 317)
+    with pytest.raises(ArithmeticError, match="Phi_420"):
+        cyclotomic._mul_mod(420, [100] * 96, [-99] * 96)
+
+
+def test_phi_times_psi_is_x_n_minus_1():
+    for n in range(1, 1501):
+        phi = cyclotomic_poly(n)
+        psi = [0] * (n - len(phi) + 2)
+        for i, c in cyclotomic._packed_moduli(n)[1]:
+            psi[i] = c
+        assert _ks_mul(list(phi), psi) == [-1] + [0] * (n - 1) + [1], n
 
 
 def test_zero_and_rationals_in_normal_form():
