@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, lcm
 
 from .arith import primefactors, totient
@@ -115,9 +116,12 @@ def _reduce(n: int, nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
     """Numerators nums over den (nonzero, any sign) reduced mod Phi_n and
     normalised to den > 0 and gcd(num..., den) = 1."""
     nums = _mod_phi(n, nums)
-    g = -gcd(den, *nums) if den < 0 else gcd(den, *nums)
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
     if g != 1:
-        return tuple([x // g for x in nums]), den // g
+        nums = [x // g for x in nums]
+        den //= g
     return tuple(nums), den
 
 
@@ -158,13 +162,12 @@ def _ks_mul(a, b) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _packed_moduli(n: int) -> tuple[list, list, int]:
-    """The nonzero terms (i, c) of Phi_n and of Psi_n = (x^n - 1) / Phi_n =
-    -prod_{d | n} (1 - x^d)^(-mu(n/d)), and 1 + |Phi_n|_1 * |Psi_n|_1."""
+def _cofactor(n: int) -> tuple[tuple[int, ...], int]:
+    """Psi_n = (x^n - 1) / Phi_n = -prod_{d | n} (1 - x^d)^(-mu(n/d)), lowest
+    degree first, and 1 + |Phi_n|_1 * |Psi_n|_1."""
     phi = cyclotomic_poly(n)
-    psi = [-c for c in _binomial_product(n, -1, n - len(phi) + 2)] if n > 1 else [1]
-    return ([(i, c) for i, c in enumerate(phi) if c], [(i, c) for i, c in enumerate(psi) if c],
-            1 + sum(map(abs, phi)) * sum(map(abs, psi)))
+    psi = tuple(-c for c in _binomial_product(n, -1, n - len(phi) + 2)) if n > 1 else (1,)
+    return psi, 1 + sum(map(abs, phi)) * sum(map(abs, psi))
 
 
 def _packed_width(n: int, top: int, inputs: int = 0) -> int:
@@ -173,7 +176,7 @@ def _packed_width(n: int, top: int, inputs: int = 0) -> int:
     f' * Psi_n, so q * Phi_n and every partial sum of f' - q * Phi_n have
     entries <= top * (1 + |Phi_n|_1 * |Psi_n|_1).  A slot holds that, the
     packed inputs (<= inputs), a spare bit (checked) and a sign bit."""
-    return (2 * max(top * _packed_moduli(n)[2], inputs)).bit_length() // 8 + 1
+    return (2 * max(top * _cofactor(n)[1], inputs)).bit_length() // 8 + 1
 
 
 def _packed_mod_phi(n: int, f: int, width: int) -> list[int]:
@@ -185,14 +188,15 @@ def _packed_mod_phi(n: int, f: int, width: int) -> list[int]:
     top = bits * n
     while hi := ((f >> (top - 1)) + 1) >> 1:
         f += hi - (hi << top)
-    phi_terms, psi_terms, _ = _packed_moduli(n)
+    psi, phi = _cofactor(n)[0], cyclotomic_poly(n)
     # q = sum_j psi_j * (F div x^(n-j)), each quotient a rounded shift of f
-    q = sum(c * (((f >> (bits * (n - j) - 1)) + 1) >> 1) for j, c in psi_terms)
-    d = _phi(n)
+    q = sum(psi[j] * (((f >> (bits * (n - j) - 1)) + 1) >> 1)
+            for j in compress(range(len(psi)), psi))
+    d = len(phi) - 1
     r = f + _offset(d, width)
-    for i, c in phi_terms:
+    for i in compress(range(d + 1), phi):
         t = q << bits * i
-        r = r - t if c == 1 else r + t if c == -1 else r - c * t
+        r = r - t if phi[i] == 1 else r + t if phi[i] == -1 else r - phi[i] * t
     # too narrow a width leaves a slot at or above phi(n) or uses the spare bit
     out = None if r >> (bits * d) else _unpack(r, d, width)
     if out is None or max(map(abs, out)) >> (bits - 2):
@@ -296,7 +300,9 @@ class CycNum:
             return self
         cols = [CycNum.zeta(d, j).coerce(n).coeffs for j in range(_phi(d))]
         sol = _solve_columns(cols, self.coeffs)
-        return None if sol is None else CycNum(d, sol)
+        if sol is None:
+            return None
+        return CycNum(d, sol)
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
