@@ -264,15 +264,15 @@ def _by_division(n, v):
 
 def test_packed_reduction_matches_division_every_n():
     # both kernels on every conductor up to 400, whichever side of the
-    # cutoff it falls on: a product-length vector of 30-digit entries, a
-    # length n + 1 vector of small ones (folded once, with one slot above
-    # n) and a 6-digit one of length 2n + 1 (folded twice mod x^n - 1)
+    # cutoff it falls on: a product-length vector of 100-bit entries, a
+    # length n + 1 vector of 4-bit ones (one slot past x^n) and a 20-bit
+    # one of length 3n + 2, which a single fold mod x^n - 1 leaves too long
     rng = random.Random(400)
     for n in range(1, 401):
         d = len(cyclotomic_poly(n)) - 1
-        for length, size in [(2 * d - 1, 10**30), (n + 1, 9), (2 * n + 1, 10**6)]:
-            v = [rng.randint(-size, size) for _ in range(length)]
-            width = cyclotomic._packed_width(n, size * -(-length // n))
+        for length, bits in [(2 * d - 1, 100), (n + 1, 4), (3 * n + 2, 20)]:
+            v = [rng.getrandbits(bits) - (1 << bits - 1) for _ in range(length)]
+            width = cyclotomic._packed_width(n, (1 << bits - 1) * -(-length // n))
             packed = cyclotomic._packed_mod_phi(n, cyclotomic._pack(v, width), width)
             assert packed == _by_division(n, v), (n, length)
 
