@@ -12,7 +12,9 @@ Brent rho, Pollard's p-1 (stage 1), and two-stage ECM on Montgomery
 curves with Suyama's parametrisation (Lenstra, 1987; Montgomery, 1987).
 ECM's first round is sized for the 9-15-digit primes the search's norms
 carry: B1 = 2000, the 15-digit row of Zimmermann and Dodson's table
-(*20 Years of ECM*, 2006), with B2 = 50 B1.
+(*20 Years of ECM*, 2006), with B2 = 50 B1.  Stage 2 brings its baby
+and giant steps to Z = 1 with one batched inversion, so that each prime
+in (B1, B2] costs one multiplication (Montgomery, 1987).
 The curve generator is seeded from the integer, so every factorization
 is reproducible.  The result is checked before it is returned: the
 prime powers multiply back to n and every prime passes :func:`isprime`.
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, islice
 from math import gcd, isqrt, prod
 
 _TRIAL = 1 << 15
@@ -245,6 +247,24 @@ def _stage_two_plan(b1: int, b2: int) -> tuple[int, int, tuple]:
     return d, r0, blocks
 
 
+def _normalise(xs: list, zs: list, n: int) -> int:
+    """g = gcd(prod zs, n); when g is 1, each xs[i] is replaced by
+    xs[i] / zs[i] mod n, with one inversion for all of them (Montgomery's
+    trick), and otherwise xs is left scaled."""
+    total = 1
+    for i, z in enumerate(zs):
+        xs[i] = xs[i] * total % n  # times zs[0] ... zs[i - 1]
+        total = total * z % n
+    g = gcd(total, n)
+    if g != 1:
+        return g
+    inv = pow(total, -1, n)  # 1 / (zs[0] ... zs[i]), for i from the last down
+    for i in reversed(range(len(xs))):
+        xs[i] = xs[i] * inv % n
+        inv = inv * zs[i] % n
+    return 1
+
+
 def _ecm_curve(n: int, b1: int, b2: int, rng: random.Random) -> int | None:
     """One curve: stage 1 to b1, stage 2 to b2; a proper factor or None."""
     sigma = rng.randrange(6, n - 1)
@@ -259,23 +279,30 @@ def _ecm_curve(n: int, b1: int, b2: int, rng: random.Random) -> int | None:
     if g != 1:
         return g if g < n else None
     d, r0, blocks = _stage_two_plan(b1, b2)
-    # s[j] = 2j * Q for 1 <= j <= d, with beta[j] = X * Z of it
-    s = [None, _xdbl(x, z, a24, n)]
-    s.append(_xdbl(*s[1], a24, n))
-    for j in range(3, d + 1):
-        s.append(_xadd(*s[j - 1], *s[1], *s[j - 2], n))
-    beta = [0] + [xs * zs % n for xs, zs in s[1:]]
-    t = _ladder(r0 - 2 * d, x, z, a24, n)
-    r = _ladder(r0, x, z, a24, n)
+    # (xs[j] : zs[j]) = 2j * Q for 1 <= j <= d after a placeholder (0 : 1),
+    # then r * Q for r = r0 + 2 d i, one per block; kept as two lists of
+    # ints, not as tuples, to hold the memory peak down
+    x2, z2 = _xdbl(x, z, a24, n)
+    x4, z4 = _xdbl(x2, z2, a24, n)
+    xs, zs = [0, x2, x4], [1, z2, z4]
+    for _ in range(3, d + 1):
+        xj, zj = _xadd(xs[-1], zs[-1], x2, z2, xs[-2], zs[-2], n)
+        xs.append(xj)
+        zs.append(zj)
+    x2d, z2d = xs[-1], zs[-1]
+    t, r = _ladder(r0 - 2 * d, x, z, a24, n), _ladder(r0, x, z, a24, n)
+    for _ in blocks:
+        xs.append(r[0])
+        zs.append(r[1])
+        t, r = r, _xadd(*r, x2d, z2d, *t, n)
+    g = _normalise(xs, zs, n)
+    if g != 1:
+        return g if g < n else None
     acc = 1
-    for deltas in blocks:
-        xr, zr = r
-        alpha = xr * zr % n
+    for x_r, deltas in zip(islice(xs, d + 1, None), blocks):
         for delta in deltas:
-            xs, zs = s[delta]
-            # X_R Z_S - X_S Z_R, zero mod p when r * Q = +-2 delta * Q mod p
-            acc = acc * ((xr - xs) * (zr + zs) - alpha + beta[delta]) % n
-        t, r = r, _xadd(*r, *s[d], *t, n)
+            # zero mod p when r * Q = +-2 delta * Q mod p
+            acc = acc * (x_r - xs[delta]) % n
     g = gcd(acc, n)
     return g if 1 < g < n else None
 

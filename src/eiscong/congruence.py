@@ -8,19 +8,19 @@ of E_p = psi(p) - phi(p) p^k and E'_p = psi(p) - phi(p) p^(k-2)
 (Condition (2)).  Candidates for ell come from Condition (2) when M > 1:
 as gcd(N, M) = 1, psi(p) and phi(p) are roots of unity, so E_p and E'_p
 are nonzero algebraic integers (their terms differ in absolute value),
-and lambda' dividing either one puts ell in N(E_p) * N(E'_p).  So only
-the two norms at one p | M are factored; a candidate must also divide
-N(E_p) * N(E'_p) at the other p | M and, by Condition (1), the numerator
-of the Condition-(1) norm, which is never factored.  For M = 1 the
-candidates are the primes of that numerator.  Either way the enumeration
-cannot miss a prime that satisfies both conditions.
+and lambda' dividing either one puts ell in N(E_p) * N(E'_p).  By
+Condition (1) ell also divides the numerator of the Condition-(1) norm.
+So only one integer is factored: the gcd of that numerator and of
+N(E_p) * N(E'_p) over every p | M.  For M = 1 the candidates are the
+primes of that numerator.  Either way the enumeration cannot miss a
+prime that satisfies both conditions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .arith import factorint
 from .cyclotomic import CycNum
@@ -119,14 +119,12 @@ def _prime_factors(n: int, limit: int | None) -> set[int]:
 
 
 def _condition_two_candidates(quantities: _Quantities, limit: int | None) -> set[int]:
-    """Candidate ell <= limit for M > 1, as search_congruence_primes
-    describes."""
-    local = [(_norm_numerator(e_k), _norm_numerator(e_k2))
-             for e_k, e_k2 in quantities.factors.values()]
-    cond1 = _norm_numerator(quantities.cond1)
-    a, b = min(local, key=lambda ab: ab[0] * ab[1])
-    return {ell for ell in _prime_factors(a, limit) | _prime_factors(b, limit)
-            if cond1 % ell == 0 and all(x * y % ell == 0 for x, y in local)}
+    """Candidate ell <= limit for M > 1: the primes of the gcd of the
+    Condition-(1) norm numerator and every N(E_p) N(E'_p), p | M."""
+    g = gcd(_norm_numerator(quantities.cond1),
+            *(_norm_numerator(e_k) * _norm_numerator(e_k2)
+              for e_k, e_k2 in quantities.factors.values()))
+    return _prime_factors(g, limit)
 
 
 def search_congruence_primes(params: EisensteinParams, ell_max: int | None = None,
@@ -134,17 +132,16 @@ def search_congruence_primes(params: EisensteinParams, ell_max: int | None = Non
     """All (ell, lambda', report) with both conditions satisfied at an
     admissible ell, sorted by ell then by the canonical factor order.
 
-    For M > 1 the candidates for ell are the primes of N(E_p0) N(E'_p0)
-    at the p0 | M where that product is smallest.  One is kept when it
-    divides N(E_p) N(E'_p) at every p | M, which Condition (2) forces (see
-    the module docstring), and the Condition-(1) norm numerator, which
-    Condition (1) forces; the Condition-(1) norm is never factored.
+    For M > 1 the candidates for ell are the primes of one gcd: of the
+    Condition-(1) norm numerator, which Condition (1) forces, and of
+    N(E_p) N(E'_p) at every p | M, which Condition (2) forces (see the
+    module docstring).
     For M = 1, or when include_failures is set, the candidates are the
     prime factors of the Condition-(1) norm numerator and of every
     N(E'_q), and include_failures returns every report at them, satisfied
     or not, as diagnostics.  Both rules give the same satisfied triples.
-    With ell_max, every rule takes only the primes <= ell_max of the norms
-    it factors, which for ell_max <= 2^15 is trial division alone.
+    With ell_max, every rule takes only the primes <= ell_max of the
+    integers it factors, which for ell_max <= 2^15 is trial division alone.
     """
     m = value_conductor(params)
     quantities = _Quantities(params)

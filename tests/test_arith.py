@@ -113,6 +113,66 @@ def test_factorint_search_grid_norms(monkeypatch):
     assert b1s == {2000, 10_000}
 
 
+# n: [outcome of each of 8 successive _ecm_curve(n, 2000, 100000, rng)
+# calls with rng = random.Random(n)], recorded at commit 9d706a5, whose
+# stage 2 took X_R Z_S - X_S Z_R in projective coordinates.  The n are the
+# cofactors ECM gets from the two norms above (their primes below 2^15
+# taken out) and the SEMIPRIMES products, in that order.
+ECM_OUTCOMES = {
+    411156910366548586308296105832176041:
+        [None, None, None, 79176562369, None, None, None, None],
+    123377876425717988099645507045931814414433484230047643826830675173:
+        [None, None, None, None, None, 694146268537, None, None],
+    11211524157577973901757:
+        [244272517, None, None, 244272517, 45897607701721, 244272517, 244272517, 244272517],
+    22830714162619795407402780666854837:
+        [None, 3337446743, None, 3337446743, None, None, None, 3337446743],
+    243463849566718339950868232848471827462551731482203:
+        [None, None, None, 65166371807, 65166371807, None, 65166371807, 65166371807],
+    56147038879263423419088991:
+        [2111381949409, None, None, None, None, None, 26592554177599, None],
+    3431486524273338412397538523086430771:
+        [None] * 8,
+}
+
+
+def test_ecm_curve_outcomes_unchanged():
+    # the same sigma and the same primes in stage 2: every curve splits n,
+    # or fails to, as it did before stage 2 was normalised
+    semiprimes = []
+    for dp, dq, seed in SEMIPRIMES:
+        rng = random.Random(seed)
+        semiprimes.append(_next_prime(rng.randrange(10 ** (dp - 1), 10 ** dp))
+                          * _next_prime(rng.randrange(10 ** (dq - 1), 10 ** dq)))
+    assert list(ECM_OUTCOMES)[2:] == semiprimes
+    for n, expect in ECM_OUTCOMES.items():
+        rng = random.Random(n)
+        assert [arith._ecm_curve(n, 2000, 100_000, rng) for _ in range(8)] == expect
+
+
+def test_normalise_one_inversion_and_its_failure():
+    n = 101 * 103
+    xs, zs = [3, 7, 11, 0], [5, 2 * 101, 13, 1]
+    assert arith._normalise(xs, zs, n) == 101
+    xs, zs[1] = [3, 7, 11, 0], 2 * 107
+    assert arith._normalise(xs, zs, n) == 1
+    assert [x * z % n for x, z in zip(xs, zs)] == [3, 7, 11, 0]
+
+
+def test_ecm_curve_returns_the_factor_a_stage_two_z_shares(monkeypatch):
+    # a non-unit Z among the steps to normalise is returned the way stage
+    # 1's gcd(z, n) is: a proper divisor, or None when it is n itself
+    n, p = 411156910366548586308296105832176041, 79176562369
+    normalise = arith._normalise
+    for q, expect in [(p, p), (n, None)]:
+        def z_of_2q_times_q(xs, zs, m, q=q):
+            zs[1] *= q  # the Z of 2 * Q
+            return normalise(xs, zs, m)
+        monkeypatch.setattr(arith, "_normalise", z_of_2q_times_q)
+        # the first curve on n fails in both stages (ECM_OUTCOMES)
+        assert arith._ecm_curve(n, 2000, 100_000, random.Random(n)) == expect
+
+
 @pytest.mark.parametrize("b1", [2000, 10_000])
 def test_stage_two_plan_lists_each_prime_once(b1):
     # the primes in (b1, b2] as r + 2 delta, r = r0 + 2 D i: a plan that

@@ -279,6 +279,16 @@ def test_search_ell_max_bounded_time():
     assert json.loads(proc.stdout) == []
 
 
+def test_search_gcd_first_bounded_time():
+    # without --ell-max: the gcd of the Condition-(1) norm numerator and of
+    # N(E_p) N(E'_p) at p = 2, 3, 5 is 61, which divides N, so no ell is
+    # admissible and no norm is factored
+    proc = run_cli("--json", "search", "--psi", "1.1", "--phi", "61.2", "--M", "30",
+                   "--k", "21")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 @pytest.mark.parametrize("ell_max", ["-5", "0", "1"])
 def test_search_ell_max_below_two_exit_2(capsys, ell_max):
     code = run(["search", "--M", "2", "--k", "8", "--psi", "1.1", "--phi", "5.4",
