@@ -223,7 +223,10 @@ def _xadd(xp, zp, xq, zq, xd, zd, n):
 
 
 def _ladder(k, x, z, a24, n):
-    """k * (x : z) by the Montgomery ladder, k >= 1."""
+    """k * (x : z) by the Montgomery ladder, k >= 1 (checked: k = 0 would
+    return (x : z) itself and a negative k a meaningless point)."""
+    if k < 1:
+        raise ValueError(f"ladder multiplier must be >= 1, got {k}")
     x0, z0, x1, z1 = x, z, *_xdbl(x, z, a24, n)
     for bit in bin(k)[3:]:
         if bit == "1":
@@ -238,9 +241,12 @@ def _ladder(k, x, z, a24, n):
 @lru_cache(maxsize=4)
 def _stage_two_plan(b1: int, b2: int) -> tuple[int, int, tuple]:
     """(D, r0, blocks): the primes in [b1, b2] written r + 2*delta with
-    r = r0 + 2*D*i and 1 <= delta <= D; blocks[i] lists those deltas."""
+    r = r0 + 2*D*i and 1 <= delta <= D; blocks[i] lists those deltas.
+    Stage 2 ladders to r0 - 2D, so r0 > 2D is required (about b1^2 > 4 b2)."""
     d = isqrt(b2)
     r0 = b1 - 1 if b1 % 2 == 0 else b1 - 2
+    if r0 <= 2 * d:
+        raise ValueError(f"stage 2 plan needs r0 = {r0} > 2D = {2 * d} (b1 = {b1}, b2 = {b2})")
     flags = _sieve(b2 + 2 * d + 1)
     blocks = tuple(tuple(compress(range(1, d + 1), flags[r + 2: r + 2 * d + 1: 2]))
                    for r in range(r0, b2, 2 * d))

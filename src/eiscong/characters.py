@@ -262,9 +262,19 @@ def _crt(residues, moduli) -> int:
     return x % m
 
 
+def check_gauss_conductor(n: int) -> None:
+    """Raise ModulusTooLarge when a Gauss sum would be taken in Q(zeta_n)
+    with n above MODULUS_MAX: its vector has n entries, so the sum of
+    4919.13 (order 4918) would fill one in Q(zeta_24191642)."""
+    if n > MODULUS_MAX:
+        raise ModulusTooLarge(f"Gauss-sum conductor {n} is above the ceiling "
+                              f"MODULUS_MAX = {MODULUS_MAX}")
+
+
 def gauss_sum(phi: DirichletChar) -> CycNum:
     """g(phi) = sum_{n=0}^{v-1} phi(n) zeta_v^n for primitive phi of
-    conductor v; the result lives in conductor lcm(v, order).
+    conductor v; the result lives in conductor lcm(v, order), refused
+    above MODULUS_MAX before any vector is built.
 
     Every term is a single root of unity in the target field, so the sum
     is accumulated as one exponent vector and reduced once.
@@ -276,6 +286,7 @@ def gauss_sum(phi: DirichletChar) -> CycNum:
         return CycNum.one()
     o = phi.order
     big = lcm(v, o)
+    check_gauss_conductor(big)
     vec = [0] * big
     for n in range(v):
         j = phi.slot(n)

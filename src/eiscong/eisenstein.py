@@ -24,8 +24,9 @@ from itertools import product as iter_product
 from math import gcd, lcm, prod
 
 from .arith import divisors, primefactors
-from .characters import MODULUS_MAX, DirichletChar, gauss_sum, is_square_free
-from .cyclotomic import CycNum, _from_ints
+from .characters import (MODULUS_MAX, DirichletChar, check_gauss_conductor, gauss_sum,
+                         is_square_free)
+from .cyclotomic import CycNum, _from_ints, _mod_phi
 from .errors import InsufficientPrecision, ModulusTooLarge, NotSquareFree
 from .lvalues import check_order, check_precision, check_weight, l_value_at_negative
 
@@ -265,13 +266,54 @@ def sigma_power_div(n: int, k: int, psi: DirichletChar, phi: DirichletChar) -> C
 
 
 # per parameter set: the rows' field o, their denominator (that of a_0) and
-# the (row, tag) pairs computed so far, a list that only grows (single writer)
+# the (row, tag) pairs computed so far, a list that only grows (single
+# writer); rows past its end are added by one _series_rows sieve per request
 _SERIES_CACHE: dict[EisensteinParams, tuple[int, int, list]] = {}
+
+# the most accumulator entries (o per coefficient) one _series_rows segment
+# holds, so that at a large field o the sieve takes no more memory than the
+# rows it returns; at o <= 2 every fill up to PREC_MAX is one segment
+_FILL_SLOTS = 1 << 18
+
+
+def _series_rows(params: EisensteinParams, o: int, den: int, lo: int, hi: int) -> list:
+    """The (row, tag) pairs of a_n = sigma_power_div(n, k, psi, phi) for
+    lo <= n <= hi (lo >= 1), rows in Q(zeta_o) over den, from one divisor
+    sieve: each d with phi(d) != 0 adds d^(k-1) to the zeta_o exponent
+    psi(n/d) + phi(d) of each multiple n with psi(n/d) != 0, read from slot
+    tables over the residues below min(modulus, hi + 1), and each vector is
+    reduced once.  Every tag is lcm(ord psi, ord phi), as sigma_power_div
+    gives it when some term is nonzero (even if the sum is zero): the
+    conductors u and v are coprime, so d = the part of n prime to v always
+    gives one, with psi(n/d) and phi(d) both nonzero."""
+    psi, phi, k = params.psi, params.phi, params.k
+    tag = lcm(psi.order, phi.order)
+    qa, qb = min(psi.modulus, hi + 1), min(phi.modulus, hi + 1)
+    ta = [None if (j := psi.slot(r)) is None else j * (o // psi.order) for r in range(qa)]
+    tb = [None if (j := phi.slot(r)) is None else j * (o // phi.order) for r in range(qb)]
+    out, step = [], max(1, _FILL_SLOTS // o)
+    for s in range(lo, hi + 1, step):
+        e = min(hi, s + step - 1)
+        acc = [0] * ((e - s + 1) * o)
+        for d in range(1, e + 1):
+            first = -(-s // d)
+            if (b := tb[d % qb]) is None or first * d > e:
+                continue
+            w = d ** (k - 1)
+            for m in range(first, e // d + 1):
+                if (a := ta[m % qa]) is not None:
+                    acc[(m * d - s) * o + (a + b) % o] += w
+        for i in range(0, len(acc), o):
+            row = _mod_phi(o, acc[i: i + o])
+            out.append((tuple(row) if den == 1 else tuple(v * den for v in row), tag))
+    return out
 
 
 def eisenstein_qexp(params: EisensteinParams, b: int) -> QExpansion:
     """The normalised weight-k Eisenstein series attached to (psi, phi),
-    new at level N, to precision b <= lvalues.PREC_MAX."""
+    new at level N, to precision b <= lvalues.PREC_MAX (checked before any
+    work).  Rows past the cached ones come from one _series_rows sieve, in
+    place of one sigma_power_div per coefficient."""
     if b < 1:
         raise ValueError("precision must be >= 1")
     check_precision(b)
@@ -286,9 +328,8 @@ def eisenstein_qexp(params: EisensteinParams, b: int) -> QExpansion:
         den = a0.coerce(o).den
         entry = _SERIES_CACHE.setdefault(params, (o, den, [(_row(a0, o, den), a0.conductor)]))
     o, den, lst = entry
-    for n in range(len(lst), b + 1):
-        c = sigma_power_div(n, params.k, params.psi, params.phi)
-        lst.append((_row(c, o, den), c.conductor))
+    if b >= len(lst):
+        lst += _series_rows(params, o, den, len(lst), b)
     rows, tags = zip(*lst[: b + 1])
     return QExpansion(params.k, params.N, params.chi, rows, tags, o, den)
 
@@ -399,9 +440,11 @@ def cusp_representatives(level: int) -> list[CuspMatrix]:
 
 def _gauss_ratio(psi: DirichletChar, phi: DirichletChar) -> CycNum:
     """g(psi phi^-1) / g(phi^-1), where 1/g(phi^-1) = phi(-1) g(phi) / v
-    because g(phi) g(phi^-1) = phi(-1) v for primitive phi of conductor v."""
-    return (gauss_sum(psi * phi.inverse()) * gauss_sum(phi)
-            * Fraction(phi.parity, phi.modulus))
+    because g(phi) g(phi^-1) = phi(-1) v for primitive phi of conductor v.
+    The product's conductor is checked against MODULUS_MAX first."""
+    chi = psi * phi.inverse()
+    check_gauss_conductor(lcm(chi.modulus, chi.order, phi.modulus, phi.order))
+    return gauss_sum(chi) * gauss_sum(phi) * Fraction(phi.parity, phi.modulus)
 
 
 def c_gamma(params: EisensteinParams, gamma: CuspMatrix) -> CycNum:

@@ -50,8 +50,9 @@ class OrderTooLarge(EiscongError, ValueError):
 
 
 class ModulusTooLarge(EiscongError, ValueError):
-    """A character modulus is above characters.MODULUS_MAX, the ceiling on
-    the unit tables a character is built from."""
+    """A character modulus, or the conductor a Gauss sum is taken in, is
+    above characters.MODULUS_MAX, the ceiling on the unit tables a character
+    is built from."""
 
 
 class PrecisionTooLarge(EiscongError, ValueError):

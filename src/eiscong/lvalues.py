@@ -41,9 +41,10 @@ K_MAX = 1000
 ORDER_MAX = 5000
 
 # the largest precision b accepted for a q-expansion a_0 + ... + a_b q^b
-# of an Eisenstein series: each a_n is a divisor sum, built and printed by
-# `eis qexp` one by one, so `eis qexp --psi 1.1 --phi 5.4 --M 6 --k 8` at
-# b = PREC_MAX takes about 6 s and prints 4.3 MB on a 2-vCPU x86 host
+# of an Eisenstein series: the a_n come from one divisor sieve and are
+# printed by `eis qexp` one by one, so `eis qexp --psi 1.1 --phi 5.4 --M 6
+# --k 8` at b = PREC_MAX takes about 3 s and prints 4.3 MB on a 2-vCPU
+# x86 host
 PREC_MAX = 10**5
 
 _BERNOULLI: list[Fraction] = [Fraction(1), Fraction(-1, 2)]

@@ -190,6 +190,25 @@ def test_stage_two_plan_lists_each_prime_once(b1):
                            for r in range(r0, b2, 2 * d))
 
 
+def test_stage_two_plan_refuses_r0_at_most_2d():
+    # B2 = 400 B1 at B1 = 1000 gives D = 632 and r0 = 999 < 2D: stage 2
+    # would ladder by r0 - 2D = -265
+    with pytest.raises(ValueError, match="r0 = 999"):
+        arith._stage_two_plan(1000, 400000)
+    # the smallest b2 past the edge at b1 = 1000 (D = 500, r0 = 999 < 1000)
+    assert arith._stage_two_plan(1000, 249999)[:2] == (499, 999)
+    with pytest.raises(ValueError):
+        arith._stage_two_plan(1000, 250000)
+
+
+def test_ladder_refuses_a_multiplier_below_one():
+    n, a24 = 1000003, 5
+    assert arith._ladder(1, 7, 1, a24, n) == (7, 1)
+    for k in (0, -265):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            arith._ladder(k, 7, 1, a24, n)
+
+
 @given(st.integers(1, 10**12), st.integers(0, 2**16))
 def test_factorint_limit(n, limit):
     full = sympy.factorint(n)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import factorint, legendre_symbol, totient
 
-from eiscong.characters import (DirichletChar, conrey_generator, enumerate_pairs,
-                                gauss_sum, is_square_free, parity_matches,
-                                primitive_characters)
+from eiscong.characters import (MODULUS_MAX, DirichletChar, check_gauss_conductor,
+                                conrey_generator, enumerate_pairs, gauss_sum,
+                                is_square_free, parity_matches, primitive_characters)
 from eiscong.cyclotomic import CycNum
-from eiscong.errors import NotAMultiple, NotPrimitive, NotSquareFree
+from eiscong.errors import ModulusTooLarge, NotAMultiple, NotPrimitive, NotSquareFree
 from helpers import char_to_complex, cyc_to_complex
 
 # every modulus up to 64, and the 2-power moduli up to 2^7
@@ -238,6 +238,20 @@ def test_gauss_sum_trivial_and_quadratic():
     assert g * g == 5
     with pytest.raises(NotPrimitive):
         gauss_sum(DirichletChar(10, 9))
+
+
+def test_gauss_sum_refuses_a_conductor_above_the_ceiling(monkeypatch):
+    # 4919.13 has order 4918: g lies in Q(zeta_lcm(4919, 4918)), refused
+    # before the table of 24191642 entries is built or a slot is read
+    phi = DirichletChar(4919, 13)
+    assert phi.order == 4918 and phi.is_primitive()
+    monkeypatch.setattr(DirichletChar, "slot", None)
+    with pytest.raises(ModulusTooLarge, match="conductor 24191642 is above"):
+        gauss_sum(phi)
+    monkeypatch.undo()
+    check_gauss_conductor(MODULUS_MAX)
+    with pytest.raises(ModulusTooLarge):
+        check_gauss_conductor(MODULUS_MAX + 1)
 
 
 def test_gauss_sum_norm_identity_small():

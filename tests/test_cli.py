@@ -131,6 +131,7 @@ def test_eis_qexp_prec_above_ceiling_exit_2(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("a coefficient was computed")
     monkeypatch.setattr(eisenstein, "sigma_power_div", no_work)
+    monkeypatch.setattr(eisenstein, "_series_rows", no_work)
     prec = PREC_MAX + 1
     assert run(["eis", "qexp", "--M", "6", "--k", "8", "--psi", "1.1", "--phi", "5.4",
                 "--prec", str(prec)]) == 2
@@ -147,6 +148,16 @@ def test_eis_cusp(capsys):
         "--a", "1", "--beta", "0", "--b", "0", "--d", "1"])
     assert code == 0
     assert payload["c_gamma"]["coeffs"][0] == ["-691", "65520"]
+
+
+def test_eis_cusp_gauss_conductor_above_ceiling_exit_2():
+    # phi = 4919.13 has order 4918, so g(phi) lies in Q(zeta_24191642):
+    # refused before any vector is built, well inside the time limit
+    proc = run_cli("eis", "cusp", "--M", "2", "--k", "7", "--psi", "1.1", "--phi", "4919.13",
+                   "--a", "1", "--beta", "0", "--b", "4919", "--d", "1")
+    assert proc.returncode == 2
+    assert "Gauss-sum conductor 24191642 is above the ceiling" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_verify_pass_and_fail_exit_codes(capsys, tmp_path):

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from sympy import divisors, invert, primefactors, primerange
 
+from eiscong import arith, characters, eisenstein
 from eiscong.characters import DirichletChar, gauss_sum, is_square_free, primitive_characters
 from eiscong.cyclotomic import CycNum, cyclotomic_poly
 from eiscong.eisenstein import (_SERIES_CACHE, CuspMatrix, DeltaChoice, EisensteinParams,
-                                QExpansion, alpha_m, c_gamma, constant_term_alpha_m,
-                                constant_term_e_delta, cusp_matrix_for,
+                                QExpansion, _row, _series_rows, alpha_m, c_gamma,
+                                constant_term_alpha_m, constant_term_e_delta, cusp_matrix_for,
                                 cusp_representatives, e_delta, e_delta_via_hecke,
                                 eisenstein_qexp, hecke_tp, sigma_power_div)
-from eiscong.errors import InsufficientPrecision, NotSquareFree
+from eiscong.errors import InsufficientPrecision, ModulusTooLarge, NotSquareFree
 from helpers import (CoeffQExpansion, from_qq, qq, ref_alpha_m, ref_e_delta,
                      ref_e_delta_via_hecke, ref_eisenstein_qexp, ref_hecke_tp)
 
@@ -144,6 +145,72 @@ def test_sigma_power_div_matches_cycnum_sum(n, k, psi, phi):
     # to_json compares the conductor as well as the value
     assert sigma_power_div(n, k, psi, phi).to_json() == \
         sigma_by_cycnum(n, k, psi, phi).to_json()
+
+
+def _params(psi, phi, k):
+    psi, phi = DirichletChar.from_label(psi), DirichletChar.from_label(phi)
+    return EisensteinParams(psi.modulus * phi.modulus, 1, k, psi, phi)
+
+
+# psi trivial and not, characters of modulus above 600 on either side, and
+# every weight 3 <= k <= 12 of both parities
+FILL_PARAMS = [_params(psi, phi, k) for psi, phi, ks in [
+    ("1.1", "1.1", (4, 12)), ("1.1", "5.4", (8,)), ("1.1", "5.2", (3, 5)),
+    ("3.2", "5.2", (6,)), ("3.2", "5.4", (7, 9)), ("3.2", "7.3", (10,)),
+    ("1.1", "601.32", (12,)), ("1.1", "613.35", (11,)), ("613.35", "1.1", (3,)),
+    ("607.211", "5.4", (9,))] for k in ks]
+
+
+def _fresh_cache(params):
+    _SERIES_CACHE.pop(params, None)
+    eisenstein_qexp(params, 1)
+    return _SERIES_CACHE[params]
+
+
+@pytest.mark.parametrize("params", FILL_PARAMS, ids=lambda p: f"{p.psi.label}-{p.phi.label}-k{p.k}")
+def test_series_rows_match_sigma_power_div(params):
+    # each (row, tag) against one sigma_power_div per n, the tag being the
+    # conductor it returns (lcm(ord psi, ord phi) once any term is nonzero)
+    o, den, lst = _fresh_cache(params)
+    eisenstein_qexp(params, 600)
+    for n in range(1, 601):
+        c = sigma_power_div(n, params.k, params.psi, params.phi)
+        assert lst[n] == (_row(c, o, den), c.conductor), n
+
+
+@pytest.mark.parametrize("slots", [eisenstein._FILL_SLOTS, 37])
+def test_series_cache_grown_in_steps_equals_one_fill(monkeypatch, slots):
+    # 37 accumulator slots make the sieve run in segments of 37 // o rows
+    monkeypatch.setattr(eisenstein, "_FILL_SLOTS", slots)
+    for params in FILL_PARAMS[::2]:
+        lst = _fresh_cache(params)[2]
+        for b in (1, 2, 3, 40, 41, 232, 600):
+            eisenstein_qexp(params, b)
+        stepped = list(lst)
+        lst = _fresh_cache(params)[2]
+        eisenstein_qexp(params, 600)
+        assert lst == stepped and len(lst) == 601
+
+
+def test_series_rows_take_no_divisors(monkeypatch):
+    # the fill tabulates each character's slots once, at most b + 1 of
+    # them, and factors nothing
+    fields = {params: _fresh_cache(params)[:2] for params in FILL_PARAMS}
+
+    def no_call(*args):
+        raise AssertionError("the fill called a per-n helper")
+    for name in ("sigma_power_div", "divisors"):
+        monkeypatch.setattr(eisenstein, name, no_call)
+    monkeypatch.setattr(arith, "factorint", no_call)
+    monkeypatch.setattr(characters, "factorint", no_call)
+    calls = []
+    slot = DirichletChar.slot
+    monkeypatch.setattr(DirichletChar, "slot", lambda self, n: calls.append(n) or slot(self, n))
+    for params, (o, den) in fields.items():
+        for b in (10, 600):
+            calls.clear()
+            _series_rows(params, o, den, 1, b)
+            assert len(calls) == min(params.u, b + 1) + min(params.v, b + 1) <= 2 * (b + 1)
 
 
 P30 = EisensteinParams(7, 30, 6, TRIV, PHI74)
@@ -309,6 +376,17 @@ def test_c_gamma_character_factors_are_units():
         while num % v == 0:
             num //= v
         assert num == 1
+
+
+def test_cusp_constant_refuses_a_gauss_conductor_above_the_ceiling(monkeypatch):
+    # g(psi phi^-1) g(phi) for phi = 4919.13 (order 4918) would lie in
+    # Q(zeta_24191642): refused before either Gauss sum is taken
+    def no_sum(chi):
+        raise AssertionError("a Gauss sum was taken")
+    monkeypatch.setattr(eisenstein, "gauss_sum", no_sum)
+    params = EisensteinParams(4919, 2, 7, TRIV, DirichletChar(4919, 13))
+    with pytest.raises(ModulusTooLarge, match="conductor 24191642 is above"):
+        c_gamma(params, CuspMatrix(1, 0, 4919, 1))
 
 
 def test_gauss_sum_inverse_identity():
