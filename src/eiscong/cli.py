@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from .characters import DirichletChar
 from .congruence import bk_report, check_conditions_above, search_congruence_primes, value_conductor
@@ -115,10 +116,12 @@ def cmd_eis(args) -> int:
     delta = _parse_delta(params, args.delta)
     if args.eis_command == "qexp":
         f = e_delta(params, delta, args.prec)
-        _emit(args, f.to_json(),
-              [f"E_delta[{delta.label()}] level {f.level} weight {f.weight} "
-               f"char {f.character.label}:"] +
-              [f"  a_{n} = {a!r}" for n, a in enumerate(f.coeffs)])
+        # only the printed form is built (the lines lazily): at a long
+        # precision either one costs as much as the series
+        lines = chain([f"E_delta[{delta.label()}] level {f.level} weight {f.weight} "
+                       f"char {f.character.label}:"],
+                      (f"  a_{n} = {f[n]!r}" for n in range(f.precision + 1)))
+        _emit(args, f.to_json() if args.json else None, lines)
     else:
         gamma = CuspMatrix(args.a, args.beta, args.b, args.d)
         ct = constant_term_e_delta(params, delta, gamma)

@@ -13,6 +13,12 @@ with a conductor tag per row.  The series cache keeps the base series in
 that form; e_delta and hecke_tp rewrite rows through the integer matrix
 of one multiplier per prime, and coefficients are built as CycNum, in
 their tag's field, only when read.
+
+What is built once is reused: the base series for the life of the
+process (the series cache), the longest lift E_delta for as long as its
+DeltaChoice lives (shorter requests are truncated copies), and the cusp
+constant for as long as its EisensteinParams lives.  e_delta_via_hecke
+reads only the series cache, so it stays an independent reference.
 """
 
 from __future__ import annotations
@@ -78,6 +84,15 @@ class EisensteinParams:
     def m_primes(self) -> tuple[int, ...]:
         return tuple(primefactors(self.M))
 
+    @cached_property
+    def cusp_constant(self) -> CycNum:
+        """-(g(psi phi^-1)/g(phi^-1)) L(1-k, psi^-1 phi)/2, the part of c_gamma
+        and of every constant term at a cusp that depends on the parameter
+        set alone; the Gauss-sum ratio is taken first, so its conductor
+        ceiling refuses before the L-value is computed."""
+        return _gauss_ratio(self.psi, self.phi) * Fraction(-1, 2) * \
+            l_value_at_negative(self.k, self.psi.inverse() * self.phi)
+
     @property
     def u(self) -> int:
         return self.psi.modulus
@@ -104,6 +119,8 @@ class DeltaChoice:
                 raise ValueError(f"selection for {p} must be 'psi' or 'phi'")
         self.params = params
         self.selection = dict(sorted(selection.items()))
+        # params -> the longest lift e_delta has built for this choice
+        self._lifts: dict[EisensteinParams, QExpansion] = {}
 
     @classmethod
     def all_choices(cls, params: EisensteinParams) -> list["DeltaChoice"]:
@@ -309,14 +326,18 @@ def _series_rows(params: EisensteinParams, o: int, den: int, lo: int, hi: int) -
     return out
 
 
+def _check_b(b: int) -> None:
+    if b < 1:
+        raise ValueError("precision must be >= 1")
+    check_precision(b)
+
+
 def eisenstein_qexp(params: EisensteinParams, b: int) -> QExpansion:
     """The normalised weight-k Eisenstein series attached to (psi, phi),
     new at level N, to precision b <= lvalues.PREC_MAX (checked before any
     work).  Rows past the cached ones come from one _series_rows sieve, in
     place of one sigma_power_div per coefficient."""
-    if b < 1:
-        raise ValueError("precision must be >= 1")
-    check_precision(b)
+    _check_b(b)
     entry = _SERIES_CACHE.get(params)
     if entry is None:
         if params.psi.modulus == 1:
@@ -364,11 +385,21 @@ def e_delta(params: EisensteinParams, delta: DeltaChoice, b: int) -> QExpansion:
     prod_{p | M} (1 - delta_p alpha_p) E, which is the alternating divisor
     sum sum_{m | M} (-1)^(#P_m) delta_m alpha_m E since the alpha_p commute
     and alpha_p alpha_q = alpha_pq.  Each factor rewrites the rows n of
-    the multiples of p, through the integer matrix of -delta_p."""
-    f = eisenstein_qexp(params, b)
-    for p in params.m_primes:
-        f = _plus_dilated(f, -delta.delta(p), p, 1, b)
-    return replace(f, level=params.N * params.M, character=params.chi_tilde)
+    the multiples of p, through the integer matrix of -delta_p.
+
+    The longest lift built is kept on the delta-choice, keyed by params,
+    for as long as the delta-choice lives: a request at or below its
+    precision is a truncated copy (a new object, so reading its
+    coefficients pins nothing there), and a longer one rebuilds at b."""
+    _check_b(b)
+    f = delta._lifts.get(params)
+    if f is None or f.precision < b:
+        f = eisenstein_qexp(params, b)
+        for p in params.m_primes:
+            f = _plus_dilated(f, -delta.delta(p), p, 1, b)
+        f = delta._lifts[params] = replace(f, level=params.N * params.M,
+                                           character=params.chi_tilde)
+    return f.truncate(b)
 
 
 def e_delta_via_hecke(params: EisensteinParams, delta: DeltaChoice, b: int) -> QExpansion:
@@ -450,20 +481,16 @@ def _gauss_ratio(psi: DirichletChar, phi: DirichletChar) -> CycNum:
 def c_gamma(params: EisensteinParams, gamma: CuspMatrix) -> CycNum:
     """The cusp constant
     -(g(psi phi^-1)/g(phi^-1)) (phi^-1(a) psi(-b/v) / u^k) L(1-k, psi^-1 phi)/2,
-    defined when v | b.  The Gauss-sum ratio is taken without an inverse,
-    as g(psi phi^-1) g(phi) phi(-1) / v (from g(phi) g(phi^-1) = phi(-1) v)."""
-    v = params.v
-    if gamma.b % v:
+    defined when v | b: the constant term of E[gamma]_k (m = 1 below)."""
+    if gamma.b % params.v:
         raise ValueError("c_gamma requires v | b")
-    psi, phi = params.psi, params.phi
-    ratio = _gauss_ratio(psi, phi)
-    val = ratio * phi.inverse()(gamma.a) * psi(-gamma.b // v)
-    val = val * l_value_at_negative(params.k, psi.inverse() * phi)
-    return val * Fraction(-1, 2 * params.u ** params.k)
+    return constant_term_alpha_m(params, 1, gamma)
 
 
 def constant_term_alpha_m(params: EisensteinParams, m: int, gamma: CuspMatrix) -> CycNum:
-    """Constant term of (alpha_m E)[gamma]_k, for m coprime to N."""
+    """Constant term of (alpha_m E)[gamma]_k, for m coprime to N: with
+    b1 = b / gcd(b, m) and m1 = m / gcd(b, m), params.cusp_constant times
+    phi^-1(m1 a) psi(-b1/v) / (u m1)^k when v | b1, else zero."""
     if gcd(m, params.N) != 1:
         raise ValueError("m must be coprime to N")
     g0 = gcd(gamma.b, m)
@@ -471,11 +498,8 @@ def constant_term_alpha_m(params: EisensteinParams, m: int, gamma: CuspMatrix) -
     v = params.v
     if b1 % v:
         return CycNum.zero(1)
-    psi, phi = params.psi, params.phi
-    ratio = _gauss_ratio(psi, phi)
-    val = ratio * phi.inverse()(m1 * gamma.a) * psi(-b1 // v)
-    val = val * l_value_at_negative(params.k, psi.inverse() * phi)
-    return val * Fraction(-1, 2 * (params.u * m1) ** params.k)
+    val = params.cusp_constant * params.phi.inverse()(m1 * gamma.a) * params.psi(-b1 // v)
+    return val * Fraction(1, (params.u * m1) ** params.k)
 
 
 def constant_term_e_delta(params: EisensteinParams, delta: DeltaChoice,

@@ -356,6 +356,31 @@ def test_eis_qexp_json_golden(capsys):
         assert capsys.readouterr().out == case["stdout"], case["argv"]
 
 
+def test_eis_qexp_human_golden(capsys):
+    # stdout of `eis qexp` without --json, recorded from the sources that
+    # built both output forms: rational, Q(zeta_3) and Q(zeta_12) coefficients
+    cases = json.loads((Path(__file__).resolve().parent / "data" /
+                        "eis_qexp_human.json").read_text())
+    assert len(cases) == 4
+    for case in cases:
+        assert run(case["argv"]) == 0
+        assert capsys.readouterr().out == case["stdout"], case["argv"]
+
+
+def test_eis_qexp_builds_only_the_printed_form(capsys, monkeypatch):
+    argv = ["eis", "qexp", "--psi", "1.1", "--phi", "7.4", "--M", "6", "--k", "6", "--prec", "20"]
+
+    def unused(*args):
+        raise AssertionError("an output that is not printed was built")
+    with monkeypatch.context() as m:
+        m.setattr(eisenstein.QExpansion, "to_json", unused)
+        assert run(argv) == 0
+    with monkeypatch.context() as m:
+        m.setattr(CycNum, "__repr__", unused)
+        assert run(["--json", *argv]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["search", "--M", "2", "--k", "100000", "--psi", "1.1", "--phi", "5.4"],
     ["check", "--M", "2", "--k", "100000", "--psi", "1.1", "--phi", "5.4", "--ell", "13"],

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -15,7 +16,9 @@ from eiscong.eisenstein import (_SERIES_CACHE, CuspMatrix, DeltaChoice, Eisenste
                                 constant_term_alpha_m, constant_term_e_delta, cusp_matrix_for,
                                 cusp_representatives, e_delta, e_delta_via_hecke,
                                 eisenstein_qexp, hecke_tp, sigma_power_div)
-from eiscong.errors import InsufficientPrecision, ModulusTooLarge, NotSquareFree
+from eiscong.errors import (InsufficientPrecision, ModulusTooLarge, NotSquareFree,
+                            PrecisionTooLarge)
+from eiscong.lvalues import PREC_MAX
 from helpers import (CoeffQExpansion, from_qq, qq, ref_alpha_m, ref_e_delta,
                      ref_e_delta_via_hecke, ref_eisenstein_qexp, ref_hecke_tp)
 
@@ -232,6 +235,67 @@ def test_e_delta_matches_alternating_divisor_sum(params):
                     acc = acc + dc.delta_m(m) * (-1) ** len(primefactors(m)) * base[n // m]
             want.append(acc.to_json())
         assert [c.to_json() for c in e_delta(params, dc, b).coeffs] == want, dc
+
+
+def _lift_json(f):
+    return [c.to_json() for c in f.coeffs]
+
+
+@pytest.mark.parametrize("order", [(12, 41), (41, 12)], ids=["short-first", "long-first"])
+@pytest.mark.parametrize("params", [P51, P53], ids=lambda p: f"M{p.M}")
+def test_e_delta_reuses_the_longest_lift(params, order):
+    # every request, before or after a longer one, equals a cold build on a
+    # fresh delta-choice; to_json compares the conductor tags too
+    for dc in DeltaChoice.all_choices(params):
+        for b in order:
+            cold = e_delta(params, DeltaChoice(params, dc.selection), b)
+            assert _lift_json(e_delta(params, dc, b)) == _lift_json(cold), (dc, b)
+        assert dc._lifts[params].precision == max(order)
+        # reading a returned lift's coefficients pins nothing in the store
+        assert "coeffs" not in vars(dc._lifts[params])
+        assert e_delta(params, dc, 12) is not e_delta(params, dc, 12)
+
+
+def test_e_delta_store_is_keyed_by_params():
+    # the rows read the series of params and delta_p of delta.params
+    p51_k10 = EisensteinParams(5, 2, 10, TRIV, PHI5)
+    dc = DeltaChoice.constant(P51, "phi")
+    e_delta(P51, dc, 41)
+    got = e_delta(p51_k10, dc, 12)
+    assert _lift_json(got) == _lift_json(e_delta(p51_k10, DeltaChoice.constant(P51, "phi"), 12))
+    assert got.weight == 10 and set(dc._lifts) == {P51, p51_k10}
+
+
+def test_e_delta_checks_precision_before_the_store():
+    dc = DeltaChoice.constant(P53, "psi")
+    e_delta(P53, dc, 41)
+    with pytest.raises(ValueError, match="precision must be >= 1"):
+        e_delta(P53, dc, 0)
+    with pytest.raises(PrecisionTooLarge):
+        e_delta(P53, dc, PREC_MAX + 1)
+    assert dc._lifts[P53].precision == 41
+
+
+def test_e_delta_via_hecke_reads_no_store():
+    for dc in DeltaChoice.all_choices(P53):
+        e_delta_via_hecke(P53, dc, 12)
+        assert dc._lifts == {}
+
+
+def test_cusp_constant_taken_once_per_parameter_set(monkeypatch):
+    calls = Counter()
+    for name in ("gauss_sum", "l_value_at_negative"):
+        fn = getattr(eisenstein, name)
+        monkeypatch.setattr(eisenstein, name,
+                            lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
+    params = EisensteinParams(7, 6, 6, TRIV, PHI74)  # a new instance: nothing cached
+    gamma = cusp_matrix_for(3, 14)  # v = 7 divides b / gcd(b, m) for every m | 6
+    assert c_gamma(params, gamma) == constant_term_alpha_m(params, 1, gamma)
+    assert all(constant_term_alpha_m(params, m, gamma) for m in divisors(params.M))
+    for dc in DeltaChoice.all_choices(params):
+        constant_term_e_delta(params, dc, gamma)
+    assert c_gamma(params, CuspMatrix(1, 0, 0, 1)) == params.cusp_constant
+    assert calls == {"gauss_sum": 2, "l_value_at_negative": 1}
 
 
 def test_e_delta_leaves_series_cache_alone():
