@@ -33,6 +33,7 @@ from eiscong.cyclotomic import (CycNum, _phi, _solve_columns, clear_denominators
                                  cyclotomic_poly)
 from eiscong.errors import NotSquareFree  # noqa: E402
 from eiscong.eisenstein import sigma_power_div  # noqa: E402
+from eiscong.fppoly import trim  # noqa: E402
 from eiscong.lvalues import l_value_at_negative  # noqa: E402
 from eiscong.newforms import NewformData, delta_an, save_fixture, sturm_bound  # noqa: E402
 
@@ -52,14 +53,11 @@ def log(msg: str):
 
 
 def sigma_series(k1: int, psi: DirichletChar, phi: DirichletChar, b: int) -> list[CycNum]:
-    """a_0 .. a_b of the (psi, phi) Eisenstein series of weight k1 >= 1."""
-    u = psi.modulus
-    if u == 1:
+    """a_0 .. a_b of the (psi, phi) Eisenstein series of weight k1 >= 2."""
+    if psi.modulus == 1:
         a0 = l_value_at_negative(k1, psi.inverse() * phi) * Fraction(1, 2)
     else:
         a0 = CycNum.zero(1)
-    if k1 == 1 and phi.modulus == 1:
-        a0 = a0 + l_value_at_negative(1, phi.inverse() * psi) * Fraction(1, 2)
     return [a0] + [sigma_power_div(n, k1, psi, phi) for n in range(1, b + 1)]
 
 
@@ -103,7 +101,7 @@ class Atom:
 
 
 def weight_atoms(k1: int, level: int) -> list[Atom]:
-    """All Eisenstein atoms of weight k1 with level dividing `level`."""
+    """All Eisenstein atoms of weight k1 >= 2 with level dividing `level`."""
     out = []
     for u in divisors(level):
         for v in divisors(level // u):
@@ -113,8 +111,6 @@ def weight_atoms(k1: int, level: int) -> list[Atom]:
                         continue
                     if k1 == 2 and u == v == 1:
                         continue
-                    if k1 == 1 and (u, psi.index) > (v, phi.index):
-                        continue  # E_1 is symmetric in (psi, phi)
                     for t in divisors(level // (u * v)):
                         out.append(Atom(k1, psi, phi, t))
     if k1 == 2:
@@ -199,13 +195,6 @@ class Echelon:
 # ----------------------------------------------------------------------
 # K = Q[x]/(g) arithmetic (lists of Fractions, lowest degree first)
 # ----------------------------------------------------------------------
-
-
-def trim(f: list) -> list:
-    """f without its trailing zeros, so that [] is the zero element."""
-    while f and not f[-1]:
-        f.pop()
-    return f
 
 
 class KField:

@@ -4,9 +4,10 @@ Exit codes: 0 = ran fine (including "conditions not satisfied" reports),
 1 = a congruence verification ran and failed, 2 = usage or data errors,
 3 = an internal error (any other exception), reported on one line.
 Characters are named by Conrey labels "modulus.index" ("1.1" is the
-trivial character).  A config file of KEY=VALUE lines may set `endpoint`
-and `fixtures`; environment variables EISCONG_ENDPOINT, EISCONG_FIXTURES
-and EISCONG_OFFLINE override it, and flags override both.
+trivial character).  Each data-source setting is a flag or an environment
+variable, and the flag takes precedence: --fixtures is searched before
+EISCONG_FIXTURES (both before the packaged data), --endpoint replaces
+EISCONG_ENDPOINT, and --offline or EISCONG_OFFLINE turns the network off.
 """
 
 from __future__ import annotations
@@ -209,25 +210,10 @@ def cmd_reproduce(args) -> int:
 # -- argument plumbing ----------------------------------------------------
 
 
-def _read_config(path: str) -> dict:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise EiscongError(f"bad config line: {raw.rstrip()}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip().strip('"')
-    return out
-
-
-def _add_param_flags(sp, with_m=True):
+def _add_param_flags(sp):
     sp.add_argument("--N", type=int, default=None,
                     help="level of the Eisenstein series (u*v; inferred from the characters)")
-    if with_m:
-        sp.add_argument("--M", type=int, required=True, help="square-free lift level factor")
+    sp.add_argument("--M", type=int, required=True, help="square-free lift level factor")
     sp.add_argument("--k", type=int, required=True, help="weight (must exceed 2)")
     sp.add_argument("--psi", required=True, help="Conrey label of psi, e.g. 1.1")
     sp.add_argument("--phi", required=True, help="Conrey label of phi, e.g. 5.4")
@@ -238,7 +224,6 @@ def _common_flags(ap, suppress=False):
     ap.add_argument("--json", action="store_true",
                     default=argparse.SUPPRESS if suppress else False,
                     help="machine-readable output")
-    ap.add_argument("--config", default=d, help="KEY=VALUE config file (endpoint, fixtures)")
     ap.add_argument("--fixtures", default=d, help="fixture directory")
     ap.add_argument("--endpoint", default=d, help="LMFDB API base URL")
     ap.add_argument("--offline", action="store_true",
@@ -334,12 +319,6 @@ def _run(argv) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        if args.config:
-            cfg = _read_config(args.config)
-            if args.fixtures is None:
-                args.fixtures = cfg.get("fixtures")
-            if args.endpoint is None:
-                args.endpoint = cfg.get("endpoint")
         return args.func(args)
     except EiscongError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,15 +5,14 @@ single prime, and the Selmer-quotient order bookkeeping.
 A prime lambda' above ell counts when it divides the Condition-(1)
 quantity L(1-k, psi^-1 phi) * prod_{p | M} E_p and, for every p | M, one
 of E_p = psi(p) - phi(p) p^k and E'_p = psi(p) - phi(p) p^(k-2)
-(Condition (2)).  Candidates for ell come from Condition (2) when M > 1:
-as gcd(N, M) = 1, psi(p) and phi(p) are roots of unity, so E_p and E'_p
-are nonzero algebraic integers (their terms differ in absolute value),
-and lambda' dividing either one puts ell in N(E_p) * N(E'_p).  By
-Condition (1) ell also divides the numerator of the Condition-(1) norm.
-So only one integer is factored: the gcd of that numerator and of
-N(E_p) * N(E'_p) over every p | M.  For M = 1 the candidates are the
-primes of that numerator.  Either way the enumeration cannot miss a
-prime that satisfies both conditions.
+(Condition (2)).  Candidates for ell come from both conditions: as
+gcd(N, M) = 1, psi(p) and phi(p) are roots of unity, so E_p and E'_p are
+nonzero algebraic integers (their terms differ in absolute value), and
+lambda' dividing either one puts ell in N(E_p) * N(E'_p); by Condition
+(1) ell also divides the numerator of the Condition-(1) norm.  So one
+integer is factored: the gcd of that numerator and of N(E_p) * N(E'_p)
+over every p | M, which for M = 1 is the numerator itself.  The
+enumeration cannot miss a prime that satisfies both conditions.
 """
 
 from __future__ import annotations
@@ -113,54 +112,32 @@ def _norm_numerator(x: CycNum) -> int:
     return abs(x.norm().numerator)
 
 
-def _prime_factors(n: int, limit: int | None) -> set[int]:
-    """The primes of n, only those <= limit when limit is set."""
-    return set(factorint(n, limit=limit)) if n > 1 else set()
-
-
-def _condition_two_candidates(quantities: _Quantities, limit: int | None) -> set[int]:
-    """Candidate ell <= limit for M > 1: the primes of the gcd of the
-    Condition-(1) norm numerator and every N(E_p) N(E'_p), p | M."""
-    g = gcd(_norm_numerator(quantities.cond1),
-            *(_norm_numerator(e_k) * _norm_numerator(e_k2)
-              for e_k, e_k2 in quantities.factors.values()))
-    return _prime_factors(g, limit)
-
-
-def search_congruence_primes(params: EisensteinParams, ell_max: int | None = None,
-                             include_failures: bool = False):
+def search_congruence_primes(params: EisensteinParams, ell_max: int | None = None):
     """All (ell, lambda', report) with both conditions satisfied at an
     admissible ell, sorted by ell then by the canonical factor order.
 
-    For M > 1 the candidates for ell are the primes of one gcd: of the
-    Condition-(1) norm numerator, which Condition (1) forces, and of
-    N(E_p) N(E'_p) at every p | M, which Condition (2) forces (see the
-    module docstring).
-    For M = 1, or when include_failures is set, the candidates are the
-    prime factors of the Condition-(1) norm numerator and of every
-    N(E'_q), and include_failures returns every report at them, satisfied
-    or not, as diagnostics.  Both rules give the same satisfied triples.
-    With ell_max, every rule takes only the primes <= ell_max of the
-    integers it factors, which for ell_max <= 2^15 is trial division alone.
+    The candidates for ell are the primes of one gcd: of the Condition-(1)
+    norm numerator, which Condition (1) forces, and of N(E_p) N(E'_p) at
+    every p | M, which Condition (2) forces (see the module docstring).
+    With ell_max only the primes <= ell_max of that gcd are taken, which
+    for ell_max <= 2^15 is trial division alone.
     """
     m = value_conductor(params)
     quantities = _Quantities(params)
-    if quantities.factors and not include_failures:
-        candidates = _condition_two_candidates(quantities, ell_max)
-    else:
-        candidates = _prime_factors(_norm_numerator(quantities.cond1), ell_max)
-        for _, e_k2 in quantities.factors.values():
-            candidates |= _prime_factors(_norm_numerator(e_k2), ell_max)
+    g = gcd(_norm_numerator(quantities.cond1),
+            *(_norm_numerator(e_k) * _norm_numerator(e_k2)
+              for e_k, e_k2 in quantities.factors.values()))
     nm = params.N * params.M
     out = []
-    for ell in sorted(candidates):
+    # factorint lists primes in increasing order and primes_above lists
+    # the factors in the canonical order, so out needs no sort
+    for ell in (factorint(g, limit=ell_max) if g > 1 else ()):
         if ell <= params.k + 1 or nm % ell == 0:
             continue
         for lam in primes_above(ell, m):
             report = quantities.report(ell, lam)
-            if report.satisfied or include_failures:
+            if report.satisfied:
                 out.append((ell, lam, report))
-    out.sort(key=lambda t: (t[0], t[1].factor))
     return out
 
 

@@ -34,10 +34,11 @@ K_MAX = 1000
 
 # the largest character order accepted for B_{k,chi} and L(1-k, chi), and
 # for the value field Q(zeta_m), m = lcm(ord psi, ord phi), of Eisenstein
-# parameters: Phi_m is built and applied by long division, in time
-# quadratic in its degree, so L(-11, chi) takes about 2 s at order
-# 4918 = 2 * 2459 and 7 s at 10006 on a 2-vCPU x86 host under Python 3.11
-# (orders 2p are the worst case)
+# parameters: B_{k,chi} is one integer vector reduced once mod Phi_m,
+# packed (see cyclotomic), so L(-11, chi) takes about 0.2 s at order
+# 4918 = 2 * 2459 and 0.7 s at 10006 on a 2-vCPU x86 host under Python
+# 3.11 (orders 2p are the worst case); the cap also bounds the field that
+# the norms and inverses of a search over such parameters work in
 ORDER_MAX = 5000
 
 # the largest precision b accepted for a q-expansion a_0 + ... + a_b q^b

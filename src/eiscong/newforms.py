@@ -33,6 +33,7 @@ from .errors import (BadFixture, BadPrimeForBasis, CharacterMismatch, Insufficie
 from .residue import FFElem, PrimeAbove, ff_embed, primes_above, reduce_cyc
 
 _PACKAGED_FIXTURES = Path(__file__).parent / "fixtures"
+_REQUEST_TIMEOUT_S = 30.0
 
 
 def sturm_bound(k: int, level: int) -> int:
@@ -184,17 +185,17 @@ class NewformData:
 # -- fixture store -----------------------------------------------------
 
 
-def fixture_path(label: str, fixture_dir: str | os.PathLike | None = None) -> Path | None:
-    """First existing fixture file for the label, searching the explicit
-    directory, then EISCONG_FIXTURES, then the packaged data."""
-    dirs = []
-    if fixture_dir is not None:
-        dirs.append(Path(fixture_dir))
+def _fixture_dirs(fixture_dir=None) -> list[Path]:
+    """The directories the fixture lookup searches, in order: the explicit
+    one, then EISCONG_FIXTURES, then the packaged data."""
     env = os.environ.get("EISCONG_FIXTURES")
-    if env:
-        dirs.append(Path(env))
-    dirs.append(_PACKAGED_FIXTURES)
-    for d in dirs:
+    dirs = [] if fixture_dir is None else [Path(fixture_dir)]
+    return dirs + ([Path(env)] if env else []) + [_PACKAGED_FIXTURES]
+
+
+def fixture_path(label: str, fixture_dir: str | os.PathLike | None = None) -> Path | None:
+    """First existing fixture file for the label in :func:`_fixture_dirs`."""
+    for d in _fixture_dirs(fixture_dir):
         p = d / f"{label}.json"
         if p.is_file():
             return p
@@ -225,17 +226,16 @@ def save_fixture(nf: NewformData, fixture_dir) -> Path:
 class LmfdbClient:
     """Minimal, polite client for the LMFDB API: at most one request per
     second from the whole process, whichever client sends it, exponential
-    backoff, results always cached to disk by the caller.  Endpoint
+    backoff; fetch_newform caches the results on disk.  Endpoint
     configurable for mirrors."""
 
     # shared by all clients, since fetch_newform builds one per call
     _last_request = 0.0
     _pace_lock = threading.Lock()
 
-    def __init__(self, endpoint: str | None = None, timeout: float = 30.0):
+    def __init__(self, endpoint: str | None = None):
         self.endpoint = (endpoint or os.environ.get("EISCONG_ENDPOINT")
                          or "https://www.lmfdb.org/api").rstrip("/")
-        self.timeout = timeout
 
     @staticmethod
     def _pace():
@@ -261,7 +261,7 @@ class LmfdbClient:
         for attempt in range(3):
             self._pace()
             try:
-                resp = requests.get(url, params=params, timeout=self.timeout)
+                resp = requests.get(url, params=params, timeout=_REQUEST_TIMEOUT_S)
                 if resp.status_code == 200:
                     return resp.json().get("data", [])
                 if resp.status_code in (429, 502, 503) and attempt < 2:
@@ -321,10 +321,13 @@ def convert_lmfdb_records(form: dict, hecke: dict) -> NewformData:
 
 
 def fetch_newform(label: str, min_coeffs: int = 1, *, offline: bool = False,
-                  fixture_dir=None, endpoint: str | None = None,
-                  cache_dir=None) -> NewformData:
-    """Fixture-first loader; falls back to the web API unless offline, and
-    caches any fetched data back into the fixture store."""
+                  fixture_dir=None, endpoint: str | None = None) -> NewformData:
+    """Fixture-first loader; falls back to the web API unless offline.
+
+    Fetched data is saved where the lookup reads first: fixture_dir, else
+    EISCONG_FIXTURES.  With neither set nothing is written, since the
+    packaged data is not a cache.
+    """
     try:
         nf = load_fixture(label, fixture_dir)
     except NotFound:
@@ -340,7 +343,9 @@ def fetch_newform(label: str, min_coeffs: int = 1, *, offline: bool = False,
     if fetched.b_data < min_coeffs:
         raise InsufficientData(
             f"{label} provides {fetched.b_data} coefficients, need {min_coeffs}")
-    save_fixture(fetched, cache_dir or fixture_dir or "fixtures")
+    cache = [d for d in _fixture_dirs(fixture_dir) if d != _PACKAGED_FIXTURES]
+    if cache:
+        save_fixture(fetched, cache[0])
     return fetched
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 from eiscong import congruence, eisenstein
 from eiscong.characters import MODULUS_MAX, DirichletChar
-from eiscong.cli import run
+from eiscong.cli import build_parser, run
 from eiscong.cyclotomic import CycNum
 from eiscong.lvalues import K_MAX, ORDER_MAX, PREC_MAX, l_value_at_negative
 
@@ -217,17 +218,6 @@ def test_bk_subcommand(capsys):
         "--ell", "257", "--d", "1"])
     assert code == 0
     assert payload[0]["order_k"] == 1 and payload[0]["p_new_primes"] == [2]
-
-
-def test_config_file(capsys, tmp_path):
-    cfg = tmp_path / "eiscong.conf"
-    cfg.write_text(f'fixtures = "{tmp_path}"\nendpoint = "https://example.test"\n')
-    # fixture dir from the config is empty, so the offline lookup fails
-    code = run(["--offline", "--config", str(cfg), "verify", "--label", "1.12.a.a",
-                "--ell", "691", "--psi", "1.1", "--phi", "1.1", "--M", "1",
-                "--k", "12", "--bound", "50"])
-    # falls back to the packaged fixture after the explicit dir misses
-    assert code == 0
 
 
 def test_reproduce_ramanujan(capsys):
@@ -459,3 +449,41 @@ def test_lvalue_prints_past_the_int_str_digit_limit():
         sys.set_int_max_str_digits(limit)
     assert max(len(p) for p, _ in json.loads(proc.stdout)["coeffs"]) > limit
     assert got == l_value_at_negative(999, DirichletChar.from_label("401.3"))
+
+
+# the options of every command, each of which also takes -h/--help and,
+# but for "eis", which only groups "qexp" and "cusp", the global flags; a
+# positional is listed by its name.  A flag added or dropped must be
+# added or dropped here.
+GLOBAL_FLAGS = ["--endpoint", "--fixtures", "--json", "--offline"]
+CLI_OPTIONS = {
+    "": [],
+    "search": ["--M", "--N", "--ell-max", "--k", "--phi", "--psi"],
+    "check": ["--M", "--N", "--ell", "--k", "--phi", "--psi"],
+    "verify": ["--M", "--N", "--bound", "--ell", "--exclude-ell", "--k", "--label",
+               "--phi", "--psi"],
+    "eis": [],
+    "eis qexp": ["--M", "--N", "--delta", "--k", "--phi", "--prec", "--psi"],
+    "eis cusp": ["--M", "--N", "--a", "--b", "--beta", "--d", "--delta", "--k",
+                 "--phi", "--psi"],
+    "lvalue": ["--chi", "--k"],
+    "bk": ["--M", "--N", "--cap", "--d", "--ell", "--k", "--phi", "--psi"],
+    "reproduce": ["example"],
+}
+
+
+def _option_surface(parser, path=""):
+    out = {path: []}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(_option_surface(sub, f"{path} {name}".strip()))
+        else:
+            out[path] += action.option_strings or [action.dest]
+    return {k: sorted(v) for k, v in out.items()}
+
+
+def test_cli_option_surface():
+    expected = {path: sorted(opts + ["--help", "-h"] + (GLOBAL_FLAGS if path != "eis" else []))
+                for path, opts in CLI_OPTIONS.items()}
+    assert _option_surface(build_parser()) == expected

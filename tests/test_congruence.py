@@ -7,9 +7,9 @@ from sympy import factorint
 
 from eiscong import congruence
 from eiscong.characters import DirichletChar, enumerate_pairs, parity_matches
-from eiscong.congruence import (bk_report, check_conditions, condition_one_quantity,
-                                diamond_hypothesis, search_congruence_primes,
-                                value_conductor)
+from eiscong.congruence import (bk_report, check_conditions, check_conditions_above,
+                                condition_one_quantity, diamond_hypothesis,
+                                search_congruence_primes, value_conductor)
 from eiscong.cyclotomic import CycNum
 from eiscong.eisenstein import EisensteinParams
 from eiscong.lvalues import euler_factor, l_value_at_negative
@@ -43,6 +43,11 @@ def test_level10_ell_13_fails():
     assert not rep.cond1
     # 13 divides 65 = 1 + 2^6 but not 257
     assert rep.cond2[2] == {"factor_k": False, "factor_k2": True}
+    # at every prime above 13 the conditions fail, the first one as above
+    reports = check_conditions_above(P51, 13)
+    assert [r.lambda_prime for r in reports] == primes_above(13, value_conductor(P51))
+    assert reports[0].to_json() == rep.to_json()
+    assert not any(r.satisfied for r in reports)
 
 
 def test_level10_19_fails_condition_two():
@@ -101,16 +106,6 @@ def test_search_evaluates_condition_one_once(monkeypatch):
         calls.clear()
         search_congruence_primes(params)
         assert len(calls) == 1
-
-
-def test_search_include_failures_reports_diagnostics():
-    out = search_congruence_primes(P51, include_failures=True)
-    ells = {e for e, _, _ in out}
-    assert 257 in ells
-    # 13 divides the k-2 Euler factor norm: scanned as a diagnostic
-    assert 13 in ells
-    failed = [rep for e, _, rep in out if e == 13]
-    assert failed and not failed[0].satisfied
 
 
 def test_condition_one_quantity_value():
@@ -234,14 +229,6 @@ def test_search_ell_max_filters_the_full_search():
                                            ell_max=bound)
             assert [rep.to_json() for _, _, rep in got] == \
                 [rep for rep in e["reports"] if rep["ell"] <= bound], (e, bound)
-
-
-def test_search_include_failures_ell_max():
-    for params in (P0, P51, P52, P53):
-        full = search_congruence_primes(params, include_failures=True)
-        for bound in (13, 300):
-            got = search_congruence_primes(params, ell_max=bound, include_failures=True)
-            assert got == [t for t in full if t[0] <= bound]
 
 
 def _search_by_full_factoring(params: EisensteinParams) -> list:

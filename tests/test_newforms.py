@@ -276,18 +276,59 @@ def test_lmfdb_client_conversion(monkeypatch, tmp_path):
     # fetch_newform caches into the fixture directory once the store misses
     monkeypatch.setattr(nfmod, "_PACKAGED_FIXTURES", tmp_path / "none")
     monkeypatch.delenv("EISCONG_FIXTURES", raising=False)
-    got = fetch_newform("1.12.a.a", min_coeffs=30, fixture_dir=tmp_path / "empty",
-                        endpoint="https://example.test/api",
-                        cache_dir=tmp_path / "cache")
+    got = fetch_newform("1.12.a.a", min_coeffs=30, fixture_dir=tmp_path / "store",
+                        endpoint="https://example.test/api")
     assert got.b_data == 40
-    assert (tmp_path / "cache" / "1.12.a.a.json").is_file()
+    assert (tmp_path / "store" / "1.12.a.a.json").is_file()
     # two fetches in a row, each with a new client, still send one request
-    # per second: the second fetch's first request waits about 1 s
+    # per second: the second fetch's first request waits about 1 s (each
+    # has its own fixture directory, so neither finds the other's cache)
     for i in range(2):
         waits.clear()
-        fetch_newform("1.12.a.a", min_coeffs=30, fixture_dir=tmp_path / "empty",
-                      endpoint="https://example.test/api", cache_dir=tmp_path / f"cache{i}")
+        fetch_newform("1.12.a.a", min_coeffs=30, fixture_dir=tmp_path / f"store{i}",
+                      endpoint="https://example.test/api")
         assert waits == [pytest.approx(1.0, abs=0.05)] * 2, i
+
+
+def test_fetch_newform_caches_where_the_lookup_reads(monkeypatch, tmp_path):
+    from eiscong import newforms as nfmod
+    stored = load_fixture("1.12.a.a")
+    fetched = []
+
+    class FakeClient:
+        def __init__(self, endpoint=None):
+            pass
+
+        def fetch(self, label):
+            fetched.append(label)
+            return stored
+
+    monkeypatch.setattr(nfmod, "LmfdbClient", FakeClient)
+    monkeypatch.setattr(nfmod, "_PACKAGED_FIXTURES", tmp_path / "none")
+    monkeypatch.delenv("EISCONG_OFFLINE", raising=False)
+    monkeypatch.chdir(tmp_path)
+    env_dir = tmp_path / "env"
+    monkeypatch.setenv("EISCONG_FIXTURES", str(env_dir))
+    # without an explicit directory the fetch is cached in EISCONG_FIXTURES,
+    # so the second call reads it there and fetches nothing
+    for _ in range(2):
+        assert fetch_newform("1.12.a.a", min_coeffs=30) == stored
+    assert fetched == ["1.12.a.a"]
+    assert (env_dir / "1.12.a.a.json").is_file()
+    # an explicit directory is searched first, so it takes the cache
+    fetched.clear()
+    monkeypatch.setenv("EISCONG_FIXTURES", str(tmp_path / "env2"))
+    for _ in range(2):
+        fetch_newform("1.12.a.a", min_coeffs=30, fixture_dir=tmp_path / "flag")
+    assert fetched == ["1.12.a.a"]
+    assert (tmp_path / "flag" / "1.12.a.a.json").is_file()
+    # with neither set there is nowhere the lookup reads: nothing is written
+    fetched.clear()
+    monkeypatch.delenv("EISCONG_FIXTURES")
+    for _ in range(2):
+        fetch_newform("1.12.a.a", min_coeffs=30)
+    assert fetched == ["1.12.a.a"] * 2
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["env", "flag"]
 
 
 def test_convert_lmfdb_records_with_basis_matrix():
