@@ -19,7 +19,7 @@ from .newforms import (CongruenceCertificate, NewformData, delta_qexp,
                        residue_maps_of_kf, save_fixture, sturm_bound,
                        verify_at_ell, verify_congruence)
 from .residue import (FFElem, PrimeAbove, canonical_modulus, ff_embed,
-                      ff_embed_all, ord_exact, ord_positive, primes_above,
+                      matching_prefix, ord_exact, ord_positive, primes_above,
                       reduce_cyc)
 
 __version__ = "0.1.0"

@@ -30,13 +30,9 @@ from .residue import primes_above
 def _build_params(args) -> EisensteinParams:
     psi = DirichletChar.from_label(args.psi)
     phi = DirichletChar.from_label(args.phi)
-    n = psi.conductor * phi.conductor
-    if getattr(args, "N", None) is not None and args.N != n:
-        raise EiscongError(
-            f"--N {args.N} contradicts the character conductors (u*v = {n})")
     if args.k <= 2:
         raise EiscongError("k must exceed 2")
-    return EisensteinParams(n, args.M, args.k, psi, phi)
+    return EisensteinParams(psi.conductor * phi.conductor, args.M, args.k, psi, phi)
 
 
 def _parse_delta(params: EisensteinParams, spec: str) -> DeltaChoice:
@@ -147,7 +143,7 @@ def cmd_lvalue(args) -> int:
 
 def cmd_bk(args) -> int:
     params = _build_params(args)
-    reports = [bk_report(params, lam, args.d, cap=args.cap)
+    reports = [bk_report(params, lam, args.d)
                for lam in primes_above(args.ell, value_conductor(params))]
     payload = [r.to_json() for r in reports]
     lines = [f"lambda'={r.lambda_prime.pretty()}: ord_k={r.order_k} "
@@ -211,8 +207,6 @@ def cmd_reproduce(args) -> int:
 
 
 def _add_param_flags(sp):
-    sp.add_argument("--N", type=int, default=None,
-                    help="level of the Eisenstein series (u*v; inferred from the characters)")
     sp.add_argument("--M", type=int, required=True, help="square-free lift level factor")
     sp.add_argument("--k", type=int, required=True, help="weight (must exceed 2)")
     sp.add_argument("--psi", required=True, help="Conrey label of psi, e.g. 1.1")
@@ -291,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sp)
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--d", type=int, default=1, help="proper divisor of M")
-    sp.add_argument("--cap", type=int, default=64)
     sp.set_defaults(func=cmd_bk)
 
     sp = sub.add_parser("reproduce", parents=[common],

@@ -25,7 +25,8 @@ from .arith import factorint
 from .cyclotomic import CycNum
 from .eisenstein import EisensteinParams
 from .lvalues import bk_quotient_order_factor, euler_factor, l_value_at_negative
-from .residue import FFElem, PrimeAbove, ff_embed, ord_exact, ord_positive, primes_above, reduce_cyc
+from .residue import (FFElem, PrimeAbove, matching_prefix, ord_exact, ord_positive,
+                      primes_above, reduce_cyc)
 
 
 def value_conductor(params: EisensteinParams) -> int:
@@ -152,13 +153,10 @@ def diamond_hypothesis(params: EisensteinParams, a_p_image: FFElem,
     k = params.k
     rhs_cyc = params.chi(p) * Fraction(p ** (k - 2) * (1 + p) ** 2)
     rhs = reduce_cyc(rhs_cyc, lam)
-    lhs = a_p_image * a_p_image
-    r = lcm(lhs.degree, rhs.degree)
-    for jf in range(lhs.degree):
-        for jc in range(rhs.degree):
-            if ff_embed(lhs, r, jf) == ff_embed(rhs, r, jc):
-                return True
-    return False
+    pair = [(a_p_image * a_p_image, rhs)]
+    r = lcm(a_p_image.degree, rhs.degree)
+    return any(matching_prefix(pair, r, jf, jc)
+               for jf in range(a_p_image.degree) for jc in range(rhs.degree))
 
 
 @dataclass(frozen=True)
@@ -185,14 +183,13 @@ class BKReport:
         }
 
 
-def bk_report(params: EisensteinParams, lam: PrimeAbove, d: int,
-              cap: int = 64) -> BKReport:
+def bk_report(params: EisensteinParams, lam: PrimeAbove, d: int) -> BKReport:
     """Selmer-quotient orders at weight k and k-2 between levels NM and Nd,
     with the set S = {p | M : ord(psi(p) - phi(p) p^k) > 0}."""
     if params.M == 1:
         return BKReport(params, lam, d, 0, 0, ())
-    ok = ord_exact(bk_quotient_order_factor(params, d, 0), lam, cap)
-    ok2 = ord_exact(bk_quotient_order_factor(params, d, 2), lam, cap)
+    ok = ord_exact(bk_quotient_order_factor(params, d, 0), lam)
+    ok2 = ord_exact(bk_quotient_order_factor(params, d, 2), lam)
     s = tuple(p for p in params.m_primes
               if ord_positive(euler_factor(params, p, 0), lam))
     return BKReport(params, lam, d, ok, ok2, s)

@@ -31,10 +31,6 @@ class RamifiedUnsupported(EiscongError, ValueError):
     coprime to the cyclotomic conductor)."""
 
 
-class CapExceeded(EiscongError, ArithmeticError):
-    """Valuation exceeds the caller-supplied certification cap."""
-
-
 class NotASubfield(EiscongError, ValueError):
     """No field embedding exists (degree does not divide target degree)."""
 

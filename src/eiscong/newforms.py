@@ -9,7 +9,10 @@ A coefficient field K_f is handled only through its residue fields: a_n
 is stored as an integer vector on a lattice basis, the basis is reduced
 modulo a chosen irreducible factor of the defining polynomial, and the
 congruence test happens inside a common finite field together with the
-cyclotomic side.
+cyclotomic side, by :func:`residue.matching_prefix`.  Verification and
+replay derive the checked primes by one routine, so a certificate replays
+only if its prime list, label, ell and embedding degree are the ones
+verification records.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from pathlib import Path
 
 from . import fppoly
@@ -30,7 +33,7 @@ from .congruence import value_conductor
 from .eisenstein import EisensteinParams, QExpansion
 from .errors import (BadFixture, BadPrimeForBasis, CharacterMismatch, InsufficientData,
                      NetworkError, NonSquarefreeReduction, NotFound)
-from .residue import FFElem, PrimeAbove, ff_embed, primes_above, reduce_cyc
+from .residue import FFElem, PrimeAbove, matching_prefix, primes_above, reduce_cyc
 
 _PACKAGED_FIXTURES = Path(__file__).parent / "fixtures"
 _REQUEST_TIMEOUT_S = 30.0
@@ -376,11 +379,7 @@ class KfResidueMap:
 def residue_maps_of_kf(nf: NewformData, ell: int) -> list[KfResidueMap]:
     """One residue map per irreducible factor of field_poly mod ell, in
     canonical factor order."""
-    den = 1
-    for row in nf.basis:
-        for c in row:
-            den = den * c.denominator // gcd(den, c.denominator)
-    if den % ell == 0:
+    if lcm(*(c.denominator for row in nf.basis for c in row)) % ell == 0:
         raise BadPrimeForBasis(f"ell = {ell} divides a basis denominator")
     fp_int = []
     for c in nf.field_poly:
@@ -444,17 +443,30 @@ class CongruenceCertificate:
         }
 
 
-def _checked_primes(params: EisensteinParams, bound: int, ell: int,
-                    include_ell: bool) -> list[int]:
-    nm = params.N * params.M
-    out = []
-    for q in primerange(2, bound + 1):
-        if nm % q == 0:
-            continue
-        if q == ell and not include_ell:
-            continue
-        out.append(q)
-    return out
+def _checked_primes(nf: NewformData, params: EisensteinParams, ell: int,
+                    bound: int | None, include_ell: bool) -> tuple[int, tuple]:
+    """The checks verify and replay share, then (bound, primes to check):
+    the primes q <= bound prime to N*M, and to ell unless include_ell;
+    the bound defaults to the Sturm bound and may not exceed b_data."""
+    if nf.character != params.chi_tilde:
+        raise CharacterMismatch(
+            f"newform character {nf.character.label} != lifted character "
+            f"{params.chi_tilde.label}")
+    if nf.level != params.N * params.M or nf.weight != params.k:
+        raise ValueError("newform level/weight do not match the parameters")
+    if bound is None:
+        bound = sturm_bound(params.k, nf.level)
+    if bound > nf.b_data:
+        raise InsufficientData(
+            f"need coefficients up to {bound}, fixture has {nf.b_data}")
+    return bound, tuple(q for q in primerange(2, bound + 1)
+                        if nf.level % q and (include_ell or q != ell))
+
+
+def _eisenstein_side(params: EisensteinParams, qs, lam: PrimeAbove) -> list[FFElem]:
+    """psi(q) + phi(q) q^(k-1) reduced mod lambda' for each q."""
+    return [reduce_cyc(params.psi(q) + params.phi(q) * Fraction(q) ** (params.k - 1), lam)
+            for q in qs]
 
 
 def verify_congruence(nf: NewformData, params: EisensteinParams, lam: PrimeAbove,
@@ -463,48 +475,25 @@ def verify_congruence(nf: NewformData, params: EisensteinParams, lam: PrimeAbove
     """Try every prime of K_f above ell and every pair of Frobenius twists
     of the two residue fields inside their common field; return the first
     passing certificate in enumeration order, else the best failing one."""
-    if nf.character != params.chi_tilde:
-        raise CharacterMismatch(
-            f"newform character {nf.character.label} != lifted character "
-            f"{params.chi_tilde.label}")
-    if nf.level != params.N * params.M or nf.weight != params.k:
-        raise ValueError("newform level/weight do not match the parameters")
     ell = lam.ell
-    if bound is None:
-        bound = sturm_bound(params.k, nf.level)
-    if bound > nf.b_data:
-        raise InsufficientData(
-            f"need coefficients up to {bound}, fixture has {nf.b_data}")
-    qs = _checked_primes(params, bound, ell, include_ell)
-    k = params.k
-    rhs = {}
-    for q in qs:
-        val = params.psi(q) + params.phi(q) * Fraction(q) ** (k - 1)
-        rhs[q] = reduce_cyc(val, lam)
+    bound, qs = _checked_primes(nf, params, ell, bound, include_ell)
+    rhs = _eisenstein_side(params, qs, lam)
     e = lam.residue_degree
-    maps = residue_maps_of_kf(nf, ell)
     best = None  # (#passed prefix, certificate)
-    for kmap in maps:
+    for kmap in residue_maps_of_kf(nf, ell):
         d = kmap.degree
         r = lcm(d, e)
-        lhs = {q: kmap.reduce_vector(nf.a_vector(q)) for q in qs}
+        pairs = [(kmap.reduce_vector(nf.a_vector(q)), b) for q, b in zip(qs, rhs)]
         for jf in range(d):
-            lhs_emb = {q: ff_embed(v, r, jf) for q, v in lhs.items()}
             for jc in range(e):
-                first_fail = None
-                npass = 0
-                for q in qs:
-                    if lhs_emb[q] == ff_embed(rhs[q], r, jc):
-                        npass += 1
-                    else:
-                        first_fail = q
-                        break
+                npass = matching_prefix(pairs, r, jf, jc)
                 cert = CongruenceCertificate(
                     label=nf.label, params=params, ell=ell, lambda_prime=lam,
                     field_poly_factor=kmap.factor, embedding_degree=r,
                     twist_f=jf, twist_cyc=jc, bound=bound,
-                    checked_primes=tuple(qs), include_ell=include_ell,
-                    passed=first_fail is None, first_failing_q=first_fail)
+                    checked_primes=qs, include_ell=include_ell,
+                    passed=npass == len(qs),
+                    first_failing_q=qs[npass] if npass < len(qs) else None)
                 if cert.passed:
                     return cert
                 if best is None or npass > best[0]:
@@ -529,20 +518,23 @@ def verify_at_ell(nf: NewformData, params: EisensteinParams, ell: int,
 
 
 def replay_certificate(cert: CongruenceCertificate, nf: NewformData) -> bool:
-    """True iff re-running the test with the certificate's recorded choices
-    (factor, twists, bound, prime list) reproduces its stored outcome,
-    including the first failing prime on a fail certificate."""
+    """True iff the certificate is what verify_congruence records for its
+    choices: the prime list re-derived from its bound, ell and include_ell
+    (raising as verify does on a newform that does not fit its parameters),
+    its label, lambda' above ell, a factor of the field polynomial and the
+    lcm of the two residue degrees all agree, and the comparison with its
+    twists gives its outcome, down to the first failing prime."""
     params, lam = cert.params, cert.lambda_prime
+    _, qs = _checked_primes(nf, params, cert.ell, cert.bound, cert.include_ell)
     kmap = next((m for m in residue_maps_of_kf(nf, cert.ell)
                  if m.factor == cert.field_poly_factor), None)
-    if kmap is None:
+    if (kmap is None or qs != tuple(cert.checked_primes) or lam.ell != cert.ell
+            or cert.label != nf.label
+            or cert.embedding_degree != lcm(kmap.degree, lam.residue_degree)):
         return False
-    r = cert.embedding_degree
-    k = params.k
-    for q in cert.checked_primes:
-        lhs = ff_embed(kmap.reduce_vector(nf.a_vector(q)), r, cert.twist_f)
-        val = params.psi(q) + params.phi(q) * Fraction(q) ** (k - 1)
-        rhs = ff_embed(reduce_cyc(val, lam), r, cert.twist_cyc)
-        if lhs != rhs:
-            return (not cert.passed) and q == cert.first_failing_q
-    return cert.passed
+    pairs = zip((kmap.reduce_vector(nf.a_vector(q)) for q in qs),
+                _eisenstein_side(params, qs, lam))
+    npass = matching_prefix(pairs, cert.embedding_degree, cert.twist_f, cert.twist_cyc)
+    if cert.passed:
+        return npass == len(qs) and cert.first_failing_q is None
+    return npass < len(qs) and qs[npass] == cert.first_failing_q

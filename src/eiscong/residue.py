@@ -10,7 +10,8 @@ Number Theory*, 1993, 4.8.1); for d = 1 the factors are x - r^a over the
 a prime to m', r an element of exact order m' mod ell, and need no
 factorization.  Membership (ord > 0) works in ramified cases too; exact
 multiplicities are restricted to ell coprime to m and go through Hensel
-lifting of the chosen factor.
+lifting of the chosen factor.  Two residue fields meet in the canonical
+field of a common degree, where :func:`matching_prefix` compares them.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from functools import lru_cache
 from math import gcd
 
 from . import fppoly
-from .arith import isprime, multiplicative_order, primefactors
+from .arith import _remove, isprime, multiplicative_order, primefactors
 from .cyclotomic import CycNum, cyclotomic_poly
-from .errors import (CapExceeded, DenominatorDivisibleByEll, NotASubfield,
-                     RamifiedUnsupported)
+from .errors import DenominatorDivisibleByEll, NotASubfield, RamifiedUnsupported
 
 
 @dataclass(frozen=True)
@@ -195,9 +195,6 @@ class FFElem:
             raise ZeroDivisionError(f"{self!r} is not invertible: the modulus is not irreducible")
         return FFElem.make(self.ell, self.modulus, u)
 
-    def frobenius(self, times: int = 1) -> "FFElem":
-        return self ** (self.ell**times)
-
     def __repr__(self):
         return f"FF({self.ell}^{self.degree}: {_poly_str(self.coeffs, 'x')})"
 
@@ -226,20 +223,19 @@ def ord_positive(x: CycNum, lam: PrimeAbove) -> bool:
     return reduce_cyc(x, lam).is_zero()
 
 
-def ord_exact(x: CycNum, lam: PrimeAbove, cap: int = 64) -> int:
-    """val_lambda'(x) for unramified lambda', by evaluating the
-    representing polynomial against the Hensel-lifted factor mod
-    ell**T, T doubling until the image is nonzero."""
+def ord_exact(x: CycNum, lam: PrimeAbove) -> int:
+    """val_lambda'(x) for unramified lambda' and nonzero x, by evaluating
+    the representing polynomial against the Hensel-lifted factor mod
+    ell**T, T doubling until the image is nonzero; that happens once T
+    exceeds the valuation, so the loop is bounded by the size of x."""
     ell, m = lam.ell, lam.m
     if m % ell == 0:
         raise RamifiedUnsupported(f"ell = {ell} divides the conductor {m}")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     if not x:
         raise ValueError("valuation of zero is undefined")
     num, den = _numerators(x.coerce(m), ell)
     phi = list(cyclotomic_poly(m))
-    t = min(4, cap + 1)
+    t = 4
     while True:
         modulus = ell**t
         inv = pow(den, -1, modulus)
@@ -247,21 +243,8 @@ def ord_exact(x: CycNum, lam: PrimeAbove, cap: int = 64) -> int:
         lifted = fppoly.hensel_lift_factor(phi, list(lam.factor), ell, t)
         rem = fppoly.mod(vec, lifted, modulus)
         if rem:
-            val = min(_val_int(c, ell) for c in rem if c)
-            if val > cap:
-                raise CapExceeded(f"valuation {val} exceeds cap {cap}")
-            return val
-        if t > cap:
-            raise CapExceeded(f"valuation exceeds cap {cap}")
-        t = min(2 * t, cap + 1)
-
-
-def _val_int(n: int, ell: int) -> int:
-    v = 0
-    while n % ell == 0:
-        n //= ell
-        v += 1
-    return v
+            return min(_remove(c, ell)[1] for c in rem if c)
+        t *= 2
 
 
 # -- finite-field embeddings ------------------------------------------
@@ -398,6 +381,12 @@ def ff_embed(a: FFElem, r: int, twist: int = 0) -> FFElem:
     return acc
 
 
-def ff_embed_all(a: FFElem, r: int) -> list[FFElem]:
-    """The full Frobenius orbit of embeddings applied to a."""
-    return [ff_embed(a, r, j) for j in range(a.degree)]
+def matching_prefix(pairs, r: int, jf: int, jc: int) -> int:
+    """How many leading pairs (a, b) have equal images in the canonical
+    degree-r field, a embedded with twist jf and b with twist jc."""
+    n = 0
+    for a, b in pairs:
+        if ff_embed(a, r, jf) != ff_embed(b, r, jc):
+            break
+        n += 1
+    return n

@@ -33,7 +33,7 @@ def run_cli(*argv, timeout=20):
 
 def test_search_ramanujan(capsys):
     code, payload = run_json(capsys, [
-        "--json", "search", "--N", "1", "--M", "1", "--k", "12",
+        "--json", "search", "--M", "1", "--k", "12",
         "--psi", "1.1", "--phi", "1.1"])
     assert code == 0
     assert [rep["ell"] for rep in payload] == [691]
@@ -55,7 +55,7 @@ def test_search_human_output(capsys):
 
 def test_check_unsatisfied_exits_zero(capsys):
     code, payload = run_json(capsys, [
-        "--json", "check", "--N", "5", "--M", "2", "--k", "8",
+        "--json", "check", "--M", "2", "--k", "8",
         "--psi", "1.1", "--phi", "5.4", "--ell", "13"])
     assert code == 0
     assert payload and not any(rep["satisfied"] for rep in payload)
@@ -105,9 +105,10 @@ def test_usage_error_exit_2(capsys):
 
 
 def test_contradictory_level_exit_2(capsys):
-    code = run(["search", "--N", "7", "--M", "2", "--k", "8",
+    # N = 5 from the characters shares a prime with M
+    code = run(["search", "--M", "5", "--k", "8",
                 "--psi", "1.1", "--phi", "5.4"])
-    assert code == 2
+    assert code == 2 and "coprime" in capsys.readouterr().err
 
 
 def test_lvalue(capsys):
@@ -458,16 +459,16 @@ def test_lvalue_prints_past_the_int_str_digit_limit():
 GLOBAL_FLAGS = ["--endpoint", "--fixtures", "--json", "--offline"]
 CLI_OPTIONS = {
     "": [],
-    "search": ["--M", "--N", "--ell-max", "--k", "--phi", "--psi"],
-    "check": ["--M", "--N", "--ell", "--k", "--phi", "--psi"],
-    "verify": ["--M", "--N", "--bound", "--ell", "--exclude-ell", "--k", "--label",
+    "search": ["--M", "--ell-max", "--k", "--phi", "--psi"],
+    "check": ["--M", "--ell", "--k", "--phi", "--psi"],
+    "verify": ["--M", "--bound", "--ell", "--exclude-ell", "--k", "--label",
                "--phi", "--psi"],
     "eis": [],
-    "eis qexp": ["--M", "--N", "--delta", "--k", "--phi", "--prec", "--psi"],
-    "eis cusp": ["--M", "--N", "--a", "--b", "--beta", "--d", "--delta", "--k",
+    "eis qexp": ["--M", "--delta", "--k", "--phi", "--prec", "--psi"],
+    "eis cusp": ["--M", "--a", "--b", "--beta", "--d", "--delta", "--k",
                  "--phi", "--psi"],
     "lvalue": ["--chi", "--k"],
-    "bk": ["--M", "--N", "--cap", "--d", "--ell", "--k", "--phi", "--psi"],
+    "bk": ["--M", "--d", "--ell", "--k", "--phi", "--psi"],
     "reproduce": ["example"],
 }
 

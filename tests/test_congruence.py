@@ -182,6 +182,17 @@ def test_diamond_hypothesis_branches():
     # generic wrong value fails
     bad = FFElem.from_int(257, lam.factor, 5)
     assert not diamond_hypothesis(params, bad, lam)
+    # 11 is inert in Q(zeta_6), so lambda' has degree 2: the Frobenius
+    # conjugate of a square root of the right side squares to its conjugate
+    # and matches only at the twist pairs (0, 1) and (1, 0)
+    lam11 = primes_above(11, value_conductor(P52))[0]
+    assert lam11.residue_degree == 2
+    rhs = reduce_cyc(P52.chi(2) * (2**5 * 3**2), lam11)
+    root = FFElem.make(11, lam11.factor, [1, 5])
+    assert root * root == rhs
+    a_p = root**11
+    assert a_p * a_p != rhs
+    assert diamond_hypothesis(P52, a_p, lam11)
 
 
 def test_diamond_requires_prime_m():

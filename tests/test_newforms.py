@@ -168,6 +168,27 @@ def test_replay_rejects_a_factor_not_dividing_the_field_poly():
     assert not replay_certificate(replace(cert, field_poly_factor=(3, 1)), nf)
 
 
+def test_replay_refuses_an_inconsistent_certificate():
+    # an honest failure at 13 replays; no edit of it that claims a pass,
+    # changes the prime list or names another form, another ell or a
+    # degree other than lcm(d, e) = 2 does
+    nf = load_fixture("10.8.b.a")
+    lam = primes_above(13, value_conductor(P51))[0]
+    cert = verify_congruence(nf, P51, lam, bound=20)
+    qs = cert.checked_primes
+    assert not cert.passed and cert.first_failing_q == 3 == qs[0]
+    assert cert.embedding_degree == 2 and replay_certificate(cert, nf)
+    claimed_pass = replace(cert, passed=True, first_failing_q=None)
+    for forged in (claimed_pass,
+                   replace(claimed_pass, checked_primes=()),  # cut before q = 3
+                   replace(claimed_pass, checked_primes=qs[1:]),
+                   replace(cert, checked_primes=qs[:-1]),
+                   replace(cert, label="1.12.a.a"),
+                   replace(cert, embedding_degree=4),
+                   replace(cert, lambda_prime=primes_above(257, value_conductor(P51))[0])):
+        assert replay_certificate(forged, nf) is False, forged
+
+
 def test_verify_at_ell_prefers_a_passing_prime():
     # example 5.3 passes at the second prime above 73 only; at 13 no prime
     # passes and the first prime's certificate is returned

@@ -12,11 +12,9 @@ from sympy import isprime, n_order, primerange, totient
 
 from eiscong import fppoly
 from eiscong.cyclotomic import CycNum, cyclotomic_poly
-from eiscong.errors import (CapExceeded, DenominatorDivisibleByEll, NotASubfield,
-                            RamifiedUnsupported)
-from eiscong.residue import (FFElem, PrimeAbove, canonical_modulus, ff_embed,
-                             ff_embed_all, ord_exact, ord_positive, primes_above,
-                             reduce_cyc)
+from eiscong.errors import DenominatorDivisibleByEll, NotASubfield, RamifiedUnsupported
+from eiscong.residue import (FFElem, PrimeAbove, canonical_modulus, ff_embed, ord_exact,
+                             ord_positive, primes_above, reduce_cyc)
 from helpers import random_cycnum
 
 
@@ -113,8 +111,8 @@ def test_ord_exact_rational():
     assert ord_exact(CycNum.from_rational(Fraction(7, 3)), lam) == 0
     with pytest.raises(ValueError):
         ord_exact(CycNum.zero(1), lam)
-    with pytest.raises(CapExceeded):
-        ord_exact(CycNum.from_rational(691**5), lam, cap=4)
+    assert ord_exact(CycNum.from_rational(691**5), lam) == 5
+    assert ord_exact(CycNum.from_rational(691**200), lam) == 200
 
 
 def test_ord_exact_cyclotomic():
@@ -150,9 +148,9 @@ def test_ord_exact_additive_and_matches_membership(seed):
     if not x or not y:
         return
     try:
-        vx = ord_exact(x, lam, cap=40)
-        vy = ord_exact(y, lam, cap=40)
-        vxy = ord_exact(x * y, lam, cap=90)
+        vx = ord_exact(x, lam)
+        vy = ord_exact(y, lam)
+        vxy = ord_exact(x * y, lam)
     except DenominatorDivisibleByEll:
         return
     assert vxy == vx + vy
@@ -168,7 +166,7 @@ def test_norm_valuation_consistency():
             continue
         total = 0
         for lam in primes_above(ell, m):
-            total += lam.residue_degree * ord_exact(x, lam, cap=60)
+            total += lam.residue_degree * ord_exact(x, lam)
         nrm = x.norm()
         v = 0
         num, den = abs(nrm.numerator), nrm.denominator
@@ -222,7 +220,7 @@ def test_ff_embed_constant_and_counts():
     lam = primes_above(11, 12)[0]  # degree 2
     a = reduce_cyc(CycNum.zeta(12) + 3, lam)
     assert a.degree == 2
-    ims = ff_embed_all(a, 4)
+    ims = [ff_embed(a, 4, j) for j in range(a.degree)]
     assert len(ims) == 2 and ims[0] != ims[1]
     # degree-1 element embeds as a constant
     c = FFElem.from_int(11, lam.factor, 5)
@@ -238,8 +236,8 @@ def test_ff_embed_is_hom_and_frobenius_fixed():
         assert ff_embed(a * b, 4, twist) == ff_embed(a, 4, twist) * ff_embed(b, 4, twist)
         assert ff_embed(a + b, 4, twist) == ff_embed(a, 4, twist) + ff_embed(b, 4, twist)
     img = ff_embed(a, 4)
-    assert img.frobenius(2) == img  # lands in the degree-2 subfield
-    assert img.frobenius(1) != img
+    assert img ** 11**2 == img  # lands in the degree-2 subfield
+    assert img ** 11 != img
 
 
 def test_ff_embed_requires_divisibility():
