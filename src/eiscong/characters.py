@@ -247,11 +247,6 @@ class DirichletChar:
             return self
         return DirichletChar(q, pow(self.index, s % self.order, q))
 
-    def galois_conjugates(self) -> list["DirichletChar"]:
-        """All chi^s with gcd(s, order) = 1, this character first."""
-        o = self.order
-        return [self.power(s) for s in range(1, o + 1) if gcd(s, o) == 1]
-
 
 def _crt(residues, moduli) -> int:
     x, m = 0, 1

@@ -155,52 +155,33 @@ def cmd_bk(args) -> int:
 # -- reproduce ----------------------------------------------------------
 
 _EXAMPLES = {
-    "ramanujan": {"N": 1, "M": 1, "k": 12, "psi": "1.1", "phi": "1.1",
+    "ramanujan": {"M": 1, "k": 12, "psi": "1.1", "phi": "1.1",
                   "label": "1.12.a.a", "bound": 200},
-    "5.1": {"N": 5, "M": 2, "k": 8, "psi": "1.1", "phi": "5.4",
+    "5.1": {"M": 2, "k": 8, "psi": "1.1", "phi": "5.4",
             "label": "10.8.b.a", "bound": 100},
-    "5.2": {"N": 7, "M": 2, "k": 7, "psi": "1.1", "phi": "7.3",
+    "5.2": {"M": 2, "k": 7, "psi": "1.1", "phi": "7.3",
             "label": "14.7.d.a", "bound": None},
-    "5.3": {"N": 7, "M": 6, "k": 6, "psi": "1.1", "phi": "7.4",
+    "5.3": {"M": 6, "k": 6, "psi": "1.1", "phi": "7.4",
             "label": "42.6.e.c", "bound": None},
 }
 
 
 def cmd_reproduce(args) -> int:
     spec = _EXAMPLES[args.example]
-    psi = DirichletChar.from_label(spec["psi"])
-    phi0 = DirichletChar.from_label(spec["phi"])
-    lines = []
-    payload = {"example": args.example, "certificates": []}
-    ok = True
-    # the examples pin phi only up to complex conjugation; try the orbit
-    for phi in phi0.galois_conjugates():
-        params = EisensteinParams(spec["N"], spec["M"], spec["k"], psi, phi)
-        triples = search_congruence_primes(params)
-        if not triples:
-            continue
-        lines.append(f"params: {params.describe()}")
-        for ell, lam, _rep in triples:
-            lines.append(f"  predicted congruence prime ell={ell} lambda'={lam.pretty()}")
-        payload["search"] = [rep.to_json() for _, _, rep in triples]
-        try:
-            nf = _fetch(args, params, spec["label"], spec["bound"])
-            cert = verify_at_ell(nf, params, triples[0][0], bound=spec["bound"])
-        except EiscongError as exc:
-            if phi != phi0.galois_conjugates()[-1]:
-                continue  # conjugate character may match the stored newform
-            raise
-        payload["certificates"].append(cert.to_json())
-        verdict = "PASS" if cert.passed else f"FAIL at q={cert.first_failing_q}"
-        lines.append(f"  verify {spec['label']} mod {cert.lambda_prime.pretty()}: "
-                     f"{verdict} (bound {cert.bound})")
-        ok = cert.passed
-        break
-    else:
-        raise EiscongError("no parameter choice in the Galois orbit produced "
-                           "a congruence prime")
+    params = _build_params(argparse.Namespace(**spec))
+    triples = search_congruence_primes(params)
+    nf = _fetch(args, params, spec["label"], spec["bound"])
+    cert = verify_at_ell(nf, params, triples[0][0], bound=spec["bound"])
+    verdict = "PASS" if cert.passed else f"FAIL at q={cert.first_failing_q}"
+    lines = [f"params: {params.describe()}"]
+    lines += [f"  predicted congruence prime ell={ell} lambda'={lam.pretty()}"
+              for ell, lam, _rep in triples]
+    lines.append(f"  verify {spec['label']} mod {cert.lambda_prime.pretty()}: "
+                 f"{verdict} (bound {cert.bound})")
+    payload = {"example": args.example, "certificates": [cert.to_json()],
+               "search": [rep.to_json() for _, _, rep in triples]}
     _emit(args, payload, lines)
-    return 0 if ok else 1
+    return 0 if cert.passed else 1
 
 
 # -- argument plumbing ----------------------------------------------------

@@ -90,11 +90,6 @@ class _Quantities:
         return ConditionsReport(params, ell, lam, cond1, cond2, admissible)
 
 
-def condition_one_quantity(params: EisensteinParams) -> CycNum:
-    """L(1-k, psi^-1 phi) * prod_{p | M} (psi(p) - phi(p) p^k)."""
-    return _Quantities(params).cond1
-
-
 def check_conditions(params: EisensteinParams, ell: int, lam: PrimeAbove) -> ConditionsReport:
     """Evaluate both conditions at lambda'; Condition (1) tests the combined
     L-value-times-Euler-product quantity, Condition (2) is reported per
@@ -149,6 +144,8 @@ def diamond_hypothesis(params: EisensteinParams, a_p_image: FFElem,
     some compatible pair of embeddings of the two sides."""
     if len(params.m_primes) != 1:
         raise ValueError("the level-raising check applies to M = p prime")
+    if a_p_image.ell != lam.ell:
+        raise ValueError(f"a_p lies in characteristic {a_p_image.ell}, lambda' above {lam.ell}")
     p = params.m_primes[0]
     k = params.k
     rhs_cyc = params.chi(p) * Fraction(p ** (k - 2) * (1 + p) ** 2)

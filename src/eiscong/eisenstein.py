@@ -31,7 +31,7 @@ from math import gcd, lcm, prod
 
 from .arith import divisors, primefactors
 from .characters import (MODULUS_MAX, DirichletChar, check_gauss_conductor, gauss_sum,
-                         is_square_free)
+                         is_square_free, parity_matches)
 from .cyclotomic import CycNum, _from_ints, _mod_phi
 from .errors import InsufficientPrecision, ModulusTooLarge, NotSquareFree
 from .lvalues import check_order, check_precision, check_weight, l_value_at_negative
@@ -69,7 +69,7 @@ class EisensteinParams:
             raise ValueError("psi and phi must be primitive")
         if self.psi.modulus * self.phi.modulus != self.N:
             raise ValueError("conductors must satisfy u*v = N")
-        if self.psi.parity * self.phi.parity != (-1) ** self.k:
+        if not parity_matches(self.psi, self.phi, self.k):
             raise ValueError("(psi*phi)(-1) must equal (-1)^k")
 
     @cached_property
@@ -119,8 +119,8 @@ class DeltaChoice:
                 raise ValueError(f"selection for {p} must be 'psi' or 'phi'")
         self.params = params
         self.selection = dict(sorted(selection.items()))
-        # params -> the longest lift e_delta has built for this choice
-        self._lifts: dict[EisensteinParams, QExpansion] = {}
+        # the longest lift e_delta has built for this choice
+        self._lift: QExpansion | None = None
 
     @classmethod
     def all_choices(cls, params: EisensteinParams) -> list["DeltaChoice"]:
@@ -154,6 +154,13 @@ class DeltaChoice:
 
     def __repr__(self):
         return f"DeltaChoice({self.label()})"
+
+
+def _check_delta(params: EisensteinParams, delta: DeltaChoice) -> None:
+    """Refuse a delta-choice made for another parameter set: its delta_p
+    and the series of params would mix into a lift of neither."""
+    if delta.params is not params and delta.params != params:
+        raise ValueError(f"{delta!r} was made for other parameters than {params.describe()}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,18 +394,18 @@ def e_delta(params: EisensteinParams, delta: DeltaChoice, b: int) -> QExpansion:
     and alpha_p alpha_q = alpha_pq.  Each factor rewrites the rows n of
     the multiples of p, through the integer matrix of -delta_p.
 
-    The longest lift built is kept on the delta-choice, keyed by params,
-    for as long as the delta-choice lives: a request at or below its
+    The delta-choice must be one made for params.  The longest lift built
+    is kept on it for as long as it lives: a request at or below its
     precision is a truncated copy (a new object, so reading its
     coefficients pins nothing there), and a longer one rebuilds at b."""
+    _check_delta(params, delta)
     _check_b(b)
-    f = delta._lifts.get(params)
+    f = delta._lift
     if f is None or f.precision < b:
         f = eisenstein_qexp(params, b)
         for p in params.m_primes:
             f = _plus_dilated(f, -delta.delta(p), p, 1, b)
-        f = delta._lifts[params] = replace(f, level=params.N * params.M,
-                                           character=params.chi_tilde)
+        f = delta._lift = replace(f, level=params.N * params.M, character=params.chi_tilde)
     return f.truncate(b)
 
 
@@ -506,7 +513,9 @@ def constant_term_e_delta(params: EisensteinParams, delta: DeltaChoice,
                           gamma: CuspMatrix) -> CycNum:
     """Closed form for the constant term of E_delta[gamma]_k: the cusp
     constant times one local factor per prime of M, split by whether the
-    prime survives in M' = M / gcd(M, b)."""
+    prime survives in M' = M / gcd(M, b).  The delta-choice must be one
+    made for params."""
+    _check_delta(params, delta)
     v = params.v
     if gamma.b % v:
         return CycNum.zero(1)

@@ -128,13 +128,6 @@ def pow_mod(base, e: int, modpoly, m):
     return result
 
 
-def evaluate(f, x: int, m: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % m
-    return acc
-
-
 def derivative(f, m):
     return trim([i * c % m for i, c in enumerate(f)][1:])
 

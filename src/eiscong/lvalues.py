@@ -109,19 +109,6 @@ def bernoulli(k: int) -> Fraction:
     return _BERNOULLI[k]
 
 
-def bernoulli_poly(k: int) -> list[Fraction]:
-    """Coefficients of B_k(x) = sum_j C(k, j) B_j x^(k-j), lowest first."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    bernoulli(k)
-    out = [Fraction(0)] * (k + 1)
-    for j in range(k + 1):
-        out[k - j] = comb(k, j) * _BERNOULLI[j]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def generalized_bernoulli(k: int, chi: DirichletChar) -> CycNum:
     """B_{k,chi} = F^(k-1) sum_{a=1}^{F} chi(a) B_k(a/F) at the character's
     own modulus F.

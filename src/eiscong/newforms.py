@@ -30,7 +30,7 @@ from . import fppoly
 from .arith import primefactors, primerange
 from .characters import DirichletChar
 from .congruence import value_conductor
-from .eisenstein import EisensteinParams, QExpansion
+from .eisenstein import EisensteinParams
 from .errors import (BadFixture, BadPrimeForBasis, CharacterMismatch, InsufficientData,
                      NetworkError, NonSquarefreeReduction, NotFound)
 from .residue import FFElem, PrimeAbove, matching_prefix, primes_above, reduce_cyc
@@ -49,54 +49,21 @@ def sturm_bound(k: int, level: int) -> int:
     return -(-val.numerator // val.denominator)
 
 
-def delta_qexp(b: int) -> QExpansion:
-    """q * prod (1-q^n)^24 to precision b, the offline oracle for the
-    level-one weight-12 cusp form."""
-    coeffs = delta_an(b)
-    return QExpansion(12, 1, DirichletChar(1, 1), tuple((c,) for c in coeffs),
-                      (1,) * len(coeffs))
-
-
 def delta_an(b: int) -> list[int]:
-    """Integer coefficients tau(0..b) (tau(0) = 0)."""
+    """Integer coefficients tau(0..b) (tau(0) = 0) of Delta = q prod (1 - q^n)^24,
+    from q dDelta/dq = E_2 Delta read coefficient by coefficient:
+    (n - 1) tau(n) = -24 sum_{m < n} sigma(m) tau(n - m), sigma from one
+    divisor sieve."""
     if b < 1:
         raise ValueError("b must be >= 1")
-    # Euler product via the pentagonal number theorem, then a 24th power.
-    euler = [0] * b
-    euler[0] = 1
-    j = 1
-    while True:
-        g1 = j * (3 * j - 1) // 2
-        g2 = j * (3 * j + 1) // 2
-        if g1 >= b and g2 >= b:
-            break
-        s = 1 if j % 2 == 0 else -1
-        if g1 < b:
-            euler[g1] += s
-        if g2 < b:
-            euler[g2] += s
-        j += 1
-
-    def mul_trunc(f, g):
-        out = [0] * b
-        for i, a in enumerate(f):
-            if a:
-                top = min(b - i, len(g))
-                for k in range(top):
-                    if g[k]:
-                        out[i + k] += a * g[k]
-        return out
-
-    acc = [1] + [0] * (b - 1)
-    base = euler
-    e = 24
-    while e:
-        if e & 1:
-            acc = mul_trunc(acc, base)
-        e >>= 1
-        if e:
-            base = mul_trunc(base, base)
-    return [0] + acc[: b]
+    sigma = [0] * (b + 1)
+    for d in range(1, b + 1):
+        for m in range(d, b + 1, d):
+            sigma[m] += d
+    tau = [0, 1] + [0] * (b - 1)
+    for n in range(2, b + 1):
+        tau[n] = -24 * sum(sigma[m] * tau[n - m] for m in range(1, n)) // (n - 1)
+    return tau
 
 
 @dataclass(frozen=True)
@@ -447,7 +414,9 @@ def _checked_primes(nf: NewformData, params: EisensteinParams, ell: int,
                     bound: int | None, include_ell: bool) -> tuple[int, tuple]:
     """The checks verify and replay share, then (bound, primes to check):
     the primes q <= bound prime to N*M, and to ell unless include_ell;
-    the bound defaults to the Sturm bound and may not exceed b_data."""
+    the bound defaults to the Sturm bound and may not exceed b_data, and
+    a bound that leaves no prime to check is refused (an empty check
+    would pass whatever the newform)."""
     if nf.character != params.chi_tilde:
         raise CharacterMismatch(
             f"newform character {nf.character.label} != lifted character "
@@ -459,8 +428,10 @@ def _checked_primes(nf: NewformData, params: EisensteinParams, ell: int,
     if bound > nf.b_data:
         raise InsufficientData(
             f"need coefficients up to {bound}, fixture has {nf.b_data}")
-    return bound, tuple(q for q in primerange(2, bound + 1)
-                        if nf.level % q and (include_ell or q != ell))
+    qs = tuple(q for q in primerange(2, bound + 1) if nf.level % q and (include_ell or q != ell))
+    if not qs:
+        raise InsufficientData(f"bound {bound} leaves no prime q to check")
+    return bound, qs
 
 
 def _eisenstein_side(params: EisensteinParams, qs, lam: PrimeAbove) -> list[FFElem]:

@@ -250,7 +250,6 @@ def ord_exact(x: CycNum, lam: PrimeAbove) -> int:
 # -- finite-field embeddings ------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def canonical_modulus(ell: int, r: int) -> tuple[int, ...]:
     """Deterministic modulus for 'the' field with ell**r elements."""
     return fppoly.lex_least_irreducible(ell, r)

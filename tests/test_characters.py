@@ -295,12 +295,5 @@ def test_conrey_generator_values():
     assert conrey_generator(5) == 2
 
 
-def test_galois_conjugates():
-    chi = DirichletChar(7, 3)
-    orbit = chi.galois_conjugates()
-    assert orbit[0] == chi and len(orbit) == 2
-    assert {c.index for c in orbit} == {3, 5}
-
-
 def test_is_square_free():
     assert is_square_free(42) and not is_square_free(12)

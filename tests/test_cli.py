@@ -176,6 +176,20 @@ def test_verify_pass_and_fail_exit_codes(capsys, tmp_path):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--label", "1.12.a.a", "--ell", "13", "--psi", "1.1", "--phi", "1.1", "--M", "1",
+     "--k", "12"],
+    ["--label", "10.8.b.a", "--ell", "257", "--psi", "1.1", "--phi", "5.4", "--M", "2",
+     "--k", "8", "--bound", "0"],
+], ids=["sturm-bound-1", "bound-0"])
+def test_verify_with_no_prime_to_check_exit_2(capsys, argv):
+    # the default bound at level 1 (Sturm(12, 1) = 1) and --bound 0 leave no
+    # prime q to compare; that is refused, not reported as a pass
+    assert run(["--offline", "verify", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "leaves no prime q to check" in err
+
+
 def test_verify_unknown_label_exit_2(capsys):
     code = run(["--offline", "verify", "--label", "3.4.a.a", "--ell", "5",
                 "--psi", "1.1", "--phi", "1.1", "--M", "3", "--k", "4"])

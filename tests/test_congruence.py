@@ -8,7 +8,7 @@ from sympy import factorint
 from eiscong import congruence
 from eiscong.characters import DirichletChar, enumerate_pairs, parity_matches
 from eiscong.congruence import (bk_report, check_conditions, check_conditions_above,
-                                condition_one_quantity, diamond_hypothesis,
+                                diamond_hypothesis,
                                 search_congruence_primes, value_conductor)
 from eiscong.cyclotomic import CycNum
 from eiscong.eisenstein import EisensteinParams
@@ -109,7 +109,7 @@ def test_search_evaluates_condition_one_once(monkeypatch):
 
 
 def test_condition_one_quantity_value():
-    assert condition_one_quantity(P51).rational_value().numerator % 257 == 0
+    assert congruence._Quantities(P51).cond1.rational_value().numerator % 257 == 0
 
 
 def test_condition_one_quantity_lives_in_the_value_field_at_m1():
@@ -120,7 +120,7 @@ def test_condition_one_quantity_lives_in_the_value_field_at_m1():
     assert len(entries) == 25
     for e in entries:
         params = _params(e["psi"], e["phi"], 1, e["k"])
-        assert condition_one_quantity(params).conductor == value_conductor(params), e
+        assert congruence._Quantities(params).cond1.conductor == value_conductor(params), e
 
 
 def test_check_conditions_wrong_ell_rejected():
@@ -199,6 +199,14 @@ def test_diamond_requires_prime_m():
     lam = primes_above(73, 3)[0]
     with pytest.raises(ValueError):
         diamond_hypothesis(P53, FFElem.from_int(73, lam.factor, 1), lam)
+
+
+def test_diamond_refuses_a_p_of_another_characteristic():
+    # an F_13 value against lambda' above 257 is a caller's error, not a
+    # failed hypothesis
+    lam = primes_above(257, value_conductor(P51))[0]
+    with pytest.raises(ValueError, match="characteristic 13"):
+        diamond_hypothesis(P51, FFElem.from_int(13, (0, 1), 3), lam)
 
 
 SEARCH_GRID = Path(__file__).resolve().parent / "data" / "search_grid.json"

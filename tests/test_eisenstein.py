@@ -250,20 +250,27 @@ def test_e_delta_reuses_the_longest_lift(params, order):
         for b in order:
             cold = e_delta(params, DeltaChoice(params, dc.selection), b)
             assert _lift_json(e_delta(params, dc, b)) == _lift_json(cold), (dc, b)
-        assert dc._lifts[params].precision == max(order)
+        assert dc._lift.precision == max(order)
         # reading a returned lift's coefficients pins nothing in the store
-        assert "coeffs" not in vars(dc._lifts[params])
+        assert "coeffs" not in vars(dc._lift)
         assert e_delta(params, dc, 12) is not e_delta(params, dc, 12)
 
 
-def test_e_delta_store_is_keyed_by_params():
-    # the rows read the series of params and delta_p of delta.params
-    p51_k10 = EisensteinParams(5, 2, 10, TRIV, PHI5)
-    dc = DeltaChoice.constant(P51, "phi")
-    e_delta(P51, dc, 41)
-    got = e_delta(p51_k10, dc, 12)
-    assert _lift_json(got) == _lift_json(e_delta(p51_k10, DeltaChoice.constant(P51, "phi"), 12))
-    assert got.weight == 10 and set(dc._lifts) == {P51, p51_k10}
+def test_e_delta_refuses_a_delta_choice_of_other_params():
+    # delta_p of one parameter set over the series of another is E_delta of
+    # neither; an equal parameter set built anew is the same one
+    p51_k6 = EisensteinParams(5, 2, 6, TRIV, PHI5)
+    dc = DeltaChoice.constant(p51_k6, "phi")
+    gamma = CuspMatrix(1, 0, 5, 1)
+    for call in (lambda: e_delta(P51, dc, 6), lambda: constant_term_e_delta(P51, dc, gamma)):
+        with pytest.raises(ValueError, match="made for other parameters"):
+            call()
+    assert dc._lift is None
+    same = EisensteinParams(5, 2, 6, TRIV, PHI5)
+    assert same is not p51_k6
+    assert _lift_json(e_delta(same, dc, 6)) == \
+        _lift_json(e_delta(p51_k6, DeltaChoice.constant(p51_k6, "phi"), 6))
+    assert constant_term_e_delta(same, dc, gamma) == constant_term_e_delta(p51_k6, dc, gamma)
 
 
 def test_e_delta_checks_precision_before_the_store():
@@ -273,13 +280,13 @@ def test_e_delta_checks_precision_before_the_store():
         e_delta(P53, dc, 0)
     with pytest.raises(PrecisionTooLarge):
         e_delta(P53, dc, PREC_MAX + 1)
-    assert dc._lifts[P53].precision == 41
+    assert dc._lift.precision == 41
 
 
 def test_e_delta_via_hecke_reads_no_store():
     for dc in DeltaChoice.all_choices(P53):
         e_delta_via_hecke(P53, dc, 12)
-        assert dc._lifts == {}
+        assert dc._lift is None
 
 
 def test_cusp_constant_taken_once_per_parameter_set(monkeypatch):

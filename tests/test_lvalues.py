@@ -4,19 +4,20 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
-from sympy import bernoulli as sympy_bernoulli
+from sympy import Poly, Symbol, bernoulli as sympy_bernoulli
 
 from eiscong import lvalues
 from eiscong.characters import DirichletChar, primitive_characters
 from eiscong.cyclotomic import CycNum
 from eiscong.eisenstein import EisensteinParams
 from eiscong.errors import BadDivisor, OrderTooLarge, WeightTooLarge
-from eiscong.lvalues import (K_MAX, ORDER_MAX, bernoulli, bernoulli_poly,
-                             bk_quotient_order_factor, euler_factor, generalized_bernoulli,
-                             l_value_at_negative, partial_l_order_data)
+from eiscong.lvalues import (K_MAX, ORDER_MAX, bernoulli, bk_quotient_order_factor,
+                             euler_factor, generalized_bernoulli, l_value_at_negative,
+                             partial_l_order_data)
 from helpers import char_to_complex, cyc_to_complex
 
 TRIV = DirichletChar(1, 1)
+X = Symbol("x")
 LVALUES = Path(__file__).resolve().parent / "data" / "lvalues.json"
 
 
@@ -44,16 +45,6 @@ def test_bernoulli_matches_sympy(monkeypatch):
 def test_bernoulli_odd_vanishing():
     for k in range(3, 20, 2):
         assert bernoulli(k) == 0
-
-
-def test_bernoulli_poly():
-    assert bernoulli_poly(0) == [1]
-    assert bernoulli_poly(1) == [Fraction(-1, 2), 1]
-    assert bernoulli_poly(2) == [Fraction(1, 6), -1, 1]
-    # telescoping: B_k(1) = B_k(0) for k >= 2
-    for k in range(2, 12):
-        poly = bernoulli_poly(k)
-        assert sum(poly) == poly[0]
 
 
 def test_generalized_bernoulli_trivial_matches_plain():
@@ -197,11 +188,13 @@ def test_generalized_bernoulli_matches_textbook_sum():
     for f in range(1, 41):
         chars = primitive_characters(f)
         for k in range(1, 15):
-            poly = bernoulli_poly(k)
+            # B_k(x) from sympy, highest power first
+            poly = [Fraction(int(c.p), int(c.q))
+                    for c in Poly(sympy_bernoulli(k, X), X).all_coeffs()]
             b_at = {}
             for a in range(1, f + 1):
                 x, acc = Fraction(a, f), Fraction(0)
-                for c in reversed(poly):
+                for c in poly:
                     acc = acc * x + c
                 b_at[a] = acc
             for chi in chars:
@@ -235,8 +228,8 @@ def test_l_values_golden():
 @pytest.mark.parametrize("k", [K_MAX + 1, 10**5])
 def test_weight_ceiling(k):
     five2, five4 = DirichletChar(5, 2), DirichletChar(5, 4)
-    for call in (lambda: bernoulli(k), lambda: bernoulli_poly(k),
-                 lambda: generalized_bernoulli(k, five2), lambda: l_value_at_negative(k, five2),
+    for call in (lambda: bernoulli(k), lambda: generalized_bernoulli(k, five2),
+                 lambda: l_value_at_negative(k, five2),
                  lambda: EisensteinParams(5, 2, k, TRIV, five4)):
         with pytest.raises(WeightTooLarge, match=rf"k = {k} .*K_MAX = {K_MAX}"):
             call()

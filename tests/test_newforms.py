@@ -1,19 +1,20 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from eiscong.arith import primerange
 from eiscong.characters import DirichletChar
 from eiscong.congruence import search_congruence_primes, value_conductor
 from eiscong.eisenstein import EisensteinParams
 from eiscong.errors import (BadPrimeForBasis, CharacterMismatch, InsufficientData,
                             NonSquarefreeReduction, NotFound)
 from eiscong.newforms import (CongruenceCertificate, LmfdbClient, NewformData,
-                              convert_lmfdb_records, delta_an, delta_qexp,
-                              fetch_newform, load_fixture, replay_certificate,
-                              residue_maps_of_kf, save_fixture, sturm_bound,
-                              verify_at_ell, verify_congruence)
+                              convert_lmfdb_records, delta_an, fetch_newform,
+                              load_fixture, replay_certificate, residue_maps_of_kf,
+                              save_fixture, sturm_bound, verify_at_ell, verify_congruence)
 from eiscong.residue import primes_above
 
 TRIV = DirichletChar(1, 1)
@@ -44,6 +45,26 @@ def test_delta_qexp_against_brute_force():
     got = delta_an(40)
     assert got == brute_delta(40)
     assert got[1] == 1 and got[2] == -24 and got[3] == 252
+
+
+def test_delta_an_is_multiplicative_to_1000():
+    # past the 220 coefficients the fixture pins: tau(mn) = tau(m) tau(n)
+    # for coprime m, n and the Hecke recursion at prime powers
+    b = 1000
+    taus = delta_an(b)
+    assert len(taus) == b + 1 and delta_an(1) == [0, 1]
+    for m in range(2, b + 1):
+        for n in range(m + 1, b // m + 1):
+            if gcd(m, n) == 1:
+                assert taus[m * n] == taus[m] * taus[n], (m, n)
+    for p in primerange(2, b + 1):
+        r = 1
+        while p ** (r + 1) <= b:
+            assert taus[p ** (r + 1)] == \
+                taus[p] * taus[p**r] - p**11 * taus[p ** (r - 1)], (p, r)
+            r += 1
+    with pytest.raises(ValueError):
+        delta_an(0)
 
 
 def test_delta_ramanujan_congruence():
@@ -219,6 +240,28 @@ def test_verify_insufficient_bound():
     lam = primes_above(257, value_conductor(P51))[0]
     with pytest.raises(InsufficientData):
         verify_congruence(nf, P51, lam, bound=nf.b_data + 1)
+
+
+def test_verify_refuses_a_bound_with_no_prime_to_check():
+    # Sturm(12, 1) = 1 leaves no prime q, so an empty check would pass mod
+    # 13, where tau(2) - 2049 = -3 * 691 is not 0; replay of such a
+    # certificate refuses the same way
+    nf = load_fixture("1.12.a.a")
+    lam13 = primes_above(13, 1)[0]
+    for call in (lambda: verify_congruence(nf, P0, lam13),
+                 lambda: verify_at_ell(nf, P0, 13),
+                 lambda: verify_congruence(nf, P0, lam13, bound=0)):
+        with pytest.raises(InsufficientData, match="leaves no prime q to check"):
+            call()
+    cert = verify_congruence(nf, P0, lam13, bound=20)
+    assert not cert.passed and cert.first_failing_q == 2
+    empty = replace(cert, bound=1, checked_primes=(), passed=True, first_failing_q=None)
+    with pytest.raises(InsufficientData, match="bound 1 leaves no prime"):
+        replay_certificate(empty, nf)
+    nf10 = load_fixture("10.8.b.a")
+    for bound in (0, 1, 2):
+        with pytest.raises(InsufficientData, match=f"bound {bound} leaves no prime"):
+            verify_at_ell(nf10, P51, 257, bound=bound)
 
 
 def test_perturbed_coefficient_fails_at_three():
