@@ -12,7 +12,6 @@ coefficient multiplicativity and recursions, Atkin-Lehner squares) before
 being serialised into the package fixture schema.
 
 Run from the repository root:  python scripts/make_fixtures.py
-(it refuses ``python -O``, which would strip the asserts guarding them).
 """
 
 from __future__ import annotations
@@ -41,6 +40,12 @@ FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "eiscong" / "fixt
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def require(ok, msg):
+    """A check that python -O keeps: raise AssertionError(msg) unless ok."""
+    if not ok:
+        raise AssertionError(msg)
 
 
 def log(msg: str):
@@ -186,9 +191,9 @@ class Echelon:
         """Coordinates of vec over the basis rows; vec may be truncated, in
         which case all pivots must lie inside it and the residual is checked
         on the available columns."""
-        assert all(p < len(vec) for p in self.pivots), "vector too short for the pivot set"
+        require(all(p < len(vec) for p in self.pivots), "vector too short for the pivot set")
         coords, rem = self._reduce(vec)
-        assert not any(rem[:check_cols]), "vector is not in the span"
+        require(not any(rem[:check_cols]), "vector is not in the span")
         return coords
 
 
@@ -203,7 +208,7 @@ class KField:
 
     def __init__(self, g: list[Fraction]):
         self.g = trim([Fraction(c) for c in g])
-        assert self.g[-1] == 1, "KField needs a monic modulus"
+        require(self.g[-1] == 1, "KField needs a monic modulus")
         self.deg = len(self.g) - 1
 
     def mul(self, a, b):
@@ -242,7 +247,7 @@ class KField:
         for _ in range(self.deg - 1):
             cols.append(self.mul(cols[-1], [ZERO, ONE]))
         y = self.coords_over([ONE], cols)
-        assert y is not None, "element is not invertible"
+        require(y is not None, "element is not invertible")
         return trim(y)
 
     def eval_poly(self, coeffs, point):
@@ -310,7 +315,7 @@ def cohen_oesterle_dim_cusp(k: int, chi: DirichletChar) -> int:
         + gamma_k * e4.rational_value() + mu_k * e3.rational_value()
     if k == 2 and chi.is_trivial():
         total += 1
-    assert total.denominator == 1, f"dimension formula gave {total}"
+    require(total.denominator == 1, f"dimension formula gave {total}")
     return int(total)
 
 
@@ -321,7 +326,7 @@ class Space:
         self.level, self.k, self.chi, self.b0 = level, k, chi, b0
         self.qset = qset
         self.sturm = sturm_bound(k, level)
-        assert all(b0 // q >= self.sturm + 1 for q in qset), "b0 too small for qset"
+        require(all(b0 // q >= self.sturm + 1 for q in qset), "b0 too small for qset")
         self.eis_atoms = [a for a in weight_atoms(k, level)
                           if (a.psi * a.phi).primitive() == chi.primitive()]
         orders = {a.char_order for a in self.eis_atoms} | {chi.order}
@@ -408,8 +413,7 @@ class Space:
             for _ in range(self.w):
                 ech.add(vec)
                 vec = self.zeta_shift(vec)
-        assert ech.rank == self.dim_q, \
-            f"span rank {ech.rank} != expected {self.dim_q}"
+        require(ech.rank == self.dim_q, f"span rank {ech.rank} != expected {self.dim_q}")
         self.ech = ech
         log(f"  basis complete: rank {ech.rank}")
 
@@ -466,7 +470,7 @@ def minpoly(step, u, dim) -> list[Fraction]:
         vec = step(krylov[-1])
         krylov.append(list(vec) + [ZERO] * (dim - len(vec)))
     sol = _solve_columns(krylov[:-1], krylov[-1])
-    assert sol is not None
+    require(sol is not None, "no linear relation closes the Krylov sequence")
     return [-c for c in sol] + [ONE]
 
 
@@ -534,7 +538,7 @@ class EigenPacket:
         coords = []
         for a in self.a:
             sol = kf.coords_over(a, powers)
-            assert sol is not None, "coefficient not in Q(theta); enlarge theta"
+            require(sol is not None, "coefficient not in Q(theta); enlarge theta")
             coords.append(sol)
         return theta, mp, coords
 
@@ -556,7 +560,7 @@ def extract_newforms(space: Space, old_packets) -> list[EigenPacket]:
             vec = space.zeta_shift(vec)
     for packet in old_packets:
         lower_level = packet.space.level
-        assert space.c % packet.space.c == 0, "flattening conductors incompatible"
+        require(space.c % packet.space.c == 0, "flattening conductors incompatible")
         for t in divisors(space.level // lower_level):
             for series in packet.block_series:
                 vec = space.flat(dilate(series[: space.b0 + 1], t))
@@ -614,7 +618,7 @@ def extract_newforms(space: Space, old_packets) -> list[EigenPacket]:
         for h in all_factors:
             if h != g:
                 w = poly_apply(h, cmat, w)
-        assert any(w), "projection collapsed; retry with another vector"
+        require(any(w), "projection collapsed; retry with another vector")
         # v = q(C, lambda) w with q(x, lam) = (g(x) - g(lam)) / (x - lam)
         d = kf.deg
         ctw = [w]
@@ -631,7 +635,7 @@ def extract_newforms(space: Space, old_packets) -> list[EigenPacket]:
                 if ctw[t][i]:
                     acc = kf.add(acc, kf.scal(lam_coeff[t], ctw[t][i]))
             v.append(acc)
-        assert any(v)
+        require(any(v), "eigenvector is zero")
         # eigenvalue checks and extraction
         pivot = next(i for i in range(dim) if v[i])
         inv_piv = kf.inv(v[pivot])
@@ -640,11 +644,12 @@ def extract_newforms(space: Space, old_packets) -> list[EigenPacket]:
             img = kmatvec(mat, v, kf)
             a_q = kf.mul(img[pivot], inv_piv)
             for i in range(dim):
-                assert img[i] == kf.mul(a_q, v[i]), f"not an eigenvector of T_{q}"
+                require(img[i] == kf.mul(a_q, v[i]), f"not an eigenvector of T_{q}")
             eigs[q] = a_q
         zimg_vec = kmatvec(zmat, v, kf)
         z = kf.mul(zimg_vec[pivot], inv_piv)
-        assert kf.eval_poly(list(cyclotomic_poly(space.c)), z) == []
+        require(kf.eval_poly(list(cyclotomic_poly(space.c)), z) == [],
+                "character value is not a root of its cyclotomic polynomial")
         # q-expansion over K
         flat_k = [[] for _ in range(space.width)]
         for i in range(dim):
@@ -664,19 +669,19 @@ def extract_newforms(space: Space, old_packets) -> list[EigenPacket]:
                 if cell:
                     acc = kf.add(acc, kf.mul(cell, zpow[j]))
             a_list.append(acc)
-        assert a_list[0] == [], "newform must vanish at infinity"
+        require(a_list[0] == [], "newform must vanish at infinity")
         a1 = a_list[1]
         inv_a1 = kf.inv(a1)
         a_list = [kf.mul(a, inv_a1) for a in a_list[1:]]
         for q, a_q in eigs.items():
-            assert a_list[q - 1] == a_q, f"a_{q} mismatch after normalisation"
+            require(a_list[q - 1] == a_q, f"a_{q} mismatch after normalisation")
         # rational basis of the isotypic block: the K-component vectors of
         # the eigenvector's flat expansion
         block_series = []
         blk_ech = Echelon(space.width)
         for s in range(kf.deg):
             flat_s = [cell[s] if s < len(cell) else ZERO for cell in flat_k]
-            assert blk_ech.add(list(flat_s)), "degenerate eigenvector component"
+            require(blk_ech.add(list(flat_s)), "degenerate eigenvector component")
             block_series.append(space.unflat(flat_s))
         packet = EigenPacket(space, g, a_list, z, space.chi, block_series)
         verify_packet(packet)
@@ -703,7 +708,7 @@ def verify_packet(packet: EigenPacket):
             rhs = kf.mul(packet.a_n(p), packet.a_n(n))
             if n % p == 0 and cppow:
                 lhs = kf.add(lhs, kf.mul(cppow, packet.a_n(n // p)))
-            assert lhs == rhs, (p, n, "hecke coefficient relation")
+            require(lhs == rhs, (p, n, "hecke coefficient relation"))
     # Atkin-Lehner squares at p || level away from the conductor
     chi0 = packet.chi.primitive()
     for p in primefactors(level):
@@ -711,7 +716,7 @@ def verify_packet(packet: EigenPacket):
             continue
         rhs = kf.scal(packet.chi_image(p, chi0), Fraction(p) ** (k - 2))
         lhs = kf.mul(packet.a_n(p), packet.a_n(p))
-        assert lhs == rhs, f"Atkin-Lehner square failed at {p}"
+        require(lhs == rhs, f"Atkin-Lehner square failed at {p}")
     log(f"    packet verified (hecke structure to {b}, AL squares)")
 
 
@@ -790,11 +795,11 @@ def hnf_lattice(coords: list[list[Fraction]], deg: int):
         ys = [0] * deg
         for i in range(deg):
             y, rem = divmod(target[i], basis[i][i])
-            assert rem == 0, "coefficient outside the lattice"
+            require(rem == 0, "coefficient outside the lattice")
             ys[i] = y
             if y:
                 target = [t - y * b for t, b in zip(target, basis[i])]
-        assert not any(target)
+        require(not any(target), "coefficient outside the lattice")
         int_coords.append(tuple(ys))
     return frac_basis, int_coords
 
@@ -813,7 +818,7 @@ def packet_to_fixture(packet: EigenPacket, label: str, b_data: int,
         new_coords = []
         for vec in coords:
             sol = kk.coords_over(vec, powers)
-            assert sol is not None, "rebasing failed"
+            require(sol is not None, "rebasing failed")
             new_coords.append(sol)
         coords = new_coords
         mp = list(field_poly)
@@ -836,7 +841,7 @@ def find_root_in_field(field_minpoly: list[Fraction], target_poly: list[Fraction
     """A root of target_poly inside Q[y]/(field_minpoly), found p-adically
     and verified exactly."""
     deg = len(field_minpoly) - 1
-    assert len(target_poly) - 1 == deg
+    require(len(target_poly) - 1 == deg, "target polynomial degree differs from the field degree")
     kk = KField(field_minpoly)
     f_int = clear_denominators(field_minpoly)[0]
     t_int = clear_denominators(target_poly)[0]
@@ -974,15 +979,13 @@ def fixture_10_8_b_a(cache) -> NewformData:
     log(f"level 10: {len(packets10)} newform orbits, dims "
         f"{[packet_dim(p) for p in packets10]}")
     target = [p for p in packets10 if packet_dim(p) == 4]
-    assert len(target) == 1, "expected a unique quartic orbit at level 10"
+    require(len(target) == 1, "expected a unique quartic orbit at level 10")
     return packet_to_fixture(target[0], "10.8.b.a", 110,
                              field_poly=[Fraction(64), Fraction(0), Fraction(-15),
                                          Fraction(0), Fraction(1)])
 
 
 def main():
-    if not __debug__:
-        sys.exit("make_fixtures.py: its asserts guard every fixture; run it without -O")
     FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
     cache = {}
 
@@ -1012,7 +1015,7 @@ def main():
     packets14 = dedupe_orbits(packets14)
     log(f"level 14: {len(packets14)} orbits, dims {[packet_dim(p) for p in packets14]}")
     target = [p for p in packets14 if packet_dim(p) == 8]
-    assert len(target) == 1, "expected a unique degree-8 orbit at level 14"
+    require(len(target) == 1, "expected a unique degree-8 orbit at level 14")
     fx = packet_to_fixture(target[0], "14.7.d.a", 60)
     save_fixture(fx, FIXTURE_DIR)
     log("wrote 14.7.d.a")
@@ -1042,7 +1045,7 @@ def main():
         log(f"  42.6.e.{letters[i]}: dim {d}, traces {[str(t) for t in tr[:8]]}")
     target_idx = 2  # the 'c' slot
     dim_c = decorated[target_idx][0][0]
-    assert dim_c == 4, f"42.6.e.c expected dimension 4, got {dim_c}"
+    require(dim_c == 4, f"42.6.e.c expected dimension 4, got {dim_c}")
     fx = packet_to_fixture(decorated[target_idx][1], "42.6.e.c", 60)
     save_fixture(fx, FIXTURE_DIR)
     log("wrote 42.6.e.c")

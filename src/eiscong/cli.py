@@ -23,15 +23,13 @@ from .eisenstein import CuspMatrix, DeltaChoice, EisensteinParams, c_gamma, \
     constant_term_e_delta, e_delta
 from .errors import EiscongError
 from .lvalues import l_value_at_negative
-from .newforms import fetch_newform, sturm_bound, verify_at_ell
+from .newforms import fetch_newform, sturm_bound, verify_at_ell, verify_congruence
 from .residue import primes_above
 
 
 def _build_params(args) -> EisensteinParams:
     psi = DirichletChar.from_label(args.psi)
     phi = DirichletChar.from_label(args.phi)
-    if args.k <= 2:
-        raise EiscongError("k must exceed 2")
     return EisensteinParams(psi.conductor * phi.conductor, args.M, args.k, psi, phi)
 
 
@@ -171,7 +169,7 @@ def cmd_reproduce(args) -> int:
     params = _build_params(argparse.Namespace(**spec))
     triples = search_congruence_primes(params)
     nf = _fetch(args, params, spec["label"], spec["bound"])
-    cert = verify_at_ell(nf, params, triples[0][0], bound=spec["bound"])
+    cert = verify_congruence(nf, params, triples[0][1], bound=spec["bound"])
     verdict = "PASS" if cert.passed else f"FAIL at q={cert.first_failing_q}"
     lines = [f"params: {params.describe()}"]
     lines += [f"  predicted congruence prime ell={ell} lambda'={lam.pretty()}"

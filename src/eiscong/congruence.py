@@ -152,8 +152,7 @@ def diamond_hypothesis(params: EisensteinParams, a_p_image: FFElem,
     rhs = reduce_cyc(rhs_cyc, lam)
     pair = [(a_p_image * a_p_image, rhs)]
     r = lcm(a_p_image.degree, rhs.degree)
-    return any(matching_prefix(pair, r, jf, jc)
-               for jf in range(a_p_image.degree) for jc in range(rhs.degree))
+    return any(matching_prefix(pair, r, jc) for jc in range(rhs.degree))
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ class EisensteinParams:
         if gcd(self.N, self.M) != 1:
             raise ValueError("N and M must be coprime")
         if self.k <= 2:
-            raise ValueError("weight must satisfy k > 2")
+            raise ValueError("weight k must exceed 2")
         check_weight(self.k)
         check_order(lcm(self.psi.order, self.phi.order), self.psi, self.phi)
         if self.N * self.M > MODULUS_MAX:
@@ -411,7 +411,9 @@ def e_delta(params: EisensteinParams, delta: DeltaChoice, b: int) -> QExpansion:
 
 def e_delta_via_hecke(params: EisensteinParams, delta: DeltaChoice, b: int) -> QExpansion:
     """Reference construction: apply prod_{p | M} (T_p - delta_p) to
-    alpha_M E at working precision b * prod p, so no precision is lost."""
+    alpha_M E at working precision b * prod p, so no precision is lost.
+    The delta-choice must be one made for params."""
+    _check_delta(params, delta)
     work = b * prod(params.m_primes) if params.m_primes else b
     f = alpha_m(eisenstein_qexp(params, work), params.M)
     for p in params.m_primes:

@@ -9,10 +9,11 @@ A coefficient field K_f is handled only through its residue fields: a_n
 is stored as an integer vector on a lattice basis, the basis is reduced
 modulo a chosen irreducible factor of the defining polynomial, and the
 congruence test happens inside a common finite field together with the
-cyclotomic side, by :func:`residue.matching_prefix`.  Verification and
-replay derive the checked primes by one routine, so a certificate replays
-only if its prime list, label, ell and embedding degree are the ones
-verification records.
+cyclotomic side, by :func:`residue.matching_prefix`.  One routine builds
+every certificate: verification runs it at each prime of K_f and twist
+of lambda', and replay runs it again at the certificate's recorded
+choice and compares the JSON, so a certificate replays only if it is
+what verification records at that choice.
 """
 
 from __future__ import annotations
@@ -434,41 +435,44 @@ def _checked_primes(nf: NewformData, params: EisensteinParams, ell: int,
     return bound, qs
 
 
-def _eisenstein_side(params: EisensteinParams, qs, lam: PrimeAbove) -> list[FFElem]:
-    """psi(q) + phi(q) q^(k-1) reduced mod lambda' for each q."""
-    return [reduce_cyc(params.psi(q) + params.phi(q) * Fraction(q) ** (params.k - 1), lam)
-            for q in qs]
+def _certificate(nf: NewformData, params: EisensteinParams, lam: PrimeAbove,
+                 kmap: KfResidueMap, jc: int, bound: int, qs: tuple, include_ell: bool
+                 ) -> tuple[int, CongruenceCertificate]:
+    """(length of the matching prefix, certificate) of the comparison of
+    a_q with psi(q) + phi(q) q^(k-1) at one choice: the prime of K_f that
+    kmap reduces at, and twist jc (mod the degree of lambda') of lambda'
+    against the untwisted K_f side (see :func:`residue.matching_prefix`).
+    Each q is reduced only when compared.  The only code that writes a certificate, so verify and
+    replay agree."""
+    r = lcm(kmap.degree, lam.residue_degree)
+    jc %= lam.residue_degree
+    pairs = ((kmap.reduce_vector(nf.a_vector(q)),
+              reduce_cyc(params.psi(q) + params.phi(q) * Fraction(q) ** (params.k - 1), lam))
+             for q in qs)
+    npass = matching_prefix(pairs, r, jc)
+    return npass, CongruenceCertificate(
+        label=nf.label, params=params, ell=lam.ell, lambda_prime=lam,
+        field_poly_factor=kmap.factor, embedding_degree=r, twist_f=0, twist_cyc=jc,
+        bound=bound, checked_primes=qs, include_ell=include_ell,
+        passed=npass == len(qs), first_failing_q=qs[npass] if npass < len(qs) else None)
 
 
 def verify_congruence(nf: NewformData, params: EisensteinParams, lam: PrimeAbove,
                       bound: int | None = None, include_ell: bool = True
                       ) -> CongruenceCertificate:
-    """Try every prime of K_f above ell and every pair of Frobenius twists
-    of the two residue fields inside their common field; return the first
-    passing certificate in enumeration order, else the best failing one."""
-    ell = lam.ell
-    bound, qs = _checked_primes(nf, params, ell, bound, include_ell)
-    rhs = _eisenstein_side(params, qs, lam)
-    e = lam.residue_degree
+    """Compare at every prime of K_f above ell and every Frobenius twist of
+    lambda' inside the common field, the K_f side untwisted; return the
+    first passing certificate in that order, else the first one with the
+    longest matching prefix."""
+    bound, qs = _checked_primes(nf, params, lam.ell, bound, include_ell)
     best = None  # (#passed prefix, certificate)
-    for kmap in residue_maps_of_kf(nf, ell):
-        d = kmap.degree
-        r = lcm(d, e)
-        pairs = [(kmap.reduce_vector(nf.a_vector(q)), b) for q, b in zip(qs, rhs)]
-        for jf in range(d):
-            for jc in range(e):
-                npass = matching_prefix(pairs, r, jf, jc)
-                cert = CongruenceCertificate(
-                    label=nf.label, params=params, ell=ell, lambda_prime=lam,
-                    field_poly_factor=kmap.factor, embedding_degree=r,
-                    twist_f=jf, twist_cyc=jc, bound=bound,
-                    checked_primes=qs, include_ell=include_ell,
-                    passed=npass == len(qs),
-                    first_failing_q=qs[npass] if npass < len(qs) else None)
-                if cert.passed:
-                    return cert
-                if best is None or npass > best[0]:
-                    best = (npass, cert)
+    for kmap in residue_maps_of_kf(nf, lam.ell):
+        for jc in range(lam.residue_degree):
+            npass, cert = _certificate(nf, params, lam, kmap, jc, bound, qs, include_ell)
+            if cert.passed:
+                return cert
+            if best is None or npass > best[0]:
+                best = (npass, cert)
     return best[1]
 
 
@@ -489,23 +493,15 @@ def verify_at_ell(nf: NewformData, params: EisensteinParams, ell: int,
 
 
 def replay_certificate(cert: CongruenceCertificate, nf: NewformData) -> bool:
-    """True iff the certificate is what verify_congruence records for its
-    choices: the prime list re-derived from its bound, ell and include_ell
-    (raising as verify does on a newform that does not fit its parameters),
-    its label, lambda' above ell, a factor of the field polynomial and the
-    lcm of the two residue degrees all agree, and the comparison with its
-    twists gives its outcome, down to the first failing prime."""
-    params, lam = cert.params, cert.lambda_prime
-    _, qs = _checked_primes(nf, params, cert.ell, cert.bound, cert.include_ell)
+    """True iff the certificate rebuilt at its recorded choice (its factor's
+    prime of K_f, twist of lambda', bound and include_ell) has the same
+    JSON; False if the factor names no prime of K_f above ell.  Raises as
+    verify does on a newform that does not fit the parameters."""
+    bound, qs = _checked_primes(nf, cert.params, cert.ell, cert.bound, cert.include_ell)
     kmap = next((m for m in residue_maps_of_kf(nf, cert.ell)
                  if m.factor == cert.field_poly_factor), None)
-    if (kmap is None or qs != tuple(cert.checked_primes) or lam.ell != cert.ell
-            or cert.label != nf.label
-            or cert.embedding_degree != lcm(kmap.degree, lam.residue_degree)):
+    if kmap is None:
         return False
-    pairs = zip((kmap.reduce_vector(nf.a_vector(q)) for q in qs),
-                _eisenstein_side(params, qs, lam))
-    npass = matching_prefix(pairs, cert.embedding_degree, cert.twist_f, cert.twist_cyc)
-    if cert.passed:
-        return npass == len(qs) and cert.first_failing_q is None
-    return npass < len(qs) and qs[npass] == cert.first_failing_q
+    _, rebuilt = _certificate(nf, cert.params, cert.lambda_prime, kmap, cert.twist_cyc,
+                              bound, qs, cert.include_ell)
+    return rebuilt.to_json() == cert.to_json()

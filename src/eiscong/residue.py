@@ -380,12 +380,15 @@ def ff_embed(a: FFElem, r: int, twist: int = 0) -> FFElem:
     return acc
 
 
-def matching_prefix(pairs, r: int, jf: int, jc: int) -> int:
+def matching_prefix(pairs, r: int, twist: int) -> int:
     """How many leading pairs (a, b) have equal images in the canonical
-    degree-r field, a embedded with twist jf and b with twist jc."""
+    degree-r field, a embedded untwisted and b with the given twist.
+    Twisting a as well finds no other match: the Frobenius of the common
+    field generates its Galois group, moves every twist of a to twist 0,
+    and keeps every equality."""
     n = 0
     for a, b in pairs:
-        if ff_embed(a, r, jf) != ff_embed(b, r, jc):
+        if ff_embed(a, r) != ff_embed(b, r, twist):
             break
         n += 1
     return n

@@ -258,11 +258,13 @@ def test_e_delta_reuses_the_longest_lift(params, order):
 
 def test_e_delta_refuses_a_delta_choice_of_other_params():
     # delta_p of one parameter set over the series of another is E_delta of
-    # neither; an equal parameter set built anew is the same one
+    # neither (the Hecke construction gave a_2 = -95 where the lift has 1);
+    # an equal parameter set built anew is the same one
     p51_k6 = EisensteinParams(5, 2, 6, TRIV, PHI5)
     dc = DeltaChoice.constant(p51_k6, "phi")
     gamma = CuspMatrix(1, 0, 5, 1)
-    for call in (lambda: e_delta(P51, dc, 6), lambda: constant_term_e_delta(P51, dc, gamma)):
+    for call in (lambda: e_delta(P51, dc, 6), lambda: e_delta_via_hecke(P51, dc, 6),
+                 lambda: constant_term_e_delta(P51, dc, gamma)):
         with pytest.raises(ValueError, match="made for other parameters"):
             call()
     assert dc._lift is None

@@ -1,7 +1,7 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -9,17 +9,19 @@ from eiscong.arith import primerange
 from eiscong.characters import DirichletChar
 from eiscong.congruence import search_congruence_primes, value_conductor
 from eiscong.eisenstein import EisensteinParams
+from eiscong import newforms
 from eiscong.errors import (BadPrimeForBasis, CharacterMismatch, InsufficientData,
                             NonSquarefreeReduction, NotFound)
 from eiscong.newforms import (CongruenceCertificate, LmfdbClient, NewformData,
                               convert_lmfdb_records, delta_an, fetch_newform,
                               load_fixture, replay_certificate, residue_maps_of_kf,
                               save_fixture, sturm_bound, verify_at_ell, verify_congruence)
-from eiscong.residue import primes_above
+from eiscong.residue import ff_embed, matching_prefix, primes_above, reduce_cyc
 
 TRIV = DirichletChar(1, 1)
 P0 = EisensteinParams(1, 1, 12, TRIV, TRIV)
 P51 = EisensteinParams(5, 2, 8, TRIV, DirichletChar(5, 4))
+P52 = EisensteinParams(7, 2, 7, TRIV, DirichletChar(7, 3))
 
 
 def test_sturm_bound_examples():
@@ -279,12 +281,98 @@ def test_perturbed_coefficient_fails_at_three():
     assert replay_certificate(cert, broken)
 
 
-def test_embedding_completeness_counts():
-    # the failing path enumerates every (factor, twist) pair: degree * e each
+def test_embedding_completeness_counts(monkeypatch):
+    # a failing verify compares once per prime of K_f and twist of lambda':
+    # at 13, K_f has two primes of degree 2 and lambda' has degree e = 1,
+    # so 2 comparisons, not the 2 * 2 * 1 of twisting the K_f side too
+    calls = []
+
+    def counting(pairs, r, twist):
+        calls.append((r, twist))
+        return matching_prefix(pairs, r, twist)
+
+    monkeypatch.setattr(newforms, "matching_prefix", counting)
     nf = load_fixture("10.8.b.a")
     lam = primes_above(13, value_conductor(P51))[0]
+    assert [m.degree for m in residue_maps_of_kf(nf, 13)] == [2, 2]
+    assert lam.residue_degree == 1
     cert = verify_congruence(nf, P51, lam, bound=20)
     assert not cert.passed  # 13 is not a congruence prime
+    assert calls == [(2, 0), (2, 0)]
+
+
+def exhaustive_certificate(nf, params, lam, bound):
+    """verify_congruence's answer by trying every twist of both sides: the
+    first passing (prime of K_f, twist_f, twist_cyc), else the first with
+    the longest matching prefix."""
+    qs = tuple(q for q in primerange(2, bound + 1) if nf.level % q)
+    rhs = [reduce_cyc(params.psi(q) + params.phi(q) * Fraction(q) ** (params.k - 1), lam)
+           for q in qs]
+    best = None
+    for kmap in residue_maps_of_kf(nf, lam.ell):
+        r = lcm(kmap.degree, lam.residue_degree)
+        lhs = [kmap.reduce_vector(nf.a_vector(q)) for q in qs]
+        for jf in range(kmap.degree):
+            for jc in range(lam.residue_degree):
+                npass = 0
+                while npass < len(qs) and \
+                        ff_embed(lhs[npass], r, jf) == ff_embed(rhs[npass], r, jc):
+                    npass += 1
+                cert = CongruenceCertificate(
+                    label=nf.label, params=params, ell=lam.ell, lambda_prime=lam,
+                    field_poly_factor=kmap.factor, embedding_degree=r, twist_f=jf,
+                    twist_cyc=jc, bound=bound, checked_primes=qs, include_ell=True,
+                    passed=npass == len(qs),
+                    first_failing_q=qs[npass] if npass < len(qs) else None)
+                if cert.passed:
+                    return cert
+                if best is None or npass > best[0]:
+                    best = (npass, cert)
+    return best[1]
+
+
+@pytest.mark.parametrize("label, params, ell, degree", [
+    ("14.7.d.a", P52, 337, 1),   # eight primes of K_f of degree 1, one passes
+    ("10.8.b.a", P51, 13, 2),    # two primes of K_f of degree 2, e = 1
+    ("14.7.d.a", P52, 11, 4),    # two primes of K_f of degree 4, e = 2
+], ids=["degree-1", "degree-2", "degree-4"])
+def test_verify_equals_the_search_over_both_twists(label, params, ell, degree):
+    # the Frobenius of the common field moves any twist of the K_f side to
+    # twist 0, so untwisting it loses no certificate
+    nf = load_fixture(label)
+    lam = primes_above(ell, value_conductor(params))[0]
+    cert = verify_congruence(nf, params, lam, bound=14)
+    assert cert.embedding_degree == degree
+    assert cert == exhaustive_certificate(nf, params, lam, 14)
+    assert replay_certificate(cert, nf)
+
+
+def test_replay_refuses_every_single_field_edit():
+    # each edit leaves a certificate that verify does not write at the
+    # choice it records; twist_f is never 1, and twist_cyc 1 is twist 0
+    # when lambda' has degree 1
+    nf = load_fixture("10.8.b.a")
+    lam13, = primes_above(13, value_conductor(P51))
+    lam257, = primes_above(257, value_conductor(P51))
+    failed = verify_congruence(nf, P51, lam13, bound=20)
+    passed = verify_congruence(nf, P51, lam257, bound=20)
+    assert not failed.passed and failed.first_failing_q == 3 and 13 in failed.checked_primes
+    assert passed.passed and passed.field_poly_factor == (95, 1)
+    edits = [(failed, "label", "1.12.a.a"), (failed, "ell", 257),
+             (failed, "lambda_prime", lam257), (passed, "field_poly_factor", (111, 1)),
+             (failed, "embedding_degree", 4), (failed, "twist_f", 1),
+             (failed, "twist_cyc", 1), (failed, "bound", 30),
+             (failed, "checked_primes", failed.checked_primes[:-1]),
+             (failed, "include_ell", False), (failed, "passed", True),
+             (failed, "first_failing_q", 7)]
+    for cert, name, value in edits:
+        assert replay_certificate(cert, nf)
+        assert replay_certificate(replace(cert, **{name: value}), nf) is False, name
+    # parameters the newform does not fit are refused as verify refuses them
+    with pytest.raises(ValueError, match="level/weight"):
+        replay_certificate(replace(failed, params=EisensteinParams(5, 2, 6, TRIV, P51.phi)), nf)
+    assert {name for _, name, _ in edits} | {"params"} == \
+        {f.name for f in fields(CongruenceCertificate)}
 
 
 # -- LMFDB client against canned responses ------------------------------
