@@ -27,9 +27,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from eiscong import fppoly  # noqa: E402
 from eiscong.arith import divisors, factorint, primefactors, primerange  # noqa: E402
-from eiscong.characters import DirichletChar, primitive_characters  # noqa: E402
-from eiscong.cyclotomic import (CycNum, _phi, _solve_columns, clear_denominators,  # noqa: E402
-                                 cyclotomic_poly)
+from eiscong.characters import DirichletChar, parity_matches, primitive_characters  # noqa: E402
+from eiscong.cyclotomic import (CycNum, _divide_monic, _phi, _solve_columns,  # noqa: E402
+                                 clear_denominators, cyclotomic_poly)
 from eiscong.errors import NotSquareFree  # noqa: E402
 from eiscong.eisenstein import sigma_power_div  # noqa: E402
 from eiscong.fppoly import trim  # noqa: E402
@@ -68,12 +68,11 @@ def sigma_series(k1: int, psi: DirichletChar, phi: DirichletChar, b: int) -> lis
 
 def e2t_series(t: int, b: int) -> list[CycNum]:
     """E_2(z) - t E_2(tz), holomorphic of level t (t > 1)."""
-    out = [CycNum.from_rational(Fraction(t - 1, 24))]
-    for n in range(1, b + 1):
-        s = sum(d for d in divisors(n))
-        s2 = sum(d for d in divisors(n // t)) if n % t == 0 else 0
-        out.append(CycNum.from_rational(Fraction(s - t * s2)))
-    return out
+    one = DirichletChar(1, 1)
+    sigma = [0] + [sigma_power_div(n, 2, one, one).rational_value() for n in range(1, b + 1)]
+    return [CycNum.from_rational(Fraction(t - 1, 24))] + [
+        CycNum.from_rational(sigma[n] - (t * sigma[n // t] if n % t == 0 else 0))
+        for n in range(1, b + 1)]
 
 
 def dilate(coeffs: list[CycNum], t: int) -> list[CycNum]:
@@ -112,7 +111,7 @@ def weight_atoms(k1: int, level: int) -> list[Atom]:
         for v in divisors(level // u):
             for psi in primitive_characters(u):
                 for phi in primitive_characters(v):
-                    if psi.parity * phi.parity != (-1) ** k1:
+                    if not parity_matches(psi, phi, k1):
                         continue
                     if k1 == 2 and u == v == 1:
                         continue
@@ -212,7 +211,7 @@ class KField:
         self.deg = len(self.g) - 1
 
     def mul(self, a, b):
-        """The product, reduced by the monic g from the top down."""
+        """The product, reduced by the monic g."""
         if not a or not b:
             return []
         out = [ZERO] * (len(a) + len(b) - 1)
@@ -220,15 +219,8 @@ class KField:
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        d = self.deg
-        low = self.g[:d]
-        while len(out) > d:
-            c = out.pop()
-            if c:
-                base = len(out) - d
-                for i, gi in enumerate(low):
-                    out[base + i] -= c * gi
-        return trim(out)
+        _divide_monic(out, self.g)
+        return trim(out[:self.deg])
 
     def add(self, a, b):
         if len(a) < len(b):
@@ -269,11 +261,11 @@ class KField:
 
 
 def cohen_oesterle_dim_cusp(k: int, chi: DirichletChar) -> int:
-    """dim S_k(Gamma_0(N), chi) for k >= 3 (also k = 2 away from the
-    trivial-character correction, which is handled)."""
+    """dim S_k(Gamma_0(N), chi) by Cohen-Oesterle (LNM 627) for k >= 3
+    (also k = 2 away from the trivial-character correction, handled)."""
     n = chi.modulus
     f = chi.conductor
-    mu = n * prod(Fraction(p + 1, p) for p in primefactors(n)) if n > 1 else Fraction(1)
+    mu = n * prod(Fraction(p + 1, p) for p in primefactors(n))
     term = Fraction(k - 1, 12) * mu
 
     def lam(r, s, p):
@@ -303,14 +295,11 @@ def cohen_oesterle_dim_cusp(k: int, chi: DirichletChar) -> int:
         mu_k = Fraction(1, 3)
     e4 = CycNum.zero(1)
     e3 = CycNum.zero(1)
-    for x in range(n if n > 1 else 1):
-        if (x * x + 1) % n == 0 if n > 1 else x == 0:
+    for x in range(n):
+        if (x * x + 1) % n == 0:
             e4 = e4 + chi(x)
-        if n > 1 and (x * x + x + 1) % n == 0:
+        if (x * x + x + 1) % n == 0:
             e3 = e3 + chi(x)
-    if n == 1:
-        e4 = CycNum.one()
-        e3 = CycNum.one()
     total = term - Fraction(1, 2) * prod_term \
         + gamma_k * e4.rational_value() + mu_k * e3.rational_value()
     if k == 2 and chi.is_trivial():
@@ -943,53 +932,53 @@ def build_space_packets(level, k, chi, b0, qset, old_specs, cache):
     return packets
 
 
-def packet_dim(packet):
-    theta, mp, _ = packet.coefficient_field
-    return len(mp) - 1
-
-
-def orbit_key(packet):
-    """Intrinsic invariants of the newform orbit: coefficient-field degree
-    and the rational trace sequence (identical for the conjugate copies
-    that restriction of scalars can produce)."""
-    theta, mp, coords = packet.coefficient_field
-    traces = tuple(trace_sequence(mp, coords, min(50, len(coords))))
-    return (len(mp) - 1, traces)
-
-
-def dedupe_orbits(packets):
-    seen = {}
+def lmfdb_orbits(packets):
+    """The distinct newform orbits in LMFDB's letter order: by dimension,
+    then by the rational trace sequence, which is also what identifies the
+    conjugate copies that restriction of scalars can produce (the first
+    copy is kept)."""
+    orbits = {}
     for p in packets:
-        key = orbit_key(p)
-        if key not in seen:
-            seen[key] = p
-    return list(seen.values())
+        theta, mp, coords = p.coefficient_field
+        key = (len(mp) - 1, tuple(trace_sequence(mp, coords, 50)))
+        orbits.setdefault(key, p)
+    return [orbits[key] for key in sorted(orbits)]
 
 
-def fixture_10_8_b_a(cache) -> NewformData:
-    """The quartic orbit at level 10 (old forms from level 5), rebased onto
-    the field polynomial x^4 - 15x^2 + 64."""
-    chi10 = DirichletChar(5, 4).lift(10)
-    chi5 = DirichletChar(5, 4)
-    packets10 = build_space_packets(
-        10, 8, chi10, 130, [3, 7],
-        old_specs=[(5, 8, chi5, 130, [2, 3], [])],
-        cache=cache)
-    packets10 = dedupe_orbits(packets10)
-    log(f"level 10: {len(packets10)} newform orbits, dims "
-        f"{[packet_dim(p) for p in packets10]}")
-    target = [p for p in packets10 if packet_dim(p) == 4]
-    require(len(target) == 1, "expected a unique quartic orbit at level 10")
-    return packet_to_fixture(target[0], "10.8.b.a", 110,
-                             field_poly=[Fraction(64), Fraction(0), Fraction(-15),
-                                         Fraction(0), Fraction(1)])
+CHI5, CHI7_7, CHI7_6 = DirichletChar(5, 4), DirichletChar(7, 3), DirichletChar(7, 4)
+SPEC_7_6 = (7, 6, CHI7_6, 280, [2, 3, 5], [])
+
+# label -> (space spec as build_space_packets takes it, with the specs of
+# its old-form spaces; orbit dimension; b_data; field polynomial to rebase
+# onto or None)
+FIXTURE_SPECS = {
+    "10.8.b.a": ((10, 8, CHI5.lift(10), 130, [3, 7], [(5, 8, CHI5, 130, [2, 3], [])]),
+                 4, 110, [Fraction(c) for c in (64, 0, -15, 0, 1)]),
+    "14.7.d.a": ((14, 7, CHI7_7.lift(14), 120, [3, 5], [(7, 7, CHI7_7, 120, [2, 3], [])]),
+                 8, 60, None),
+    "42.6.e.c": ((42, 6, CHI7_6.lift(42), 280, [5],
+                  [SPEC_7_6, (14, 6, CHI7_6.lift(14), 280, [3, 5], [SPEC_7_6]),
+                   (21, 6, CHI7_6.lift(21), 280, [2, 5], [SPEC_7_6])]),
+                 4, 60, None),
+}
+
+
+def build_fixture(label: str, cache) -> NewformData:
+    """The fixture of the orbit that the label's last letter names among
+    the newform orbits of its space (a the first)."""
+    space_spec, dim, b_data, field_poly = FIXTURE_SPECS[label]
+    orbits = lmfdb_orbits(build_space_packets(*space_spec, cache=cache))
+    dims = [len(p.coefficient_field[1]) - 1 for p in orbits]
+    log(f"level {space_spec[0]}: {len(orbits)} newform orbits, dims {dims}")
+    idx = ord(label[-1]) - ord("a")
+    require(idx < len(dims) and dims[idx] == dim, f"{label}: expected dimension {dim}, dims {dims}")
+    return packet_to_fixture(orbits[idx], label, b_data, field_poly)
 
 
 def main():
     FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
     cache = {}
 
-    # --- Delta (1.12.a.a) -------------------------------------------------
     log("writing 1.12.a.a from the eta-product expansion")
     taus = delta_an(220)
     nf = NewformData(
@@ -1001,54 +990,9 @@ def main():
     nf.validate()
     save_fixture(nf, FIXTURE_DIR)
 
-    # --- 10.8.b.a ----------------------------------------------------------
-    save_fixture(fixture_10_8_b_a(cache), FIXTURE_DIR)
-    log("wrote 10.8.b.a")
-
-    # --- 14.7.d.a ----------------------------------------------------------
-    chi7 = DirichletChar(7, 3)
-    chi14 = chi7.lift(14)
-    packets14 = build_space_packets(
-        14, 7, chi14, 120, [3, 5],
-        old_specs=[(7, 7, chi7, 120, [2, 3], [])],
-        cache=cache)
-    packets14 = dedupe_orbits(packets14)
-    log(f"level 14: {len(packets14)} orbits, dims {[packet_dim(p) for p in packets14]}")
-    target = [p for p in packets14 if packet_dim(p) == 8]
-    require(len(target) == 1, "expected a unique degree-8 orbit at level 14")
-    fx = packet_to_fixture(target[0], "14.7.d.a", 60)
-    save_fixture(fx, FIXTURE_DIR)
-    log("wrote 14.7.d.a")
-
-    # --- 42.6.e.c ----------------------------------------------------------
-    chi7e = DirichletChar(7, 4)
-    chi14e = chi7e.lift(14)
-    chi21e = chi7e.lift(21)
-    chi42e = chi7e.lift(42)
-    spec7 = (7, 6, chi7e, 280, [2, 3, 5], [])
-    spec14 = (14, 6, chi14e, 280, [3, 5], [spec7])
-    spec21 = (21, 6, chi21e, 280, [2, 5], [spec7])
-    packets42 = build_space_packets(
-        42, 6, chi42e, 280, [5], [spec7, spec14, spec21], cache=cache)
-    packets42 = dedupe_orbits(packets42)
-    dims = [packet_dim(p) for p in packets42]
-    log(f"level 42: {len(packets42)} orbits, dims {dims}")
-    # LMFDB letters sort by dimension, then lexicographically by traces
-    decorated = []
-    for p in packets42:
-        theta, mp, coords = p.coefficient_field
-        traces = tuple(trace_sequence(mp, coords, 20))
-        decorated.append(((len(mp) - 1, traces), p))
-    decorated.sort(key=lambda x: x[0])
-    letters = "abcdefgh"
-    for i, ((d, tr), p) in enumerate(decorated):
-        log(f"  42.6.e.{letters[i]}: dim {d}, traces {[str(t) for t in tr[:8]]}")
-    target_idx = 2  # the 'c' slot
-    dim_c = decorated[target_idx][0][0]
-    require(dim_c == 4, f"42.6.e.c expected dimension 4, got {dim_c}")
-    fx = packet_to_fixture(decorated[target_idx][1], "42.6.e.c", 60)
-    save_fixture(fx, FIXTURE_DIR)
-    log("wrote 42.6.e.c")
+    for label in FIXTURE_SPECS:
+        save_fixture(build_fixture(label, cache), FIXTURE_DIR)
+        log(f"wrote {label}")
     log("all fixtures written")
 
 

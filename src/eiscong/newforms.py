@@ -130,12 +130,7 @@ class NewformData:
         """Raises BadFixture naming the first field that is missing or
         cannot be parsed."""
         def field(name, parse):
-            if not isinstance(obj, dict) or name not in obj:
-                raise BadFixture(f"missing field {name!r}")
-            try:
-                return parse(obj[name])
-            except (TypeError, ValueError) as exc:
-                raise BadFixture(f"bad field {name!r}: {exc}") from exc
+            return _field(obj, name, parse)
 
         def fractions(pairs):
             return tuple(Fraction(int(p), int(q)) for p, q in pairs)
@@ -151,6 +146,17 @@ class NewformData:
         )
         nf.validate()
         return nf
+
+
+def _field(obj, name: str, parse, where: str = ""):
+    """parse(obj[name]), or BadFixture naming the field if obj has no such
+    field or parse fails on it."""
+    if not isinstance(obj, dict) or name not in obj:
+        raise BadFixture(f"{where}missing field {name!r}")
+    try:
+        return parse(obj[name])
+    except (TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+        raise BadFixture(f"{where}bad field {name!r}: {exc}") from exc
 
 
 # -- fixture store -----------------------------------------------------
@@ -219,35 +225,34 @@ class LmfdbClient:
             LmfdbClient._last_request = time.monotonic()
 
     def _get(self, table: str, query: dict) -> list[dict]:
-        try:
-            import requests
-        except ImportError as exc:
-            raise NetworkError("fetching from the LMFDB needs requests: "
-                               "pip install 'eiscong[web]'") from exc
+        """The records of one API query.  HTTP 429, 502 and 503 and failed
+        connections are retried, three attempts in all, with a doubling
+        delay.  The HTTP stack is imported here, so that importing the
+        package does not load it."""
+        import urllib.request
+        from urllib.error import HTTPError
+        from urllib.parse import urlencode
 
         url = f"{self.endpoint}/{table}/"
-        params = dict(query)
-        params["_format"] = "json"
         delay = 1.0
         for attempt in range(3):
             self._pace()
             try:
-                resp = requests.get(url, params=params, timeout=_REQUEST_TIMEOUT_S)
-                if resp.status_code == 200:
-                    return resp.json().get("data", [])
-                if resp.status_code in (429, 502, 503) and attempt < 2:
-                    time.sleep(delay)
-                    delay *= 2
-                    continue
-                raise NetworkError(f"GET {url} -> HTTP {resp.status_code}")
+                with urllib.request.urlopen(f"{url}?{urlencode({**query, '_format': 'json'})}",
+                                            timeout=_REQUEST_TIMEOUT_S) as resp:
+                    if resp.status == 200:
+                        return json.load(resp).get("data", [])
+                    raise NetworkError(f"GET {url} -> HTTP {resp.status}")
+            except HTTPError as exc:
+                if exc.code not in (429, 502, 503) or attempt == 2:
+                    raise NetworkError(f"GET {url} -> HTTP {exc.code}") from exc
             except NetworkError:
                 raise
             except Exception as exc:  # connection errors, bad JSON, ...
                 if attempt == 2:
                     raise NetworkError(f"GET {url} failed: {exc}") from exc
-                time.sleep(delay)
-                delay *= 2
-        raise NetworkError(f"GET {url} failed")
+            time.sleep(delay)
+            delay *= 2
 
     def fetch(self, label: str) -> NewformData:
         forms = self._get("mf_newforms", {"label": label})
@@ -264,28 +269,37 @@ def convert_lmfdb_records(form: dict, hecke: dict) -> NewformData:
     """Map an (mf_newforms, mf_hecke_nf) record pair onto the canonical
     fixture schema.  Coefficients are ascending lists; the hecke-ring
     basis is given by numerator rows over a per-row denominator, or is
-    the power basis when flagged."""
-    field_poly = [Fraction(c) for c in (hecke.get("field_poly") or form["field_poly"])]
+    the power basis when flagged.  Raises BadFixture naming the first
+    field that is missing or cannot be parsed."""
+    def field(rec, name, parse=int):
+        return _field(rec, name, parse, "LMFDB record: ")
+
+    if not (isinstance(form, dict) and isinstance(hecke, dict)):
+        raise BadFixture("LMFDB record is not a JSON object")
+    field_poly = field(hecke if hecke.get("field_poly") else form, "field_poly",
+                       lambda cs: [Fraction(c) for c in cs])
     d = len(field_poly) - 1
-    conrey = form.get("conrey_index")
-    if conrey is None:
-        conrey = min(form["conrey_indexes"])
+    if form.get("conrey_index") is not None:
+        conrey = field(form, "conrey_index")
+    else:
+        conrey = field(form, "conrey_indexes", lambda cs: int(min(cs)))
     if hecke.get("hecke_ring_power_basis"):
         basis = [[Fraction(int(i == j)) for i in range(d)] for j in range(d)]
     else:
-        nums = hecke["hecke_ring_numerators"]
-        dens = hecke["hecke_ring_denominators"]
-        basis = [[Fraction(int(nums[j][i]), int(dens[j])) for i in range(d)]
-                 for j in range(d)]
-    an = [tuple(int(c) for c in vec) for vec in hecke["an"]]
+        dens = field(hecke, "hecke_ring_denominators",
+                     lambda ds: [Fraction(1, int(x)) for x in ds])
+        basis = field(hecke, "hecke_ring_numerators",
+                      lambda nums: [[int(nums[j][i]) * dens[j] for i in range(d)]
+                                    for j in range(d)])
+    level = field(form, "level")
     nf = NewformData(
-        label=form["label"],
-        level=int(form["level"]),
-        weight=int(form["weight"]),
-        character=DirichletChar(int(form["level"]), int(conrey)),
+        label=field(form, "label", str),
+        level=level,
+        weight=field(form, "weight"),
+        character=DirichletChar(level, conrey),
         field_poly=tuple(field_poly),
         basis=tuple(tuple(row) for row in basis),
-        an=tuple(an),
+        an=field(hecke, "an", lambda vecs: tuple(tuple(int(c) for c in vec) for vec in vecs)),
     )
     nf.validate()
     return nf
@@ -499,7 +513,7 @@ def replay_certificate(cert: CongruenceCertificate, nf: NewformData) -> bool:
     verify does on a newform that does not fit the parameters."""
     bound, qs = _checked_primes(nf, cert.params, cert.ell, cert.bound, cert.include_ell)
     kmap = next((m for m in residue_maps_of_kf(nf, cert.ell)
-                 if m.factor == cert.field_poly_factor), None)
+                 if m.factor == tuple(cert.field_poly_factor)), None)
     if kmap is None:
         return False
     _, rebuilt = _certificate(nf, cert.params, cert.lambda_prime, kmap, cert.twist_cyc,

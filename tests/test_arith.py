@@ -357,7 +357,7 @@ def test_factor_over_q_refuses_a_repeated_factor():
 
 def test_library_does_not_import_sympy():
     # sympy is the tests' oracle; the runtime, every reproduce example
-    # included, works without it
+    # included, works without it, and without loading an HTTP client
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys, io, contextlib; sys.path.insert(0, sys.argv[1]); "
             "import eiscong, eiscong.cli; print('sympy' in sys.modules); "
@@ -365,8 +365,9 @@ def test_library_does_not_import_sympy():
             "for ex in ['ramanujan', '5.1', '5.2', '5.3']:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        codes.append(eiscong.cli.run(['reproduce', ex, '--offline', '--json']))\n"
-            "print(codes, 'sympy' in sys.modules)")
+            "print(codes, 'sympy' in sys.modules, "
+            "any(m in sys.modules for m in ['requests', 'urllib.request']))")
     proc = subprocess.run([sys.executable, "-c", code, str(src)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["False", "[0, 0, 0, 0] False"]
+    assert proc.stdout.split("\n")[:2] == ["False", "[0, 0, 0, 0] False False"]

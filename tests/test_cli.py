@@ -315,13 +315,29 @@ def test_search_ell_max_below_two_exit_2(capsys, ell_max):
     assert captured.out == ""
 
 
-def test_fetch_without_requests_exit_2(capsys, monkeypatch):
-    monkeypatch.setitem(sys.modules, "requests", None)  # import now fails
+def test_malformed_lmfdb_record_exit_2(capsys, monkeypatch):
+    # a fetched record pair that lacks a field, or cannot be parsed, is a
+    # bad input naming the field, not an internal error
+    from eiscong.newforms import LmfdbClient
+    form = {"label": "10.8.b.z", "level": 10, "weight": 8, "conrey_indexes": [9],
+            "field_poly": [64, 0, -15, 0, 1]}
+    hecke = {"hecke_ring_power_basis": False, "hecke_ring_numerators": [[1, 0, 0, 0]] * 4,
+             "hecke_ring_denominators": [1] * 4, "an": [[1, 0, 0, 0]]}
     monkeypatch.delenv("EISCONG_OFFLINE", raising=False)
-    code = run(["--endpoint", "http://127.0.0.1:9", "verify", "--label", "3.4.a.a",
-                "--ell", "5", "--psi", "1.1", "--phi", "1.1", "--M", "3", "--k", "4"])
-    assert code == 2
-    assert "eiscong[web]" in capsys.readouterr().err
+    monkeypatch.delenv("EISCONG_FIXTURES", raising=False)
+    for name, value, complaint in [("an", None, "missing field 'an'"),
+                                   ("hecke_ring_denominators", [1, 0, 1, 1],
+                                    "bad field 'hecke_ring_denominators'")]:
+        bad = {key: v for key, v in hecke.items() if key != name}
+        if value is not None:
+            bad[name] = value
+        monkeypatch.setattr(LmfdbClient, "_get", lambda self, table, query, bad=bad:
+                            [form if table == "mf_newforms" else bad])
+        code = run(["verify", "--label", "10.8.b.z", "--ell", "257", "--psi", "1.1",
+                    "--phi", "5.4", "--M", "2", "--k", "8", "--bound", "20"])
+        assert code == 2, name
+        err = capsys.readouterr().err
+        assert complaint in err and "internal" not in err, err
 
 
 def test_eis_cusp_frozen_payloads(capsys):

@@ -1,6 +1,7 @@
 """scripts/make_fixtures.py as a program: it loads without sympy, its
 checks hold under ``python -O``, its field arithmetic agrees with sympy,
-and it rebuilds a packaged fixture from scratch."""
+its dimension formula and fixture table match what it builds, and it
+rebuilds a packaged fixture from scratch."""
 
 import os
 import random
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 from sympy import invert
 
+from eiscong.characters import DirichletChar
 from eiscong.newforms import load_fixture
 from helpers import from_qq, qq
 
@@ -72,5 +74,20 @@ def test_kfield_mul_and_inv_match_sympy(builder, label):
 def test_rebuilds_10_8_b_a(builder):
     # levels 5 and 10 from Eisenstein series, the level-5 old forms split
     # off, and the rebase onto x^4 - 15x^2 + 64
-    built = builder["fixture_10_8_b_a"]({})
+    built = builder["build_fixture"]("10.8.b.a", {})
     assert built.to_json() == load_fixture("10.8.b.a").to_json()
+
+
+@pytest.mark.parametrize("level, k, chi, dim", [
+    (5, 8, "5.4", 2), (10, 8, "10.9", 8), (7, 7, "7.3", 3), (14, 7, "14.3", 10),
+    (7, 6, "7.4", 2), (14, 6, "14.11", 8), (21, 6, "21.4", 11), (42, 6, "42.25", 36)])
+def test_cohen_oesterle_dim_cusp_at_the_built_spaces(builder, level, k, chi, dim):
+    # each value passed the span-rank check of a full build
+    chi = DirichletChar.from_label(chi)
+    assert chi.modulus == level
+    assert builder["cohen_oesterle_dim_cusp"](k, chi) == dim
+
+
+def test_fixture_table_names_the_packaged_fixtures(builder):
+    labels = sorted([*builder["FIXTURE_SPECS"], "1.12.a.a"])
+    assert labels == sorted(f.stem for f in FIXTURES.iterdir())

@@ -1,3 +1,4 @@
+import io
 import json
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -375,40 +376,47 @@ def test_replay_refuses_every_single_field_edit():
         {f.name for f in fields(CongruenceCertificate)}
 
 
+def test_replay_accepts_sequences_as_lists():
+    # a certificate read back from JSON holds lists where verify wrote tuples
+    nf = load_fixture("10.8.b.a")
+    lam, = primes_above(257, value_conductor(P51))
+    cert = verify_congruence(nf, P51, lam, bound=20)
+    as_lists = {f.name: list(getattr(cert, f.name)) for f in fields(cert)
+                if isinstance(getattr(cert, f.name), tuple)}
+    assert sorted(as_lists) == ["checked_primes", "field_poly_factor"]
+    assert replay_certificate(replace(cert, **as_lists), nf)
+
+
 # -- LMFDB client against canned responses ------------------------------
 
 
-class FakeResponse:
-    def __init__(self, payload):
-        self.status_code = 200
-        self._payload = payload
-
-    def json(self):
-        return self._payload
-
-
-def canned_api(url, params=None, timeout=None):
+def canned_urlopen(url, timeout=None):
     delta_an40 = delta_an(40)
-    if "mf_newforms" in url:
-        return FakeResponse({"data": [{
+    assert url.endswith("?label=1.12.a.a&_format=json") and timeout == 30.0, url
+    if "/mf_newforms/" in url:
+        payload = {"data": [{
             "label": "1.12.a.a", "level": 1, "weight": 12,
             "conrey_indexes": [1], "field_poly": [0, 1],
-        }]})
-    if "mf_hecke_nf" in url:
-        return FakeResponse({"data": [{
+        }]}
+    elif "/mf_hecke_nf/" in url:
+        payload = {"data": [{
             "field_poly": [0, 1],
             "hecke_ring_power_basis": True,
             "an": [[delta_an40[n]] for n in range(1, 41)],
-        }]})
-    raise AssertionError(f"unexpected url {url}")
+        }]}
+    else:
+        raise AssertionError(f"unexpected url {url}")
+    resp = io.BytesIO(json.dumps(payload).encode())
+    resp.status = 200
+    return resp
 
 
 def test_lmfdb_client_conversion(monkeypatch, tmp_path):
     import types
+    import urllib.request
 
-    import requests
     from eiscong import newforms as nfmod
-    monkeypatch.setattr(requests, "get", canned_api)
+    monkeypatch.setattr(urllib.request, "urlopen", canned_urlopen)
     # a fake clock: sleeping advances it, and the waits are recorded
     clock, waits = [1000.0], []
 
