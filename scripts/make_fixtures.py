@@ -19,8 +19,10 @@ from __future__ import annotations
 import sys
 import time
 from fractions import Fraction
-from math import gcd, lcm, prod
+from dataclasses import replace
 from functools import cached_property
+from itertools import chain
+from math import gcd, lcm, prod
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -28,12 +30,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from eiscong import fppoly  # noqa: E402
 from eiscong.arith import divisors, factorint, primefactors, primerange  # noqa: E402
 from eiscong.characters import DirichletChar, parity_matches, primitive_characters  # noqa: E402
-from eiscong.cyclotomic import (CycNum, _divide_monic, _phi, _solve_columns,  # noqa: E402
-                                 clear_denominators, cyclotomic_poly)
+from eiscong.cyclotomic import (CycNum, _divide_monic, _ks_mul, _mod_phi, _phi,  # noqa: E402
+                                 _solve_columns, clear_denominators, cyclotomic_poly)
 from eiscong.errors import NotSquareFree  # noqa: E402
-from eiscong.eisenstein import sigma_power_div  # noqa: E402
+from eiscong.eisenstein import (QExpansion, _rows_in, alpha_m, eisenstein_series,  # noqa: E402
+                                hecke_tp)
 from eiscong.fppoly import trim  # noqa: E402
-from eiscong.lvalues import l_value_at_negative  # noqa: E402
 from eiscong.newforms import NewformData, delta_an, save_fixture, sturm_bound  # noqa: E402
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "eiscong" / "fixtures"
@@ -57,55 +59,10 @@ def log(msg: str):
 # ----------------------------------------------------------------------
 
 
-def sigma_series(k1: int, psi: DirichletChar, phi: DirichletChar, b: int) -> list[CycNum]:
-    """a_0 .. a_b of the (psi, phi) Eisenstein series of weight k1 >= 2."""
-    if psi.modulus == 1:
-        a0 = l_value_at_negative(k1, psi.inverse() * phi) * Fraction(1, 2)
-    else:
-        a0 = CycNum.zero(1)
-    return [a0] + [sigma_power_div(n, k1, psi, phi) for n in range(1, b + 1)]
-
-
-def e2t_series(t: int, b: int) -> list[CycNum]:
-    """E_2(z) - t E_2(tz), holomorphic of level t (t > 1)."""
-    one = DirichletChar(1, 1)
-    sigma = [0] + [sigma_power_div(n, 2, one, one).rational_value() for n in range(1, b + 1)]
-    return [CycNum.from_rational(Fraction(t - 1, 24))] + [
-        CycNum.from_rational(sigma[n] - (t * sigma[n // t] if n % t == 0 else 0))
-        for n in range(1, b + 1)]
-
-
-def dilate(coeffs: list[CycNum], t: int) -> list[CycNum]:
-    if t == 1:
-        return coeffs
-    zero = CycNum.zero(1)
-    return [coeffs[n // t] if n % t == 0 else zero for n in range(len(coeffs))]
-
-
-class Atom:
-    """One Eisenstein factor: weight, character pair, dilation."""
-
-    def __init__(self, k1, psi, phi, t, special_e2=False):
-        self.k1, self.psi, self.phi, self.t = k1, psi, phi, t
-        self.special_e2 = special_e2
-
-    @property
-    def char_order(self) -> int:
-        return lcm(self.psi.order, self.phi.order)
-
-    def series(self, b: int) -> list[CycNum]:
-        if self.special_e2:
-            return e2t_series(self.t, b)
-        return dilate(sigma_series(self.k1, self.psi, self.phi, b), self.t)
-
-    def __repr__(self):
-        if self.special_e2:
-            return f"E2^({self.t})"
-        return f"E{self.k1}[{self.psi.label},{self.phi.label}]({self.t})"
-
-
-def weight_atoms(k1: int, level: int) -> list[Atom]:
-    """All Eisenstein atoms of weight k1 >= 2 with level dividing `level`."""
+def weight_atoms(k1: int, level: int, b: int) -> list[QExpansion]:
+    """All Eisenstein atoms of weight k1 >= 2 with level dividing `level`,
+    to precision b: each E_k1(psi, phi)(tz), and at k1 = 2, in place of the
+    quasimodular E_2, each E_2(z) - t E_2(tz) with t > 1."""
     out = []
     for u in divisors(level):
         for v in divisors(level // u):
@@ -115,26 +72,29 @@ def weight_atoms(k1: int, level: int) -> list[Atom]:
                         continue
                     if k1 == 2 and u == v == 1:
                         continue
-                    for t in divisors(level // (u * v)):
-                        out.append(Atom(k1, psi, phi, t))
+                    series = eisenstein_series(k1, psi, phi, b)
+                    out += [alpha_m(series, t) for t in divisors(level // (u * v))]
     if k1 == 2:
-        for t in divisors(level):
-            if t > 1:
-                out.append(Atom(2, DirichletChar(1, 1), DirichletChar(1, 1), t,
-                                special_e2=True))
+        one = DirichletChar(1, 1)
+        e2 = eisenstein_series(2, one, one, b)
+        out += [replace(e2.sub(alpha_m(e2, t).scale(t)), level=t, character=one.lift(t))
+                for t in divisors(level) if t > 1]
     return out
 
 
-def mul_series(f: list[CycNum], g: list[CycNum], b: int) -> list[CycNum]:
-    out = [CycNum.zero(1) for _ in range(b + 1)]
-    for i, a in enumerate(f[: b + 1]):
-        if not a:
-            continue
-        top = min(b - i, len(g) - 1)
-        for j in range(top + 1):
-            if g[j]:
-                out[i + j] = out[i + j] + a * g[j]
-    return out
+def mul_series(f: QExpansion, g: QExpansion, b: int) -> QExpansion:
+    """f * g to precision b.  The rows of each, in their common field
+    Q(zeta_o), are spread 2 phi(o) - 1 slots apart, room for the product of
+    two rows, so one Kronecker product of the two arrays holds every sum
+    of row products side by side; each is then reduced mod Phi_o."""
+    o = lcm(f.field, g.field)
+    d = _phi(o)
+    s, pad = 2 * d - 1, (0,) * (d - 1)
+    spread = ([v for row in _rows_in(h.truncate(b), o) for v in row + pad] for h in (f, g))
+    fg = _ks_mul(*spread)
+    rows = tuple(tuple(_mod_phi(o, fg[n * s: n * s + s])) for n in range(b + 1))
+    return QExpansion(f.weight + g.weight, lcm(f.level, g.level), f.character * g.character,
+                      rows, (o,) * (b + 1), o, f.den * g.den)
 
 
 # ----------------------------------------------------------------------
@@ -316,23 +276,21 @@ class Space:
         self.qset = qset
         self.sturm = sturm_bound(k, level)
         require(all(b0 // q >= self.sturm + 1 for q in qset), "b0 too small for qset")
-        self.eis_atoms = [a for a in weight_atoms(k, level)
-                          if (a.psi * a.phi).primitive() == chi.primitive()]
-        orders = {a.char_order for a in self.eis_atoms} | {chi.order}
+        self.eis_atoms = [a for a in weight_atoms(k, level, b0)
+                          if a.character.primitive() == chi.primitive()]
+        fields = {a.field for a in self.eis_atoms} | {chi.order}
         self.pairs = []
         for k1 in range(2, k // 2 + 1):
             k2 = k - k1
             if k2 < k1:
                 continue
-            a1 = weight_atoms(k1, level)
-            a2 = weight_atoms(k2, level)
-            for x in a1:
+            a2 = weight_atoms(k2, level, b0)
+            for x in weight_atoms(k1, level, b0):
                 for y in a2:
-                    if (x.psi * x.phi * y.psi * y.phi).primitive() == chi.primitive():
+                    if (x.character * y.character).primitive() == chi.primitive():
                         self.pairs.append((x, y))
-                        orders.add(x.char_order)
-                        orders.add(y.char_order)
-        self.c = lcm(*orders) if orders else 1
+                        fields |= {x.field, y.field}
+        self.c = lcm(*fields)
         self.w = _phi(self.c)
         self.width = (b0 + 1) * self.w
         self.dim_eis = len(self.eis_atoms)
@@ -345,92 +303,49 @@ class Space:
 
     # -- flattening ----------------------------------------------------
 
-    def flat(self, coeffs: list[CycNum], prec: int | None = None) -> list[Fraction]:
-        prec = self.b0 if prec is None else prec
-        out = [ZERO] * ((prec + 1) * self.w)
-        for n, a in enumerate(coeffs[: prec + 1]):
-            if a:
-                v = a.coerce(self.c)
-                base = n * self.w
-                for j, cc in enumerate(v.coeffs):
-                    out[base + j] = cc
-        return out
+    def flat(self, f: QExpansion, prec: int | None = None) -> list[Fraction]:
+        """a_0 .. a_prec of f (prec = b0 by default) in Q(zeta_c), one
+        coefficient vector after another."""
+        f = f.truncate(self.b0 if prec is None else prec)
+        return [Fraction(v, f.den) for row in _rows_in(f, self.c) for v in row]
 
-    def unflat(self, vec: list[Fraction]) -> list[CycNum]:
-        out = []
-        n_coeffs = len(vec) // self.w
-        for n in range(n_coeffs):
-            out.append(CycNum(self.c, vec[n * self.w:(n + 1) * self.w]))
-        return out
+    def unflat(self, vec: list[Fraction]) -> QExpansion:
+        nums, den = clear_denominators(vec)
+        rows = tuple(tuple(nums[i: i + self.w]) for i in range(0, len(nums), self.w))
+        return QExpansion(self.k, self.level, self.chi, rows, (self.c,) * len(rows), self.c, den)
 
-    def zeta_shift(self, vec: list[Fraction]) -> list[Fraction]:
-        out = [ZERO] * len(vec)
-        z = CycNum.zeta(self.c)
-        n_coeffs = len(vec) // self.w
-        for n in range(n_coeffs):
-            block = CycNum(self.c, vec[n * self.w:(n + 1) * self.w]) * z
-            for j, cc in enumerate(block.coeffs):
-                out[n * self.w + j] = cc
-        return out
+    def zeta_shifts(self, f: QExpansion) -> list[list[Fraction]]:
+        """flat(f), flat(zeta_c f), ..., flat(zeta_c^(w-1) f)."""
+        return [self.flat(f.scale(CycNum.zeta(self.c, j))) for j in range(self.w)]
 
     # -- basis ----------------------------------------------------------
 
     def build_basis(self):
         ech = Echelon(self.width)
-        sources = []
-        for atom in self.eis_atoms:
-            sources.append(("eis", atom))
-        for pair in self.pairs:
-            sources.append(("prod", pair))
-        series_cache = {}
-
-        def atom_series(atom):
-            key = repr(atom)
-            if key not in series_cache:
-                series_cache[key] = atom.series(self.b0)
-            return series_cache[key]
-
-        for kind, payload in sources:
+        products = (mul_series(x, y, self.b0) for x, y in self.pairs)
+        for f in chain(self.eis_atoms, products):
             if ech.rank >= self.dim_q:
                 break
-            if kind == "eis":
-                coeffs = atom_series(payload)
-            else:
-                x, y = payload
-                coeffs = mul_series(atom_series(x), atom_series(y), self.b0)
-            vec = self.flat(coeffs)
-            for _ in range(self.w):
+            for vec in self.zeta_shifts(f):
                 ech.add(vec)
-                vec = self.zeta_shift(vec)
         require(ech.rank == self.dim_q, f"span rank {ech.rank} != expected {self.dim_q}")
         self.ech = ech
         log(f"  basis complete: rank {ech.rank}")
 
     # -- Hecke action -----------------------------------------------------
 
-    def hecke_flat(self, vec: list[Fraction], q: int) -> list[Fraction]:
-        coeffs = self.unflat(vec)
-        out_prec = self.b0 // q
-        cp = self.chi(q) * Fraction(q) ** (self.k - 1)
-        out = []
-        for n in range(out_prec + 1):
-            a = coeffs[n * q]
-            if n % q == 0:
-                a = a + cp * coeffs[n // q]
-            out.append(a)
-        return self.flat(out, out_prec)
-
     def hecke_matrix(self, q: int) -> list[list[Fraction]]:
         rows = []
         check = (self.sturm + 1) * self.w
         for r in self.ech.rows:
-            img = self.hecke_flat(r, q)
+            img = self.flat(hecke_tp(self.unflat(r), q), self.b0 // q)
             rows.append(self.ech.express(img, check_cols=check))
         # column-major action: (A v)_i = sum_j rows[j][i] v_j
         return [list(col) for col in zip(*rows)]
 
     def zeta_matrix(self) -> list[list[Fraction]]:
-        rows = [self.ech.express(self.zeta_shift(r)) for r in self.ech.rows]
+        z = CycNum.zeta(self.c)
+        rows = [self.ech.express(self.flat(self.unflat(r).scale(z))) for r in self.ech.rows]
         return [list(col) for col in zip(*rows)]
 
 
@@ -491,7 +406,7 @@ class EigenPacket:
         self.a = a_list          # a[n-1] = K-element for a_n
         self.zeta_img = zeta_img
         self.chi = chi
-        self.block_series = block_series  # CycNum coefficient series
+        self.block_series = block_series  # QExpansions in Q(zeta_c)
 
     def a_n(self, n: int):
         return self.a[n - 1]
@@ -543,19 +458,15 @@ def extract_newforms(space: Space, old_packets) -> list[EigenPacket]:
     # old + Eisenstein subspace, in basis coordinates
     u_ech = Echelon(dim)
     for atom in space.eis_atoms:
-        vec = space.flat(atom.series(space.b0))
-        for _ in range(space.w):
+        for vec in space.zeta_shifts(atom):
             u_ech.add(space.ech.express(vec))
-            vec = space.zeta_shift(vec)
     for packet in old_packets:
         lower_level = packet.space.level
         require(space.c % packet.space.c == 0, "flattening conductors incompatible")
         for t in divisors(space.level // lower_level):
             for series in packet.block_series:
-                vec = space.flat(dilate(series[: space.b0 + 1], t))
-                for _ in range(space.w):
+                for vec in space.zeta_shifts(alpha_m(series.truncate(space.b0), t)):
                     u_ech.add(space.ech.express(vec))
-                    vec = space.zeta_shift(vec)
     dim_new = dim - u_ech.rank
     log(f"  old+eis rank {u_ech.rank}, new part {dim_new}")
     if dim_new == 0:

@@ -24,6 +24,7 @@ from math import gcd, lcm
 from .arith import factorint
 from .cyclotomic import CycNum
 from .eisenstein import EisensteinParams
+from .errors import BadDivisor
 from .lvalues import bk_quotient_order_factor, euler_factor, l_value_at_negative
 from .residue import (FFElem, PrimeAbove, matching_prefix, ord_exact, ord_positive,
                       primes_above, reduce_cyc)
@@ -181,8 +182,11 @@ class BKReport:
 
 def bk_report(params: EisensteinParams, lam: PrimeAbove, d: int) -> BKReport:
     """Selmer-quotient orders at weight k and k-2 between levels NM and Nd,
-    with the set S = {p | M : ord(psi(p) - phi(p) p^k) > 0}."""
+    with the set S = {p | M : ord(psi(p) - phi(p) p^k) > 0}.  At M = 1 both
+    levels are N and d must be 1: the report is trivial."""
     if params.M == 1:
+        if d != 1:
+            raise BadDivisor(f"d = {d} must be 1 when M = 1")
         return BKReport(params, lam, d, 0, 0, ())
     ok = ord_exact(bk_quotient_order_factor(params, d, 0), lam)
     ok2 = ord_exact(bk_quotient_order_factor(params, d, 2), lam)

@@ -9,16 +9,18 @@ up front so the two can be compared coefficient by coefficient.
 
 A q-expansion is stored as integer rows over one field Q(zeta_o): one
 row of phi(o) numerators per coefficient, over one common denominator,
-with a conductor tag per row.  The series cache keeps the base series in
-that form; e_delta and hecke_tp rewrite rows through the integer matrix
-of one multiplier per prime, and coefficients are built as CycNum, in
-their tag's field, only when read.
+with a conductor tag per row.  eisenstein_series builds E_k(psi, phi) in
+that form for any weight k >= 2, and eisenstein_qexp reads it for a
+parameter set; e_delta and hecke_tp rewrite rows through the integer
+matrix of one multiplier per prime, and coefficients are built as CycNum,
+in their tag's field, only when read.
 
 What is built once is reused: the base series for the life of the
-process (the series cache), the longest lift E_delta for as long as its
-DeltaChoice lives (shorter requests are truncated copies), and the cusp
-constant for as long as its EisensteinParams lives.  e_delta_via_hecke
-reads only the series cache, so it stays an independent reference.
+process (the series cache, keyed by (k, psi, phi)), the longest lift
+E_delta for as long as its DeltaChoice lives (shorter requests are
+truncated copies), and the cusp constant for as long as its
+EisensteinParams lives.  e_delta_via_hecke reads only the series cache,
+so it stays an independent reference.
 """
 
 from __future__ import annotations
@@ -289,10 +291,11 @@ def sigma_power_div(n: int, k: int, psi: DirichletChar, phi: DirichletChar) -> C
     return CycNum(o, vec) if hit else CycNum.zero(1)
 
 
-# per parameter set: the rows' field o, their denominator (that of a_0) and
+# per (k, psi, phi): the rows' field o, their denominator (that of a_0),
 # the (row, tag) pairs computed so far, a list that only grows (single
-# writer); rows past its end are added by one _series_rows sieve per request
-_SERIES_CACHE: dict[EisensteinParams, tuple[int, int, list]] = {}
+# writer), and the series' character psi * phi; rows past the list's end
+# are added by one _series_rows sieve per request
+_SERIES_CACHE: dict[tuple, tuple[int, int, list, DirichletChar]] = {}
 
 # the most accumulator entries (o per coefficient) one _series_rows segment
 # holds, so that at a large field o the sieve takes no more memory than the
@@ -300,7 +303,8 @@ _SERIES_CACHE: dict[EisensteinParams, tuple[int, int, list]] = {}
 _FILL_SLOTS = 1 << 18
 
 
-def _series_rows(params: EisensteinParams, o: int, den: int, lo: int, hi: int) -> list:
+def _series_rows(k: int, psi: DirichletChar, phi: DirichletChar, o: int, den: int,
+                 lo: int, hi: int) -> list:
     """The (row, tag) pairs of a_n = sigma_power_div(n, k, psi, phi) for
     lo <= n <= hi (lo >= 1), rows in Q(zeta_o) over den, from one divisor
     sieve: each d with phi(d) != 0 adds d^(k-1) to the zeta_o exponent
@@ -310,7 +314,6 @@ def _series_rows(params: EisensteinParams, o: int, den: int, lo: int, hi: int) -
     gives it when some term is nonzero (even if the sum is zero): the
     conductors u and v are coprime, so d = the part of n prime to v always
     gives one, with psi(n/d) and phi(d) both nonzero."""
-    psi, phi, k = params.psi, params.phi, params.k
     tag = lcm(psi.order, phi.order)
     qa, qb = min(psi.modulus, hi + 1), min(phi.modulus, hi + 1)
     ta = [None if (j := psi.slot(r)) is None else j * (o // psi.order) for r in range(qa)]
@@ -339,27 +342,37 @@ def _check_b(b: int) -> None:
     check_precision(b)
 
 
-def eisenstein_qexp(params: EisensteinParams, b: int) -> QExpansion:
-    """The normalised weight-k Eisenstein series attached to (psi, phi),
-    new at level N, to precision b <= lvalues.PREC_MAX (checked before any
-    work).  Rows past the cached ones come from one _series_rows sieve, in
-    place of one sigma_power_div per coefficient."""
+def eisenstein_series(k: int, psi: DirichletChar, phi: DirichletChar, b: int) -> QExpansion:
+    """E_k(psi, phi) = a_0 + sum_n sigma_power_div(n, k, psi, phi) q^n for
+    primitive psi and phi of coprime conductors u and v and weight k >= 2,
+    of level u*v and character psi * phi, to precision b <= lvalues.PREC_MAX
+    (checked before any work).  a_0 is L(1-k, psi^-1 phi)/2 when u = 1 and
+    0 otherwise; at k = 2 with u = v = 1 this is the quasimodular E_2.  Rows
+    past the cached ones come from one _series_rows sieve, in place of one
+    sigma_power_div per coefficient."""
     _check_b(b)
-    entry = _SERIES_CACHE.get(params)
+    key = (k, psi, phi)
+    entry = _SERIES_CACHE.get(key)
     if entry is None:
-        if params.psi.modulus == 1:
-            a0 = l_value_at_negative(params.k, params.psi.inverse() * params.phi) \
-                * Fraction(1, 2)
+        if psi.modulus == 1:
+            a0 = l_value_at_negative(k, psi.inverse() * phi) * Fraction(1, 2)
         else:
             a0 = CycNum.zero(1)
-        o = lcm(params.psi.order, params.phi.order, a0.conductor)
+        o = lcm(psi.order, phi.order, a0.conductor)
         den = a0.coerce(o).den
-        entry = _SERIES_CACHE.setdefault(params, (o, den, [(_row(a0, o, den), a0.conductor)]))
-    o, den, lst = entry
+        entry = _SERIES_CACHE.setdefault(
+            key, (o, den, [(_row(a0, o, den), a0.conductor)], psi * phi))
+    o, den, lst, chi = entry
     if b >= len(lst):
-        lst += _series_rows(params, o, den, len(lst), b)
+        lst += _series_rows(k, psi, phi, o, den, len(lst), b)
     rows, tags = zip(*lst[: b + 1])
-    return QExpansion(params.k, params.N, params.chi, rows, tags, o, den)
+    return QExpansion(k, chi.modulus, chi, rows, tags, o, den)
+
+
+def eisenstein_qexp(params: EisensteinParams, b: int) -> QExpansion:
+    """The normalised weight-k Eisenstein series attached to (psi, phi),
+    new at level N, to precision b <= lvalues.PREC_MAX."""
+    return eisenstein_series(params.k, params.psi, params.phi, b)
 
 
 def alpha_m(f: QExpansion, m: int) -> QExpansion:

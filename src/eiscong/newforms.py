@@ -179,15 +179,25 @@ def fixture_path(label: str, fixture_dir: str | os.PathLike | None = None) -> Pa
     return None
 
 
+def _check_label(nf: NewformData, label: str, where: str) -> NewformData:
+    """nf, or BadFixture when it is another newform than the one asked for."""
+    if nf.label != label:
+        raise BadFixture(f"{where} holds newform {nf.label!r}, not the requested {label!r}")
+    return nf
+
+
 def load_fixture(label: str, fixture_dir=None) -> NewformData:
+    """The fixture of the newform label; BadFixture when the file found for
+    it cannot be parsed or holds another label."""
     p = fixture_path(label, fixture_dir)
     if p is None:
         raise NotFound(f"no fixture for label {label!r}")
     with open(p, encoding="utf-8") as fh:
         try:
-            return NewformData.from_json(json.load(fh))
+            nf = NewformData.from_json(json.load(fh))
         except ValueError as exc:
             raise BadFixture(f"fixture {p}: {exc}") from exc
+    return _check_label(nf, label, f"fixture {p}")
 
 
 def save_fixture(nf: NewformData, fixture_dir) -> Path:
@@ -262,7 +272,7 @@ class LmfdbClient:
         hecke = self._get("mf_hecke_nf", {"label": label})
         if not hecke:
             raise NotFound(f"label {label!r} has no stored eigenvalue data")
-        return convert_lmfdb_records(form, hecke[0])
+        return _check_label(convert_lmfdb_records(form, hecke[0]), label, "LMFDB record")
 
 
 def convert_lmfdb_records(form: dict, hecke: dict) -> NewformData:

@@ -227,6 +227,33 @@ def test_fixture_an_of_wrong_length_exit_2(capsys, tmp_path, n, change):
     assert f"a_{n} has {4 + change} entries, the field degree is 4" in err
 
 
+def test_fixture_of_another_label_exit_2(capsys, tmp_path):
+    # a file stored under one label that holds another newform is refused,
+    # not verified and certified under the newform it holds
+    path = tmp_path / "42.6.e.a.json"
+    path.write_text(FIXTURES.joinpath("42.6.e.c.json").read_text())
+    code = run(["--offline", "verify", "--label", "42.6.e.a", "--ell", "73",
+                "--psi", "1.1", "--phi", "7.4", "--M", "6", "--k", "6",
+                "--fixtures", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err
+    assert "'42.6.e.c'" in captured.err and "'42.6.e.a'" in captured.err
+
+
+@pytest.mark.parametrize("d", [2, 7])
+def test_bk_m1_with_divisor_other_than_1_exit_2(capsys, d):
+    # at M = 1 the only divisor is 1, as at M = 2 a d that is no proper
+    # divisor is refused
+    code = run(["bk", "--M", "1", "--k", "12", "--psi", "1.1", "--phi", "1.1",
+                "--ell", "691", "--d", str(d)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: d = {d} must be 1 when M = 1\n"
+
+
 def test_bk_subcommand(capsys):
     code, payload = run_json(capsys, [
         "--json", "bk", "--M", "2", "--k", "8", "--psi", "1.1", "--phi", "5.4",

@@ -15,10 +15,10 @@ from eiscong.eisenstein import (_SERIES_CACHE, CuspMatrix, DeltaChoice, Eisenste
                                 QExpansion, _row, _series_rows, alpha_m, c_gamma,
                                 constant_term_alpha_m, constant_term_e_delta, cusp_matrix_for,
                                 cusp_representatives, e_delta, e_delta_via_hecke,
-                                eisenstein_qexp, hecke_tp, sigma_power_div)
+                                eisenstein_qexp, eisenstein_series, hecke_tp, sigma_power_div)
 from eiscong.errors import (InsufficientPrecision, ModulusTooLarge, NotSquareFree,
                             PrecisionTooLarge)
-from eiscong.lvalues import PREC_MAX
+from eiscong.lvalues import PREC_MAX, l_value_at_negative
 from helpers import (CoeffQExpansion, from_qq, qq, ref_alpha_m, ref_e_delta,
                      ref_e_delta_via_hecke, ref_eisenstein_qexp, ref_hecke_tp)
 
@@ -71,6 +71,28 @@ def test_eisenstein_qexp_nontrivial_psi_has_zero_a0():
     e = eisenstein_qexp(params, 3)
     assert not e.coeffs[0]
     assert e.coeffs[1] == 1
+
+
+@pytest.mark.parametrize("psi, phi", [("1.1", "1.1"), ("1.1", "5.4"), ("5.4", "1.1"),
+                                      ("3.2", "4.3"), ("5.2", "3.2")])
+def test_weight_2_series_against_divisor_sums(psi, phi):
+    # EisensteinParams refuses k = 2, so the series is read by its
+    # characters: a_n = sigma_power_div for n >= 1 (tags included), and
+    # a_0 = -1/24 for E_2, L(-1, phi)/2 for psi trivial, else zero
+    psi, phi = DirichletChar.from_label(psi), DirichletChar.from_label(phi)
+    f = eisenstein_series(2, psi, phi, 60)
+    assert (f.weight, f.level, f.character) == (2, psi.modulus * phi.modulus, psi * phi)
+    if psi.modulus > 1:
+        a0 = CycNum.zero(1)
+    elif phi.modulus == 1:
+        a0 = CycNum.from_rational(Fraction(-1, 24))
+    else:
+        a0 = l_value_at_negative(2, phi) * Fraction(1, 2)
+    assert f[0].to_json() == a0.to_json()
+    for n in range(1, 61):
+        assert f[n].to_json() == sigma_power_div(n, 2, psi, phi).to_json(), n
+    if phi.label == "5.4":  # B_(2, phi) = 4/5, so L(-1, phi) = -2/5
+        assert f[0] == Fraction(-1, 5)
 
 
 def test_alpha_m():
@@ -165,9 +187,9 @@ FILL_PARAMS = [_params(psi, phi, k) for psi, phi, ks in [
 
 
 def _fresh_cache(params):
-    _SERIES_CACHE.pop(params, None)
+    _SERIES_CACHE.pop((params.k, params.psi, params.phi), None)
     eisenstein_qexp(params, 1)
-    return _SERIES_CACHE[params]
+    return _SERIES_CACHE[params.k, params.psi, params.phi][:3]
 
 
 @pytest.mark.parametrize("params", FILL_PARAMS, ids=lambda p: f"{p.psi.label}-{p.phi.label}-k{p.k}")
@@ -212,7 +234,7 @@ def test_series_rows_take_no_divisors(monkeypatch):
     for params, (o, den) in fields.items():
         for b in (10, 600):
             calls.clear()
-            _series_rows(params, o, den, 1, b)
+            _series_rows(params.k, params.psi, params.phi, o, den, 1, b)
             assert len(calls) == min(params.u, b + 1) + min(params.v, b + 1) <= 2 * (b + 1)
 
 
@@ -340,7 +362,7 @@ def test_rows_match_per_coefficient_reference(params, b):
     # to_json compares the conductor of every coefficient as well as its value
     want = ref_eisenstein_qexp(params, b)
     assert eisenstein_qexp(params, b).to_json() == want.to_json()
-    o, den, cached = _SERIES_CACHE[params]
+    o, den, cached, _ = _SERIES_CACHE[params.k, params.psi, params.phi]
     before = (o, den, list(cached[: b + 1]))
     assert alpha_m(eisenstein_qexp(params, b), 3).to_json() == ref_alpha_m(want, 3).to_json()
     for dc in DeltaChoice.all_choices(params):

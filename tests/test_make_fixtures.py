@@ -12,9 +12,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from sympy import invert
+from sympy import divisor_sigma, invert
 
 from eiscong.characters import DirichletChar
+from eiscong.cyclotomic import CycNum
+from eiscong.eisenstein import alpha_m, eisenstein_series
 from eiscong.newforms import load_fixture
 from helpers import from_qq, qq
 
@@ -76,6 +78,42 @@ def test_rebuilds_10_8_b_a(builder):
     # off, and the rebase onto x^4 - 15x^2 + 64
     built = builder["build_fixture"]("10.8.b.a", {})
     assert built.to_json() == load_fixture("10.8.b.a").to_json()
+
+
+@pytest.mark.parametrize("level", [6, 10])
+def test_e2_atoms(builder, level):
+    # the weight-2 atoms that replace E_2 are E_2(z) - t E_2(tz), of level t
+    ts = [t for t in range(2, level + 1) if level % t == 0]
+    atoms = builder["weight_atoms"](2, level, 40)[-len(ts):]
+    for t, f in zip(ts, atoms):
+        assert f.level == t and f.character == DirichletChar(t, 1)
+        want = [Fraction(t - 1, 24)] + [
+            int(divisor_sigma(n)) - (t * int(divisor_sigma(n // t)) if n % t == 0 else 0)
+            for n in range(1, 41)]
+        assert [f[n].rational_value() for n in range(41)] == want, t
+
+
+def _schoolbook(f, g, b):
+    out = [CycNum.zero(1)] * (b + 1)
+    for i in range(b + 1):
+        for j in range(b + 1 - i):
+            out[i + j] = out[i + j] + f[i] * g[j]
+    return out
+
+
+def test_mul_series_matches_schoolbook_product(builder):
+    # atoms in Q, Q(zeta_4) and Q(zeta_6), some dilated, and products across
+    # two fields: rows spread 2 phi(o) - 1 apart must not overlap
+    one = DirichletChar(1, 1)
+    e4 = eisenstein_series(4, one, one, 30)
+    f4 = eisenstein_series(3, one, DirichletChar(5, 2), 30)
+    f6 = alpha_m(eisenstein_series(3, one, DirichletChar(7, 3), 30), 2)
+    g6 = eisenstein_series(3, DirichletChar(7, 3), one, 30)
+    assert (e4.field, f4.field, f6.field) == (1, 4, 6)
+    for f, g in [(e4, e4), (f4, f4), (f6, g6), (e4, f6), (f4, f6), (f4, g6)]:
+        h = builder["mul_series"](f, g, 30)
+        assert h.precision == 30 and h.den == f.den * g.den
+        assert [h[n] for n in range(31)] == _schoolbook(f, g, 30)
 
 
 @pytest.mark.parametrize("level, k, chi, dim", [

@@ -11,7 +11,7 @@ from eiscong.characters import DirichletChar
 from eiscong.congruence import search_congruence_primes, value_conductor
 from eiscong.eisenstein import EisensteinParams
 from eiscong import newforms
-from eiscong.errors import (BadPrimeForBasis, CharacterMismatch, InsufficientData,
+from eiscong.errors import (BadFixture, BadPrimeForBasis, CharacterMismatch, InsufficientData,
                             NonSquarefreeReduction, NotFound)
 from eiscong.newforms import (CongruenceCertificate, LmfdbClient, NewformData,
                               convert_lmfdb_records, delta_an, fetch_newform,
@@ -489,6 +489,32 @@ def test_fetch_newform_caches_where_the_lookup_reads(monkeypatch, tmp_path):
         fetch_newform("1.12.a.a", min_coeffs=30)
     assert fetched == ["1.12.a.a"] * 2
     assert sorted(x.name for x in tmp_path.iterdir()) == ["env", "flag"]
+
+
+def test_fetched_record_of_another_label_is_refused(monkeypatch, tmp_path):
+    # a record answering for another label is refused, naming both, and
+    # nothing is saved under the label that was asked for
+    delta_an40 = delta_an(40)
+    form = {"label": "1.12.a.a", "level": 1, "weight": 12, "conrey_indexes": [1],
+            "field_poly": [0, 1]}
+    hecke = {"field_poly": [0, 1], "hecke_ring_power_basis": True,
+             "an": [[delta_an40[n]] for n in range(1, 41)]}
+    monkeypatch.setattr(LmfdbClient, "_get", lambda self, table, query:
+                        [form if table == "mf_newforms" else hecke])
+    monkeypatch.setattr(newforms, "_PACKAGED_FIXTURES", tmp_path / "none")
+    monkeypatch.delenv("EISCONG_FIXTURES", raising=False)
+    monkeypatch.delenv("EISCONG_OFFLINE", raising=False)
+    assert LmfdbClient().fetch("1.12.a.a").label == "1.12.a.a"
+    with pytest.raises(BadFixture, match=r"'1\.12\.a\.a', not the requested '1\.12\.a\.b'"):
+        fetch_newform("1.12.a.b", fixture_dir=tmp_path / "store")
+    assert not (tmp_path / "store").exists()
+
+
+def test_fixture_of_another_label_is_refused(tmp_path):
+    (tmp_path / "10.8.b.b.json").write_text(
+        json.dumps(load_fixture("10.8.b.a").to_json()))
+    with pytest.raises(BadFixture, match=r"'10\.8\.b\.a', not the requested '10\.8\.b\.b'"):
+        load_fixture("10.8.b.b", tmp_path)
 
 
 def test_convert_lmfdb_records_with_basis_matrix():
