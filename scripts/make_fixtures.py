@@ -19,7 +19,6 @@ from __future__ import annotations
 import sys
 import time
 from fractions import Fraction
-from dataclasses import replace
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm, prod
@@ -37,6 +36,7 @@ from eiscong.eisenstein import (QExpansion, _rows_in, alpha_m, eisenstein_series
                                 hecke_tp)
 from eiscong.fppoly import trim  # noqa: E402
 from eiscong.newforms import NewformData, delta_an, save_fixture, sturm_bound  # noqa: E402
+from eiscong.record import replace  # noqa: E402
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "eiscong" / "fixtures"
 

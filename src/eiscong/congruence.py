@@ -17,7 +17,6 @@ enumeration cannot miss a prime that satisfies both conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -26,6 +25,7 @@ from .cyclotomic import CycNum
 from .eisenstein import EisensteinParams
 from .errors import BadDivisor
 from .lvalues import bk_quotient_order_factor, euler_factor, l_value_at_negative
+from .record import Record
 from .residue import (FFElem, PrimeAbove, matching_prefix, ord_exact, ord_positive,
                       primes_above, reduce_cyc)
 
@@ -35,8 +35,7 @@ def value_conductor(params: EisensteinParams) -> int:
     return lcm(params.psi.order, params.phi.order)
 
 
-@dataclass(frozen=True)
-class ConditionsReport:
+class ConditionsReport(Record):
     """Outcome of the two conditions at one prime lambda' above ell."""
 
     params: EisensteinParams
@@ -156,8 +155,7 @@ def diamond_hypothesis(params: EisensteinParams, a_p_image: FFElem,
     return any(matching_prefix(pair, r, jc) for jc in range(rhs.degree))
 
 
-@dataclass(frozen=True)
-class BKReport:
+class BKReport(Record):
     """Exact lambda'-orders of the two Bloch-Kato quotient quantities for
     levels NM over Nd, plus the set of primes that can carry new classes."""
 
@@ -166,7 +164,7 @@ class BKReport:
     d: int
     order_k: int
     order_k2: int
-    p_new_primes: tuple = field(default_factory=tuple)
+    p_new_primes: tuple = ()
 
     def to_json(self) -> dict:
         return {

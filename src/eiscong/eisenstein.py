@@ -25,7 +25,6 @@ so it stays an independent reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iter_product
@@ -37,10 +36,10 @@ from .characters import (MODULUS_MAX, DirichletChar, check_gauss_conductor, gaus
 from .cyclotomic import CycNum, _from_ints, _mod_phi
 from .errors import InsufficientPrecision, ModulusTooLarge, NotSquareFree
 from .lvalues import check_order, check_precision, check_weight, l_value_at_negative
+from .record import Record, replace
 
 
-@dataclass(frozen=True)
-class EisensteinParams:
+class EisensteinParams(Record):
     """Shape of one congruence instance: coprime square-free N = u*v and M,
     weight 2 < k <= lvalues.K_MAX, and an ordered pair of primitive
     characters of conductors u and v with (psi*phi)(-1) = (-1)^k whose
@@ -165,8 +164,7 @@ def _check_delta(params: EisensteinParams, delta: DeltaChoice) -> None:
         raise ValueError(f"{delta!r} was made for other parameters than {params.describe()}")
 
 
-@dataclass(frozen=True, eq=False)
-class QExpansion:
+class QExpansion(Record, eq=False):
     """Truncated q-expansion a_0 + ... + a_B q^B: rows[n] holds the phi(o)
     integer numerators of a_n in Q(zeta_o), o = ``field``, over the common
     denominator ``den``.  tags[n] is the conductor a_n is read in, the lcm
@@ -438,8 +436,7 @@ def e_delta_via_hecke(params: EisensteinParams, delta: DeltaChoice, b: int) -> Q
 # -- cusps and constant terms -------------------------------------------
 
 
-@dataclass(frozen=True)
-class CuspMatrix:
+class CuspMatrix(Record):
     """Integer matrix (a, beta; b, d) of determinant one."""
 
     a: int

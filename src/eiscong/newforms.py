@@ -22,7 +22,6 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -34,6 +33,7 @@ from .congruence import value_conductor
 from .eisenstein import EisensteinParams
 from .errors import (BadFixture, BadPrimeForBasis, CharacterMismatch, InsufficientData,
                      NetworkError, NonSquarefreeReduction, NotFound)
+from .record import Record
 from .residue import FFElem, PrimeAbove, matching_prefix, primes_above, reduce_cyc
 
 _PACKAGED_FIXTURES = Path(__file__).parent / "fixtures"
@@ -67,8 +67,7 @@ def delta_an(b: int) -> list[int]:
     return tau
 
 
-@dataclass(frozen=True)
-class NewformData:
+class NewformData(Record):
     """Complete eigenvalue package for one newform."""
 
     label: str
@@ -347,8 +346,7 @@ def fetch_newform(label: str, min_coeffs: int = 1, *, offline: bool = False,
 # -- residue maps of the coefficient field ------------------------------
 
 
-@dataclass(frozen=True)
-class KfResidueMap:
+class KfResidueMap(Record):
     """Reduction of K_f at one prime above ell, named by an irreducible
     factor of the defining polynomial mod ell."""
 
@@ -397,8 +395,7 @@ def residue_maps_of_kf(nf: NewformData, ell: int) -> list[KfResidueMap]:
 # -- verification -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CongruenceCertificate:
+class CongruenceCertificate(Record):
     """Replayable witness that a_q = psi(q) + phi(q) q^(k-1) holds mod a
     compatible prime for all checked q (or the first failure)."""
 

@@ -17,7 +17,6 @@ field of a common degree, where :func:`matching_prefix` compares them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -25,10 +24,10 @@ from . import fppoly
 from .arith import _remove, isprime, multiplicative_order, primefactors
 from .cyclotomic import CycNum, cyclotomic_poly
 from .errors import DenominatorDivisibleByEll, NotASubfield, RamifiedUnsupported
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PrimeAbove:
+class PrimeAbove(Record):
     """lambda' = <ell, f(zeta_m)> for an irreducible factor f of
     Phi_m mod ell."""
 
@@ -77,7 +76,7 @@ def primes_above(ell: int, m: int) -> list[PrimeAbove]:
     When ell | m the reduction factors with multiplicity phi(ell-part);
     the distinct factors are those of Phi_(m'), m' the ell-free part.
     Each has degree d = ord_m'(ell): for d = 1 they are the x - r^a of
-    :func:`_roots_of_unity`, otherwise the factors of Phi_m' mod ell.
+    :func:`_roots_of_unity`, for d = phi(m') Phi_m' itself, else its factors.
     """
     if not isprime(ell):
         raise ValueError(f"ell must be a prime > 1, got {ell}")
@@ -86,11 +85,13 @@ def primes_above(ell: int, m: int) -> list[PrimeAbove]:
     m0 = m
     while m0 % ell == 0:
         m0 //= ell
-    d = multiplicative_order(ell, m0)
+    d, phi = multiplicative_order(ell, m0), list(cyclotomic_poly(m0))
     if d == 1:
         factors = sorted([-r % ell, 1] for r in _roots_of_unity(ell, m0))
+    elif d == len(phi) - 1:
+        factors = [fppoly.normalize(phi, ell)]
     else:
-        factors = fppoly.factor_squarefree(list(cyclotomic_poly(m0)), ell)
+        factors = fppoly.factor_squarefree(phi, ell)
     return [PrimeAbove(ell, m, tuple(f)) for f in factors]
 
 
@@ -115,8 +116,7 @@ def _roots_of_unity(ell: int, n: int) -> list[int]:
     return roots
 
 
-@dataclass(frozen=True)
-class FFElem:
+class FFElem(Record):
     """Element of F_ell[x]/(modulus); coefficient vector of fixed length."""
 
     ell: int

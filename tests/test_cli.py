@@ -455,6 +455,21 @@ def test_order_above_ceiling_exit_2_in_bounded_time(argv):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["check", "--M", "1", "--k", "9"],
+     "ell=13 lambda'=<13>: not satisfied (cond1=False, cond2=True, admissible=True)"),
+    (["check", "--M", "2", "--k", "7"],
+     "ell=13 lambda'=<13>: not satisfied (cond1=False, cond2=False, admissible=True)"),
+    (["bk", "--M", "2", "--k", "7"], "lambda'=<13>: ord_k=0 ord_k2=0 S=[]")])
+def test_inert_ell_at_large_value_conductor_in_bounded_time(argv, out):
+    # 4919.13 has order 4918 and 13 is inert in Q(zeta_4918), so the one
+    # prime above 13 is Phi_4918 mod 13, of degree 2458: factoring it to
+    # find that ran for minutes
+    proc = run_cli(*argv, "--psi", "1.1", "--phi", "4919.13", "--ell", "13")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out + "\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["lvalue", "--k", "12", "--chi", "10000019.2"],
     ["search", "--M", "2", "--k", "7", "--psi", "1.1", "--phi", "10000019.2"]])

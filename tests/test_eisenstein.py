@@ -1,6 +1,6 @@
+import dataclasses
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -19,6 +19,7 @@ from eiscong.eisenstein import (_SERIES_CACHE, CuspMatrix, DeltaChoice, Eisenste
 from eiscong.errors import (InsufficientPrecision, ModulusTooLarge, NotSquareFree,
                             PrecisionTooLarge)
 from eiscong.lvalues import PREC_MAX, l_value_at_negative
+from eiscong.record import replace
 from helpers import (CoeffQExpansion, from_qq, qq, ref_alpha_m, ref_e_delta,
                      ref_e_delta_via_hecke, ref_eisenstein_qexp, ref_hecke_tp)
 
@@ -393,7 +394,7 @@ def test_row_ops_across_fields():
     assert f.scale(Fraction(2, 3)).to_json() == ref.scale(Fraction(2, 3)).to_json()
     # at weight 0, chi(p) p^(k-1) has denominator p
     assert hecke_tp(replace(f, weight=0), 2).to_json() == \
-        ref_hecke_tp(replace(ref, weight=0), 2).to_json()
+        ref_hecke_tp(dataclasses.replace(ref, weight=0), 2).to_json()
 
 
 def test_e_delta_m1_is_plain_series():

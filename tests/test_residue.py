@@ -314,3 +314,35 @@ def test_primes_above_higher_degree_splits_phi():
         for f in factors:
             product = fppoly.mul(product, f, ell)
         assert product == fppoly.normalize(cyclotomic_poly(m0), ell), (ell, m)
+
+
+def test_primes_above_inert_is_phi_itself():
+    # ord_m'(ell) = phi(m'): Phi_m' stays irreducible mod ell and names the
+    # one prime above ell, the list factor_squarefree gives; every m < 120
+    # and ell < 200, ell | m included, with phi(m') < 40 (the degrees up to
+    # 118 add 10 s of factoring and passed as well)
+    pairs = {}
+    for m in range(3, 120):
+        for ell in primerange(2, 200):
+            m0 = m
+            while m0 % ell == 0:
+                m0 //= ell
+            if m0 > 2 and totient(m0) < 40 and n_order(ell, m0) == totient(m0):
+                pairs.setdefault((ell, m0), []).append(m)
+    assert len(pairs) > 500
+    for (ell, m0), ms in pairs.items():
+        want = [tuple(f) for f in fppoly.factor_squarefree(list(cyclotomic_poly(m0)), ell)]
+        for m in ms:
+            assert [p.factor for p in primes_above(ell, m)] == want, (ell, m)
+
+
+def test_primes_above_inert_factors_nothing(monkeypatch):
+    # 13 is inert in Q(zeta_4918): factoring Phi_4918, of degree 2458, mod 13
+    # ran for minutes
+    def fail(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(fppoly, "factor_squarefree", fail)
+    lam, = primes_above(13, 4918)
+    assert lam.residue_degree == 2458 and lam.pretty() == "<13>"
+    assert lam.factor == tuple(fppoly.normalize(cyclotomic_poly(4918), 13))
