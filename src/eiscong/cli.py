@@ -23,7 +23,7 @@ from .eisenstein import CuspMatrix, DeltaChoice, EisensteinParams, c_gamma, \
     constant_term_e_delta, e_delta
 from .errors import EiscongError
 from .lvalues import l_value_at_negative
-from .newforms import fetch_newform, sturm_bound, verify_at_ell, verify_congruence
+from .newforms import coefficient_bound, fetch_newform, verify_at_ell, verify_congruence
 from .residue import primes_above
 
 
@@ -88,8 +88,7 @@ def cmd_check(args) -> int:
 
 
 def _fetch(args, params, label, bound):
-    min_coeffs = bound if bound is not None else sturm_bound(params.k, params.N * params.M)
-    return fetch_newform(label, min_coeffs, offline=args.offline,
+    return fetch_newform(label, coefficient_bound(params, bound), offline=args.offline,
                          fixture_dir=args.fixtures, endpoint=args.endpoint)
 
 

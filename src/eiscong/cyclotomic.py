@@ -35,9 +35,6 @@ from math import gcd, lcm
 
 from .arith import primefactors, totient
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
@@ -298,8 +295,10 @@ class CycNum:
             raise ValueError("target conductor must divide the current one")
         if d == n:
             return self
+        from .linalg import solve  # off the import path: only a few series call this
+
         cols = [CycNum.zeta(d, j).coerce(n).coeffs for j in range(_phi(d))]
-        sol = _solve_columns(cols, self.coeffs)
+        sol = solve(cols, self.coeffs)
         if sol is None:
             return None
         return CycNum(d, sol)
@@ -479,34 +478,3 @@ def _conjugate_product(n: int, num) -> tuple[list[int], int]:
         raise ArithmeticError(f"a product of conjugates in Q(zeta_{n}) "
                               "is not a nonzero rational")
     return rest, nrm[0]
-
-
-def _solve_columns(cols, target):
-    """Solve sum_j y_j * cols[j] = target over Q; None if inconsistent."""
-    nrows = len(target)
-    ncols = len(cols)
-    aug = [[cols[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = _ONE / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            return None
-    sol = [_ZERO] * ncols
-    for row, c in enumerate(piv_cols):
-        sol[c] = aug[row][ncols]
-    return sol

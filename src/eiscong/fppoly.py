@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import isqrt, lcm
 
-from .arith import isprime, primefactors
+from .arith import isprime
 from .errors import NotSquareFree
 
 
@@ -133,19 +133,11 @@ def derivative(f, m):
 
 
 def is_irreducible(f, ell) -> bool:
-    """Rabin's test for monic f over F_ell."""
-    r = len(f) - 1
-    if r <= 0:
-        return False
-    x = [0, 1]
-    h = pow_mod(x, ell**r, f, ell)
-    if sub(h, mod(x, f, ell), ell):
-        return False
-    for t in primefactors(r):
-        h = pow_mod(x, ell ** (r // t), f, ell)
-        if len(gcd(sub(h, x, ell), f, ell)) > 1:
-            return False
-    return True
+    """Whether monic f is irreducible over F_ell: whether its distinct-degree
+    factorization is f alone (a reducible f has a factor of degree at most
+    deg f / 2, which the factorization finds, squarefree or not)."""
+    f = list(f)
+    return distinct_degree_factor(f, ell) == [(f, len(f) - 1)]
 
 
 def distinct_degree_factor(f, ell):

@@ -23,7 +23,7 @@ import os
 import threading
 import time
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from pathlib import Path
 
 from . import fppoly
@@ -40,31 +40,22 @@ _PACKAGED_FIXTURES = Path(__file__).parent / "fixtures"
 _REQUEST_TIMEOUT_S = 30.0
 
 
+def gamma0_index(level: int) -> int:
+    """[SL_2(Z) : Gamma_0(level)] = level * prod_{p | level} (1 + 1/p)."""
+    ps = primefactors(level)
+    return level * prod(p + 1 for p in ps) // prod(ps)
+
+
 def sturm_bound(k: int, level: int) -> int:
     """ceil(k * mu / 12) with mu the index of Gamma_0(level): a sufficient
     coefficient bound for eigenform congruences."""
-    mu = Fraction(level)
-    for p in primefactors(level):
-        mu *= Fraction(p + 1, p)
-    val = Fraction(k) * mu / 12
-    return -(-val.numerator // val.denominator)
+    return -(-k * gamma0_index(level) // 12)
 
 
-def delta_an(b: int) -> list[int]:
-    """Integer coefficients tau(0..b) (tau(0) = 0) of Delta = q prod (1 - q^n)^24,
-    from q dDelta/dq = E_2 Delta read coefficient by coefficient:
-    (n - 1) tau(n) = -24 sum_{m < n} sigma(m) tau(n - m), sigma from one
-    divisor sieve."""
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    sigma = [0] * (b + 1)
-    for d in range(1, b + 1):
-        for m in range(d, b + 1, d):
-            sigma[m] += d
-    tau = [0, 1] + [0] * (b - 1)
-    for n in range(2, b + 1):
-        tau[n] = -24 * sum(sigma[m] * tau[n - m] for m in range(1, n)) // (n - 1)
-    return tau
+def coefficient_bound(params: EisensteinParams, bound: int | None) -> int:
+    """bound, or when it is None the Sturm bound of weight k and level N*M:
+    the last coefficient verify checks, so the fewest a newform must store."""
+    return sturm_bound(params.k, params.N * params.M) if bound is None else bound
 
 
 class NewformData(Record):
@@ -445,8 +436,7 @@ def _checked_primes(nf: NewformData, params: EisensteinParams, ell: int,
             f"{params.chi_tilde.label}")
     if nf.level != params.N * params.M or nf.weight != params.k:
         raise ValueError("newform level/weight do not match the parameters")
-    if bound is None:
-        bound = sturm_bound(params.k, nf.level)
+    bound = coefficient_bound(params, bound)
     if bound > nf.b_data:
         raise InsufficientData(
             f"need coefficients up to {bound}, fixture has {nf.b_data}")
@@ -454,6 +444,12 @@ def _checked_primes(nf: NewformData, params: EisensteinParams, ell: int,
     if not qs:
         raise InsufficientData(f"bound {bound} leaves no prime q to check")
     return bound, qs
+
+
+def _is_prime_above(lam: PrimeAbove, params: EisensteinParams) -> bool:
+    """Whether lam is one of the :func:`primes_above` its ell in the value
+    field of the parameters, the only primes verify reduces at."""
+    return lam in primes_above(lam.ell, value_conductor(params))
 
 
 def _certificate(nf: NewformData, params: EisensteinParams, lam: PrimeAbove,
@@ -486,6 +482,9 @@ def verify_congruence(nf: NewformData, params: EisensteinParams, lam: PrimeAbove
     first passing certificate in that order, else the first one with the
     longest matching prefix."""
     bound, qs = _checked_primes(nf, params, lam.ell, bound, include_ell)
+    if not _is_prime_above(lam, params):
+        raise ValueError(f"lambda' {lam.to_json()} is not a prime of "
+                         f"Z[zeta_{value_conductor(params)}] above {lam.ell}")
     best = None  # (#passed prefix, certificate)
     for kmap in residue_maps_of_kf(nf, lam.ell):
         for jc in range(lam.residue_degree):
@@ -516,9 +515,12 @@ def verify_at_ell(nf: NewformData, params: EisensteinParams, ell: int,
 def replay_certificate(cert: CongruenceCertificate, nf: NewformData) -> bool:
     """True iff the certificate rebuilt at its recorded choice (its factor's
     prime of K_f, twist of lambda', bound and include_ell) has the same
-    JSON; False if the factor names no prime of K_f above ell.  Raises as
-    verify does on a newform that does not fit the parameters."""
+    JSON; False if the factor names no prime of K_f above ell or lambda'
+    is no prime of the value field above ell.  Raises as verify does on a
+    newform that does not fit the parameters."""
     bound, qs = _checked_primes(nf, cert.params, cert.ell, cert.bound, cert.include_ell)
+    if not _is_prime_above(cert.lambda_prime, cert.params):
+        return False
     kmap = next((m for m in residue_maps_of_kf(nf, cert.ell)
                  if m.factor == tuple(cert.field_poly_factor)), None)
     if kmap is None:

@@ -81,6 +81,16 @@ def test_is_irreducible():
     assert not fppoly.is_irreducible([1], 5)
 
 
+def test_is_irreducible_matches_sympy_on_every_small_monic():
+    # squarefree or not: every monic polynomial of degree <= 4 over F_2..F_5
+    for ell in (2, 3, 5):
+        for r in range(5):
+            for count in range(ell**r):
+                f = [count // ell**i % ell for i in range(r)] + [1]
+                want = r > 0 and Poly(f[::-1], X, modulus=ell).is_irreducible
+                assert fppoly.is_irreducible(f, ell) == want, (ell, f)
+
+
 def test_lex_least_irreducible():
     assert fppoly.lex_least_irreducible(2, 1) == (0, 1)
     assert fppoly.lex_least_irreducible(2, 2) == (1, 1, 1)

@@ -1,7 +1,9 @@
-"""scripts/make_fixtures.py as a program: it loads without sympy, its
-checks hold under ``python -O``, its field arithmetic agrees with sympy,
-its dimension formula and fixture table match what it builds, and it
-rebuilds a packaged fixture from scratch."""
+"""The fixture builder: eiscong.spaces and scripts/make_fixtures.py,
+which runs it over the fixture table.  Both load without sympy, the
+checks hold under ``python -O``, the field arithmetic agrees with sympy,
+the dimension formula and fixture table match what is built, and the
+script rebuilds a packaged fixture from scratch without writing to
+stdout."""
 
 import os
 import random
@@ -14,9 +16,11 @@ from pathlib import Path
 import pytest
 from sympy import divisor_sigma, invert
 
+from eiscong import spaces
 from eiscong.characters import DirichletChar
 from eiscong.cyclotomic import CycNum
 from eiscong.eisenstein import alpha_m, eisenstein_series
+from eiscong.fppoly import trim
 from eiscong.newforms import load_fixture
 from helpers import from_qq, qq
 
@@ -41,8 +45,8 @@ def test_make_fixtures_checks_survive_python_O():
     def snapshot():
         return {f.name: (f.read_bytes(), f.stat().st_mtime_ns) for f in FIXTURES.iterdir()}
 
-    code = ("import sys, runpy; ns = runpy.run_path(sys.argv[1], run_name='make_fixtures'); "
-            "ns['KField']([2, 2])")
+    code = ("import sys, runpy; runpy.run_path(sys.argv[1], run_name='make_fixtures'); "
+            "from eiscong.spaces import KField; KField([2, 2])")
     before = snapshot()
     proc = subprocess.run([sys.executable, "-O", "-c", code, str(SCRIPT)],
                           capture_output=True, text=True, timeout=120,
@@ -59,32 +63,35 @@ def builder():
 
 
 @pytest.mark.parametrize("label", ["1.12.a.a", "10.8.b.a", "14.7.d.a", "42.6.e.c"])
-def test_kfield_mul_and_inv_match_sympy(builder, label):
+def test_kfield_mul_and_inv_match_sympy(label):
     g = list(load_fixture(label).field_poly)
-    kf = builder["KField"](g)
+    kf = spaces.KField(g)
     rng = random.Random(label)
     for _ in range(20):
         a, b = ([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(kf.deg)]
                 for _ in range(2))
-        a, b = builder["trim"](a), builder["trim"](b)
+        a, b = trim(a), trim(b)
         assert kf.mul(a, b) == from_qq((qq(a) * qq(b)).rem(qq(g)))
         if a:
             assert kf.inv(a) == from_qq(invert(qq(a), qq(g)))
             assert kf.mul(a, kf.inv(a)) == [1]
 
 
-def test_rebuilds_10_8_b_a(builder):
+def test_rebuilds_10_8_b_a(builder, capsys):
     # levels 5 and 10 from Eisenstein series, the level-5 old forms split
-    # off, and the rebase onto x^4 - 15x^2 + 64
+    # off, and the rebase onto x^4 - 15x^2 + 64; progress goes to stderr,
+    # so that stdout stays free for a caller's output
     built = builder["build_fixture"]("10.8.b.a", {})
     assert built.to_json() == load_fixture("10.8.b.a").to_json()
+    out, err = capsys.readouterr()
+    assert out == "" and "newform orbits" in err
 
 
 @pytest.mark.parametrize("level", [6, 10])
-def test_e2_atoms(builder, level):
+def test_e2_atoms(level):
     # the weight-2 atoms that replace E_2 are E_2(z) - t E_2(tz), of level t
     ts = [t for t in range(2, level + 1) if level % t == 0]
-    atoms = builder["weight_atoms"](2, level, 40)[-len(ts):]
+    atoms = spaces.weight_atoms(2, level, 40)[-len(ts):]
     for t, f in zip(ts, atoms):
         assert f.level == t and f.character == DirichletChar(t, 1)
         want = [Fraction(t - 1, 24)] + [
@@ -101,7 +108,7 @@ def _schoolbook(f, g, b):
     return out
 
 
-def test_mul_series_matches_schoolbook_product(builder):
+def test_mul_series_matches_schoolbook_product():
     # atoms in Q, Q(zeta_4) and Q(zeta_6), some dilated, and products across
     # two fields: rows spread 2 phi(o) - 1 apart must not overlap
     one = DirichletChar(1, 1)
@@ -111,7 +118,7 @@ def test_mul_series_matches_schoolbook_product(builder):
     g6 = eisenstein_series(3, DirichletChar(7, 3), one, 30)
     assert (e4.field, f4.field, f6.field) == (1, 4, 6)
     for f, g in [(e4, e4), (f4, f4), (f6, g6), (e4, f6), (f4, f6), (f4, g6)]:
-        h = builder["mul_series"](f, g, 30)
+        h = spaces.mul_series(f, g, 30)
         assert h.precision == 30 and h.den == f.den * g.den
         assert [h[n] for n in range(31)] == _schoolbook(f, g, 30)
 
@@ -119,11 +126,11 @@ def test_mul_series_matches_schoolbook_product(builder):
 @pytest.mark.parametrize("level, k, chi, dim", [
     (5, 8, "5.4", 2), (10, 8, "10.9", 8), (7, 7, "7.3", 3), (14, 7, "14.3", 10),
     (7, 6, "7.4", 2), (14, 6, "14.11", 8), (21, 6, "21.4", 11), (42, 6, "42.25", 36)])
-def test_cohen_oesterle_dim_cusp_at_the_built_spaces(builder, level, k, chi, dim):
+def test_cohen_oesterle_dim_cusp_at_the_built_spaces(level, k, chi, dim):
     # each value passed the span-rank check of a full build
     chi = DirichletChar.from_label(chi)
     assert chi.modulus == level
-    assert builder["cohen_oesterle_dim_cusp"](k, chi) == dim
+    assert spaces.cohen_oesterle_dim_cusp(k, chi) == dim
 
 
 def test_fixture_table_names_the_packaged_fixtures(builder):

@@ -13,11 +13,12 @@ from eiscong import newforms
 from eiscong.errors import (BadFixture, BadPrimeForBasis, CharacterMismatch, InsufficientData,
                             NonSquarefreeReduction, NotFound)
 from eiscong.newforms import (CongruenceCertificate, LmfdbClient, NewformData,
-                              convert_lmfdb_records, delta_an, fetch_newform,
+                              convert_lmfdb_records, fetch_newform,
                               load_fixture, replay_certificate, residue_maps_of_kf,
                               save_fixture, sturm_bound, verify_at_ell, verify_congruence)
 from eiscong.record import field_names, replace
-from eiscong.residue import ff_embed, matching_prefix, primes_above, reduce_cyc
+from eiscong.residue import PrimeAbove, ff_embed, matching_prefix, primes_above, reduce_cyc
+from eiscong.spaces import delta_an
 
 TRIV = DirichletChar(1, 1)
 P0 = EisensteinParams(1, 1, 12, TRIV, TRIV)
@@ -374,6 +375,24 @@ def test_replay_refuses_every_single_field_edit():
         replay_certificate(replace(failed, params=EisensteinParams(5, 2, 6, TRIV, P51.phi)), nf)
     assert {name for _, name, _ in edits} | {"params"} == \
         set(field_names(CongruenceCertificate))
+
+
+@pytest.mark.parametrize("label, params, ell, bound, factor", [
+    ("10.8.b.a", P51, 257, 100, (0, 1)), ("10.8.b.a", P51, 257, 100, (5, 1)),
+    ("1.12.a.a", P0, 691, 200, (0, 1))])
+def test_a_lambda_prime_that_is_no_prime_above_ell_is_refused(label, params, ell, bound,
+                                                               factor):
+    # the edited lambda' prints as the true one: replay and verify compare
+    # it with the primes above ell in the value field
+    nf = load_fixture(label)
+    lam, = primes_above(ell, value_conductor(params))
+    cert = verify_congruence(nf, params, lam, bound=bound)
+    assert cert.passed and replay_certificate(cert, nf)
+    forged = PrimeAbove(lam.ell, lam.m, factor)
+    assert forged != lam and forged.pretty() == lam.pretty()
+    assert replay_certificate(replace(cert, lambda_prime=forged), nf) is False
+    with pytest.raises(ValueError, match=r"lambda' .* is not a prime of Z\[zeta_"):
+        verify_congruence(nf, params, forged, bound=bound)
 
 
 def test_replay_accepts_sequences_as_lists():

@@ -128,9 +128,10 @@ def test_repr_prints_as_the_dataclasses_did():
 
 def test_library_does_not_import_code_generation():
     # a cold CLI loads no dataclasses, and with it none of the source and
-    # bytecode inspection modules dataclasses pulls in
+    # bytecode inspection modules dataclasses pulls in, nor the space
+    # builder, which only scripts/make_fixtures.py calls
     src = Path(__file__).resolve().parent.parent / "src"
-    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "eiscong.spaces"]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import eiscong, eiscong.cli; "
             f"print([m for m in {heavy!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code, str(src)],

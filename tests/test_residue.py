@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import isprime, n_order, primerange, totient
+from sympy import Poly, Symbol, isprime, n_order, primerange, totient
 
 from eiscong import fppoly
 from eiscong.cyclotomic import CycNum, cyclotomic_poly
@@ -214,6 +214,18 @@ def test_canonical_modulus_is_deterministic_and_irreducible():
         m1 = canonical_modulus(ell, r)
         assert m1 == canonical_modulus(ell, r)
         assert fppoly.is_irreducible(list(m1), ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_canonical_modulus_is_the_first_irreducible_in_base_ell_order(ell):
+    # the oracle walks the monic polynomials of degree r by the base-ell
+    # integer c_0 + c_1 ell + ... and stops at the first irreducible one
+    x = Symbol("x")
+    for r in range(1, 5):
+        first = next(f for f in ([count // ell**i % ell for i in range(r)] + [1]
+                                 for count in range(ell**r))
+                     if Poly(f[::-1], x, modulus=ell).is_irreducible)
+        assert canonical_modulus(ell, r) == tuple(first), (ell, r)
 
 
 def test_ff_embed_constant_and_counts():
