@@ -18,34 +18,26 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from eiscong.characters import DirichletChar  # noqa: E402
 from eiscong.newforms import NewformData, save_fixture  # noqa: E402
-from eiscong.spaces import (build_space_packets, delta_an, lmfdb_orbits, log,  # noqa: E402
+from eiscong.spaces import (Space, delta_an, extract_newforms, lmfdb_orbits, log,  # noqa: E402
                             packet_to_fixture, require)
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "eiscong" / "fixtures"
 
-CHI5, CHI7_7, CHI7_6 = DirichletChar(5, 4), DirichletChar(7, 3), DirichletChar(7, 4)
-SPEC_7_6 = (7, 6, CHI7_6, 280, [2, 3, 5], [])
-
-# label -> (space spec as build_space_packets takes it, with the specs of
-# its old-form spaces; orbit dimension; b_data; field polynomial to rebase
-# onto or None)
+# label -> ((level, weight, character, precision b0, Hecke primes q) of its
+# space; orbit dimension; b_data; field polynomial to rebase onto or None)
 FIXTURE_SPECS = {
-    "10.8.b.a": ((10, 8, CHI5.lift(10), 130, [3, 7], [(5, 8, CHI5, 130, [2, 3], [])]),
+    "10.8.b.a": ((10, 8, DirichletChar(10, 9), 130, [3, 7]),
                  4, 110, [Fraction(c) for c in (64, 0, -15, 0, 1)]),
-    "14.7.d.a": ((14, 7, CHI7_7.lift(14), 120, [3, 5], [(7, 7, CHI7_7, 120, [2, 3], [])]),
-                 8, 60, None),
-    "42.6.e.c": ((42, 6, CHI7_6.lift(42), 280, [5],
-                  [SPEC_7_6, (14, 6, CHI7_6.lift(14), 280, [3, 5], [SPEC_7_6]),
-                   (21, 6, CHI7_6.lift(21), 280, [2, 5], [SPEC_7_6])]),
-                 4, 60, None),
+    "14.7.d.a": ((14, 7, DirichletChar(14, 3), 120, [3, 5]), 8, 60, None),
+    "42.6.e.c": ((42, 6, DirichletChar(42, 25), 280, [5]), 4, 60, None),
 }
 
 
-def build_fixture(label: str, cache) -> NewformData:
+def build_fixture(label: str) -> NewformData:
     """The fixture of the orbit that the label's last letter names among
     the newform orbits of its space (a the first)."""
     space_spec, dim, b_data, field_poly = FIXTURE_SPECS[label]
-    orbits = lmfdb_orbits(build_space_packets(*space_spec, cache=cache))
+    orbits = lmfdb_orbits(extract_newforms(Space(*space_spec)))
     dims = [len(p.coefficient_field[1]) - 1 for p in orbits]
     log(f"level {space_spec[0]}: {len(orbits)} newform orbits, dims {dims}")
     idx = ord(label[-1]) - ord("a")
@@ -54,8 +46,6 @@ def build_fixture(label: str, cache) -> NewformData:
 
 
 def main():
-    cache = {}
-
     log("writing 1.12.a.a from the eta-product expansion")
     taus = delta_an(220)
     nf = NewformData(
@@ -68,7 +58,7 @@ def main():
     save_fixture(nf, FIXTURE_DIR)
 
     for label in FIXTURE_SPECS:
-        save_fixture(build_fixture(label, cache), FIXTURE_DIR)
+        save_fixture(build_fixture(label), FIXTURE_DIR)
         log(f"wrote {label}")
     log("all fixtures written")
 

@@ -68,7 +68,8 @@ def _phi(n: int) -> int:
 
 def _divide_monic(f: list[int], g):
     """Long-divide f in place by the monic integer polynomial g, using only
-    g's nonzero terms; the remainder is left in f[:len(g) - 1]."""
+    g's nonzero terms; the remainder is left in f[:len(g) - 1] and the
+    quotient in f[len(g) - 1:], whose leading-term updates are skipped."""
     e = len(g) - 1
     terms = [(i, c) for i, c in enumerate(g[:e]) if c]
     for j in range(len(f) - 1, e - 1, -1):
@@ -295,10 +296,10 @@ class CycNum:
             raise ValueError("target conductor must divide the current one")
         if d == n:
             return self
-        from .linalg import solve  # off the import path: only a few series call this
+        from .linalg import solver  # off the import path: only a few series call this
 
         cols = [CycNum.zeta(d, j).coerce(n).coeffs for j in range(_phi(d))]
-        sol = solve(cols, self.coeffs)
+        sol = solver(cols)(self.coeffs)
         if sol is None:
             return None
         return CycNum(d, sol)

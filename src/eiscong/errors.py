@@ -71,6 +71,10 @@ class NetworkError(EiscongError, IOError):
     """Remote fetch failed after the offline fallback was attempted."""
 
 
+class BadLabel(EiscongError, ValueError):
+    """A newform label is not of LMFDB's form N.k.a.x."""
+
+
 class BadFixture(EiscongError, ValueError):
     """A fixture file lacks a field or holds one of the wrong type."""
 

@@ -18,6 +18,7 @@ from itertools import combinations
 from math import isqrt, lcm
 
 from .arith import isprime
+from .cyclotomic import _divide_monic
 from .errors import NotSquareFree
 
 
@@ -262,18 +263,6 @@ def hensel_lift_factor(full_int, f0, ell: int, precision: int):
     return normalize(h, target)
 
 
-def _exact_quotient(g, h):
-    """g / h in Z[x] for monic h, or None when h does not divide g."""
-    r = list(g)
-    q = [0] * (len(g) - len(h) + 1)
-    for i in range(len(g) - len(h), -1, -1):
-        c = q[i] = r[i + len(h) - 1]
-        if c:
-            for j, b in enumerate(h):
-                r[i + j] -= c * b
-    return None if any(r[:len(h) - 1]) else q
-
-
 def factor_over_q(coeffs) -> list[list[Fraction]]:
     """Monic irreducible factors over Q of the squarefree monic rational
     polynomial coeffs (lowest degree first), by Zassenhaus (1969).
@@ -326,8 +315,10 @@ def factor_over_q(coeffs) -> list[list[Fraction]]:
             for i in subset:
                 h = mul(h, lifted[i], m)
             h = [c - m if 2 * c > m else c for c in h]
-            if (q := _exact_quotient(g, h)) is not None:
-                found, g = found + [h], q
+            r = list(g)
+            _divide_monic(r, h)  # leaves the remainder, then the quotient
+            if not any(r[:len(h) - 1]):
+                found, g = found + [h], r[len(h) - 1:]
                 lifted = [u for i, u in enumerate(lifted) if i not in subset]
                 break
         else:

@@ -1,5 +1,6 @@
 """Exact linear algebra over Q: a reduced row echelon form of Fraction
-vectors, grown a vector at a time, and the one linear solve, built on it."""
+vectors, grown a vector at a time, and linear solves built on it, one
+elimination for any number of targets."""
 
 from __future__ import annotations
 
@@ -71,16 +72,22 @@ class Echelon:
         return coords
 
 
-def solve(cols, target) -> list[Fraction] | None:
-    """y with sum_j y_j cols[j] = target over Q (each column as long as
-    target), or None if there is none.  The target reduced against the
-    rows cols[j] + e_j (e_j the j-th unit vector) leaves 0 + (-y) exactly
+def solver(cols):
+    """The solve of sum_j y_j cols[j] = target over Q, as a function of the
+    target (as long as each column): y, or None if there is none.  The
+    columns are eliminated once, as the rows cols[j] + e_j (e_j the j-th
+    unit vector); a target reduced against them leaves 0 + (-y) exactly
     when y solves, so y comes off the remainder's tail."""
-    n, ncols = len(target), len(cols)
+    ncols = len(cols)
     ech = Echelon()
     for j, col in enumerate(cols):
         ech.add([*col, *(_ONE if i == j else _ZERO for i in range(ncols))])
-    rem = ech.reduce([*target, *(_ZERO,) * ncols])[1]
-    if any(rem[:n]):
-        return None
-    return [-c for c in rem[n:]]
+
+    def solve(target) -> list[Fraction] | None:
+        n = len(target)
+        rem = ech.reduce([*target, *(_ZERO,) * ncols])[1]
+        if any(rem[:n]):
+            return None
+        return [-c for c in rem[n:]]
+
+    return solve

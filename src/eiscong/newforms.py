@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import time
 from fractions import Fraction
@@ -31,12 +32,13 @@ from .arith import primefactors, primerange
 from .characters import DirichletChar
 from .congruence import value_conductor
 from .eisenstein import EisensteinParams
-from .errors import (BadFixture, BadPrimeForBasis, CharacterMismatch, InsufficientData,
-                     NetworkError, NonSquarefreeReduction, NotFound)
+from .errors import (BadFixture, BadLabel, BadPrimeForBasis, CharacterMismatch,
+                     InsufficientData, NetworkError, NonSquarefreeReduction, NotFound)
 from .record import Record
 from .residue import FFElem, PrimeAbove, matching_prefix, primes_above, reduce_cyc
 
 _PACKAGED_FIXTURES = Path(__file__).parent / "fixtures"
+_LABEL = re.compile(r"[0-9]+\.[0-9]+\.[a-z]+\.[a-z]+")
 _REQUEST_TIMEOUT_S = 30.0
 
 
@@ -160,10 +162,18 @@ def _fixture_dirs(fixture_dir=None) -> list[Path]:
     return dirs + ([Path(env)] if env else []) + [_PACKAGED_FIXTURES]
 
 
+def _fixture_file(d: Path, label: str) -> Path:
+    """The file of the label in the directory d.  Only an LMFDB newform
+    label N.k.a.x is taken, since any other could name a file outside d."""
+    if not _LABEL.fullmatch(label):
+        raise BadLabel(f"{label!r} is not an LMFDB newform label N.k.a.x")
+    return d / f"{label}.json"
+
+
 def fixture_path(label: str, fixture_dir: str | os.PathLike | None = None) -> Path | None:
     """First existing fixture file for the label in :func:`_fixture_dirs`."""
     for d in _fixture_dirs(fixture_dir):
-        p = d / f"{label}.json"
+        p = _fixture_file(d, label)
         if p.is_file():
             return p
     return None
@@ -191,9 +201,8 @@ def load_fixture(label: str, fixture_dir=None) -> NewformData:
 
 
 def save_fixture(nf: NewformData, fixture_dir) -> Path:
-    d = Path(fixture_dir)
-    d.mkdir(parents=True, exist_ok=True)
-    p = d / f"{nf.label}.json"
+    p = _fixture_file(Path(fixture_dir), nf.label)
+    p.parent.mkdir(parents=True, exist_ok=True)
     with open(p, "w", encoding="utf-8") as fh:
         json.dump(nf.to_json(), fh, indent=1)
         fh.write("\n")

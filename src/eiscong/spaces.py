@@ -5,10 +5,14 @@ Approach*, 2007).
 M_k(Gamma_0(N), chi) is spanned exactly by Eisenstein series and products
 of two Eisenstein series (weights >= 2 suffice for every space built
 here; a rank check against the Cohen-Oesterle dimension guards the
-assumption).  Hecke operators act on the exact q-expansion lattice;
-newform eigensystems are cut out over an irreducible factor of the
-minimal polynomial of a generic Hecke combination, and each eigenvalue
-packet is verified (Sturm-certified eigenform property, coefficient
+assumption).  Its old forms and Eisenstein series are spanned by f(z)
+and f(pz) for f in a basis of M_k(Gamma_0(N/p), chi) over the primes
+p | N with cond(chi) | N/p, with the Eisenstein series of level N, and
+the new part they leave is checked against the newform dimension.
+Hecke operators act on the exact q-expansion lattice; newform
+eigensystems are cut out over an irreducible factor of the minimal
+polynomial of a generic Hecke combination, and each eigenvalue packet
+is verified (Sturm-certified eigenform property, coefficient
 multiplicativity and recursions, Atkin-Lehner squares) before it becomes
 a :class:`NewformData`.  Linear algebra is :mod:`eiscong.linalg` over
 Q; elements of a coefficient field K = Q[x]/(g) are lists of Fractions,
@@ -26,7 +30,7 @@ import time
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, permutations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import fppoly
 from .arith import divisors, factorint, primefactors, primerange
@@ -36,7 +40,7 @@ from .cyclotomic import (CycNum, _divide_monic, _ks_mul, _mod_phi, _phi, clear_d
 from .eisenstein import QExpansion, _rows_in, alpha_m, eisenstein_series, hecke_tp
 from .errors import NotSquareFree
 from .fppoly import trim
-from .linalg import Echelon, solve
+from .linalg import Echelon, solver
 from .newforms import NewformData, gamma0_index, sturm_bound
 from .record import replace
 
@@ -157,7 +161,7 @@ class KField:
     def inv(self, a):
         """y with a*y = 1: the coordinates of 1 over the columns a*x^j."""
         cols = [self.mul(a, xj) for xj in self.powers([ZERO, ONE], self.deg)]
-        return trim(self.coords_over([ONE], cols))
+        return trim(self.coords_over(cols)([ONE]))
 
     def eval_poly(self, coeffs, point):
         """Evaluate a polynomial with Fraction coefficients at a K-point."""
@@ -166,14 +170,20 @@ class KField:
             acc = self.add(self.mul(acc, point), [Fraction(c)])
         return acc
 
-    def coords_over(self, a, elements) -> list[Fraction]:
-        """a as a Q-combination of the given K-elements."""
+    def coords_over(self, elements):
+        """The map taking a K-element to its coordinates as a Q-combination
+        of the given K-elements, from one elimination of them."""
         def pad(x):
             return list(x) + [ZERO] * (self.deg - len(x))
 
-        y = solve([pad(e) for e in elements], pad(a))
-        require(y is not None, "element is not a Q-combination of the given ones")
-        return y
+        solve = solver([pad(e) for e in elements])
+
+        def coords(a) -> list[Fraction]:
+            y = solve(pad(a))
+            require(y is not None, "element is not a Q-combination of the given ones")
+            return y
+
+        return coords
 
 
 # -- Space builder ---------------------------------------------------
@@ -212,6 +222,20 @@ def cohen_oesterle_dim_cusp(k: int, chi: DirichletChar) -> int:
         total += 1
     require(total.denominator == 1, f"dimension formula gave {total}")
     return int(total)
+
+
+def newform_dimension(k: int, chi: DirichletChar) -> int:
+    """dim S_k^new(Gamma_0(N), chi), N the modulus of chi: the sum over the
+    d | N with cond(chi) | d of beta(N/d) dim S_k(Gamma_0(d), chi), beta
+    multiplicative with beta(p) = -2, beta(p^2) = 1 and beta(p^e) = 0 from
+    e = 3 on, the inverse of dim S_k(N) = sum_d sigma_0(N/d) dim S_k^new(d)."""
+    n, chi0 = chi.modulus, chi.primitive()
+    total = 0
+    for d in divisors(n):
+        beta = prod({1: -2, 2: 1}.get(e, 0) for e in factorint(n // d).values())
+        if beta and d % chi0.modulus == 0:
+            total += beta * cohen_oesterle_dim_cusp(k, chi0.lift(d))
+    return total
 
 
 class Space:
@@ -340,19 +364,14 @@ def poly_apply(coeffs, cmat, u):
 
 
 class EigenPacket:
-    """One newform orbit: a_n as elements of K = Q[x]/(g), plus the
-    rational basis of the orbit's isotypic block inside the ambient space
-    (the component vectors of the K-eigenvector), which is what oldform
-    constructions at higher level must dilate."""
+    """One newform orbit: a_n as elements of K = Q[x]/(g)."""
 
-    def __init__(self, space: Space, g: list[Fraction], a_list, zeta_img, chi,
-                 block_series):
+    def __init__(self, space: Space, g: list[Fraction], a_list, zeta_img, chi):
         self.space = space
         self.kf = KField(g)
         self.a = a_list          # a[n-1] = K-element for a_n
         self.zeta_img = zeta_img
         self.chi = chi
-        self.block_series = block_series  # QExpansions in Q(zeta_c)
 
     def a_n(self, n: int):
         return self.a[n - 1]
@@ -377,11 +396,30 @@ class EigenPacket:
             if len(mp) - 1 == kf.deg:
                 break
         theta, mp = best
-        powers = kf.powers(theta, len(mp) - 1)
-        return theta, mp, [kf.coords_over(a, powers) for a in self.a]
+        coords = kf.coords_over(kf.powers(theta, len(mp) - 1))
+        return theta, mp, [coords(a) for a in self.a]
 
 
-def extract_newforms(space: Space, old_packets) -> list[EigenPacket]:
+def old_forms(space: Space):
+    """f(z) and f(pz) for each basis form f of M_k(N/p, chi), over the primes
+    p | N with cond(chi) | N/p.  With the Eisenstein series of level N they
+    span its Eisenstein series and old forms (W.-C. W. Li, *Newforms and
+    functional equations*, Math. Ann. 212, 1975)."""
+    chi0 = space.chi.primitive()
+    for p in primefactors(space.level):
+        lower_level = space.level // p
+        if lower_level % chi0.modulus:
+            continue
+        lower = Space(lower_level, space.k, chi0.lift(lower_level), space.b0, [])
+        require(space.c % lower.c == 0, "flattening conductors incompatible")
+        lower.build_basis()
+        for row in lower.ech.rows:
+            f = lower.unflat(row)
+            yield f
+            yield alpha_m(f, p)
+
+
+def extract_newforms(space: Space) -> list[EigenPacket]:
     """All newform orbits of the space, as eigenvalue packets."""
     space.build_basis()
     dim = space.ech.rank
@@ -391,18 +429,13 @@ def extract_newforms(space: Space, old_packets) -> list[EigenPacket]:
 
     # old + Eisenstein subspace, in basis coordinates
     u_ech = Echelon()
-    for atom in space.eis_atoms:
-        for vec in space.zeta_shifts(atom):
+    for f in chain(space.eis_atoms, old_forms(space)):
+        for vec in space.zeta_shifts(f):
             u_ech.add(space.ech.express(vec))
-    for packet in old_packets:
-        lower_level = packet.space.level
-        require(space.c % packet.space.c == 0, "flattening conductors incompatible")
-        for t in divisors(space.level // lower_level):
-            for series in packet.block_series:
-                for vec in space.zeta_shifts(alpha_m(series.truncate(space.b0), t)):
-                    u_ech.add(space.ech.express(vec))
     dim_new = dim - u_ech.rank
     log(f"  old+eis rank {u_ech.rank}, new part {dim_new}")
+    require(dim_new == space.w * newform_dimension(space.k, space.chi),
+            f"new part {dim_new} is not {space.w} times the newform dimension")
     if dim_new == 0:
         return []
 
@@ -496,15 +529,7 @@ def extract_newforms(space: Space, old_packets) -> list[EigenPacket]:
         a_list = [kf.mul(a, inv_a1) for a in a_list[1:]]
         for q, a_q in eigs.items():
             require(a_list[q - 1] == a_q, f"a_{q} mismatch after normalisation")
-        # rational basis of the isotypic block: the K-component vectors of
-        # the eigenvector's flat expansion
-        block_series = []
-        blk_ech = Echelon()
-        for s in range(kf.deg):
-            flat_s = [cell[s] if s < len(cell) else ZERO for cell in flat_k]
-            require(blk_ech.add(list(flat_s)), "degenerate eigenvector component")
-            block_series.append(space.unflat(flat_s))
-        packet = EigenPacket(space, g, a_list, z, space.chi, block_series)
+        packet = EigenPacket(space, g, a_list, z, space.chi)
         verify_packet(packet)
         packets.append(packet)
         log(f"  newform orbit: deg {kf.deg} over Q, "
@@ -602,18 +627,13 @@ def hnf_lattice(coords: list[list[Fraction]], deg: int):
             if f:
                 basis[j] = [a - f * b for a, b in zip(basis[j], basis[i])]
     frac_basis = [[Fraction(x, den) for x in row] for row in basis]
+    solve = solver(basis)
     int_coords = []
     for vec in coords:
-        target = [int(c * den) for c in vec]
-        ys = [0] * deg
-        for i in range(deg):
-            y, rem = divmod(target[i], basis[i][i])
-            require(rem == 0, "coefficient outside the lattice")
-            ys[i] = y
-            if y:
-                target = [t - y * b for t, b in zip(target, basis[i])]
-        require(not any(target), "coefficient outside the lattice")
-        int_coords.append(tuple(ys))
+        ys = solve([c * den for c in vec])
+        require(ys is not None and all(y.denominator == 1 for y in ys),
+                "coefficient outside the lattice")
+        int_coords.append(tuple(map(int, ys)))
     return frac_basis, int_coords
 
 
@@ -625,8 +645,8 @@ def packet_to_fixture(packet: EigenPacket, label: str, b_data: int,
     theta, mp, coords = packet.coefficient_field
     if field_poly is not None:
         kk = KField(mp)
-        powers = kk.powers(find_root_in_field(mp, field_poly), len(mp) - 1)
-        coords = [kk.coords_over(vec, powers) for vec in coords]
+        rebase = kk.coords_over(kk.powers(find_root_in_field(mp, field_poly), len(mp) - 1))
+        coords = [rebase(vec) for vec in coords]
         mp = list(field_poly)
     coords = coords[:b_data]
     basis, int_coords = hnf_lattice(coords, len(mp) - 1)
@@ -672,14 +692,14 @@ def find_root_in_field(field_minpoly: list[Fraction], target_poly: list[Fraction
                for r in f_roots]
     t_roots = [-fppoly.hensel_lift_factor(t_int, [-r % p, 1], p, prec)[0] % modulus
                for r in t_roots]
-    # solve for rho = h(theta): h(f_roots[i]) = t_roots[sigma(i)]
-    van = [[pow(r, j, modulus) for j in range(deg)] for r in f_roots]
+    # solve for rho = h(theta): h(f_roots[i]) = t_roots[sigma(i)].  The
+    # roots are distinct mod p, so the Vandermonde determinant is a p-adic
+    # unit: the solution over Q, taken mod p^prec, is the one mod p^prec
+    solve = solver([[pow(r, j, modulus) for r in f_roots] for j in range(deg)])
     for sigma in permutations(range(deg)):
-        target = [t_roots[sigma[i]] for i in range(deg)]
-        sol = _solve_mod(van, target, modulus)
-        if sol is None:
-            continue
-        cand = [_rational_reconstruct(c, modulus) for c in sol]
+        sol = solve([t_roots[sigma[i]] for i in range(deg)])
+        cand = [_rational_reconstruct(y.numerator * pow(y.denominator, -1, modulus), modulus)
+                for y in sol]
         if None in cand:
             continue
         cand = trim(cand)
@@ -695,23 +715,6 @@ def _roots_mod_p(poly: list[int], p: int) -> list[int]:
     if len(fppoly.gcd(f, fppoly.derivative(f, p), p)) > 1:
         return []
     return sorted(-g[0] % p for g in fppoly.factor_squarefree(f, p) if len(g) == 2)
-
-
-def _solve_mod(mat, target, m):
-    n = len(mat)
-    rows = [list(r) + [t] for r, t in zip(mat, target)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if gcd(rows[i][col], m) == 1), None)
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = pow(rows[col][col], -1, m)
-        rows[col] = [v * inv % m for v in rows[col]]
-        for i in range(n):
-            if i != col and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % m for a, b in zip(rows[i], rows[col])]
-    return [rows[i][n] for i in range(n)]
 
 
 def _rational_reconstruct(a: int, m: int):
@@ -731,23 +734,6 @@ def _rational_reconstruct(a: int, m: int):
 
 
 # -- Spaces and their orbits -----------------------------------------
-
-
-def build_space_packets(level, k, chi, b0, qset, old_specs, cache):
-    """The newform packets of the space (level, k, chi) at precision b0 with
-    Hecke operators T_q for q in qset, after those of the spaces old_specs
-    names (same form of spec), which its old forms come from; cache maps
-    (level, k, character label) to packets already built."""
-    key = (level, k, chi.label)
-    if key in cache:
-        return cache[key]
-    old_packets = []
-    for spec in old_specs:
-        old_packets.extend(build_space_packets(*spec, cache=cache))
-    space = Space(level, k, chi, b0, qset)
-    packets = extract_newforms(space, old_packets)
-    cache[key] = packets
-    return packets
 
 
 def lmfdb_orbits(packets):

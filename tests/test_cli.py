@@ -242,6 +242,22 @@ def test_fixture_of_another_label_exit_2(capsys, tmp_path):
     assert "'42.6.e.c'" in captured.err and "'42.6.e.a'" in captured.err
 
 
+def test_label_that_is_no_lmfdb_label_exit_2(capsys, tmp_path):
+    # "../planted/x" would name a file outside the fixture directory; a
+    # planted fixture there, which verifies, is not read
+    nf = json.loads(FIXTURES.joinpath("10.8.b.a.json").read_text())
+    (tmp_path / "planted").mkdir()
+    (tmp_path / "planted" / "x.json").write_text(json.dumps({**nf, "label": "../planted/x"}))
+    (tmp_path / "store").mkdir()
+    code = run(["--offline", "verify", "--label", "../planted/x", "--ell", "257",
+                "--psi", "1.1", "--phi", "5.4", "--M", "2", "--k", "8",
+                "--fixtures", str(tmp_path / "store")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'../planted/x' is not an LMFDB newform label" in captured.err
+
+
 @pytest.mark.parametrize("d", [2, 7])
 def test_bk_m1_with_divisor_other_than_1_exit_2(capsys, d):
     # at M = 1 the only divisor is 1, as at M = 2 a d that is no proper

@@ -254,6 +254,25 @@ def test_ks_mul_slot_width_covers_inputs():
                                  for k in range(7)]
 
 
+def _int_coeffs(poly, length):
+    """poly's integer coefficients, lowest degree first, padded to length."""
+    cs = [int(c) for c in reversed(poly.all_coeffs())] if poly else []
+    return cs + [0] * (length - len(cs))
+
+
+def test_divide_monic_leaves_remainder_then_quotient():
+    # fppoly.factor_over_q reads its exact quotients off f[len(g) - 1:]
+    rng = random.Random(7)
+    for _ in range(300):
+        g = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))] + [1]
+        f = [rng.randint(-99, 99) for _ in range(rng.randint(len(g), 12))]
+        e = len(g) - 1
+        q, r = div(qq(f), qq(g))
+        v = list(f)
+        cyclotomic._divide_monic(v, g)
+        assert v[:e] == _int_coeffs(r, e) and v[e:] == _int_coeffs(q, len(f) - e)
+
+
 def _by_division(n, v):
     """v mod Phi_n by the long division of the short-vector kernel."""
     v = list(v)

@@ -11,6 +11,7 @@ import runpy
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -81,7 +82,7 @@ def test_rebuilds_10_8_b_a(builder, capsys):
     # levels 5 and 10 from Eisenstein series, the level-5 old forms split
     # off, and the rebase onto x^4 - 15x^2 + 64; progress goes to stderr,
     # so that stdout stays free for a caller's output
-    built = builder["build_fixture"]("10.8.b.a", {})
+    built = builder["build_fixture"]("10.8.b.a")
     assert built.to_json() == load_fixture("10.8.b.a").to_json()
     out, err = capsys.readouterr()
     assert out == "" and "newform orbits" in err
@@ -136,3 +137,36 @@ def test_cohen_oesterle_dim_cusp_at_the_built_spaces(level, k, chi, dim):
 def test_fixture_table_names_the_packaged_fixtures(builder):
     labels = sorted([*builder["FIXTURE_SPECS"], "1.12.a.a"])
     assert labels == sorted(f.stem for f in FIXTURES.iterdir())
+
+
+@pytest.mark.parametrize("level, k, chi, dim", [
+    (10, 8, "10.9", 4), (14, 7, "14.3", 4), (42, 6, "42.25", 6), (6, 6, "6.1", 1)])
+def test_newform_dimension(level, k, chi, dim):
+    # the three fixture spaces, whose builds pass the guard, and
+    # S_6^new(Gamma_0(6)), spanned by 6.6.a.a
+    chi = DirichletChar.from_label(chi)
+    assert chi.modulus == level
+    assert spaces.newform_dimension(k, chi) == dim
+
+
+@pytest.mark.parametrize("level, k, chi, b0, qset", [
+    (10, 8, "10.9", 130, [3, 7]),  # old forms from M_8(5) alone
+    (6, 6, "6.1", 40, [5]),        # from M_6(3) and M_6(2)
+])
+def test_old_forms_leave_the_new_part(level, k, chi, b0, qset):
+    # f(z) and f(pz) over the basis of each M_k(N/p, chi) leave a new part
+    # of w times the newform dimension, which the orbits then fill
+    space = spaces.Space(level, k, DirichletChar.from_label(chi), b0, qset)
+    packets = spaces.extract_newforms(space)
+    assert sum(p.kf.deg for p in packets) == space.w * spaces.newform_dimension(k, space.chi)
+    if level == 6:  # 6.6.a.a = q + 4q^2 - 9q^3 + ...
+        assert [a[0] for a in packets[0].a[:3]] == [1, 4, -9]
+
+
+def test_guard_refuses_an_old_span_without_the_shifted_forms(monkeypatch):
+    # f(z) without f(pz) leaves too large a new part, which is refused
+    # rather than split into orbits
+    full = spaces.old_forms
+    monkeypatch.setattr(spaces, "old_forms", lambda space: islice(full(space), 0, None, 2))
+    with pytest.raises(AssertionError, match="not 1 times the newform dimension"):
+        spaces.extract_newforms(spaces.Space(6, 6, DirichletChar(6, 1), 40, [5]))

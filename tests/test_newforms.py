@@ -10,8 +10,8 @@ from eiscong.characters import DirichletChar
 from eiscong.congruence import search_congruence_primes, value_conductor
 from eiscong.eisenstein import EisensteinParams
 from eiscong import newforms
-from eiscong.errors import (BadFixture, BadPrimeForBasis, CharacterMismatch, InsufficientData,
-                            NonSquarefreeReduction, NotFound)
+from eiscong.errors import (BadFixture, BadLabel, BadPrimeForBasis, CharacterMismatch,
+                            InsufficientData, NonSquarefreeReduction, NotFound)
 from eiscong.newforms import (CongruenceCertificate, LmfdbClient, NewformData,
                               convert_lmfdb_records, fetch_newform,
                               load_fixture, replay_certificate, residue_maps_of_kf,
@@ -98,6 +98,16 @@ def test_fixture_roundtrip(tmp_path):
     save_fixture(nf, tmp_path)
     again = load_fixture("10.8.b.a", tmp_path)
     assert again == nf
+
+
+@pytest.mark.parametrize("label", ["../escape", "10.8.b.a/../../escape", "10.8.B.a", "10.8.b"])
+def test_a_label_that_is_no_lmfdb_label_names_no_file(tmp_path, label):
+    # neither read nor written: such a label could name a file outside the store
+    with pytest.raises(BadLabel, match="not an LMFDB newform label"):
+        save_fixture(replace(load_fixture("10.8.b.a"), label=label), tmp_path / "store")
+    with pytest.raises(BadLabel):
+        load_fixture(label, tmp_path / "store")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_fixture_offline():
