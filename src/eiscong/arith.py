@@ -12,9 +12,13 @@ Brent rho, Pollard's p-1 (stage 1), and two-stage ECM on Montgomery
 curves with Suyama's parametrisation (Lenstra, 1987; Montgomery, 1987).
 ECM's first round is sized for the 9-15-digit primes the search's norms
 carry: B1 = 2000, the 15-digit row of Zimmermann and Dodson's table
-(*20 Years of ECM*, 2006), with B2 = 50 B1.  Stage 2 brings its baby
-and giant steps to Z = 1 with one batched inversion, so that each prime
-in (B1, B2] costs one multiplication (Montgomery, 1987).
+(*20 Years of ECM*, 2006), with B2 = 50 B1.  Stage 1 starts from a
+base point of Z = 1, and its result is brought to Z = 1 before stage 2,
+so the difference in every differential addition of a Montgomery ladder
+has Z = 1.
+Stage 2 brings its baby and giant steps to Z = 1 with one batched
+inversion, so that each prime in (B1, B2] costs one multiplication
+(Montgomery, 1987).
 The curve generator is seeded from the integer, so every factorization
 is reproducible.  The result is checked before it is returned: the
 prime powers multiply back to n and every prime passes :func:`isprime`.
@@ -216,24 +220,25 @@ def _xdbl(x, z, a24, n):
 
 
 def _xadd(xp, zp, xq, zq, xd, zd, n):
-    """P + Q from P, Q and P - Q."""
-    u = (xp - zp) * (xq + zq)
-    v = (xp + zp) * (xq - zq)
+    """P + Q from P, Q and P - Q (zd = 1 in the ladder, whose difference
+    is its base point)."""
+    u = (xp - zp) * (xq + zq) % n
+    v = (xp + zp) * (xq - zq) % n
     return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
 
 
-def _ladder(k, x, z, a24, n):
-    """k * (x : z) by the Montgomery ladder, k >= 1 (checked: k = 0 would
-    return (x : z) itself and a negative k a meaningless point)."""
+def _ladder(k, x, a24, n):
+    """k * (x : 1) by the Montgomery ladder, k >= 1 (checked: k = 0 would
+    return (x : 1) itself and a negative k a meaningless point)."""
     if k < 1:
         raise ValueError(f"ladder multiplier must be >= 1, got {k}")
-    x0, z0, x1, z1 = x, z, *_xdbl(x, z, a24, n)
+    x0, z0, x1, z1 = x, 1, *_xdbl(x, 1, a24, n)
     for bit in bin(k)[3:]:
         if bit == "1":
-            x0, z0 = _xadd(x1, z1, x0, z0, x, z, n)
+            x0, z0 = _xadd(x1, z1, x0, z0, x, 1, n)
             x1, z1 = _xdbl(x1, z1, a24, n)
         else:
-            x1, z1 = _xadd(x1, z1, x0, z0, x, z, n)
+            x1, z1 = _xadd(x1, z1, x0, z0, x, 1, n)
             x0, z0 = _xdbl(x0, z0, a24, n)
     return x0, z0
 
@@ -279,16 +284,19 @@ def _ecm_curve(n: int, b1: int, b2: int, rng: random.Random) -> int | None:
     g = gcd(den, n)
     if g != 1:
         return g if g < n else None
-    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
-    x, z = _ladder(_smooth_exponent(b1), pow(u, 3, n), pow(v, 3, n), a24, n)
+    inv = pow(den, -1, n)
+    a24 = pow(v - u, 3, n) * (3 * u + v) * inv % n
+    v_inv = 16 * pow(u, 3, n) * inv % n  # den = 16 u^3 v
+    x, z = _ladder(_smooth_exponent(b1), pow(u * v_inv, 3, n), a24, n)  # from (u^3 / v^3 : 1)
     g = gcd(z, n)
     if g != 1:
         return g if g < n else None
+    x = x * pow(z, -1, n) % n  # Q = (x : 1)
     d, r0, blocks = _stage_two_plan(b1, b2)
     # (xs[j] : zs[j]) = 2j * Q for 1 <= j <= d after a placeholder (0 : 1),
     # then r * Q for r = r0 + 2 d i, one per block; kept as two lists of
     # ints, not as tuples, to hold the memory peak down
-    x2, z2 = _xdbl(x, z, a24, n)
+    x2, z2 = _xdbl(x, 1, a24, n)
     x4, z4 = _xdbl(x2, z2, a24, n)
     xs, zs = [0, x2, x4], [1, z2, z4]
     for _ in range(3, d + 1):
@@ -296,7 +304,7 @@ def _ecm_curve(n: int, b1: int, b2: int, rng: random.Random) -> int | None:
         xs.append(xj)
         zs.append(zj)
     x2d, z2d = xs[-1], zs[-1]
-    t, r = _ladder(r0 - 2 * d, x, z, a24, n), _ladder(r0, x, z, a24, n)
+    t, r = _ladder(r0 - 2 * d, x, a24, n), _ladder(r0, x, a24, n)
     for _ in blocks:
         xs.append(r[0])
         zs.append(r[1])

@@ -33,7 +33,7 @@ from math import gcd, lcm, prod
 from .arith import divisors, primefactors
 from .characters import (MODULUS_MAX, DirichletChar, check_gauss_conductor, gauss_sum,
                          is_square_free, parity_matches)
-from .cyclotomic import CycNum, _from_ints, _mod_phi
+from .cyclotomic import CycNum, _mod_phi, _new, _phi, cyclotomic_poly
 from .errors import InsufficientPrecision, ModulusTooLarge, NotSquareFree
 from .lvalues import check_order, check_precision, check_weight, l_value_at_negative
 from .record import Record, replace
@@ -185,10 +185,17 @@ class QExpansion(Record, eq=False):
         return len(self.rows) - 1
 
     def __getitem__(self, n: int) -> CycNum:
+        """a_n, from a row already reduced mod Phi_o: only the common
+        factor of den and the row is taken out (a row of another length
+        than phi(o) is refused, not read as some other number)."""
         row, tag = self.rows[n], self.tags[n]
         if not any(row):
             return CycNum.zero(tag)
-        x = _from_ints(self.field, list(row), self.den)
+        if len(row) != _phi(self.field):
+            raise ValueError(f"row {n} has {len(row)} entries, not phi({self.field}) = "
+                             f"{_phi(self.field)}")
+        g = gcd(self.den, *row)
+        x = _new(self.field, tuple(row) if g == 1 else tuple(v // g for v in row), self.den // g)
         return x if tag == self.field else x.try_descend(tag)
 
     @cached_property
@@ -242,10 +249,16 @@ def _rows_in(f: QExpansion, o: int) -> tuple:
 def _multiplier(x: CycNum):
     """(acc, row) -> the numerators acc + x * row on Z[zeta_o], o = x.conductor,
     through the integer matrix of x's numerators: column j, the image of
-    zeta_o^j, is kept as its nonzero (index, entry) pairs."""
-    o, num = x.conductor, CycNum(x.conductor, x.num)
-    cols = [[(i, v) for i, v in enumerate((num * CycNum.zeta(o, j)).num) if v]
-            for j in range(len(x.num))]
+    zeta_o^j, is kept as its nonzero (index, entry) pairs.  Column j + 1 is
+    zeta_o times column j by the recurrence of Phi_o = sum Phi_i t^i (monic
+    of degree d = phi(o)): zeta_o (c_0, ..., c_(d-1)) = (0, c_0, ..., c_(d-2))
+    - c_(d-1) (Phi_0, ..., Phi_(d-1))."""
+    phi, col, cols = cyclotomic_poly(x.conductor), x.num, []
+    for _ in x.num:
+        cols.append([(i, v) for i, v in enumerate(col) if v])
+        top, col = col[-1], (0, *col[:-1])
+        if top:
+            col = tuple(c - top * f for c, f in zip(col, phi))
 
     def axpy(acc: tuple, row: tuple) -> tuple:
         out = list(acc)

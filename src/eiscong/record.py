@@ -1,6 +1,7 @@
 """Frozen records as @dataclass(frozen=True) made them, without generated
 code: the fields are a class's own annotations; ``eq=False`` keeps identity
-equality; ``replace`` builds anew through ``__init__``; cached_property works."""
+equality; ``replace`` builds anew through ``__init__``, its fields passed
+positionally; cached_property works."""
 
 from operator import attrgetter
 
@@ -45,4 +46,11 @@ field_names = attrgetter("_fields")
 
 
 def replace(obj: Record, **changes) -> Record:
-    return type(obj)(**{f: getattr(obj, f) for f in obj._fields} | changes)
+    """A new record of obj's class with the given fields changed, built
+    through __init__ (so __post_init__ checks it again); TypeError on a name
+    that is no field."""
+    values = obj.__dict__
+    args = [changes.pop(f, values[f]) for f in obj._fields]
+    if changes:
+        raise TypeError(f"{type(obj).__name__} has no field {', '.join(changes)}")
+    return type(obj)(*args)

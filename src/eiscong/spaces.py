@@ -401,10 +401,13 @@ class EigenPacket:
 
 
 def old_forms(space: Space):
-    """f(z) and f(pz) for each basis form f of M_k(N/p, chi), over the primes
-    p | N with cond(chi) | N/p.  With the Eisenstein series of level N they
-    span its Eisenstein series and old forms (W.-C. W. Li, *Newforms and
-    functional equations*, Math. Ann. 212, 1975)."""
+    """f(z) and f(pz) for f = zeta_c^j g, g a basis form of M_k(N/p, chi) and
+    j < w/w', over the primes p | N with cond(chi) | N/p.  With the zeta_c
+    shifts of the Eisenstein series of level N they span its Eisenstein
+    series and old forms (W.-C. W. Li, *Newforms and functional equations*,
+    Math. Ann. 212, 1975): the lower basis spans M_k(N/p, chi) over
+    Q(zeta_c'), whose degree w/w' extension Q(zeta_c) has the power basis
+    zeta_c^j, j < w/w', and alpha_p is linear."""
     chi0 = space.chi.primitive()
     for p in primefactors(space.level):
         lower_level = space.level // p
@@ -414,9 +417,10 @@ def old_forms(space: Space):
         require(space.c % lower.c == 0, "flattening conductors incompatible")
         lower.build_basis()
         for row in lower.ech.rows:
-            f = lower.unflat(row)
-            yield f
-            yield alpha_m(f, p)
+            for j in range(space.w // lower.w):
+                f = lower.unflat(row).scale(CycNum.zeta(space.c, j))
+                yield f
+                yield alpha_m(f, p)
 
 
 def extract_newforms(space: Space) -> list[EigenPacket]:
@@ -429,9 +433,9 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
 
     # old + Eisenstein subspace, in basis coordinates
     u_ech = Echelon()
-    for f in chain(space.eis_atoms, old_forms(space)):
-        for vec in space.zeta_shifts(f):
-            u_ech.add(space.ech.express(vec))
+    eis = (vec for f in space.eis_atoms for vec in space.zeta_shifts(f))
+    for vec in chain(eis, map(space.flat, old_forms(space))):
+        u_ech.add(space.ech.express(vec))
     dim_new = dim - u_ech.rank
     log(f"  old+eis rank {u_ech.rank}, new part {dim_new}")
     require(dim_new == space.w * newform_dimension(space.k, space.chi),

@@ -203,10 +203,10 @@ def test_stage_two_plan_refuses_r0_at_most_2d():
 
 def test_ladder_refuses_a_multiplier_below_one():
     n, a24 = 1000003, 5
-    assert arith._ladder(1, 7, 1, a24, n) == (7, 1)
+    assert arith._ladder(1, 7, a24, n) == (7, 1)
     for k in (0, -265):
         with pytest.raises(ValueError, match="must be >= 1"):
-            arith._ladder(k, 7, 1, a24, n)
+            arith._ladder(k, 7, a24, n)
 
 
 @given(st.integers(1, 10**12), st.integers(0, 2**16))

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from sympy import divisors, invert, primefactors, primerange
 
-from eiscong import arith, characters, eisenstein
+from eiscong import arith, characters, eisenstein, spaces
 from eiscong.characters import DirichletChar, gauss_sum, is_square_free, primitive_characters
-from eiscong.cyclotomic import CycNum, cyclotomic_poly
+from eiscong.cyclotomic import CycNum, _phi, cyclotomic_poly
 from eiscong.eisenstein import (_SERIES_CACHE, CuspMatrix, DeltaChoice, EisensteinParams,
-                                QExpansion, _row, _series_rows, alpha_m, c_gamma,
+                                QExpansion, _multiplier, _row, _series_rows, alpha_m, c_gamma,
                                 constant_term_alpha_m, constant_term_e_delta, cusp_matrix_for,
                                 cusp_representatives, e_delta, e_delta_via_hecke,
                                 eisenstein_qexp, eisenstein_series, hecke_tp, sigma_power_div)
@@ -395,6 +395,79 @@ def test_row_ops_across_fields():
     # at weight 0, chi(p) p^(k-1) has denominator p
     assert hecke_tp(replace(f, weight=0), 2).to_json() == \
         ref_hecke_tp(dataclasses.replace(ref, weight=0), 2).to_json()
+
+
+# o = p, 2p, p^e and o = 2 mod 4 among the conductors to 60
+MULTIPLIER_CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 21, 25, 26, 27,
+                         30, 32, 34, 35, 42, 45, 49, 50, 54, 58, 59, 60]
+
+
+@pytest.mark.parametrize("o", MULTIPLIER_CONDUCTORS)
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_multiplier_is_the_cycnum_product(o, data):
+    def vec(lo, hi):
+        return data.draw(st.lists(st.integers(lo, hi), min_size=_phi(o), max_size=_phi(o)))
+    x = CycNum(o, [Fraction(a, b) for a, b in zip(vec(-10**6, 10**6), vec(1, 30))])
+    acc, row = tuple(vec(-10**6, 10**6)), tuple(vec(-10**6, 10**6))
+    # the matrix is that of x's numerators, an element of Z[zeta_o]
+    want = CycNum(o, acc) + CycNum(o, x.num) * CycNum(o, row)
+    assert want.den == 1
+    assert _multiplier(x)(acc, row) == want.num
+
+
+ROW_PARAMS = (P0, P51, P53, EisensteinParams(5, 6, 8, TRIV, PHI5))
+
+
+def _series(b):
+    return [eisenstein_qexp(params, b) for params in ROW_PARAMS] + \
+        [eisenstein_series(3, TRIV, DirichletChar(5, 2), b)]
+
+
+def _unflat_series():
+    space = spaces.Space(5, 8, PHI5, 20, [])
+    return [space.unflat(space.flat(f.scale(CycNum.zeta(space.c, 1)))) for f in space.eis_atoms]
+
+
+# each way the library builds a QExpansion, on several parameter sets
+BUILDERS = {
+    "eisenstein_series": lambda: _series(24),
+    "e_delta": lambda: [e_delta(params, dc, 12) for params in ROW_PARAMS
+                        for dc in DeltaChoice.all_choices(params)],
+    "e_delta_via_hecke": lambda: [e_delta_via_hecke(params, dc, 6) for params in ROW_PARAMS
+                                  for dc in DeltaChoice.all_choices(params)],
+    "hecke_tp": lambda: [hecke_tp(f, p) for f in _series(24) for p in (2, 3, 5)],
+    "scale": lambda: [f.scale(c) for f in _series(12)
+                      for c in (CycNum.zeta(3) + Fraction(1, 7), Fraction(-9, 4))],
+    "sub": lambda: [g for f in _series(12) for g in (
+        f.sub(f.scale(CycNum.zeta(4, 3))),
+        f.scale(Fraction(1, 6)).sub(f.scale(Fraction(1, 10))))],
+    "alpha_m": lambda: [alpha_m(f, 3) for f in _series(24)],
+    "Space.unflat": _unflat_series,
+}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_built_rows_are_reduced_over_a_positive_denominator(name):
+    # rows of phi(field) numerators over den > 0, each read as the CycNum
+    # of its row over den (in the tag's field, which coerces back)
+    built = BUILDERS[name]()
+    assert built
+    for f in built:
+        assert f.den > 0 and len(f.rows) == len(f.tags) == f.precision + 1
+        assert all(len(row) == _phi(f.field) for row in f.rows)
+        for n, row in enumerate(f.rows):
+            assert f[n] == CycNum(f.field, row) * Fraction(1, f.den)
+
+
+def test_a_row_of_the_wrong_length_is_refused():
+    f = eisenstein_qexp(P53, 4)
+    assert f.field == 3
+    # an unreduced row: 1 + zeta_3 + zeta_3^2 = 0 left in three slots, not two
+    bad = replace(f, rows=f.rows[:2] + ((1, 1, 1),) + f.rows[3:])
+    assert bad[1] == f[1]
+    with pytest.raises(ValueError, match="row 2 has 3 entries, not phi"):
+        bad[2]
 
 
 def test_e_delta_m1_is_plain_series():

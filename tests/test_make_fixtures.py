@@ -128,7 +128,9 @@ def test_mul_series_matches_schoolbook_product():
     (5, 8, "5.4", 2), (10, 8, "10.9", 8), (7, 7, "7.3", 3), (14, 7, "14.3", 10),
     (7, 6, "7.4", 2), (14, 6, "14.11", 8), (21, 6, "21.4", 11), (42, 6, "42.25", 36)])
 def test_cohen_oesterle_dim_cusp_at_the_built_spaces(level, k, chi, dim):
-    # each value passed the span-rank check of a full build
+    # each value but that of M_6(7, chi) passed the span-rank check of a
+    # full build; no build spans M_6(7, chi) any more, and its value enters
+    # the build only through the newform-dimension guard at level 42
     chi = DirichletChar.from_label(chi)
     assert chi.modulus == level
     assert spaces.cohen_oesterle_dim_cusp(k, chi) == dim

@@ -73,6 +73,16 @@ def test_replace_validates_again():
         replace(P51, level=10)
 
 
+@pytest.mark.parametrize("obj", records(), ids=lambda obj: type(obj).__name__)
+def test_replace_refuses_an_unknown_field(obj):
+    name = field_names(obj)[0]
+    with pytest.raises(TypeError, match="no field not_a_field"):
+        replace(obj, not_a_field=1)
+    # also beside a real field, which alone would build a new record
+    with pytest.raises(TypeError, match="no field x"):
+        replace(obj, **{name: getattr(obj, name), "x": 1})
+
+
 def test_replace_carries_no_cached_property():
     f = eisenstein_qexp(P51, 4)
     assert len(f.coeffs) == 5
