@@ -13,11 +13,16 @@ conductor, lifts and primitive parts are all read off the w_j.  Values
 are exact roots of unity (:class:`~eiscong.cyclotomic.CycNum`).
 
 The generators and exponent table of each prime power are built once and
-cached; readers may share them freely, initialisation is idempotent.
+cached; readers may share them freely, initialisation is idempotent.  The
+other shared state is the Gauss-sum store: :func:`gauss_sum` keeps each
+sum it builds, by character (so equal characters built separately share
+one entry), up to a fixed total of numerators, and writes to it under a
+lock.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -266,14 +271,36 @@ def check_gauss_conductor(n: int) -> None:
                               f"MODULUS_MAX = {MODULUS_MAX}")
 
 
+# Gauss sums built so far, oldest first, and the numerators they hold in
+# all; every write holds _GAUSS_LOCK, reads take the dict as it stands
+_GAUSS: dict[DirichletChar, CycNum] = {}
+_gauss_held = 0
+_GAUSS_LOCK = threading.Lock()
+
+# the most numerators _GAUSS holds: a sum in Q(zeta_n) has phi(n) <= n <=
+# MODULUS_MAX of them, so the largest sum the ceiling admits fits on its
+# own (443.2, conductor 195806, has 84864 and takes 2.8 s to build), while
+# the store stays near 2 MiB of slots; the oldest sums go first
+_GAUSS_NUMERATORS = 1 << 18
+
+
 def gauss_sum(phi: DirichletChar) -> CycNum:
     """g(phi) = sum_{n=0}^{v-1} phi(n) zeta_v^n for primitive phi of
     conductor v; the result lives in conductor lcm(v, order), refused
     above MODULUS_MAX before any vector is built.
 
-    Every term is a single root of unity in the target field, so the sum
-    is accumulated as one exponent vector and reduced once.
+    Each sum is built once per process and kept, by character, while the
+    store holds at most _GAUSS_NUMERATORS numerators; a refused character
+    raises on every call and leaves nothing stored.
     """
+    g = _GAUSS.get(phi)
+    return g if g is not None else _keep_gauss_sum(phi, _build_gauss_sum(phi))
+
+
+def _build_gauss_sum(phi: DirichletChar) -> CycNum:
+    """g(phi), built anew: every term is a single root of unity in the
+    target field, so the sum is accumulated as one exponent vector and
+    reduced once."""
     if not phi.is_primitive():
         raise NotPrimitive(f"{phi!r} is imprimitive (conductor {phi.conductor})")
     v = phi.modulus
@@ -288,6 +315,23 @@ def gauss_sum(phi: DirichletChar) -> CycNum:
         if j is not None:
             vec[(j * (big // o) + n * (big // v)) % big] += 1
     return _from_ints(big, vec, 1)
+
+
+def _keep_gauss_sum(phi: DirichletChar, g: CycNum) -> CycNum:
+    """The stored sum of phi, storing g first when none is (dropping the
+    oldest sums until it fits the budget), so that every caller gets one
+    object per character."""
+    global _gauss_held
+    size = len(g.num)
+    with _GAUSS_LOCK:
+        if (kept := _GAUSS.get(phi)) is not None:
+            return kept
+        if size <= _GAUSS_NUMERATORS:
+            while _gauss_held + size > _GAUSS_NUMERATORS:
+                _gauss_held -= len(_GAUSS.pop(next(iter(_GAUSS))).num)
+            _GAUSS[phi] = g
+            _gauss_held += size
+    return g
 
 
 def is_square_free(n: int) -> bool:

@@ -16,7 +16,11 @@ that happens to be rational keeps conductor 6 unless
 
 Products pack each numerator vector into one Python int (Kronecker
 substitution) and multiply once; the new denominator is the product of
-the two.  From phi(n) = 32 on, reduction mod Phi_n stays packed (a fold
+the two.  A slot of the packing is a signed little-endian machine word
+of 1, 2, 4 or 8 bytes, read and written for the whole vector by one
+``struct`` call (3 and 5 to 7 bytes round up to the next word); wider
+slots keep their width and go through ``int.from_bytes`` one at a time.
+From phi(n) = 32 on, reduction mod Phi_n stays packed (a fold
 mod x^n - 1 by shifts, the quotient from the high slots of a product by
 the sparse Psi_n = (x^n - 1) / Phi_n, only the remainder's phi(n) slots
 unpacked); below that it is long division.
@@ -28,6 +32,7 @@ threads; the only shared state is the memoised Phi_n and Psi_n tables.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -88,10 +93,11 @@ def clear_denominators(coeffs) -> tuple[list[int], int]:
 
 
 # From this phi(n) on _packed_mod_phi reduces, below it _divide_monic.  On
-# x86-64 with Python 3.11, dense products are faster packed from phi(n) = 12
-# (n = 21: 12 against 16 us), length-n vectors with few slots above phi(n),
-# as gauss_sum builds, only from about 44 (n = 63: 16 against 8 us; n = 105:
-# 28 against 56 us); a cusp-constants pass moved < 4% for cutoffs 12 to 64.
+# x86-64 with Python 3.11 and word slots, dense products are faster packed
+# from phi(n) = 12 (n = 21: 15 against 21 us), length-n vectors of 0s and 1s,
+# as gauss_sum builds, only from about 36 (n = 63: 14 against 13 us; n = 105:
+# 29 against 84 us; at phi(n) = 24 division wins on n = 35, 39, 45 and 56);
+# a cusp-constants pass moved < 4% for cutoffs 12 to 64 (with byte slots).
 _PACKED_MIN_DEGREE = 32
 
 
@@ -128,19 +134,42 @@ def _offset(length: int, width: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
 
 
+# struct codes of the signed little-endian machine words; a slot of any
+# other width is read and written one int.from_bytes / to_bytes at a time
+_WORDS = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _word(width: int) -> int:
+    """Slot bytes rounded up to a machine word, which struct reads and
+    writes; no struct word is wider than 8 bytes, so wider slots keep
+    their width."""
+    return width if width > 8 else 1 << (width - 1).bit_length()
+
+
 def _pack(v, width: int) -> int:
-    """sum v[i] * 2^(8*width*i) for |v[i]| < 2^(8*width - 1)."""
-    half = 1 << (8 * width - 1)
-    zero = half.to_bytes(width, "little")
-    return int.from_bytes(b"".join([(x + half).to_bytes(width, "little") if x else zero
-                                    for x in v]), "little") - _offset(len(v), width)
+    """sum v[i] * 2^(8*width*i) for |v[i]| < 2^(8*width - 1).  The slots are
+    written in two's complement; flipping each slot's top bit turns them
+    into the offset slots v[i] + 2^(8*width - 1), whose sum is the packed
+    value plus _offset."""
+    code = _WORDS.get(width)
+    if code:
+        raw = struct.pack(f"<{len(v)}{code}", *v)
+    else:
+        zero = bytes(width)
+        raw = b"".join([x.to_bytes(width, "little", signed=True) if x else zero for x in v])
+    off = _offset(len(v), width)
+    return (int.from_bytes(raw, "little") ^ off) - off
 
 
 def _unpack(v: int, length: int, width: int) -> list[int]:
-    """The slots of v - _offset(length, width), 0 <= v < 2^(8*width*length)."""
-    half = 1 << (8 * width - 1)
-    raw = v.to_bytes(length * width, "little")
-    return [int.from_bytes(raw[i:i + width], "little") - half
+    """The slots of v - _offset(length, width), 0 <= v < 2^(8*width*length):
+    v's slots are x + 2^(8*width - 1), and flipping their top bits leaves
+    each x in two's complement."""
+    raw = (v ^ _offset(length, width)).to_bytes(length * width, "little")
+    code = _WORDS.get(width)
+    if code:
+        return list(struct.unpack(f"<{length}{code}", raw))
+    return [int.from_bytes(raw[i:i + width], "little", signed=True)
             for i in range(0, length * width, width)]
 
 
@@ -149,10 +178,11 @@ def _ks_mul(a, b) -> list[int]:
     each vector becomes one int in base 2^(8*width), the two are multiplied
     once, and the signed slots of the product are read back with a single
     offset.  A slot holds the inputs and every product coefficient, which
-    is at most max|a| * max|b| * min(len a, len b), plus a sign bit."""
+    is at most max|a| * max|b| * min(len a, len b), plus a sign bit, in
+    whole bytes rounded up to a machine word by _word."""
     ma = max(map(abs, a))
     mb = max(map(abs, b))
-    width = (max(ma * mb * min(len(a), len(b)), ma, mb).bit_length() + 8) // 8
+    width = _word((max(ma * mb * min(len(a), len(b)), ma, mb).bit_length() + 8) // 8)
     pa = _pack(a, width)
     prod = pa * pa if a is b else pa * _pack(b, width)
     length = len(a) + len(b) - 1
@@ -173,8 +203,9 @@ def _packed_width(n: int, top: int, inputs: int = 0) -> int:
     entries <= top in absolute value: q = f' div Phi_n is the high half of
     f' * Psi_n, so q * Phi_n and every partial sum of f' - q * Phi_n have
     entries <= top * (1 + |Phi_n|_1 * |Psi_n|_1).  A slot holds that, the
-    packed inputs (<= inputs), a spare bit (checked) and a sign bit."""
-    return (2 * max(top * _cofactor(n)[1], inputs)).bit_length() // 8 + 1
+    packed inputs (<= inputs), a spare bit (checked) and a sign bit, in
+    whole bytes rounded up to a machine word by _word."""
+    return _word((2 * max(top * _cofactor(n)[1], inputs)).bit_length() // 8 + 1)
 
 
 def _packed_mod_phi(n: int, f: int, width: int) -> list[int]:

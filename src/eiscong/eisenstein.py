@@ -16,8 +16,10 @@ matrix of one multiplier per prime, and coefficients are built as CycNum,
 in their tag's field, only when read.
 
 What is built once is reused: the base series for the life of the
-process (the series cache, keyed by (k, psi, phi)), the longest lift
-E_delta for as long as its DeltaChoice lives (shorter requests are
+process (the series cache, keyed by (k, psi, phi)), Gauss sums, per
+character, for the life of the process (the store of
+characters.gauss_sum, bounded by the numerators it holds), the longest
+lift E_delta for as long as its DeltaChoice lives (shorter requests are
 truncated copies), and the cusp constant for as long as its
 EisensteinParams lives.  e_delta_via_hecke reads only the series cache,
 so it stays an independent reference.

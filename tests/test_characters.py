@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import factorint, legendre_symbol, totient
 
+from eiscong import characters
 from eiscong.characters import (MODULUS_MAX, DirichletChar, check_gauss_conductor,
                                 conrey_generator, enumerate_pairs, gauss_sum,
                                 is_square_free, parity_matches, primitive_characters)
@@ -271,6 +274,92 @@ def test_gauss_sum_matches_numeric_oracle():
         for n in range(v):
             target += char_to_complex(phi, n) * mp.e ** (2j * mp.pi * n / v)
         assert abs(cyc_to_complex(gauss_sum(phi)) - target) < 1e-30
+
+
+@pytest.fixture
+def gauss_store(monkeypatch):
+    """An empty Gauss-sum store for one test; the process's store comes back
+    after it."""
+    monkeypatch.setattr(characters, "_GAUSS", {})
+    monkeypatch.setattr(characters, "_gauss_held", 0)
+    return characters._GAUSS
+
+
+def test_gauss_sum_kept_once_per_character(gauss_store):
+    import eiscong
+    from eiscong import eisenstein
+    assert eiscong.gauss_sum is gauss_sum and eisenstein.gauss_sum is gauss_sum
+    g = gauss_sum(DirichletChar(13, 2))
+    assert gauss_sum(DirichletChar.from_label("13.2")) is g  # equal, built separately
+    assert gauss_sum(DirichletChar(13, 15)) is g  # index 15 = 2 mod 13
+    psi, phi = DirichletChar(5, 2), DirichletChar(7, 3)
+    eisenstein._gauss_ratio(psi, phi)  # the cusp constants fill the same store
+    assert set(gauss_store) == {DirichletChar(13, 2), psi * phi.inverse(), phi}
+    assert characters._gauss_held == sum(len(x.num) for x in gauss_store.values())
+
+
+def test_refused_gauss_sums_raise_every_time_and_store_nothing(gauss_store):
+    imprimitive, too_big = DirichletChar(10, 9), DirichletChar(4919, 13)
+    for _ in range(2):
+        with pytest.raises(NotPrimitive):
+            gauss_sum(imprimitive)
+        with pytest.raises(ModulusTooLarge, match="conductor 24191642 is above"):
+            gauss_sum(too_big)
+    assert gauss_store == {} and characters._gauss_held == 0
+
+
+def test_gauss_store_stays_within_its_budget(gauss_store, monkeypatch):
+    # 400 numerators hold a few of the sums of conductor <= 30 (15197 in
+    # all, the largest 336, in Q(zeta_812)): filling past the budget drops
+    # the oldest, and every sum handed out is still the right one
+    monkeypatch.setattr(characters, "_GAUSS_NUMERATORS", 400)
+    for v in range(1, 31):
+        for phi in primitive_characters(v):
+            g = gauss_sum(phi)
+            assert g == characters._build_gauss_sum(phi)
+            held = sum(len(x.num) for x in gauss_store.values())
+            assert characters._gauss_held == held <= 400
+            assert gauss_store[phi] is g  # the newest sum is always kept
+    assert len(gauss_store) < sum(len(primitive_characters(v)) for v in range(1, 31))
+    # a sum larger than the whole budget is handed out but not kept
+    monkeypatch.setattr(characters, "_GAUSS_NUMERATORS", 100)
+    gauss_store.clear()
+    monkeypatch.setattr(characters, "_gauss_held", 0)
+    phi = DirichletChar(29, 2)
+    assert gauss_sum(phi) == characters._build_gauss_sum(phi)
+    assert gauss_store == {} and characters._gauss_held == 0
+
+
+def test_gauss_store_shared_by_threads(gauss_store, monkeypatch):
+    # threads racing on the same characters, first with room for all of
+    # them (one object per character), then with a budget that forces
+    # evictions (the held count matches the store); switches are forced
+    # often so that a read-modify-write without the lock would show
+    chars = [phi for v in range(1, 26) for phi in primitive_characters(v)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for budget in (characters._GAUSS_NUMERATORS, 250):
+            monkeypatch.setattr(characters, "_GAUSS_NUMERATORS", budget)
+            gauss_store.clear()
+            monkeypatch.setattr(characters, "_gauss_held", 0)
+            seen = [[] for _ in range(4)]
+            threads = [threading.Thread(target=lambda out=out, r=r: out.extend(
+                (phi, gauss_sum(phi)) for phi in (chars[r:] + chars[:r]) * 2))
+                for r, out in zip(range(0, 80, 20), seen)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert all(len(out) == 2 * len(chars) for out in seen)
+            held = sum(len(x.num) for x in gauss_store.values())
+            assert characters._gauss_held == held <= budget
+            if budget != 250:
+                assert len(gauss_store) == len(chars)
+                assert all(g is gauss_store[phi] for out in seen for phi, g in out)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_enumerate_pairs():

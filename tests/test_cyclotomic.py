@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy import Poly, Symbol, div
 from sympy import cyclotomic_poly as sympy_cyclotomic
 
@@ -329,6 +329,58 @@ def test_packed_width_guard_raises(monkeypatch):
         cyclotomic._mod_phi(105, [100] * 317)
     with pytest.raises(ArithmeticError, match="Phi_420"):
         cyclotomic._mul_mod(420, [100] * 96, [-99] * 96)
+
+
+@pytest.mark.parametrize("width", range(1, 17))
+def test_slots_round_trip_every_width(width):
+    # machine words (1, 2, 4, 8 bytes) go through struct, every other
+    # width through int.from_bytes; both must read back what was written,
+    # down to the widest slot values of either sign
+    edge = (1 << (8 * width - 1)) - 1
+    rng = random.Random(width)
+    for v in ([], [0], [edge], [-edge], [edge, -edge, 0, 1, -1] * 3,
+              [rng.randint(-edge, edge) for _ in range(50)]):
+        packed = cyclotomic._pack(v, width)
+        assert packed == sum(x << (8 * width * i) for i, x in enumerate(v))
+        off = cyclotomic._offset(len(v), width)
+        assert cyclotomic._unpack(packed + off, len(v), width) == v
+
+
+# widths of each struct word and of the int.from_bytes path on either side
+# of 8 bytes, and conductors with phi(n) on both sides of the packed cutoff
+_SLOT_CLASSES = [1, 2, 3, 4, 5, 8, 9]
+_CUTOFF_SIDES = [3, 5, 7, 12, 15, 21, 30, 60, 105, 120, 156, 210, 420]
+
+
+def _unrounded_bytes(n, top, inputs):
+    """The slot bytes _mul_mod takes for a product bound top and inputs of
+    size <= inputs, before _word rounds them to a machine word."""
+    if len(cyclotomic_poly(n)) - 1 < cyclotomic._PACKED_MIN_DEGREE:
+        return (max(top, inputs).bit_length() + 8) // 8
+    return (2 * max(top * cyclotomic._cofactor(n)[1], inputs)).bit_length() // 8 + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mul_mod_matches_product_then_division(data):
+    n = data.draw(st.sampled_from(_CUTOFF_SIDES))
+    d = len(cyclotomic_poly(n)) - 1
+    width = data.draw(st.sampled_from(_SLOT_CLASSES))
+    la, lb = data.draw(st.integers(1, d)), data.draw(st.integers(1, d))
+    # entries of size <= 2^e with one at 2^e in each factor, e chosen so
+    # that the slot falls in the drawn class (the packed path adds the
+    # cofactor's bits, so its narrowest classes are out of reach)
+    fits = [e for e in range(40) if _unrounded_bytes(n, 4**e * min(la, lb), 2**e) == width]
+    assume(fits)
+    top = 2 ** data.draw(st.sampled_from(fits))
+    a, b = (data.draw(st.lists(st.integers(-top, top), min_size=k, max_size=k)) for k in (la, lb))
+    a[data.draw(st.integers(0, la - 1))] = top
+    b[data.draw(st.integers(0, lb - 1))] = -top
+    product = [sum(a[i] * b[k - i] for i in range(max(0, k - lb + 1), min(k, la - 1) + 1))
+               for k in range(la + lb - 1)]
+    assert _ks_mul(a, b) == product
+    assert cyclotomic._mul_mod(n, a, b) == _by_division(n, product)
+    assert cyclotomic._mul_mod(n, a, a) == _by_division(n, _ks_mul(a, list(a)))
 
 
 def test_phi_times_psi_is_x_n_minus_1():
