@@ -9,12 +9,14 @@ assumption).  Its old forms and Eisenstein series are spanned by f(z)
 and f(pz) for f in a basis of M_k(Gamma_0(N/p), chi) over the primes
 p | N with cond(chi) | N/p, with the Eisenstein series of level N, and
 the new part they leave is checked against the newform dimension.
-Hecke operators act on the exact q-expansion lattice; newform
-eigensystems are cut out over an irreducible factor of the minimal
-polynomial of a generic Hecke combination, and each eigenvalue packet
-is verified (Sturm-certified eigenform property, coefficient
-multiplicativity and recursions, Atkin-Lehner squares) before it becomes
-a :class:`NewformData`.  Linear algebra is :mod:`eiscong.linalg` over
+A space takes one Hecke prime q, the least prime not dividing the level,
+and a precision at which T_q is known to the Sturm bound; T_q acts on
+the exact q-expansion lattice, and newform eigensystems are cut out over
+an irreducible factor of the minimal polynomial of a combination of T_q
+and multiplication by zeta_c.  Each eigenvalue packet is verified
+(Sturm-certified eigenform property, coefficient multiplicativity and
+recursions, Atkin-Lehner squares) before it becomes a
+:class:`NewformData`.  Linear algebra is :mod:`eiscong.linalg` over
 Q; elements of a coefficient field K = Q[x]/(g) are lists of Fractions,
 lowest degree first.
 
@@ -29,11 +31,11 @@ import sys
 import time
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, permutations
-from math import gcd, lcm, prod
+from itertools import chain, count, permutations
+from math import gcd, isqrt, lcm, prod
 
 from . import fppoly
-from .arith import divisors, factorint, primefactors, primerange
+from .arith import divisors, factorint, isprime, primefactors, primerange
 from .characters import DirichletChar, parity_matches, primitive_characters
 from .cyclotomic import (CycNum, _divide_monic, _ks_mul, _mod_phi, _phi, clear_denominators,
                          cyclotomic_poly)
@@ -56,23 +58,6 @@ def require(ok, msg):
 
 def log(msg: str):
     print(f"[{time.strftime('%H:%M:%S')}] {msg}", file=sys.stderr, flush=True)
-
-
-def delta_an(b: int) -> list[int]:
-    """Integer coefficients tau(0..b) (tau(0) = 0) of Delta = q prod (1 - q^n)^24,
-    from q dDelta/dq = E_2 Delta read coefficient by coefficient:
-    (n - 1) tau(n) = -24 sum_{m < n} sigma(m) tau(n - m), sigma from one
-    divisor sieve."""
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    sigma = [0] * (b + 1)
-    for d in range(1, b + 1):
-        for m in range(d, b + 1, d):
-            sigma[m] += d
-    tau = [0, 1] + [0] * (b - 1)
-    for n in range(2, b + 1):
-        tau[n] = -24 * sum(sigma[m] * tau[n - m] for m in range(1, n)) // (n - 1)
-    return tau
 
 
 # -- Eisenstein atoms ------------------------------------------------
@@ -163,6 +148,11 @@ class KField:
         cols = [self.mul(a, xj) for xj in self.powers([ZERO, ONE], self.deg)]
         return trim(self.coords_over(cols)([ONE]))
 
+    def trace(self, a) -> Fraction:
+        """Tr_{K/Q}(a), the trace of multiplication by a on the power basis."""
+        cols = (self.mul(a, xj) for xj in self.powers([ZERO, ONE], self.deg))
+        return sum((col[j] for j, col in enumerate(cols) if j < len(col)), ZERO)
+
     def eval_poly(self, coeffs, point):
         """Evaluate a polynomial with Fraction coefficients at a K-point."""
         acc: list[Fraction] = []
@@ -239,13 +229,17 @@ def newform_dimension(k: int, chi: DirichletChar) -> int:
 
 
 class Space:
-    """M_k(Gamma_0(level), chi) realised as exact truncated q-expansions."""
+    """M_k(Gamma_0(level), chi) realised as exact truncated q-expansions.
+    Its Hecke prime q is the least prime not dividing the level, and it is
+    built to precision max(b0, q (Sturm bound + 1)), so that T_q of a basis
+    form is known to the Sturm bound, where it is determined (J. Sturm,
+    *On the congruence of modular forms*, LNM 1240, 1987)."""
 
-    def __init__(self, level: int, k: int, chi: DirichletChar, b0: int, qset: list[int]):
-        self.level, self.k, self.chi, self.b0 = level, k, chi, b0
-        self.qset = qset
+    def __init__(self, level: int, k: int, chi: DirichletChar, b0: int):
+        self.level, self.k, self.chi = level, k, chi
         self.sturm = sturm_bound(k, level)
-        require(all(b0 // q >= self.sturm + 1 for q in qset), "b0 too small for qset")
+        self.q = next(p for p in count(2) if level % p and isprime(p))
+        self.b0 = b0 = max(b0, self.q * (self.sturm + 1))
         self.eis_atoms = [a for a in weight_atoms(k, level, b0)
                           if a.character.primitive() == chi.primitive()]
         fields = {a.field for a in self.eis_atoms} | {chi.order}
@@ -301,11 +295,12 @@ class Space:
 
     # -- Hecke action -----------------------------------------------------
 
-    def hecke_matrix(self, q: int) -> list[list[Fraction]]:
+    def hecke_matrix(self) -> list[list[Fraction]]:
+        """T_q on the basis, read to b0 // q and checked to the Sturm bound."""
         rows = []
         check = (self.sturm + 1) * self.w
         for r in self.ech.rows:
-            img = self.flat(hecke_tp(self.unflat(r), q), self.b0 // q)
+            img = self.flat(hecke_tp(self.unflat(r), self.q), self.b0 // self.q)
             rows.append(self.ech.express(img, check_cols=check))
         # column-major action: (A v)_i = sum_j rows[j][i] v_j
         return [list(col) for col in zip(*rows)]
@@ -413,7 +408,7 @@ def old_forms(space: Space):
         lower_level = space.level // p
         if lower_level % chi0.modulus:
             continue
-        lower = Space(lower_level, space.k, chi0.lift(lower_level), space.b0, [])
+        lower = Space(lower_level, space.k, chi0.lift(lower_level), space.b0)
         require(space.c % lower.c == 0, "flattening conductors incompatible")
         lower.build_basis()
         for row in lower.ech.rows:
@@ -427,9 +422,10 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
     """All newform orbits of the space, as eigenvalue packets."""
     space.build_basis()
     dim = space.ech.rank
-    amats = {q: space.hecke_matrix(q) for q in space.qset}
+    q = space.q
+    tmat = space.hecke_matrix()
     zmat = space.zeta_matrix()
-    log(f"  hecke matrices done (q in {space.qset})")
+    log(f"  hecke matrices done (q = {q})")
 
     # old + Eisenstein subspace, in basis coordinates
     u_ech = Echelon()
@@ -443,13 +439,10 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
     if dim_new == 0:
         return []
 
-    # zeta-multiplication always enters the mix so that conjugate copies of
-    # the same eigensystem get distinct eigenvalues
-    mixes = [(1, 1, 0, 0, 0), (3, 1, 2, 0, 0), (1, 2, 1, 1, 0), (5, 1, 3, 2, 1)]
-    ops = [zmat] + [amats[q] for q in space.qset]
-    for attempt, mix in enumerate(mixes):
-        cmat = [[sum((c * mat[i][j] for c, mat in zip(mix, ops) if c), ZERO)
-                 for j in range(dim)] for i in range(dim)]
+    # C = c_z zeta + c_q T_q: zeta-multiplication always enters the mix so
+    # that conjugate copies of the same eigensystem get distinct eigenvalues
+    for attempt, (cz, cq) in enumerate([(1, 1), (3, 1), (1, 2), (5, 1)]):
+        cmat = [[cz * z + cq * t for z, t in zip(zrow, trow)] for zrow, trow in zip(zmat, tmat)]
         u0 = [Fraction((7 * i * i + 3 * i + 5 + attempt) % 101 - 50, 1)
               for i in range(dim)]
         m_all = minpoly(lambda v: matvec(cmat, v), u0, dim)
@@ -470,7 +463,7 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
                    if all(KField(f).eval_poly(mu, x) for mu in mu_polys)]
         if sum(len(f) - 1 for f in factors) == dim_new:
             break
-        log(f"  combination {mix} did not separate (attempt {attempt}); retrying")
+        log(f"  combination {(cz, cq)} did not separate (attempt {attempt}); retrying")
     else:
         raise RuntimeError("no Hecke combination separated the new part")
 
@@ -500,13 +493,10 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
         # eigenvalue checks and extraction
         pivot = next(i for i in range(dim) if v[i])
         inv_piv = kf.inv(v[pivot])
-        eigs = {}
-        for q, mat in amats.items():
-            img = kmatvec(mat, v, kf)
-            a_q = kf.mul(img[pivot], inv_piv)
-            for i in range(dim):
-                require(img[i] == kf.mul(a_q, v[i]), f"not an eigenvector of T_{q}")
-            eigs[q] = a_q
+        img = kmatvec(tmat, v, kf)
+        a_q = kf.mul(img[pivot], inv_piv)
+        for i in range(dim):
+            require(img[i] == kf.mul(a_q, v[i]), f"not an eigenvector of T_{q}")
         zimg_vec = kmatvec(zmat, v, kf)
         z = kf.mul(zimg_vec[pivot], inv_piv)
         require(kf.eval_poly(list(cyclotomic_poly(space.c)), z) == [],
@@ -531,8 +521,7 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
         require(a_list[0] == [], "newform must vanish at infinity")
         inv_a1 = kf.inv(a_list[1])
         a_list = [kf.mul(a, inv_a1) for a in a_list[1:]]
-        for q, a_q in eigs.items():
-            require(a_list[q - 1] == a_q, f"a_{q} mismatch after normalisation")
+        require(a_list[q - 1] == a_q, f"a_{q} mismatch after normalisation")
         packet = EigenPacket(space, g, a_list, z, space.chi)
         verify_packet(packet)
         packets.append(packet)
@@ -579,20 +568,6 @@ def theta_candidates(packet: EigenPacket):
              packet.kf.add(a(2), a(3)), packet.kf.add(a(2), a(5)),
              packet.kf.add(a(3), a(5)), packet.kf.add(a(2), packet.kf.add(a(3), a(5)))]
     return [c for c in cands if c]
-
-
-def trace_sequence(mp: list[Fraction], coords: list[list[Fraction]], upto: int):
-    """Tr_{Q(theta)/Q}(a_n) for n = 1..upto from power sums of the roots."""
-    deg = len(mp) - 1
-    # Newton identities: power sums s_i of the roots of mp
-    e = [mp[deg - i] * (-1) ** i for i in range(deg + 1)]  # elementary symm
-    s = [Fraction(deg)]
-    for i in range(1, deg):
-        acc = Fraction(i) * e[i] * (-1) ** (i + 1)
-        for j in range(1, i):
-            acc += (-1) ** (j + 1) * e[j] * s[i - j]
-        s.append(acc)
-    return [sum((c * s[i] for i, c in enumerate(vec)), ZERO) for vec in coords[:upto]]
 
 
 def hnf_lattice(coords: list[list[Fraction]], deg: int):
@@ -723,7 +698,7 @@ def _roots_mod_p(poly: list[int], p: int) -> list[int]:
 
 def _rational_reconstruct(a: int, m: int):
     """Classic half-extended Euclid: a = n/d mod m with |n|, d <= sqrt(m/2)."""
-    bound = int((m // 2) ** 0.5)
+    bound = isqrt(m // 2)
     r0, r1 = m, a % m
     t0, t1 = 0, 1
     while r1 > bound:
@@ -740,14 +715,20 @@ def _rational_reconstruct(a: int, m: int):
 # -- Spaces and their orbits -----------------------------------------
 
 
+# the orbits are ordered on the traces of a_1, ..., a_TRACE_TERMS
+TRACE_TERMS = 50
+
+
 def lmfdb_orbits(packets):
     """The distinct newform orbits in LMFDB's letter order: by dimension,
-    then by the rational trace sequence, which is also what identifies the
-    conjugate copies that restriction of scalars can produce (the first
-    copy is kept)."""
+    then by the sequence of traces Tr_{Q(theta)/Q}(a_n), which is also what
+    identifies the conjugate copies that restriction of scalars can produce
+    (the first copy is kept).  Tr_{Q(theta)/Q} is Tr_{K/Q} over [K : Q(theta)]."""
     orbits = {}
     for p in packets:
-        theta, mp, coords = p.coefficient_field
-        key = (len(mp) - 1, tuple(trace_sequence(mp, coords, 50)))
+        require(len(p.a) >= TRACE_TERMS,
+                f"{len(p.a)} coefficients, fewer than the {TRACE_TERMS} the orbit order reads")
+        dim = len(p.coefficient_field[1]) - 1
+        key = (dim, tuple(p.kf.trace(a) / (p.kf.deg // dim) for a in p.a[:TRACE_TERMS]))
         orbits.setdefault(key, p)
     return [orbits[key] for key in sorted(orbits)]

@@ -38,6 +38,23 @@ def from_qq(poly: Poly) -> list[Fraction]:
     return [Fraction(str(c)) for c in reversed(poly.all_coeffs())] if poly else []
 
 
+def delta_an(b: int) -> list[int]:
+    """Integer coefficients tau(0..b) (tau(0) = 0) of Delta = q prod (1 - q^n)^24,
+    from q dDelta/dq = E_2 Delta read coefficient by coefficient:
+    (n - 1) tau(n) = -24 sum_{m < n} sigma(m) tau(n - m), sigma from one
+    divisor sieve.  The tau(n) oracle for the built and packaged 1.12.a.a."""
+    if b < 1:
+        raise ValueError("b must be >= 1")
+    sigma = [0] * (b + 1)
+    for d in range(1, b + 1):
+        for m in range(d, b + 1, d):
+            sigma[m] += d
+    tau = [0, 1] + [0] * (b - 1)
+    for n in range(2, b + 1):
+        tau[n] = -24 * sum(sigma[m] * tau[n - m] for m in range(1, n)) // (n - 1)
+    return tau
+
+
 def cyc_to_complex(x: CycNum) -> mp.mpc:
     """Embed zeta_n -> exp(2 pi i / n)."""
     z = mp.e ** (2j * mp.pi / x.conductor)

@@ -20,7 +20,7 @@ from eiscong.eisenstein import (DeltaChoice, EisensteinParams, constant_term_alp
 from eiscong.lvalues import partial_l_order_data
 from eiscong.newforms import fetch_newform, replay_certificate, sturm_bound, verify_congruence
 from eiscong.residue import ord_exact, ord_positive, primes_above, reduce_cyc
-from eiscong.spaces import delta_an
+from helpers import delta_an
 
 TRIV = DirichletChar(1, 1)
 

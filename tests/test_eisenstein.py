@@ -425,7 +425,7 @@ def _series(b):
 
 
 def _unflat_series():
-    space = spaces.Space(5, 8, PHI5, 20, [])
+    space = spaces.Space(5, 8, PHI5, 20)
     return [space.unflat(space.flat(f.scale(CycNum.zeta(space.c, 1)))) for f in space.eis_atoms]
 
 

@@ -1,9 +1,10 @@
 """The fixture builder: eiscong.spaces and scripts/make_fixtures.py,
 which runs it over the fixture table.  Both load without sympy, the
 checks hold under ``python -O``, the field arithmetic agrees with sympy,
-the dimension formula and fixture table match what is built, and the
-script rebuilds a packaged fixture from scratch without writing to
-stdout."""
+the dimension formula and fixture table match what is built, a space
+derives its Hecke prime and precision, and the script rebuilds the
+packaged fixtures from scratch, Delta's against tau(n), without writing
+to stdout."""
 
 import os
 import random
@@ -14,6 +15,7 @@ from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from sympy import divisor_sigma, invert
 
@@ -23,7 +25,7 @@ from eiscong.cyclotomic import CycNum
 from eiscong.eisenstein import alpha_m, eisenstein_series
 from eiscong.fppoly import trim
 from eiscong.newforms import load_fixture
-from helpers import from_qq, qq
+from helpers import delta_an, from_qq, qq
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "make_fixtures.py"
@@ -78,14 +80,39 @@ def test_kfield_mul_and_inv_match_sympy(label):
             assert kf.mul(a, kf.inv(a)) == [1]
 
 
-def test_rebuilds_10_8_b_a(builder, capsys):
-    # levels 5 and 10 from Eisenstein series, the level-5 old forms split
-    # off, and the rebase onto x^4 - 15x^2 + 64; progress goes to stderr,
-    # so that stdout stays free for a caller's output
-    built = builder["build_fixture"]("10.8.b.a")
-    assert built.to_json() == load_fixture("10.8.b.a").to_json()
+@pytest.mark.parametrize("label", ["1.12.a.a", "10.8.b.a", "14.7.d.a"])
+def test_rebuilds_a_packaged_fixture(builder, capsys, label):
+    # one path for every label: Delta rebased onto x, 10.8.b.a with its
+    # level-5 old forms split off and rebased onto x^4 - 15x^2 + 64, and
+    # 14.7.d.a, whose space is flattened over Q(zeta_6); progress goes to
+    # stderr, so that stdout stays free for a caller's output
+    built = builder["build_fixture"](label)
+    assert built.to_json() == load_fixture(label).to_json()
     out, err = capsys.readouterr()
     assert out == "" and "newform orbits" in err
+
+
+def test_built_delta_is_ramanujans_tau(builder):
+    built = builder["build_fixture"]("1.12.a.a")
+    taus = delta_an(220)
+    assert built.b_data == 220
+    assert all(built.a_vector(n) == (taus[n],) for n in range(1, 221))
+
+
+@pytest.mark.parametrize("level, k, chi, b0, q, built", [
+    (1, 12, "1.1", 220, 2, 220), (6, 6, "6.1", 40, 5, 40), (10, 8, "10.9", 110, 3, 110),
+    (14, 7, "14.3", 60, 3, 60), (42, 6, "42.25", 60, 5, 245)])
+def test_space_derives_its_hecke_prime_and_precision(level, k, chi, b0, q, built):
+    # q is the least prime not dividing the level, and the space is built
+    # to max(b0, q (Sturm bound + 1)): at level 42, 5 * (48 + 1)
+    space = spaces.Space(level, k, DirichletChar.from_label(chi), b0)
+    assert (space.q, space.b0) == (q, built)
+    assert space.b0 // q >= space.sturm + 1
+
+
+def test_rational_reconstruct_past_float_range():
+    m = 10**400 + 1
+    assert spaces._rational_reconstruct(7 * pow(11, -1, m) % m, m) == Fraction(7, 11)
 
 
 @pytest.mark.parametrize("level", [6, 10])
@@ -137,7 +164,7 @@ def test_cohen_oesterle_dim_cusp_at_the_built_spaces(level, k, chi, dim):
 
 
 def test_fixture_table_names_the_packaged_fixtures(builder):
-    labels = sorted([*builder["FIXTURE_SPECS"], "1.12.a.a"])
+    labels = sorted(builder["FIXTURE_SPECS"])
     assert labels == sorted(f.stem for f in FIXTURES.iterdir())
 
 
@@ -151,14 +178,14 @@ def test_newform_dimension(level, k, chi, dim):
     assert spaces.newform_dimension(k, chi) == dim
 
 
-@pytest.mark.parametrize("level, k, chi, b0, qset", [
-    (10, 8, "10.9", 130, [3, 7]),  # old forms from M_8(5) alone
-    (6, 6, "6.1", 40, [5]),        # from M_6(3) and M_6(2)
+@pytest.mark.parametrize("level, k, chi, b0", [
+    (10, 8, "10.9", 130),  # old forms from M_8(5) alone
+    (6, 6, "6.1", 40),     # from M_6(3) and M_6(2)
 ])
-def test_old_forms_leave_the_new_part(level, k, chi, b0, qset):
+def test_old_forms_leave_the_new_part(level, k, chi, b0):
     # f(z) and f(pz) over the basis of each M_k(N/p, chi) leave a new part
     # of w times the newform dimension, which the orbits then fill
-    space = spaces.Space(level, k, DirichletChar.from_label(chi), b0, qset)
+    space = spaces.Space(level, k, DirichletChar.from_label(chi), b0)
     packets = spaces.extract_newforms(space)
     assert sum(p.kf.deg for p in packets) == space.w * spaces.newform_dimension(k, space.chi)
     if level == 6:  # 6.6.a.a = q + 4q^2 - 9q^3 + ...
@@ -171,4 +198,32 @@ def test_guard_refuses_an_old_span_without_the_shifted_forms(monkeypatch):
     full = spaces.old_forms
     monkeypatch.setattr(spaces, "old_forms", lambda space: islice(full(space), 0, None, 2))
     with pytest.raises(AssertionError, match="not 1 times the newform dimension"):
-        spaces.extract_newforms(spaces.Space(6, 6, DirichletChar(6, 1), 40, [5]))
+        spaces.extract_newforms(spaces.Space(6, 6, DirichletChar(6, 1), 40))
+
+
+def test_orbit_order_needs_trace_terms_coefficients():
+    # a packet with fewer than TRACE_TERMS coefficients is refused, not
+    # ordered on fewer traces
+    def packet(n):
+        return spaces.EigenPacket(None, [0, 1], [[Fraction(1)]] * n, [Fraction(1)],
+                                  DirichletChar(1, 1))
+
+    assert len(spaces.lmfdb_orbits([packet(spaces.TRACE_TERMS)])) == 1
+    with pytest.raises(AssertionError, match=f"fewer than the {spaces.TRACE_TERMS}"):
+        spaces.lmfdb_orbits([packet(spaces.TRACE_TERMS - 1)])
+
+
+@pytest.mark.parametrize("label", ["1.12.a.a", "10.8.b.a", "14.7.d.a", "42.6.e.c"])
+def test_kfield_trace_is_the_sum_over_the_roots(label):
+    # Tr_{K/Q}(a) = sum of a(r) over the complex roots r of g
+    def real(c):
+        return mp.mpf(c.numerator) / c.denominator
+
+    g = list(load_fixture(label).field_poly)
+    kf = spaces.KField(g)
+    roots = mp.polyroots([real(c) for c in reversed(g)], maxsteps=200, extraprec=200)
+    rng = random.Random(label)
+    for _ in range(10):
+        a = trim([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(kf.deg)])
+        want = sum(mp.polyval([real(c) for c in reversed(a)], r) for r in roots) if a else 0
+        assert abs(real(kf.trace(a)) - want) < mp.mpf(10) ** -30

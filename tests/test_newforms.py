@@ -18,7 +18,7 @@ from eiscong.newforms import (CongruenceCertificate, LmfdbClient, NewformData,
                               save_fixture, sturm_bound, verify_at_ell, verify_congruence)
 from eiscong.record import field_names, replace
 from eiscong.residue import PrimeAbove, ff_embed, matching_prefix, primes_above, reduce_cyc
-from eiscong.spaces import delta_an
+from helpers import delta_an
 
 TRIV = DirichletChar(1, 1)
 P0 = EisensteinParams(1, 1, 12, TRIV, TRIV)
