@@ -13,9 +13,9 @@ from .eisenstein import (CuspMatrix, DeltaChoice, EisensteinParams, QExpansion,
                          eisenstein_qexp, hecke_tp, sigma_power_div)
 from .lvalues import (bernoulli, bk_quotient_order_factor, euler_factor,
                       generalized_bernoulli, l_value_at_negative, partial_l_order_data)
-from .newforms import (CongruenceCertificate, NewformData, fetch_newform,
-                       load_fixture, replay_certificate, residue_maps_of_kf,
-                       save_fixture, sturm_bound, verify_at_ell, verify_congruence)
+from .newforms import (CongruenceCertificate, NewformData, load_fixture,
+                       replay_certificate, residue_maps_of_kf, save_fixture,
+                       sturm_bound, verify_at_ell, verify_congruence)
 from .residue import (FFElem, PrimeAbove, canonical_modulus, ff_embed,
                       matching_prefix, ord_exact, ord_positive, primes_above,
                       reduce_cyc)

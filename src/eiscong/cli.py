@@ -4,10 +4,10 @@ Exit codes: 0 = ran fine (including "conditions not satisfied" reports),
 1 = a congruence verification ran and failed, 2 = usage or data errors,
 3 = an internal error (any other exception), reported on one line.
 Characters are named by Conrey labels "modulus.index" ("1.1" is the
-trivial character).  Each data-source setting is a flag or an environment
-variable, and the flag takes precedence: --fixtures is searched before
-EISCONG_FIXTURES (both before the packaged data), --endpoint replaces
-EISCONG_ENDPOINT, and --offline or EISCONG_OFFLINE turns the network off.
+trivial character).  Newform data comes only from fixture files
+<label>.json: --fixtures is searched before EISCONG_FIXTURES, both before
+the packaged data.  Nothing is downloaded, so --offline is accepted, for
+scripts that pass it, and ignored.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .eisenstein import CuspMatrix, DeltaChoice, EisensteinParams, c_gamma, \
     constant_term_e_delta, e_delta
 from .errors import EiscongError
 from .lvalues import l_value_at_negative
-from .newforms import coefficient_bound, fetch_newform, verify_at_ell, verify_congruence
+from .newforms import load_fixture, verify_at_ell, verify_congruence
 from .residue import primes_above
 
 
@@ -87,14 +87,9 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _fetch(args, params, label, bound):
-    return fetch_newform(label, coefficient_bound(params, bound), offline=args.offline,
-                         fixture_dir=args.fixtures, endpoint=args.endpoint)
-
-
 def cmd_verify(args) -> int:
     params = _build_params(args)
-    nf = _fetch(args, params, args.label, args.bound)
+    nf = load_fixture(args.label, args.fixtures)
     cert = verify_at_ell(nf, params, args.ell, bound=args.bound,
                          include_ell=not args.exclude_ell)
     payload = cert.to_json()
@@ -167,7 +162,7 @@ def cmd_reproduce(args) -> int:
     spec = _EXAMPLES[args.example]
     params = _build_params(argparse.Namespace(**spec))
     triples = search_congruence_primes(params)
-    nf = _fetch(args, params, spec["label"], spec["bound"])
+    nf = load_fixture(spec["label"], args.fixtures)
     cert = verify_congruence(nf, params, triples[0][1], bound=spec["bound"])
     verdict = "PASS" if cert.passed else f"FAIL at q={cert.first_failing_q}"
     lines = [f"params: {params.describe()}"]
@@ -197,10 +192,9 @@ def _common_flags(ap, suppress=False):
                     default=argparse.SUPPRESS if suppress else False,
                     help="machine-readable output")
     ap.add_argument("--fixtures", default=d, help="fixture directory")
-    ap.add_argument("--endpoint", default=d, help="LMFDB API base URL")
     ap.add_argument("--offline", action="store_true",
                     default=argparse.SUPPRESS if suppress else False,
-                    help="never touch the network; fixtures only")
+                    help="accepted and ignored: newform data only ever comes from fixtures")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -60,15 +60,12 @@ class BadDivisor(EiscongError, ValueError):
 
 
 class NotFound(EiscongError, LookupError):
-    """Newform label is unknown to both the fixture store and the remote API."""
+    """No directory the fixture lookup searches holds a file for the newform
+    label."""
 
 
 class InsufficientData(EiscongError, ValueError):
     """Fewer Hecke eigenvalue coefficients are available than requested."""
-
-
-class NetworkError(EiscongError, IOError):
-    """Remote fetch failed after the offline fallback was attempted."""
 
 
 class BadLabel(EiscongError, ValueError):

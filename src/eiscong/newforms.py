@@ -1,9 +1,9 @@
 """Newform Hecke-eigenvalue ingestion and congruence verification.
 
-Eigenvalue data comes from a canonical on-disk JSON schema (one file per
-LMFDB label); a thin web client can populate the store from the LMFDB API
-when the network is available, but every verification below runs offline
-and bit-exactly from fixtures.
+Eigenvalue data comes only from fixture files in a canonical JSON schema,
+one ``<label>.json`` per LMFDB label, searched in a given directory, then
+EISCONG_FIXTURES, then the packaged data; nothing is downloaded, so every
+verification below runs bit-exactly from those files.
 
 A coefficient field K_f is handled only through its residue fields: a_n
 is stored as an integer vector on a lattice basis, the basis is reduced
@@ -21,8 +21,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import threading
-import time
 from fractions import Fraction
 from math import lcm, prod
 from pathlib import Path
@@ -33,13 +31,12 @@ from .characters import DirichletChar
 from .congruence import value_conductor
 from .eisenstein import EisensteinParams
 from .errors import (BadFixture, BadLabel, BadPrimeForBasis, CharacterMismatch,
-                     InsufficientData, NetworkError, NonSquarefreeReduction, NotFound)
+                     InsufficientData, NonSquarefreeReduction, NotFound)
 from .record import Record
 from .residue import FFElem, PrimeAbove, matching_prefix, primes_above, reduce_cyc
 
 _PACKAGED_FIXTURES = Path(__file__).parent / "fixtures"
 _LABEL = re.compile(r"[0-9]+\.[0-9]+\.[a-z]+\.[a-z]+")
-_REQUEST_TIMEOUT_S = 30.0
 
 
 def gamma0_index(level: int) -> int:
@@ -52,12 +49,6 @@ def sturm_bound(k: int, level: int) -> int:
     """ceil(k * mu / 12) with mu the index of Gamma_0(level): a sufficient
     coefficient bound for eigenform congruences."""
     return -(-k * gamma0_index(level) // 12)
-
-
-def coefficient_bound(params: EisensteinParams, bound: int | None) -> int:
-    """bound, or when it is None the Sturm bound of weight k and level N*M:
-    the last coefficient verify checks, so the fewest a newform must store."""
-    return sturm_bound(params.k, params.N * params.M) if bound is None else bound
 
 
 class NewformData(Record):
@@ -122,7 +113,12 @@ class NewformData(Record):
         """Raises BadFixture naming the first field that is missing or
         cannot be parsed."""
         def field(name, parse):
-            return _field(obj, name, parse)
+            if not isinstance(obj, dict) or name not in obj:
+                raise BadFixture(f"missing field {name!r}")
+            try:
+                return parse(obj[name])
+            except (TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+                raise BadFixture(f"bad field {name!r}: {exc}") from exc
 
         def fractions(pairs):
             return tuple(Fraction(int(p), int(q)) for p, q in pairs)
@@ -138,17 +134,6 @@ class NewformData(Record):
         )
         nf.validate()
         return nf
-
-
-def _field(obj, name: str, parse, where: str = ""):
-    """parse(obj[name]), or BadFixture naming the field if obj has no such
-    field or parse fails on it."""
-    if not isinstance(obj, dict) or name not in obj:
-        raise BadFixture(f"{where}missing field {name!r}")
-    try:
-        return parse(obj[name])
-    except (TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
-        raise BadFixture(f"{where}bad field {name!r}: {exc}") from exc
 
 
 # -- fixture store -----------------------------------------------------
@@ -170,34 +155,26 @@ def _fixture_file(d: Path, label: str) -> Path:
     return d / f"{label}.json"
 
 
-def fixture_path(label: str, fixture_dir: str | os.PathLike | None = None) -> Path | None:
-    """First existing fixture file for the label in :func:`_fixture_dirs`."""
-    for d in _fixture_dirs(fixture_dir):
+def load_fixture(label: str, fixture_dir=None) -> NewformData:
+    """The fixture of the newform label from the first of :func:`_fixture_dirs`
+    that holds one; NotFound naming every directory searched when none does,
+    BadFixture when the file cannot be parsed or holds another label."""
+    dirs = _fixture_dirs(fixture_dir)
+    for d in dirs:
         p = _fixture_file(d, label)
         if p.is_file():
-            return p
-    return None
-
-
-def _check_label(nf: NewformData, label: str, where: str) -> NewformData:
-    """nf, or BadFixture when it is another newform than the one asked for."""
-    if nf.label != label:
-        raise BadFixture(f"{where} holds newform {nf.label!r}, not the requested {label!r}")
-    return nf
-
-
-def load_fixture(label: str, fixture_dir=None) -> NewformData:
-    """The fixture of the newform label; BadFixture when the file found for
-    it cannot be parsed or holds another label."""
-    p = fixture_path(label, fixture_dir)
-    if p is None:
-        raise NotFound(f"no fixture for label {label!r}")
+            break
+    else:
+        raise NotFound(f"no fixture for label {label!r}: {label}.json is in none of "
+                       + ", ".join(map(str, dirs)))
     with open(p, encoding="utf-8") as fh:
         try:
             nf = NewformData.from_json(json.load(fh))
         except ValueError as exc:
             raise BadFixture(f"fixture {p}: {exc}") from exc
-    return _check_label(nf, label, f"fixture {p}")
+    if nf.label != label:
+        raise BadFixture(f"fixture {p} holds newform {nf.label!r}, not the requested {label!r}")
+    return nf
 
 
 def save_fixture(nf: NewformData, fixture_dir) -> Path:
@@ -207,140 +184,6 @@ def save_fixture(nf: NewformData, fixture_dir) -> Path:
         json.dump(nf.to_json(), fh, indent=1)
         fh.write("\n")
     return p
-
-
-class LmfdbClient:
-    """Minimal, polite client for the LMFDB API: at most one request per
-    second from the whole process, whichever client sends it, exponential
-    backoff; fetch_newform caches the results on disk.  Endpoint
-    configurable for mirrors."""
-
-    # shared by all clients, since fetch_newform builds one per call
-    _last_request = 0.0
-    _pace_lock = threading.Lock()
-
-    def __init__(self, endpoint: str | None = None):
-        self.endpoint = (endpoint or os.environ.get("EISCONG_ENDPOINT")
-                         or "https://www.lmfdb.org/api").rstrip("/")
-
-    @staticmethod
-    def _pace():
-        """Wait until one second after the process's last request, then
-        stamp this one."""
-        with LmfdbClient._pace_lock:
-            wait = LmfdbClient._last_request + 1.0 - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
-            LmfdbClient._last_request = time.monotonic()
-
-    def _get(self, table: str, query: dict) -> list[dict]:
-        """The records of one API query.  HTTP 429, 502 and 503 and failed
-        connections are retried, three attempts in all, with a doubling
-        delay.  The HTTP stack is imported here, so that importing the
-        package does not load it."""
-        import urllib.request
-        from urllib.error import HTTPError
-        from urllib.parse import urlencode
-
-        url = f"{self.endpoint}/{table}/"
-        delay = 1.0
-        for attempt in range(3):
-            self._pace()
-            try:
-                with urllib.request.urlopen(f"{url}?{urlencode({**query, '_format': 'json'})}",
-                                            timeout=_REQUEST_TIMEOUT_S) as resp:
-                    if resp.status == 200:
-                        return json.load(resp).get("data", [])
-                    raise NetworkError(f"GET {url} -> HTTP {resp.status}")
-            except HTTPError as exc:
-                if exc.code not in (429, 502, 503) or attempt == 2:
-                    raise NetworkError(f"GET {url} -> HTTP {exc.code}") from exc
-            except NetworkError:
-                raise
-            except Exception as exc:  # connection errors, bad JSON, ...
-                if attempt == 2:
-                    raise NetworkError(f"GET {url} failed: {exc}") from exc
-            time.sleep(delay)
-            delay *= 2
-
-    def fetch(self, label: str) -> NewformData:
-        forms = self._get("mf_newforms", {"label": label})
-        if not forms:
-            raise NotFound(f"label {label!r} not in mf_newforms")
-        form = forms[0]
-        hecke = self._get("mf_hecke_nf", {"label": label})
-        if not hecke:
-            raise NotFound(f"label {label!r} has no stored eigenvalue data")
-        return _check_label(convert_lmfdb_records(form, hecke[0]), label, "LMFDB record")
-
-
-def convert_lmfdb_records(form: dict, hecke: dict) -> NewformData:
-    """Map an (mf_newforms, mf_hecke_nf) record pair onto the canonical
-    fixture schema.  Coefficients are ascending lists; the hecke-ring
-    basis is given by numerator rows over a per-row denominator, or is
-    the power basis when flagged.  Raises BadFixture naming the first
-    field that is missing or cannot be parsed."""
-    def field(rec, name, parse=int):
-        return _field(rec, name, parse, "LMFDB record: ")
-
-    if not (isinstance(form, dict) and isinstance(hecke, dict)):
-        raise BadFixture("LMFDB record is not a JSON object")
-    field_poly = field(hecke if hecke.get("field_poly") else form, "field_poly",
-                       lambda cs: [Fraction(c) for c in cs])
-    d = len(field_poly) - 1
-    if form.get("conrey_index") is not None:
-        conrey = field(form, "conrey_index")
-    else:
-        conrey = field(form, "conrey_indexes", lambda cs: int(min(cs)))
-    if hecke.get("hecke_ring_power_basis"):
-        basis = [[Fraction(int(i == j)) for i in range(d)] for j in range(d)]
-    else:
-        dens = field(hecke, "hecke_ring_denominators",
-                     lambda ds: [Fraction(1, int(x)) for x in ds])
-        basis = field(hecke, "hecke_ring_numerators",
-                      lambda nums: [[int(nums[j][i]) * dens[j] for i in range(d)]
-                                    for j in range(d)])
-    level = field(form, "level")
-    nf = NewformData(
-        label=field(form, "label", str),
-        level=level,
-        weight=field(form, "weight"),
-        character=DirichletChar(level, conrey),
-        field_poly=tuple(field_poly),
-        basis=tuple(tuple(row) for row in basis),
-        an=field(hecke, "an", lambda vecs: tuple(tuple(int(c) for c in vec) for vec in vecs)),
-    )
-    nf.validate()
-    return nf
-
-
-def fetch_newform(label: str, min_coeffs: int = 1, *, offline: bool = False,
-                  fixture_dir=None, endpoint: str | None = None) -> NewformData:
-    """Fixture-first loader; falls back to the web API unless offline.
-
-    Fetched data is saved where the lookup reads first: fixture_dir, else
-    EISCONG_FIXTURES.  With neither set nothing is written, since the
-    packaged data is not a cache.
-    """
-    try:
-        nf = load_fixture(label, fixture_dir)
-    except NotFound:
-        nf = None
-    if nf is not None and nf.b_data >= min_coeffs:
-        return nf
-    if offline or os.environ.get("EISCONG_OFFLINE"):
-        if nf is not None:
-            raise InsufficientData(
-                f"fixture for {label} has {nf.b_data} coefficients, need {min_coeffs}")
-        raise NotFound(f"no fixture for {label!r} and offline mode is set")
-    fetched = LmfdbClient(endpoint).fetch(label)
-    if fetched.b_data < min_coeffs:
-        raise InsufficientData(
-            f"{label} provides {fetched.b_data} coefficients, need {min_coeffs}")
-    cache = [d for d in _fixture_dirs(fixture_dir) if d != _PACKAGED_FIXTURES]
-    if cache:
-        save_fixture(fetched, cache[0])
-    return fetched
 
 
 # -- residue maps of the coefficient field ------------------------------
@@ -445,7 +288,8 @@ def _checked_primes(nf: NewformData, params: EisensteinParams, ell: int,
             f"{params.chi_tilde.label}")
     if nf.level != params.N * params.M or nf.weight != params.k:
         raise ValueError("newform level/weight do not match the parameters")
-    bound = coefficient_bound(params, bound)
+    if bound is None:
+        bound = sturm_bound(params.k, params.N * params.M)
     if bound > nf.b_data:
         raise InsufficientData(
             f"need coefficients up to {bound}, fixture has {nf.b_data}")
@@ -510,7 +354,10 @@ def verify_at_ell(nf: NewformData, params: EisensteinParams, ell: int,
                   ) -> CongruenceCertificate:
     """:func:`verify_congruence` at each prime of Z[psi, phi] above ell in
     :func:`primes_above` order; the first passing certificate, else the
-    certificate of the first prime."""
+    certificate of the first prime.  A newform that does not fit the
+    parameters or the bound is refused before the primes above ell, which
+    can take seconds at a large residue degree, are found."""
+    _checked_primes(nf, params, ell, bound, include_ell)
     first = None
     for lam in primes_above(ell, value_conductor(params)):
         cert = verify_congruence(nf, params, lam, bound=bound, include_ell=include_ell)

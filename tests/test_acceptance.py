@@ -18,7 +18,7 @@ from eiscong.eisenstein import (DeltaChoice, EisensteinParams, constant_term_alp
                                 e_delta_via_hecke, eisenstein_qexp, hecke_tp,
                                 sigma_power_div)
 from eiscong.lvalues import partial_l_order_data
-from eiscong.newforms import fetch_newform, replay_certificate, sturm_bound, verify_congruence
+from eiscong.newforms import load_fixture, replay_certificate, sturm_bound, verify_congruence
 from eiscong.residue import ord_exact, ord_positive, primes_above, reduce_cyc
 from helpers import delta_an
 
@@ -39,7 +39,7 @@ def test_criterion_1_ramanujan():
     params = EisensteinParams(1, 1, 12, TRIV, TRIV)
     found = search_congruence_primes(params)
     assert [e for e, _, _ in found] == [691]
-    nf = fetch_newform("1.12.a.a", min_coeffs=200, offline=True)
+    nf = load_fixture("1.12.a.a")
     taus = delta_an(200)
     assert all(nf.a_vector(n) == (taus[n],) for n in range(1, 201))
     cert = verify_congruence(nf, params, found[0][1], bound=200)
@@ -56,7 +56,7 @@ def test_criterion_2_level10_mod_257():
     found = search_congruence_primes(params)
     assert [e for e, _, _ in found] == [257]
     assert sturm_bound(8, 10) == 12
-    nf = fetch_newform("10.8.b.a", min_coeffs=100, offline=True)
+    nf = load_fixture("10.8.b.a")
     assert [int(c) for c in nf.field_poly] == [64, 0, -15, 0, 1]
     cert = verify_congruence(nf, params, found[0][1], bound=100)
     assert cert.passed and cert.bound >= sturm_bound(8, 10)
@@ -76,7 +76,7 @@ def test_criterion_3_level14_mod_337():
     assert ord_positive(CycNum.zeta(6) + 128, lam)
     rep = check_conditions(params, 337, lam)
     assert rep.satisfied
-    nf = fetch_newform("14.7.d.a", min_coeffs=sturm_bound(7, 14), offline=True)
+    nf = load_fixture("14.7.d.a")
     assert nf.dim == 8  # degree-8 coefficient field
     cert = verify_congruence(nf, params, lam)
     assert cert.passed
@@ -102,7 +102,7 @@ def test_criterion_4_level42_mod_73():
     else:
         assert ord_positive(conj_gen, lam)
         which = "the Galois conjugate <73, z6 + 8>"
-    nf = fetch_newform("42.6.e.c", min_coeffs=sturm_bound(6, 42), offline=True)
+    nf = load_fixture("42.6.e.c")
     cert = verify_congruence(nf, params, lam)
     assert cert.passed
     dt = time.perf_counter() - t0
@@ -231,7 +231,7 @@ def test_criterion_7_property_suites():
 
     # certificate replay on a pass and on an engineered failure
     params = EisensteinParams(5, 2, 8, TRIV, DirichletChar(5, 4))
-    nf = fetch_newform("10.8.b.a", min_coeffs=50, offline=True)
+    nf = load_fixture("10.8.b.a")
     lam = primes_above(257, value_conductor(params))[0]
     cert = verify_congruence(nf, params, lam, bound=50)
     assert cert.passed and replay_certificate(cert, nf)

@@ -1,7 +1,8 @@
-import io
+import ast
 import json
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +13,9 @@ from eiscong.eisenstein import EisensteinParams
 from eiscong import newforms
 from eiscong.errors import (BadFixture, BadLabel, BadPrimeForBasis, CharacterMismatch,
                             InsufficientData, NonSquarefreeReduction, NotFound)
-from eiscong.newforms import (CongruenceCertificate, LmfdbClient, NewformData,
-                              convert_lmfdb_records, fetch_newform,
-                              load_fixture, replay_certificate, residue_maps_of_kf,
-                              save_fixture, sturm_bound, verify_at_ell, verify_congruence)
+from eiscong.newforms import (CongruenceCertificate, NewformData, load_fixture,
+                              replay_certificate, residue_maps_of_kf, save_fixture,
+                              sturm_bound, verify_at_ell, verify_congruence)
 from eiscong.record import field_names, replace
 from eiscong.residue import PrimeAbove, ff_embed, matching_prefix, primes_above, reduce_cyc
 from helpers import delta_an
@@ -110,14 +110,32 @@ def test_a_label_that_is_no_lmfdb_label_names_no_file(tmp_path, label):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_missing_fixture_offline():
-    with pytest.raises(NotFound):
-        fetch_newform("999.888.z.z", offline=True)
+def test_missing_fixture_offline(monkeypatch, tmp_path):
+    # the error says where the file may go: every directory searched, in order
+    monkeypatch.setenv("EISCONG_FIXTURES", str(tmp_path / "env"))
+    with pytest.raises(NotFound) as exc:
+        load_fixture("999.888.z.z", tmp_path / "flag")
+    message = str(exc.value)
+    assert "'999.888.z.z'" in message and "999.888.z.z.json" in message
+    dirs = [str(tmp_path / "flag"), str(tmp_path / "env"), str(newforms._PACKAGED_FIXTURES)]
+    assert message.endswith(", ".join(dirs))
 
 
-def test_insufficient_data_offline():
-    with pytest.raises(InsufficientData):
-        fetch_newform("10.8.b.a", min_coeffs=10**6, offline=True)
+def test_no_module_imports_a_network_library():
+    # newform data comes only from fixture files; the sources are read, not
+    # sys.modules, since pathlib itself loads urllib.parse
+    found = []
+    for path in sorted(Path(newforms.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names
+                      if name.split(".")[0] in ("urllib", "http", "socket")]
+    assert found == []
 
 
 def test_newform_validation_rejects_bad_a1():
@@ -278,6 +296,17 @@ def test_verify_refuses_a_bound_with_no_prime_to_check():
             verify_at_ell(nf10, P51, 257, bound=bound)
 
 
+def test_verify_at_ell_refuses_before_finding_the_primes_above_ell(monkeypatch):
+    # primes_above(127, 59) takes seconds (residue degree 29); a newform of
+    # another character, or too short for the bound, is refused first
+    monkeypatch.setattr(newforms, "primes_above", lambda ell, m: pytest.fail("primes_above ran"))
+    nf = load_fixture("10.8.b.a")
+    with pytest.raises(CharacterMismatch):
+        verify_at_ell(nf, EisensteinParams(709, 1, 4, TRIV, DirichletChar(709, 20)), 127)
+    with pytest.raises(InsufficientData, match="fixture has 110"):
+        verify_at_ell(nf, P51, 257, bound=1000)
+
+
 def test_perturbed_coefficient_fails_at_three():
     nf = load_fixture("10.8.b.a")
     vecs = list(nf.an)
@@ -416,144 +445,8 @@ def test_replay_accepts_sequences_as_lists():
     assert replay_certificate(replace(cert, **as_lists), nf)
 
 
-# -- LMFDB client against canned responses ------------------------------
-
-
-def canned_urlopen(url, timeout=None):
-    delta_an40 = delta_an(40)
-    assert url.endswith("?label=1.12.a.a&_format=json") and timeout == 30.0, url
-    if "/mf_newforms/" in url:
-        payload = {"data": [{
-            "label": "1.12.a.a", "level": 1, "weight": 12,
-            "conrey_indexes": [1], "field_poly": [0, 1],
-        }]}
-    elif "/mf_hecke_nf/" in url:
-        payload = {"data": [{
-            "field_poly": [0, 1],
-            "hecke_ring_power_basis": True,
-            "an": [[delta_an40[n]] for n in range(1, 41)],
-        }]}
-    else:
-        raise AssertionError(f"unexpected url {url}")
-    resp = io.BytesIO(json.dumps(payload).encode())
-    resp.status = 200
-    return resp
-
-
-def test_lmfdb_client_conversion(monkeypatch, tmp_path):
-    import types
-    import urllib.request
-
-    from eiscong import newforms as nfmod
-    monkeypatch.setattr(urllib.request, "urlopen", canned_urlopen)
-    # a fake clock: sleeping advances it, and the waits are recorded
-    clock, waits = [1000.0], []
-
-    def sleep(s):
-        waits.append(s)
-        clock[0] += s
-    monkeypatch.setattr(nfmod, "time", types.SimpleNamespace(monotonic=lambda: clock[0],
-                                                             sleep=sleep))
-    # the last-request instant is per process; start this test from none
-    monkeypatch.setattr(LmfdbClient, "_last_request", 0.0, raising=False)
-    client = LmfdbClient(endpoint="https://example.test/api")
-    nf = client.fetch("1.12.a.a")
-    assert nf.label == "1.12.a.a" and nf.b_data == 40
-    assert nf.a_vector(2) == (-24,)
-    # two requests: no wait before the first, about 1 s before the second
-    assert waits == [pytest.approx(1.0, abs=0.05)]
-    # fetch_newform caches into the fixture directory once the store misses
-    monkeypatch.setattr(nfmod, "_PACKAGED_FIXTURES", tmp_path / "none")
-    monkeypatch.delenv("EISCONG_FIXTURES", raising=False)
-    got = fetch_newform("1.12.a.a", min_coeffs=30, fixture_dir=tmp_path / "store",
-                        endpoint="https://example.test/api")
-    assert got.b_data == 40
-    assert (tmp_path / "store" / "1.12.a.a.json").is_file()
-    # two fetches in a row, each with a new client, still send one request
-    # per second: the second fetch's first request waits about 1 s (each
-    # has its own fixture directory, so neither finds the other's cache)
-    for i in range(2):
-        waits.clear()
-        fetch_newform("1.12.a.a", min_coeffs=30, fixture_dir=tmp_path / f"store{i}",
-                      endpoint="https://example.test/api")
-        assert waits == [pytest.approx(1.0, abs=0.05)] * 2, i
-
-
-def test_fetch_newform_caches_where_the_lookup_reads(monkeypatch, tmp_path):
-    from eiscong import newforms as nfmod
-    stored = load_fixture("1.12.a.a")
-    fetched = []
-
-    class FakeClient:
-        def __init__(self, endpoint=None):
-            pass
-
-        def fetch(self, label):
-            fetched.append(label)
-            return stored
-
-    monkeypatch.setattr(nfmod, "LmfdbClient", FakeClient)
-    monkeypatch.setattr(nfmod, "_PACKAGED_FIXTURES", tmp_path / "none")
-    monkeypatch.delenv("EISCONG_OFFLINE", raising=False)
-    monkeypatch.chdir(tmp_path)
-    env_dir = tmp_path / "env"
-    monkeypatch.setenv("EISCONG_FIXTURES", str(env_dir))
-    # without an explicit directory the fetch is cached in EISCONG_FIXTURES,
-    # so the second call reads it there and fetches nothing
-    for _ in range(2):
-        assert fetch_newform("1.12.a.a", min_coeffs=30) == stored
-    assert fetched == ["1.12.a.a"]
-    assert (env_dir / "1.12.a.a.json").is_file()
-    # an explicit directory is searched first, so it takes the cache
-    fetched.clear()
-    monkeypatch.setenv("EISCONG_FIXTURES", str(tmp_path / "env2"))
-    for _ in range(2):
-        fetch_newform("1.12.a.a", min_coeffs=30, fixture_dir=tmp_path / "flag")
-    assert fetched == ["1.12.a.a"]
-    assert (tmp_path / "flag" / "1.12.a.a.json").is_file()
-    # with neither set there is nowhere the lookup reads: nothing is written
-    fetched.clear()
-    monkeypatch.delenv("EISCONG_FIXTURES")
-    for _ in range(2):
-        fetch_newform("1.12.a.a", min_coeffs=30)
-    assert fetched == ["1.12.a.a"] * 2
-    assert sorted(x.name for x in tmp_path.iterdir()) == ["env", "flag"]
-
-
-def test_fetched_record_of_another_label_is_refused(monkeypatch, tmp_path):
-    # a record answering for another label is refused, naming both, and
-    # nothing is saved under the label that was asked for
-    delta_an40 = delta_an(40)
-    form = {"label": "1.12.a.a", "level": 1, "weight": 12, "conrey_indexes": [1],
-            "field_poly": [0, 1]}
-    hecke = {"field_poly": [0, 1], "hecke_ring_power_basis": True,
-             "an": [[delta_an40[n]] for n in range(1, 41)]}
-    monkeypatch.setattr(LmfdbClient, "_get", lambda self, table, query:
-                        [form if table == "mf_newforms" else hecke])
-    monkeypatch.setattr(newforms, "_PACKAGED_FIXTURES", tmp_path / "none")
-    monkeypatch.delenv("EISCONG_FIXTURES", raising=False)
-    monkeypatch.delenv("EISCONG_OFFLINE", raising=False)
-    assert LmfdbClient().fetch("1.12.a.a").label == "1.12.a.a"
-    with pytest.raises(BadFixture, match=r"'1\.12\.a\.a', not the requested '1\.12\.a\.b'"):
-        fetch_newform("1.12.a.b", fixture_dir=tmp_path / "store")
-    assert not (tmp_path / "store").exists()
-
-
 def test_fixture_of_another_label_is_refused(tmp_path):
     (tmp_path / "10.8.b.b.json").write_text(
         json.dumps(load_fixture("10.8.b.a").to_json()))
     with pytest.raises(BadFixture, match=r"'10\.8\.b\.a', not the requested '10\.8\.b\.b'"):
         load_fixture("10.8.b.b", tmp_path)
-
-
-def test_convert_lmfdb_records_with_basis_matrix():
-    form = {"label": "5.8.b.a", "level": 5, "weight": 8, "conrey_indexes": [4],
-            "field_poly": [116, 0, 1]}
-    hecke = {"field_poly": [116, 0, 1],
-             "hecke_ring_power_basis": False,
-             "hecke_ring_numerators": [[1, 0], [0, 2]],
-             "hecke_ring_denominators": [1, 2],
-             "an": [[1, 0], [0, 1]]}
-    nf = convert_lmfdb_records(form, hecke)
-    assert nf.basis == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    assert nf.character == DirichletChar(5, 4)
