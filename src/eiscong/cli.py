@@ -285,10 +285,7 @@ def _run(argv) -> int:
     try:
         args = ap.parse_args(argv)
         return args.func(args)
-    except EiscongError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (EiscongError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -60,14 +60,13 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def express(self, vec, check_cols: int | None = None) -> list[Fraction]:
+    def express(self, vec) -> list[Fraction]:
         """Coordinates of vec over the rows.  vec may be truncated, if every
-        pivot lies inside it; the remainder must vanish on its first
-        check_cols entries (all by default), else ValueError."""
+        pivot lies inside it; the remainder must vanish, else ValueError."""
         if any(p >= len(vec) for p in self.pivots):
             raise ValueError("vector too short for the pivot set")
         coords, rem = self.reduce(vec)
-        if any(rem[:check_cols]):
+        if any(rem):
             raise ValueError("vector is not in the span")
         return coords
 

@@ -327,45 +327,48 @@ def _certificate(nf: NewformData, params: EisensteinParams, lam: PrimeAbove,
         passed=npass == len(qs), first_failing_q=qs[npass] if npass < len(qs) else None)
 
 
+def _best_certificate(nf: NewformData, params: EisensteinParams, lams: list[PrimeAbove],
+                      bound: int, qs: tuple, include_ell: bool) -> CongruenceCertificate:
+    """Compare at each lambda' of lams, every prime of K_f above their ell
+    and every Frobenius twist of lambda' inside the common field, the K_f
+    side untwisted; return the first passing certificate in that order,
+    else the first one with the longest matching prefix at lams[0]."""
+    kmaps = residue_maps_of_kf(nf, lams[0].ell)
+    best = None  # (#passed prefix, certificate) at lams[0]
+    for lam in lams:
+        for kmap in kmaps:
+            for jc in range(lam.residue_degree):
+                npass, cert = _certificate(nf, params, lam, kmap, jc, bound, qs, include_ell)
+                if cert.passed:
+                    return cert
+                if lam is lams[0] and (best is None or npass > best[0]):
+                    best = (npass, cert)
+    return best[1]
+
+
 def verify_congruence(nf: NewformData, params: EisensteinParams, lam: PrimeAbove,
                       bound: int | None = None, include_ell: bool = True
                       ) -> CongruenceCertificate:
-    """Compare at every prime of K_f above ell and every Frobenius twist of
-    lambda' inside the common field, the K_f side untwisted; return the
-    first passing certificate in that order, else the first one with the
-    longest matching prefix."""
+    """The first passing certificate at lambda' over the primes of K_f and
+    the twists of lambda', else the first with the longest matching prefix."""
     bound, qs = _checked_primes(nf, params, lam.ell, bound, include_ell)
     if not _is_prime_above(lam, params):
         raise ValueError(f"lambda' {lam.to_json()} is not a prime of "
                          f"Z[zeta_{value_conductor(params)}] above {lam.ell}")
-    best = None  # (#passed prefix, certificate)
-    for kmap in residue_maps_of_kf(nf, lam.ell):
-        for jc in range(lam.residue_degree):
-            npass, cert = _certificate(nf, params, lam, kmap, jc, bound, qs, include_ell)
-            if cert.passed:
-                return cert
-            if best is None or npass > best[0]:
-                best = (npass, cert)
-    return best[1]
+    return _best_certificate(nf, params, [lam], bound, qs, include_ell)
 
 
 def verify_at_ell(nf: NewformData, params: EisensteinParams, ell: int,
                   bound: int | None = None, include_ell: bool = True
                   ) -> CongruenceCertificate:
-    """:func:`verify_congruence` at each prime of Z[psi, phi] above ell in
-    :func:`primes_above` order; the first passing certificate, else the
-    certificate of the first prime.  A newform that does not fit the
-    parameters or the bound is refused before the primes above ell, which
-    can take seconds at a large residue degree, are found."""
-    _checked_primes(nf, params, ell, bound, include_ell)
-    first = None
-    for lam in primes_above(ell, value_conductor(params)):
-        cert = verify_congruence(nf, params, lam, bound=bound, include_ell=include_ell)
-        if cert.passed:
-            return cert
-        if first is None:
-            first = cert
-    return first
+    """:func:`verify_congruence` over the primes of Z[psi, phi] above ell in
+    :func:`primes_above` order, each found once: the first passing
+    certificate, else the certificate of the first prime.  A newform that
+    does not fit the parameters or the bound is refused before the primes
+    above ell, which can take seconds at a large residue degree, are found."""
+    bound, qs = _checked_primes(nf, params, ell, bound, include_ell)
+    lams = primes_above(ell, value_conductor(params))
+    return _best_certificate(nf, params, lams, bound, qs, include_ell)
 
 
 def replay_certificate(cert: CongruenceCertificate, nf: NewformData) -> bool:

@@ -10,10 +10,12 @@ and f(pz) for f in a basis of M_k(Gamma_0(N/p), chi) over the primes
 p | N with cond(chi) | N/p, with the Eisenstein series of level N, and
 the new part they leave is checked against the newform dimension.
 A space takes one Hecke prime q, the least prime not dividing the level,
-and a precision at which T_q is known to the Sturm bound; T_q acts on
-the exact q-expansion lattice, and newform eigensystems are cut out over
-an irreducible factor of the minimal polynomial of a combination of T_q
-and multiplication by zeta_c.  Each eigenvalue packet is verified
+and a precision at which T_q is known to the Sturm bound.  T_q and
+zeta_c act on the q-expansion lattice through one matrix builder, which
+checks every coefficient it reads.  Newform eigensystems are cut out over
+an irreducible factor g of the minimal polynomial m of a combination C of
+the two on a vector u0; the eigenvector is r(C) u0, r = m / (x - x mod g),
+read off the Krylov vectors C^j u0.  Each eigenvalue packet is verified
 (Sturm-certified eigenform property, coefficient multiplicativity and
 recursions, Atkin-Lehner squares) before it becomes a
 :class:`NewformData`.  Linear algebra is :mod:`eiscong.linalg` over
@@ -136,6 +138,15 @@ class KField:
     def scal(self, a, c: Fraction):
         return [x * c for x in a] if c else []
 
+    def combo(self, pairs):
+        """sum c x over the (c, x) pairs, c rational and x in K."""
+        out = [ZERO] * self.deg
+        for c, x in pairs:
+            if c:
+                for i, xi in enumerate(x):
+                    out[i] += c * xi
+        return trim(out)
+
     def powers(self, a, n: int) -> list[list[Fraction]]:
         """1, a, ..., a^(n-1)."""
         out = [[ONE]]
@@ -253,7 +264,6 @@ class Space:
                         fields |= {x.field, y.field}
         self.c = lcm(*fields)
         self.w = _phi(self.c)
-        self.width = (b0 + 1) * self.w
         self.dim_eis = len(self.eis_atoms)
         self.dim_cusp = cohen_oesterle_dim_cusp(k, chi)
         self.dim_c = self.dim_eis + self.dim_cusp
@@ -295,35 +305,16 @@ class Space:
 
     # -- Hecke action -----------------------------------------------------
 
-    def hecke_matrix(self) -> list[list[Fraction]]:
-        """T_q on the basis, read to b0 // q and checked to the Sturm bound."""
-        rows = []
-        check = (self.sturm + 1) * self.w
-        for r in self.ech.rows:
-            img = self.flat(hecke_tp(self.unflat(r), self.q), self.b0 // self.q)
-            rows.append(self.ech.express(img, check_cols=check))
-        # column-major action: (A v)_i = sum_j rows[j][i] v_j
-        return [list(col) for col in zip(*rows)]
-
-    def zeta_matrix(self) -> list[list[Fraction]]:
-        z = CycNum.zeta(self.c)
-        rows = [self.ech.express(self.flat(self.unflat(r).scale(z))) for r in self.ech.rows]
+    def matrix(self, op, prec: int) -> list[list[Fraction]]:
+        """The matrix of the map op on QExpansions over the basis, each image
+        read to precision prec, where it must lie in the span (ValueError
+        otherwise): column j holds the coordinates of op(row j)."""
+        rows = [self.ech.express(self.flat(op(self.unflat(r)), prec)) for r in self.ech.rows]
         return [list(col) for col in zip(*rows)]
 
 
 def matvec(mat, vec):
     return [sum((c * v for c, v in zip(row, vec) if v), ZERO) for row in mat]
-
-
-def kmatvec(mat, vec, kf: KField):
-    out = []
-    for row in mat:
-        acc: list[Fraction] = []
-        for c, v in zip(row, vec):
-            if c and v:
-                acc = kf.add(acc, kf.scal(v, c))
-        out.append(acc)
-    return out
 
 
 def minpoly(step, u, dim) -> list[Fraction]:
@@ -343,16 +334,6 @@ def minpoly(step, u, dim) -> list[Fraction]:
         vec = list(step(vec))
         vec += [ZERO] * (dim - len(vec))
     raise AssertionError("no linear relation closes the Krylov sequence")
-
-
-def poly_apply(coeffs, cmat, u):
-    """(sum coeffs[i] C^i) u via Horner."""
-    acc = [ZERO] * len(u)
-    for c in reversed(coeffs):
-        acc = matvec(cmat, acc)
-        if c:
-            acc = [a + c * b for a, b in zip(acc, u)]
-    return acc
 
 
 # -- Newform extraction ----------------------------------------------
@@ -423,8 +404,9 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
     space.build_basis()
     dim = space.ech.rank
     q = space.q
-    tmat = space.hecke_matrix()
-    zmat = space.zeta_matrix()
+    zeta = CycNum.zeta(space.c)
+    tmat = space.matrix(lambda f: hecke_tp(f, q), space.b0 // q)
+    zmat = space.matrix(lambda f: f.scale(zeta), space.b0)
     log(f"  hecke matrices done (q = {q})")
 
     # old + Eisenstein subspace, in basis coordinates
@@ -445,7 +427,13 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
         cmat = [[cz * z + cq * t for z, t in zip(zrow, trow)] for zrow, trow in zip(zmat, tmat)]
         u0 = [Fraction((7 * i * i + 3 * i + 5 + attempt) % 101 - 50, 1)
               for i in range(dim)]
-        m_all = minpoly(lambda v: matvec(cmat, v), u0, dim)
+        krylov = [u0]  # C^j u0, j <= deg m_all, kept for the eigenvectors
+
+        def step(v):
+            krylov.append(matvec(cmat, v))
+            return krylov[-1]
+
+        m_all = minpoly(step, u0, dim)
         mu_polys = []
         for idx in range(min(3, u_ech.rank)):
             uu = [ZERO] * dim
@@ -470,54 +458,30 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
     packets = []
     for g in sorted(factors, key=lambda f: (len(f), [str(c) for c in f])):
         kf = KField(g)
-        # w = (m_all / g)(C) u0, one other factor of m_all at a time
-        w = u0
-        for h in all_factors:
-            if h != g:
-                w = poly_apply(h, cmat, w)
-        require(any(w), "projection collapsed; retry with another vector")
-        # v = q(C, lambda) w with q(x, lam) = (g(x) - g(lam)) / (x - lam)
-        d = kf.deg
-        ctw = [w]
-        for _ in range(d - 1):
-            ctw.append(matvec(cmat, ctw[-1]))
-        lam_coeff = [g[t + 1:] for t in range(d)]  # of C^t, as a polynomial in lam
-        v = []
-        for i in range(dim):
-            acc: list[Fraction] = []
-            for t in range(d):
-                if ctw[t][i]:
-                    acc = kf.add(acc, kf.scal(lam_coeff[t], ctw[t][i]))
-            v.append(acc)
+        # v = r(C) u0, r = m_all / (x - lam) with lam = x mod g, which is
+        # (g(x) - g(lam)) / (x - lam) times m_all / g: the lam-eigenvector of
+        # the g-part of u0.  Synthetic division: r_(D-1) = 1, r_(s-1) = m_s + lam r_s
+        r = [[ONE]]
+        for m_s in reversed(m_all[1:-1]):
+            r.append(kf.add([m_s], kf.mul([ZERO, ONE], r[-1])))
+        r.reverse()
+        v = [kf.combo(zip((vec[i] for vec in krylov), r)) for i in range(dim)]
         require(any(v), "eigenvector is zero")
         # eigenvalue checks and extraction
         pivot = next(i for i in range(dim) if v[i])
         inv_piv = kf.inv(v[pivot])
-        img = kmatvec(tmat, v, kf)
+        img = [kf.combo(zip(row, v)) for row in tmat]
         a_q = kf.mul(img[pivot], inv_piv)
         for i in range(dim):
             require(img[i] == kf.mul(a_q, v[i]), f"not an eigenvector of T_{q}")
-        zimg_vec = kmatvec(zmat, v, kf)
-        z = kf.mul(zimg_vec[pivot], inv_piv)
+        z = kf.mul(kf.combo(zip(zmat[pivot], v)), inv_piv)
         require(kf.eval_poly(list(cyclotomic_poly(space.c)), z) == [],
                 "character value is not a root of its cyclotomic polynomial")
-        # q-expansion over K
-        flat_k = [[] for _ in range(space.width)]
-        for i in range(dim):
-            if v[i]:
-                row = space.ech.rows[i]
-                for col in range(space.width):
-                    if row[col]:
-                        flat_k[col] = kf.add(flat_k[col], kf.scal(v[i], row[col]))
-        zpow = kf.powers(z, space.w)
-        a_list = []
-        for n in range(space.b0 + 1):
-            acc: list[Fraction] = []
-            for j in range(space.w):
-                cell = flat_k[n * space.w + j]
-                if cell:
-                    acc = kf.add(acc, kf.mul(cell, zpow[j]))
-            a_list.append(acc)
+        # q-expansion over K: a_n = sum_(i, j) rows[i][n w + j] z^j v_i
+        w, rows, zpow = space.w, space.ech.rows, kf.powers(z, space.w)
+        vz = [kf.mul(vi, zj) for vi in v for zj in zpow]  # z^j v_i at i w + j
+        a_list = [kf.combo(zip((c for row in rows for c in row[n * w: n * w + w]), vz))
+                  for n in range(space.b0 + 1)]
         require(a_list[0] == [], "newform must vanish at infinity")
         inv_a1 = kf.inv(a_list[1])
         a_list = [kf.mul(a, inv_a1) for a in a_list[1:]]

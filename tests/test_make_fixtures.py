@@ -21,8 +21,8 @@ from sympy import divisor_sigma, invert
 
 from eiscong import spaces
 from eiscong.characters import DirichletChar
-from eiscong.cyclotomic import CycNum
-from eiscong.eisenstein import alpha_m, eisenstein_series
+from eiscong.cyclotomic import CycNum, cyclotomic_poly
+from eiscong.eisenstein import alpha_m, eisenstein_series, hecke_tp
 from eiscong.fppoly import trim
 from eiscong.newforms import load_fixture
 from helpers import delta_an, from_qq, qq
@@ -108,6 +108,48 @@ def test_space_derives_its_hecke_prime_and_precision(level, k, chi, b0, q, built
     space = spaces.Space(level, k, DirichletChar.from_label(chi), b0)
     assert (space.q, space.b0) == (q, built)
     assert space.b0 // q >= space.sturm + 1
+
+
+@pytest.fixture(scope="module")
+def space_10_8():
+    space = spaces.Space(10, 8, DirichletChar.from_label("10.9"), 0)
+    space.build_basis()
+    return space
+
+
+def test_matrix_refuses_an_image_that_leaves_the_span_past_the_sturm_bound(space_10_8):
+    # T_q with a_(Sturm + 1) moved by 1: every coefficient that is read,
+    # here to b0 // q, is checked, not only those up to the Sturm bound
+    space = space_10_8
+    q, n, prec = space.q, space.sturm + 1, space.b0 // space.q
+    assert n <= prec
+
+    def bumped(f):
+        vec = space.flat(hecke_tp(f, q), prec)
+        vec[n * space.w] += 1
+        return space.unflat(vec)
+
+    assert len(space.matrix(lambda f: hecke_tp(f, q), prec)) == space.ech.rank
+    with pytest.raises(ValueError, match="not in the span"):
+        space.matrix(bumped, prec)
+
+
+def test_hecke_and_zeta_matrices_commute_and_phi_c_kills_zeta(space_10_8):
+    space = space_10_8
+    zeta = CycNum.zeta(space.c)
+    tmat = space.matrix(lambda f: hecke_tp(f, space.q), space.b0 // space.q)
+    zmat = space.matrix(lambda f: f.scale(zeta), space.b0)
+    dim = space.ech.rank
+    phi_c = cyclotomic_poly(space.c)
+    assert space.c == 4 and len(phi_c) == 3
+    for j in range(dim):
+        e = [Fraction(int(i == j)) for i in range(dim)]
+        tz = spaces.matvec(tmat, spaces.matvec(zmat, e))
+        assert tz == spaces.matvec(zmat, spaces.matvec(tmat, e)), j
+        acc = [Fraction(0)] * dim  # Phi_c(Z) e by Horner
+        for c in reversed(phi_c):
+            acc = [a + c * b for a, b in zip(spaces.matvec(zmat, acc), e)]
+        assert not any(acc), j
 
 
 def test_rational_reconstruct_past_float_range():

@@ -1,5 +1,7 @@
 import ast
 import json
+import re
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -138,6 +140,38 @@ def test_no_module_imports_a_network_library():
     assert found == []
 
 
+def test_every_function_and_class_of_the_package_is_used():
+    # a function, method or class (dunders aside) whose name appears nowhere
+    # outside its own definition, in the sources, scripts, tests or benchmark
+    # harness, is dead code; the harness's tracer names its targets in
+    # strings, and those count as uses
+    root = Path(newforms.__file__).parents[2]
+    corpus = [*root.glob("src/**/*.py"), *root.glob("scripts/**/*.py"),
+              *root.glob("tests/**/*.py"), *root.glob("perfbench/*.py")]
+    header = re.compile(r"\b(?:def|class)\s+\w+")
+
+    def words(text):
+        return Counter(re.findall(r"\w+", header.sub("", text)))
+
+    uses = Counter()
+    for path in corpus:
+        uses.update(words(path.read_text(encoding="utf-8")))
+    orphans = []
+    for path in sorted(Path(newforms.__file__).parent.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines(keepends=True)
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own = words("".join(lines[node.lineno - 1: node.end_lineno]))
+            if uses[name] <= own[name]:
+                orphans.append(f"{path.name}: {name}")
+    assert orphans == []
+
+
 def test_newform_validation_rejects_bad_a1():
     with pytest.raises(ValueError):
         NewformData(label="x", level=1, weight=12, character=TRIV,
@@ -255,6 +289,29 @@ def test_verify_at_ell_prefers_a_passing_prime():
     cert = verify_at_ell(nf, p53, 13, bound=20)
     assert not cert.passed
     assert cert == verify_congruence(nf, p53, lams[0], bound=20)
+
+
+def test_verify_at_ell_finds_the_primes_above_ell_once(monkeypatch):
+    # two primes above 73 and above 13: the primes, the residue maps of K_f
+    # and the checks of the parameters are each found once per call
+    p53 = EisensteinParams(7, 6, 6, TRIV, DirichletChar(7, 4))
+    nf = load_fixture("42.6.e.c")
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(newforms, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("primes_above", "residue_maps_of_kf", "_checked_primes"):
+        monkeypatch.setattr(newforms, name, counted(name))
+    for ell, bound, passed in [(73, None, True), (13, 20, False)]:
+        calls.clear()
+        assert verify_at_ell(nf, p53, ell, bound=bound).passed is passed
+        assert calls == {"primes_above": 1, "residue_maps_of_kf": 1, "_checked_primes": 1}
 
 
 def test_verify_refuses_wrong_character():
