@@ -1,6 +1,6 @@
 """Exact linear algebra over Q: a reduced row echelon form of Fraction
-vectors, grown a vector at a time, and linear solves built on it, one
-elimination for any number of targets."""
+vectors, grown a vector at a time, and linear solves and kernels built
+on it, one elimination for any number of targets."""
 
 from __future__ import annotations
 
@@ -71,22 +71,35 @@ class Echelon:
         return coords
 
 
+def _augmented(cols) -> Echelon:
+    """The row echelon form of the rows cols[j] + e_j, e_j the j-th unit vector."""
+    ech = Echelon()
+    for j, col in enumerate(cols):
+        ech.add([*col, *(_ONE if i == j else _ZERO for i in range(len(cols)))])
+    return ech
+
+
 def solver(cols):
     """The solve of sum_j y_j cols[j] = target over Q, as a function of the
     target (as long as each column): y, or None if there is none.  The
-    columns are eliminated once, as the rows cols[j] + e_j (e_j the j-th
-    unit vector); a target reduced against them leaves 0 + (-y) exactly
-    when y solves, so y comes off the remainder's tail."""
-    ncols = len(cols)
-    ech = Echelon()
-    for j, col in enumerate(cols):
-        ech.add([*col, *(_ONE if i == j else _ZERO for i in range(ncols))])
+    columns are eliminated once, by :func:`_augmented`; a target reduced
+    against them leaves 0 + (-y) exactly when y solves, so y comes off the
+    remainder's tail."""
+    ech = _augmented(cols)
 
     def solve(target) -> list[Fraction] | None:
         n = len(target)
-        rem = ech.reduce([*target, *(_ZERO,) * ncols])[1]
+        rem = ech.reduce([*target, *(_ZERO,) * len(cols)])[1]
         if any(rem[:n]):
             return None
         return [-c for c in rem[n:]]
 
     return solve
+
+
+def kernel(cols) -> list[list[Fraction]]:
+    """A basis of the y with sum_j y_j cols[j] = 0: the tails of the rows of
+    :func:`_augmented` that are 0 on the columns."""
+    n = len(cols[0]) if cols else 0
+    ech = _augmented(cols)
+    return [row[n:] for row, piv in zip(ech.rows, ech.pivots) if piv >= n]

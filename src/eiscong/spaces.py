@@ -5,17 +5,21 @@ Approach*, 2007).
 M_k(Gamma_0(N), chi) is spanned exactly by Eisenstein series and products
 of two Eisenstein series (weights >= 2 suffice for every space built
 here; a rank check against the Cohen-Oesterle dimension guards the
-assumption).  Its old forms and Eisenstein series are spanned by f(z)
-and f(pz) for f in a basis of M_k(Gamma_0(N/p), chi) over the primes
-p | N with cond(chi) | N/p, with the Eisenstein series of level N, and
-the new part they leave is checked against the newform dimension.
-A space takes one Hecke prime q, the least prime not dividing the level,
-and a precision at which T_q is known to the Sturm bound.  T_q and
-zeta_c act on the q-expansion lattice through one matrix builder, which
-checks every coefficient it reads.  Newform eigensystems are cut out over
-an irreducible factor g of the minimal polynomial m of a combination C of
-the two on a vector u0; the eigenvector is r(C) u0, r = m / (x - x mod g),
-read off the Krylov vectors C^j u0.  Each eigenvalue packet is verified
+assumption).  Levels are square-free and k >= 3, so the new part is the
+joint kernel of U_p^2 - chi0(p) p^(k-2) over the p | N prime to cond(chi):
+a newform has a_p^2 = chi0(p) p^(k-2) there (W.-C. W. Li, *Newforms and
+functional equations*, Math. Ann. 212, 1975), while U_p has eigenvalues
+of absolute value p^((k-1)/2) on p-old forms (P. Deligne, *La conjecture
+de Weil I*, 1974) and 1 or p^(k-1) on Eisenstein series.  Less the
+Eisenstein series it holds where no such p exists, the new part is
+checked against the newform dimension.  A space takes one Hecke prime q,
+the least prime not dividing the level, and reads T_q and each U_p to
+the Sturm bound.  They and zeta_c act on the q-expansion lattice through
+one matrix builder, which checks every coefficient it reads.  Newform
+eigensystems are cut out over an irreducible factor g of the minimal
+polynomial m of a combination C of T_q and zeta_c on a vector u0 of the
+new part; the eigenvector is r(C) u0, r = m / (x - x mod g), read off the
+Krylov vectors C^j u0.  Each eigenvalue packet is verified
 (Sturm-certified eigenform property, coefficient multiplicativity and
 recursions, Atkin-Lehner squares) before it becomes a
 :class:`NewformData`.  Linear algebra is :mod:`eiscong.linalg` over
@@ -34,17 +38,17 @@ import time
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, count, permutations
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 
 from . import fppoly
-from .arith import divisors, factorint, isprime, primefactors, primerange
+from .arith import divisors, isprime, primefactors, primerange
 from .characters import DirichletChar, parity_matches, primitive_characters
 from .cyclotomic import (CycNum, _divide_monic, _ks_mul, _mod_phi, _phi, clear_denominators,
                          cyclotomic_poly)
 from .eisenstein import QExpansion, _rows_in, alpha_m, eisenstein_series, hecke_tp
 from .errors import NotSquareFree
 from .fppoly import trim
-from .linalg import Echelon, solver
+from .linalg import Echelon, kernel, solver
 from .newforms import NewformData, gamma0_index, sturm_bound
 from .record import replace
 
@@ -191,23 +195,11 @@ class KField:
 
 
 def cohen_oesterle_dim_cusp(k: int, chi: DirichletChar) -> int:
-    """dim S_k(Gamma_0(N), chi) by Cohen-Oesterle (LNM 627) for k >= 3
-    (also k = 2 away from the trivial-character correction, handled)."""
+    """dim S_k(Gamma_0(N), chi) by Cohen-Oesterle (LNM 627) for k >= 3 and
+    square-free N, where each prime p | N has lambda = 2."""
     n = chi.modulus
-    f = chi.conductor
     term = Fraction(k - 1, 12) * gamma0_index(n)
-
-    def lam(r, s, p):
-        if 2 * s <= r:
-            if r % 2 == 0:
-                return p ** (r // 2) + p ** (r // 2 - 1)
-            return 2 * p ** ((r - 1) // 2)
-        return 2 * p ** (r - s)
-
-    f_exps = factorint(f)
-    prod_term = Fraction(1)
-    for p, r in factorint(n).items():
-        prod_term *= lam(r, f_exps.get(p, 0), p)
+    prod_term = 2 ** len(primefactors(n))
     gamma_k = {0: Fraction(1, 4), 2: Fraction(-1, 4)}.get(k % 4, ZERO)
     mu_k = {0: Fraction(1, 3), 2: Fraction(-1, 3)}.get(k % 3, ZERO)
     e4 = CycNum.zero(1)
@@ -219,47 +211,47 @@ def cohen_oesterle_dim_cusp(k: int, chi: DirichletChar) -> int:
             e3 = e3 + chi(x)
     total = term - Fraction(1, 2) * prod_term \
         + gamma_k * e4.rational_value() + mu_k * e3.rational_value()
-    if k == 2 and chi.is_trivial():
-        total += 1
     require(total.denominator == 1, f"dimension formula gave {total}")
     return int(total)
 
 
 def newform_dimension(k: int, chi: DirichletChar) -> int:
-    """dim S_k^new(Gamma_0(N), chi), N the modulus of chi: the sum over the
-    d | N with cond(chi) | d of beta(N/d) dim S_k(Gamma_0(d), chi), beta
-    multiplicative with beta(p) = -2, beta(p^2) = 1 and beta(p^e) = 0 from
-    e = 3 on, the inverse of dim S_k(N) = sum_d sigma_0(N/d) dim S_k^new(d)."""
+    """dim S_k^new(Gamma_0(N), chi), N the square-free modulus of chi: the
+    sum over the d | N with cond(chi) | d of (-2)^omega(N/d)
+    dim S_k(Gamma_0(d), chi), the inverse of
+    dim S_k(N) = sum_d sigma_0(N/d) dim S_k^new(d)."""
     n, chi0 = chi.modulus, chi.primitive()
-    total = 0
-    for d in divisors(n):
-        beta = prod({1: -2, 2: 1}.get(e, 0) for e in factorint(n // d).values())
-        if beta and d % chi0.modulus == 0:
-            total += beta * cohen_oesterle_dim_cusp(k, chi0.lift(d))
-    return total
+    return sum((-2) ** len(primefactors(n // d)) * cohen_oesterle_dim_cusp(k, chi0.lift(d))
+               for d in divisors(n) if d % chi0.modulus == 0)
 
 
 class Space:
-    """M_k(Gamma_0(level), chi) realised as exact truncated q-expansions.
-    Its Hecke prime q is the least prime not dividing the level, and it is
-    built to precision max(b0, q (Sturm bound + 1)), so that T_q of a basis
-    form is known to the Sturm bound, where it is determined (J. Sturm,
-    *On the congruence of modular forms*, LNM 1240, 1987)."""
+    """M_k(Gamma_0(level), chi) realised as exact truncated q-expansions,
+    for a square-free level and k >= 3.  Its Hecke prime q is the least
+    prime not dividing the level, its Atkin-Lehner primes are the p | level
+    with p not dividing cond(chi), and it is built to precision
+    max(b0, max(q, those p) (Sturm bound + 1)), so that T_q and each U_p of
+    a basis form are known to the Sturm bound, where they are determined
+    (J. Sturm, *On the congruence of modular forms*, LNM 1240, 1987)."""
 
     def __init__(self, level: int, k: int, chi: DirichletChar, b0: int):
-        self.level, self.k, self.chi = level, k, chi
+        require(all(level % (p * p) for p in primefactors(level)),
+                f"level {level} is not square-free")
+        require(k >= 3, f"weight {k} < 3: Eisenstein series would pass as new")
+        self.level, self.k, self.chi, self.chi0 = level, k, chi, chi.primitive()
         self.sturm = sturm_bound(k, level)
         self.q = next(p for p in count(2) if level % p and isprime(p))
-        self.b0 = b0 = max(b0, self.q * (self.sturm + 1))
+        self.al_primes = [p for p in primefactors(level) if self.chi0.modulus % p]
+        self.b0 = b0 = max(b0, max([self.q, *self.al_primes]) * (self.sturm + 1))
         self.eis_atoms = [a for a in weight_atoms(k, level, b0)
-                          if a.character.primitive() == chi.primitive()]
+                          if a.character.primitive() == self.chi0]
         fields = {a.field for a in self.eis_atoms} | {chi.order}
         self.pairs = []
         for k1 in range(2, k // 2 + 1):
             a2 = weight_atoms(k - k1, level, b0)
             for x in weight_atoms(k1, level, b0):
                 for y in a2:
-                    if (x.character * y.character).primitive() == chi.primitive():
+                    if (x.character * y.character).primitive() == self.chi0:
                         self.pairs.append((x, y))
                         fields |= {x.field, y.field}
         self.c = lcm(*fields)
@@ -376,29 +368,6 @@ class EigenPacket:
         return theta, mp, [coords(a) for a in self.a]
 
 
-def old_forms(space: Space):
-    """f(z) and f(pz) for f = zeta_c^j g, g a basis form of M_k(N/p, chi) and
-    j < w/w', over the primes p | N with cond(chi) | N/p.  With the zeta_c
-    shifts of the Eisenstein series of level N they span its Eisenstein
-    series and old forms (W.-C. W. Li, *Newforms and functional equations*,
-    Math. Ann. 212, 1975): the lower basis spans M_k(N/p, chi) over
-    Q(zeta_c'), whose degree w/w' extension Q(zeta_c) has the power basis
-    zeta_c^j, j < w/w', and alpha_p is linear."""
-    chi0 = space.chi.primitive()
-    for p in primefactors(space.level):
-        lower_level = space.level // p
-        if lower_level % chi0.modulus:
-            continue
-        lower = Space(lower_level, space.k, chi0.lift(lower_level), space.b0)
-        require(space.c % lower.c == 0, "flattening conductors incompatible")
-        lower.build_basis()
-        for row in lower.ech.rows:
-            for j in range(space.w // lower.w):
-                f = lower.unflat(row).scale(CycNum.zeta(space.c, j))
-                yield f
-                yield alpha_m(f, p)
-
-
 def extract_newforms(space: Space) -> list[EigenPacket]:
     """All newform orbits of the space, as eigenvalue packets."""
     space.build_basis()
@@ -409,13 +378,24 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
     zmat = space.matrix(lambda f: f.scale(zeta), space.b0)
     log(f"  hecke matrices done (q = {q})")
 
-    # old + Eisenstein subspace, in basis coordinates
+    # the new part: the joint kernel of W_p = U_p^2 - chi0(p) p^(k-2), whose
+    # column j is U_p applied to column j of U_p, less column j of chi0(p) p^(k-2)
+    cols = [[] for _ in range(dim)]
+    for p in space.al_primes:
+        umat = space.matrix(lambda f: hecke_tp(f, p), space.b0 // p)
+        scalar = space.chi0(p) * Fraction(p) ** (space.k - 2)
+        smat = space.matrix(lambda f: f.scale(scalar), space.b0)
+        for j, col in enumerate(zip(*umat)):
+            cols[j] += [u - row[j] for u, row in zip(matvec(umat, col), smat)]
+    new = kernel(cols)
+    # the Eisenstein subspace, in basis coordinates, which the kernel holds
+    # only where no Atkin-Lehner prime exists
     u_ech = Echelon()
-    eis = (vec for f in space.eis_atoms for vec in space.zeta_shifts(f))
-    for vec in chain(eis, map(space.flat, old_forms(space))):
-        u_ech.add(space.ech.express(vec))
-    dim_new = dim - u_ech.rank
-    log(f"  old+eis rank {u_ech.rank}, new part {dim_new}")
+    for f in space.eis_atoms:
+        for vec in space.zeta_shifts(f):
+            u_ech.add(space.ech.express(vec))
+    dim_new = len(new) - (0 if space.al_primes else u_ech.rank)
+    log(f"  kernel rank {len(new)}, Eisenstein rank {u_ech.rank}, new part {dim_new}")
     require(dim_new == space.w * newform_dimension(space.k, space.chi),
             f"new part {dim_new} is not {space.w} times the newform dimension")
     if dim_new == 0:
@@ -425,8 +405,8 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
     # that conjugate copies of the same eigensystem get distinct eigenvalues
     for attempt, (cz, cq) in enumerate([(1, 1), (3, 1), (1, 2), (5, 1)]):
         cmat = [[cz * z + cq * t for z, t in zip(zrow, trow)] for zrow, trow in zip(zmat, tmat)]
-        u0 = [Fraction((7 * i * i + 3 * i + 5 + attempt) % 101 - 50, 1)
-              for i in range(dim)]
+        u0 = [sum((Fraction((7 * i * i + 3 * i + 5 + attempt) % 101 - 50) * vec[j]
+                   for i, vec in enumerate(new)), ZERO) for j in range(dim)]
         krylov = [u0]  # C^j u0, j <= deg m_all, kept for the eigenvectors
 
         def step(v):
@@ -434,6 +414,7 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
             return krylov[-1]
 
         m_all = minpoly(step, u0, dim)
+        # the Eisenstein factors, which m_all has where no Atkin-Lehner prime exists
         mu_polys = []
         for idx in range(min(3, u_ech.rank)):
             uu = [ZERO] * dim
@@ -499,7 +480,6 @@ def verify_packet(packet: EigenPacket):
     kf = packet.kf
     space = packet.space
     b = len(packet.a)
-    level = space.level
     k = space.k
     for p in primerange(2, b + 1):
         cp = packet.chi_image(p)
@@ -512,12 +492,9 @@ def verify_packet(packet: EigenPacket):
             if n % p == 0 and cppow:
                 lhs = kf.add(lhs, kf.mul(cppow, packet.a_n(n // p)))
             require(lhs == rhs, (p, n, "hecke coefficient relation"))
-    # Atkin-Lehner squares at p || level away from the conductor
-    chi0 = packet.chi.primitive()
-    for p in primefactors(level):
-        if chi0.modulus % p == 0 or (level // p) % p == 0:
-            continue
-        rhs = kf.scal(packet.chi_image(p, chi0), Fraction(p) ** (k - 2))
+    # Atkin-Lehner squares at the space's Atkin-Lehner primes
+    for p in space.al_primes:
+        rhs = kf.scal(packet.chi_image(p, space.chi0), Fraction(p) ** (k - 2))
         lhs = kf.mul(packet.a_n(p), packet.a_n(p))
         require(lhs == rhs, f"Atkin-Lehner square failed at {p}")
     log(f"    packet verified (hecke structure to {b}, AL squares)")

@@ -1,6 +1,7 @@
 """eiscong.linalg against sympy: Echelon's rank, reduced rows and
-membership; solver on unique, inconsistent and repeated targets; and
-spaces.minpoly, the Krylov relation it finds with Echelon."""
+membership; solver on unique, inconsistent and repeated targets; kernel
+against nullspace; and spaces.minpoly, the Krylov relation it finds with
+Echelon."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from sympy import Matrix, diag
 
-from eiscong.linalg import Echelon, solver
+from eiscong.linalg import Echelon, kernel, solver
 from eiscong.spaces import matvec, minpoly
 
 
@@ -70,6 +71,28 @@ def test_solver_refuses_an_inconsistent_target():
             assert y is None
         else:
             assert a * Matrix(y) == t
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_matches_sympy_nullspace(seed):
+    # columns in Q^rows, more of them than their rank: count - rank vectors,
+    # each annihilating the columns, spanning what nullspace spans
+    rng = random.Random(seed)
+    rows, count = rng.randint(2, 6), rng.randint(3, 7)
+    a = _matrix(rng, rows, count, rng.randint(1, min(rows, count - 1))) / rng.randint(1, 4)
+    basis = kernel(_cols(a))
+    assert len(basis) == count - a.rank() == len(a.nullspace())
+    for y in basis:
+        assert a * Matrix(y) == Matrix.zeros(rows, 1)
+    mine = Matrix.hstack(*(Matrix(y) for y in basis))
+    theirs = Matrix.hstack(*a.nullspace())
+    assert Matrix.hstack(mine, theirs).rank() == mine.rank() == len(basis)
+
+
+def test_kernel_of_empty_columns_is_the_identity_basis():
+    # every y annihilates columns of length 0
+    assert kernel([[] for _ in range(3)]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert kernel([]) == []
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -2,7 +2,8 @@
 which runs it over the fixture table.  Both load without sympy, the
 checks hold under ``python -O``, the field arithmetic agrees with sympy,
 the dimension formula and fixture table match what is built, a space
-derives its Hecke prime and precision, and the script rebuilds the
+derives its Hecke prime, Atkin-Lehner primes and precision and refuses
+what the new-part kernel does not cover, and the script rebuilds the
 packaged fixtures from scratch, Delta's against tau(n), without writing
 to stdout."""
 
@@ -12,7 +13,6 @@ import runpy
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import islice
 from pathlib import Path
 
 import mpmath as mp
@@ -83,9 +83,10 @@ def test_kfield_mul_and_inv_match_sympy(label):
 @pytest.mark.parametrize("label", ["1.12.a.a", "10.8.b.a", "14.7.d.a"])
 def test_rebuilds_a_packaged_fixture(builder, capsys, label):
     # one path for every label: Delta rebased onto x, 10.8.b.a with its
-    # level-5 old forms split off and rebased onto x^4 - 15x^2 + 64, and
-    # 14.7.d.a, whose space is flattened over Q(zeta_6); progress goes to
-    # stderr, so that stdout stays free for a caller's output
+    # 2-old forms outside the kernel of U_2^2 - chi0(2) 2^6 and rebased onto
+    # x^4 - 15x^2 + 64, and 14.7.d.a, whose space is flattened over
+    # Q(zeta_6); progress goes to stderr, so that stdout stays free for a
+    # caller's output
     built = builder["build_fixture"](label)
     assert built.to_json() == load_fixture(label).to_json()
     out, err = capsys.readouterr()
@@ -108,6 +109,21 @@ def test_space_derives_its_hecke_prime_and_precision(level, k, chi, b0, q, built
     space = spaces.Space(level, k, DirichletChar.from_label(chi), b0)
     assert (space.q, space.b0) == (q, built)
     assert space.b0 // q >= space.sturm + 1
+
+
+def test_precision_reads_each_atkin_lehner_image_to_the_sturm_bound():
+    # at level 35 with chi = 5.2 lifted, q = 2 but U_7 is read: 7 (12 + 1)
+    space = spaces.Space(35, 3, DirichletChar(5, 2).lift(35), 0)
+    assert (space.q, space.al_primes, space.sturm) == (2, [7], 12)
+    assert space.b0 == 7 * (space.sturm + 1) == 91
+
+
+@pytest.mark.parametrize("level, k, named", [(12, 6, "level 12"), (11, 2, "weight 2")])
+def test_space_refuses_what_the_new_part_kernel_does_not_cover(level, k, named):
+    # a level that is not square-free, and k = 2, where the Eisenstein
+    # U_p-eigenvalue 1 squares to chi0(p) p^0
+    with pytest.raises(AssertionError, match=named):
+        spaces.Space(level, k, DirichletChar(level, 1), 40)
 
 
 @pytest.fixture(scope="module")
@@ -225,8 +241,9 @@ def test_newform_dimension(level, k, chi, dim):
     (6, 6, "6.1", 40),     # from M_6(3) and M_6(2)
 ])
 def test_old_forms_leave_the_new_part(level, k, chi, b0):
-    # f(z) and f(pz) over the basis of each M_k(N/p, chi) leave a new part
-    # of w times the newform dimension, which the orbits then fill
+    # the joint kernel of U_p^2 - chi0(p) p^(k-2) holds no old form and no
+    # Eisenstein series: a new part of w times the newform dimension, which
+    # the orbits then fill
     space = spaces.Space(level, k, DirichletChar.from_label(chi), b0)
     packets = spaces.extract_newforms(space)
     assert sum(p.kf.deg for p in packets) == space.w * spaces.newform_dimension(k, space.chi)
@@ -234,13 +251,25 @@ def test_old_forms_leave_the_new_part(level, k, chi, b0):
         assert [a[0] for a in packets[0].a[:3]] == [1, 4, -9]
 
 
-def test_guard_refuses_an_old_span_without_the_shifted_forms(monkeypatch):
-    # f(z) without f(pz) leaves too large a new part, which is refused
-    # rather than split into orbits
-    full = spaces.old_forms
-    monkeypatch.setattr(spaces, "old_forms", lambda space: islice(full(space), 0, None, 2))
-    with pytest.raises(AssertionError, match="not 1 times the newform dimension"):
-        spaces.extract_newforms(spaces.Space(6, 6, DirichletChar(6, 1), 40))
+def test_guard_refuses_a_new_part_that_keeps_old_forms():
+    # without p = 2 the kernel keeps the two 2-old forms from S_6(Gamma_0(3)),
+    # a new part of 3, which is refused rather than split into orbits
+    space = spaces.Space(6, 6, DirichletChar(6, 1), 40)
+    space.al_primes.remove(2)
+    with pytest.raises(AssertionError, match="new part 3 is not 1 times the newform dimension"):
+        spaces.extract_newforms(space)
+
+
+def test_level_30_separates_once_the_old_forms_are_gone():
+    # M_4(Gamma_0(30)) has old forms from levels 5, 6, 10 and 15; with them
+    # outside the Krylov run, the first Hecke mix separates its two rational
+    # newforms, which come out over Q(zeta_4), each packet verified
+    space = spaces.Space(30, 4, DirichletChar(30, 1), 40)
+    packets = spaces.extract_newforms(space)
+    assert sum(p.kf.deg for p in packets) == space.w * spaces.newform_dimension(4, space.chi) == 4
+    assert sorted([p.a_n(n)[0] for n in (2, 3, 5)] for p in packets) == [[-2, 3, 5], [2, 3, -5]]
+    for p in packets:
+        spaces.verify_packet(p)
 
 
 def test_orbit_order_needs_trace_terms_coefficients():

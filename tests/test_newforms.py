@@ -172,6 +172,23 @@ def test_every_function_and_class_of_the_package_is_used():
     assert orphans == []
 
 
+def test_no_module_or_script_imports_a_name_it_does_not_use():
+    # an imported name that no expression of the file reads is dead; the
+    # package's __init__ re-exports its names, so it is left out
+    root = Path(newforms.__file__).parents[2]
+    paths = [path for path in sorted(root.glob("src/eiscong/*.py")) if path.name != "__init__.py"]
+    unused = []
+    for path in paths + sorted(root.glob("scripts/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                unused += [f"{path.name}: {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in read]
+    assert unused == []
+
+
 def test_newform_validation_rejects_bad_a1():
     with pytest.raises(ValueError):
         NewformData(label="x", level=1, weight=12, character=TRIV,
