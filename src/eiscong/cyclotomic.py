@@ -226,11 +226,16 @@ def _packed_mod_phi(n: int, f: int, width: int) -> list[int]:
     for i in compress(range(d + 1), phi):
         t = q << bits * i
         r = r - t if phi[i] == 1 else r + t if phi[i] == -1 else r - phi[i] * t
-    # too narrow a width leaves a slot at or above phi(n) or uses the spare bit
-    out = None if r >> (bits * d) else _unpack(r, d, width)
-    if out is None or max(map(abs, out)) >> (bits - 2):
+    return _unpack_fitted(n, r, d, width)
+
+
+def _unpack_fitted(n: int, r: int, length: int, width: int) -> list[int]:
+    """The slots of r - _offset(length, width) for r packed at a width from
+    _packed_width, too narrow if a slot is at or above length or uses the spare bit."""
+    out = None if r >> (8 * width * length) else _unpack(r, length, width)
+    if out is None or max(map(abs, out)) >> (8 * width - 2):
         raise ArithmeticError(f"packed reduction mod Phi_{n}: the remainder does not fit "
-                              f"its {d} slots of {width} bytes")
+                              f"its {length} slots of {width} bytes")
     return out
 
 

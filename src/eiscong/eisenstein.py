@@ -35,7 +35,8 @@ from math import gcd, lcm, prod
 from .arith import divisors, primefactors
 from .characters import (MODULUS_MAX, DirichletChar, check_gauss_conductor, gauss_sum,
                          is_square_free, parity_matches)
-from .cyclotomic import CycNum, _mod_phi, _new, _phi, cyclotomic_poly
+from .cyclotomic import (CycNum, _divide_monic, _new, _offset, _pack, _packed_width, _phi,
+                         _unpack_fitted, cyclotomic_poly)
 from .errors import InsufficientPrecision, ModulusTooLarge, NotSquareFree
 from .lvalues import check_order, check_precision, check_weight, l_value_at_negative
 from .record import Record, replace
@@ -310,9 +311,10 @@ def sigma_power_div(n: int, k: int, psi: DirichletChar, phi: DirichletChar) -> C
 # are added by one _series_rows sieve per request
 _SERIES_CACHE: dict[tuple, tuple[int, int, list, DirichletChar]] = {}
 
-# the most accumulator entries (o per coefficient) one _series_rows segment
-# holds, so that at a large field o the sieve takes no more memory than the
-# rows it returns; at o <= 2 every fill up to PREC_MAX is one segment
+# the most accumulator entries (o columns of one entry per coefficient) one
+# _series_rows segment holds, so that at a large field o the sieve takes no
+# more memory than the rows it returns; at o <= 2 every fill up to PREC_MAX
+# is one segment
 _FILL_SLOTS = 1 << 18
 
 
@@ -320,13 +322,16 @@ def _series_rows(k: int, psi: DirichletChar, phi: DirichletChar, o: int, den: in
                  lo: int, hi: int) -> list:
     """The (row, tag) pairs of a_n = sigma_power_div(n, k, psi, phi) for
     lo <= n <= hi (lo >= 1), rows in Q(zeta_o) over den, from one divisor
-    sieve: each d with phi(d) != 0 adds d^(k-1) to the zeta_o exponent
-    psi(n/d) + phi(d) of each multiple n with psi(n/d) != 0, read from slot
-    tables over the residues below min(modulus, hi + 1), and each vector is
-    reduced once.  Every tag is lcm(ord psi, ord phi), as sigma_power_div
-    gives it when some term is nonzero (even if the sum is zero): the
-    conductors u and v are coprime, so d = the part of n prime to v always
-    gives one, with psi(n/d) and phi(d) both nonzero."""
+    sieve per segment, held as o columns, one per zeta_o exponent: each d
+    with phi(d) != 0 adds d^(k-1) to the column psi(m) + phi(d) of each
+    multiple n = m*d with psi(m) != 0 (slot tables over the residues below
+    qa = min(modulus, hi + 1)), by one strided slice per class of m mod qa,
+    or one multiple at a time if the segment holds fewer than 8*qa multiples
+    of d; the columns, each packed into one int, are long-divided by Phi_o.
+    Every tag is lcm(ord psi, ord phi), as sigma_power_div gives it when
+    some term is nonzero (even if the sum is zero): the conductors u and v
+    are coprime, so d = the part of n prime to v always gives one, with
+    psi(n/d) and phi(d) both nonzero."""
     tag = lcm(psi.order, phi.order)
     qa, qb = min(psi.modulus, hi + 1), min(phi.modulus, hi + 1)
     ta = [None if (j := psi.slot(r)) is None else j * (o // psi.order) for r in range(qa)]
@@ -334,18 +339,27 @@ def _series_rows(k: int, psi: DirichletChar, phi: DirichletChar, o: int, den: in
     out, step = [], max(1, _FILL_SLOTS // o)
     for s in range(lo, hi + 1, step):
         e = min(hi, s + step - 1)
-        acc = [0] * ((e - s + 1) * o)
+        cols = [[0] * (e - s + 1) for _ in range(o)]
         for d in range(1, e + 1):
-            first = -(-s // d)
-            if (b := tb[d % qb]) is None or first * d > e:
+            first, last = -(-s // d), e // d
+            if (b := tb[d % qb]) is None or first > last:
                 continue
             w = d ** (k - 1)
-            for m in range(first, e // d + 1):
-                if (a := ta[m % qa]) is not None:
-                    acc[(m * d - s) * o + (a + b) % o] += w
-        for i in range(0, len(acc), o):
-            row = _mod_phi(o, acc[i: i + o])
-            out.append((tuple(row) if den == 1 else tuple(v * den for v in row), tag))
+            if last - first + 1 < 8 * qa:  # a slice costs about 8 steps of this loop
+                for m in range(first, last + 1):
+                    if (a := ta[m % qa]) is not None:
+                        cols[(a + b) % o][m * d - s] += w
+                continue
+            for r, a in enumerate(ta):  # m = first + (r - first) % qa <= last
+                if a is not None:
+                    col, i = cols[(a + b) % o], (first + (r - first) % qa) * d - s
+                    col[i::qa * d] = map(w.__add__, col[i::qa * d])
+        width = _packed_width(o, max(map(max, cols)))  # every entry is >= 0
+        f = [_pack(col, width) for col in cols]
+        _divide_monic(f, cyclotomic_poly(o))
+        off = _offset(e - s + 1, width)
+        for row in zip(*[_unpack_fitted(o, r + off, e - s + 1, width) for r in f[:_phi(o)]]):
+            out.append((row if den == 1 else tuple(v * den for v in row), tag))
     return out
 
 

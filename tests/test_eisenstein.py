@@ -178,13 +178,15 @@ def _params(psi, phi, k):
     return EisensteinParams(psi.modulus * phi.modulus, 1, k, psi, phi)
 
 
-# psi trivial and not, characters of modulus above 600 on either side, and
-# every weight 3 <= k <= 12 of both parities
+# psi trivial and not, characters of modulus above 600 on either side,
+# every weight 3 <= k <= 12 of both parities, and fields Q(zeta_105) and
+# Q(zeta_33), whose Phi_o are past the packed cutoff (Phi_105 has a
+# coefficient -2)
 FILL_PARAMS = [_params(psi, phi, k) for psi, phi, ks in [
     ("1.1", "1.1", (4, 12)), ("1.1", "5.4", (8,)), ("1.1", "5.2", (3, 5)),
     ("3.2", "5.2", (6,)), ("3.2", "5.4", (7, 9)), ("3.2", "7.3", (10,)),
     ("1.1", "601.32", (12,)), ("1.1", "613.35", (11,)), ("613.35", "1.1", (3,)),
-    ("607.211", "5.4", (9,))] for k in ks]
+    ("607.211", "5.4", (9,)), ("1.1", "211.4", (6,)), ("1.1", "67.4", (4,))] for k in ks]
 
 
 def _fresh_cache(params):
@@ -208,7 +210,7 @@ def test_series_rows_match_sigma_power_div(params):
 def test_series_cache_grown_in_steps_equals_one_fill(monkeypatch, slots):
     # 37 accumulator slots make the sieve run in segments of 37 // o rows
     monkeypatch.setattr(eisenstein, "_FILL_SLOTS", slots)
-    for params in FILL_PARAMS[::2]:
+    for params in FILL_PARAMS:
         lst = _fresh_cache(params)[2]
         for b in (1, 2, 3, 40, 41, 232, 600):
             eisenstein_qexp(params, b)
@@ -216,6 +218,30 @@ def test_series_cache_grown_in_steps_equals_one_fill(monkeypatch, slots):
         lst = _fresh_cache(params)[2]
         eisenstein_qexp(params, 600)
         assert lst == stepped and len(lst) == 601
+
+
+@pytest.mark.parametrize("labels", [("1.1", "5.4", 8), ("3.2", "5.2", 6), ("613.35", "1.1", 3)],
+                         ids=lambda t: f"{t[0]}-{t[1]}-k{t[2]}")
+def test_series_rows_to_large_precision_in_segments(monkeypatch, labels):
+    # a fill grown to 7000 and then to 20000 in segments of 8192 // o rows,
+    # read at each segment's first and last row, at the step between the two
+    # fills and at random n: psi trivial and psi = 3.2 (strided slices while
+    # a segment holds 8 * modulus multiples of d, then one multiple at a
+    # time) and psi of modulus 613 (one multiple at a time throughout)
+    monkeypatch.setattr(eisenstein, "_FILL_SLOTS", 1 << 13)
+    params = _params(*labels)
+    o, den, lst = _fresh_cache(params)
+    step = (1 << 13) // o
+    ns = set()
+    for lo, hi in ((1, 7000), (7001, 20000)):
+        eisenstein_qexp(params, hi)
+        ns.update(n for s in range(lo, hi + 1, step) for n in (s, min(hi, s + step - 1)))
+    assert step < 7000 and len(lst) == 20001  # two segments or more per fill
+    rng = random.Random(20000)
+    ns.update(rng.sample(range(1, 20001), 200 - len(ns)))
+    for n in sorted(ns):
+        c = sigma_power_div(n, params.k, params.psi, params.phi)
+        assert lst[n] == (_row(c, o, den), c.conductor), n
 
 
 def test_series_rows_take_no_divisors(monkeypatch):
