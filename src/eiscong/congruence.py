@@ -24,7 +24,7 @@ from .arith import factorint
 from .cyclotomic import CycNum
 from .eisenstein import EisensteinParams
 from .errors import BadDivisor
-from .lvalues import bk_quotient_order_factor, euler_factor, l_value_at_negative
+from .lvalues import bk_quotient_order_factor
 from .record import Record
 from .residue import (FFElem, PrimeAbove, matching_prefix, ord_exact, ord_positive,
                       primes_above, reduce_cyc)
@@ -67,41 +67,24 @@ class ConditionsReport(Record):
         }
 
 
-class _Quantities:
-    """The Condition-(1) quantity and, per p | M, the pair (E_p, E'_p),
-    evaluated once for a parameter set and shared by all its reports."""
-
-    def __init__(self, params: EisensteinParams):
-        self.params = params
-        self.factors = {p: (euler_factor(params, p, 0), euler_factor(params, p, 2))
-                        for p in params.m_primes}
-        self.cond1 = l_value_at_negative(params.k, params.psi.inverse() * params.phi)
-        for e_k, _ in self.factors.values():
-            self.cond1 = self.cond1 * e_k
-
-    def report(self, ell: int, lam: PrimeAbove) -> ConditionsReport:
-        if lam.ell != ell:
-            raise ValueError("lambda' does not lie above ell")
-        params = self.params
-        cond1 = ord_positive(self.cond1, lam)
-        cond2 = {p: {"factor_k": ord_positive(e_k, lam), "factor_k2": ord_positive(e_k2, lam)}
-                 for p, (e_k, e_k2) in self.factors.items()}
-        admissible = ell > params.k + 1 and (params.N * params.M) % ell != 0
-        return ConditionsReport(params, ell, lam, cond1, cond2, admissible)
-
-
 def check_conditions(params: EisensteinParams, ell: int, lam: PrimeAbove) -> ConditionsReport:
     """Evaluate both conditions at lambda'; Condition (1) tests the combined
     L-value-times-Euler-product quantity, Condition (2) is reported per
-    prime of M with both factor memberships kept separately."""
-    return _Quantities(params).report(ell, lam)
+    prime of M with both factor memberships kept separately.  Both are read
+    off params, which evaluates them once; a wrong ell is refused first."""
+    if lam.ell != ell:
+        raise ValueError("lambda' does not lie above ell")
+    cond1 = ord_positive(params.cond1_quantity, lam)
+    cond2 = {p: {"factor_k": ord_positive(e_k, lam), "factor_k2": ord_positive(e_k2, lam)}
+             for p, (e_k, e_k2) in params.euler_factors.items()}
+    admissible = ell > params.k + 1 and (params.N * params.M) % ell != 0
+    return ConditionsReport(params, ell, lam, cond1, cond2, admissible)
 
 
 def check_conditions_above(params: EisensteinParams, ell: int) -> list[ConditionsReport]:
-    """check_conditions at every prime above ell, in primes_above order,
-    with the quantities of both conditions evaluated once."""
-    quantities = _Quantities(params)
-    return [quantities.report(ell, lam) for lam in primes_above(ell, value_conductor(params))]
+    """check_conditions at every prime above ell, in primes_above order."""
+    return [check_conditions(params, ell, lam)
+            for lam in primes_above(ell, value_conductor(params))]
 
 
 def _norm_numerator(x: CycNum) -> int:
@@ -119,10 +102,9 @@ def search_congruence_primes(params: EisensteinParams, ell_max: int | None = Non
     for ell_max <= 2^15 is trial division alone.
     """
     m = value_conductor(params)
-    quantities = _Quantities(params)
-    g = gcd(_norm_numerator(quantities.cond1),
+    g = gcd(_norm_numerator(params.cond1_quantity),
             *(_norm_numerator(e_k) * _norm_numerator(e_k2)
-              for e_k, e_k2 in quantities.factors.values()))
+              for e_k, e_k2 in params.euler_factors.values()))
     nm = params.N * params.M
     out = []
     # factorint lists primes in increasing order and primes_above lists
@@ -131,7 +113,7 @@ def search_congruence_primes(params: EisensteinParams, ell_max: int | None = Non
         if ell <= params.k + 1 or nm % ell == 0:
             continue
         for lam in primes_above(ell, m):
-            report = quantities.report(ell, lam)
+            report = check_conditions(params, ell, lam)
             if report.satisfied:
                 out.append((ell, lam, report))
     return out
@@ -188,6 +170,5 @@ def bk_report(params: EisensteinParams, lam: PrimeAbove, d: int) -> BKReport:
         return BKReport(params, lam, d, 0, 0, ())
     ok = ord_exact(bk_quotient_order_factor(params, d, 0), lam)
     ok2 = ord_exact(bk_quotient_order_factor(params, d, 2), lam)
-    s = tuple(p for p in params.m_primes
-              if ord_positive(euler_factor(params, p, 0), lam))
+    s = tuple(p for p, (e_k, _) in params.euler_factors.items() if ord_positive(e_k, lam))
     return BKReport(params, lam, d, ok, ok2, s)

@@ -20,9 +20,9 @@ process (the series cache, keyed by (k, psi, phi)), Gauss sums, per
 character, for the life of the process (the store of
 characters.gauss_sum, bounded by the numerators it holds), the longest
 lift E_delta for as long as its DeltaChoice lives (shorter requests are
-truncated copies), and the cusp constant for as long as its
-EisensteinParams lives.  e_delta_via_hecke reads only the series cache,
-so it stays an independent reference.
+truncated copies), and the cusp constant, Euler factors and Condition-(1)
+quantity for as long as their EisensteinParams lives.  e_delta_via_hecke
+reads only the series cache, so it stays an independent reference.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .characters import (MODULUS_MAX, DirichletChar, check_gauss_conductor, gaus
 from .cyclotomic import (CycNum, _divide_monic, _new, _offset, _pack, _packed_width, _phi,
                          _unpack_fitted, cyclotomic_poly)
 from .errors import InsufficientPrecision, ModulusTooLarge, NotSquareFree
-from .lvalues import check_order, check_precision, check_weight, l_value_at_negative
+from .lvalues import check_order, check_precision, check_weight, euler_factor, l_value_at_negative
 from .record import Record, replace
 
 
@@ -96,6 +96,18 @@ class EisensteinParams(Record):
         ceiling refuses before the L-value is computed."""
         return _gauss_ratio(self.psi, self.phi) * Fraction(-1, 2) * \
             l_value_at_negative(self.k, self.psi.inverse() * self.phi)
+
+    @cached_property
+    def euler_factors(self) -> dict[int, tuple[CycNum, CycNum]]:
+        """p -> (E_p, E'_p) = (psi(p) - phi(p) p^k, psi(p) - phi(p) p^(k-2))
+        for every p | M, the Euler factors of Condition (2)."""
+        return {p: (euler_factor(self, p, 0), euler_factor(self, p, 2)) for p in self.m_primes}
+
+    @cached_property
+    def cond1_quantity(self) -> CycNum:
+        """L(1-k, psi^-1 phi) prod_{p | M} E_p, the quantity of Condition (1)."""
+        return prod((e_k for e_k, _ in self.euler_factors.values()),
+                    start=l_value_at_negative(self.k, self.psi.inverse() * self.phi))
 
     @property
     def u(self) -> int:

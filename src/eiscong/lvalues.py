@@ -184,5 +184,5 @@ def bk_quotient_order_factor(params, d: int, weight_shift: int = 0) -> CycNum:
     ks = params.k - weight_shift
     acc = CycNum.from_rational(Fraction(1, totient(md) * md**ks))
     for p in primefactors(md):
-        acc = acc * euler_factor(params, p, weight_shift)
+        acc = acc * params.euler_factors[p][weight_shift // 2]
     return acc

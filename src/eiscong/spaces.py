@@ -2,10 +2,11 @@
 from exact q-expansions (W. Stein, *Modular Forms: A Computational
 Approach*, 2007).
 
-M_k(Gamma_0(N), chi) is spanned exactly by Eisenstein series and products
-of two Eisenstein series (weights >= 2 suffice for every space built
-here; a rank check against the Cohen-Oesterle dimension guards the
-assumption).  Levels are square-free and k >= 3, so the new part is the
+M_k(Gamma_0(N), chi) is spanned by Eisenstein series and products of two
+Eisenstein series of weights >= 2, under a rank check against the
+Cohen-Oesterle dimension.  No two such weights sum to 3, so a space with
+S_3 != 0, which needs weight-1 atoms, is refused before its span is
+built.  Levels are square-free and k >= 3, so the new part is the
 joint kernel of U_p^2 - chi0(p) p^(k-2) over the p | N prime to cond(chi):
 a newform has a_p^2 = chi0(p) p^(k-2) there (W.-C. W. Li, *Newforms and
 functional equations*, Math. Ann. 212, 1975), while U_p has eigenvalues
@@ -19,7 +20,9 @@ one matrix builder, which checks every coefficient it reads.  Newform
 eigensystems are cut out over an irreducible factor g of the minimal
 polynomial m of a combination C of T_q and zeta_c on a vector u0 of the
 new part; the eigenvector is r(C) u0, r = m / (x - x mod g), read off the
-Krylov vectors C^j u0.  Each eigenvalue packet is verified
+Krylov vectors C^j u0.  A factor g is Eisenstein when it vanishes at
+c_z zeta_c + c_q a_q of an atom, a normalised T_q-eigenform.  Each
+eigenvalue packet is verified
 (Sturm-certified eigenform property, coefficient multiplicativity and
 recursions, Atkin-Lehner squares) before it becomes a
 :class:`NewformData`.  Linear algebra is :mod:`eiscong.linalg` over
@@ -36,8 +39,8 @@ from __future__ import annotations
 import sys
 import time
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, count, permutations
+from functools import cached_property, reduce
+from itertools import count, permutations
 from math import gcd, isqrt, lcm
 
 from . import fppoly
@@ -284,12 +287,19 @@ class Space:
     # -- basis ----------------------------------------------------------
 
     def build_basis(self):
+        require(self.pairs or not self.dim_cusp,
+                f"weight {self.k}: dim S_k = {self.dim_cusp}, but no product of two Eisenstein "
+                f"series of weights >= 2 lies in the space (none does at weight 3), and "
+                f"weight-1 atoms are not built")
         ech = Echelon()
-        products = (mul_series(x, y, self.b0) for x, y in self.pairs)
-        for f in chain(self.eis_atoms, products):
+        for f in self.eis_atoms:
+            for vec in self.zeta_shifts(f):
+                ech.add(vec)
+        self.eis_rank = ech.rank  # the atoms come first
+        for x, y in self.pairs:
             if ech.rank >= self.dim_q:
                 break
-            for vec in self.zeta_shifts(f):
+            for vec in self.zeta_shifts(mul_series(x, y, self.b0)):
                 ech.add(vec)
         require(ech.rank == self.dim_q, f"span rank {ech.rank} != expected {self.dim_q}")
         self.ech = ech
@@ -388,14 +398,9 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
         for j, col in enumerate(zip(*umat)):
             cols[j] += [u - row[j] for u, row in zip(matvec(umat, col), smat)]
     new = kernel(cols)
-    # the Eisenstein subspace, in basis coordinates, which the kernel holds
-    # only where no Atkin-Lehner prime exists
-    u_ech = Echelon()
-    for f in space.eis_atoms:
-        for vec in space.zeta_shifts(f):
-            u_ech.add(space.ech.express(vec))
-    dim_new = len(new) - (0 if space.al_primes else u_ech.rank)
-    log(f"  kernel rank {len(new)}, Eisenstein rank {u_ech.rank}, new part {dim_new}")
+    # the kernel holds the Eisenstein subspace only where no Atkin-Lehner prime exists
+    dim_new = len(new) - (0 if space.al_primes else space.eis_rank)
+    log(f"  kernel rank {len(new)}, Eisenstein rank {space.eis_rank}, new part {dim_new}")
     require(dim_new == space.w * newform_dimension(space.k, space.chi),
             f"new part {dim_new} is not {space.w} times the newform dimension")
     if dim_new == 0:
@@ -414,22 +419,19 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
             return krylov[-1]
 
         m_all = minpoly(step, u0, dim)
-        # the Eisenstein factors, which m_all has where no Atkin-Lehner prime exists
-        mu_polys = []
-        for idx in range(min(3, u_ech.rank)):
-            uu = [ZERO] * dim
-            for j, row in enumerate(u_ech.rows):
-                w_ = Fraction(((idx + 2) * (j + 1) * (j + 3)) % 19 + 1)
-                uu = [a + w_ * b for a, b in zip(uu, row)]
-            mu_polys.append(minpoly(lambda v: matvec(cmat, v), uu, dim))
         # m_all is squarefree: C combines commuting semisimple operators
         try:
             all_factors = fppoly.factor_over_q(m_all)
         except NotSquareFree:  # a repeated factor: the mix did not separate
             all_factors = []
-        x = [ZERO, ONE]
-        factors = [f for f in all_factors
-                   if all(KField(f).eval_poly(mu, x) for mu in mu_polys)]
+        # on an atom's zeta-multiples C is multiplication by c_z zeta_c + c_q a_q
+        # (an undilated atom, a_1 = 1, is a normalised T_q-eigenform, and its
+        # dilations share its a_q), so the factors of m_all that vanish there
+        # are the Eisenstein ones, which it has where no Atkin-Lehner prime exists
+        mus = [CycNum.zeta(space.c) * cz + f[q] * cq for f in space.eis_atoms if f[1]]
+        factors = [f for f in all_factors  # f(mu) by Horner's rule
+                   if all(reduce(lambda acc, c: acc * mu + c, reversed(f), CycNum.zero())
+                          for mu in mus)]
         if sum(len(f) - 1 for f in factors) == dim_new:
             break
         log(f"  combination {(cz, cq)} did not separate (attempt {attempt}); retrying")

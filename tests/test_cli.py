@@ -71,8 +71,8 @@ def test_check_satisfied(capsys):
 def test_check_evaluates_condition_one_once(capsys, monkeypatch):
     # 337 splits into two primes of Z[zeta_6]; both reports share one L-value
     calls = []
-    real = congruence.l_value_at_negative
-    monkeypatch.setattr(congruence, "l_value_at_negative",
+    real = eisenstein.l_value_at_negative
+    monkeypatch.setattr(eisenstein, "l_value_at_negative",
                         lambda *a: calls.append(a) or real(*a))
     code, payload = run_json(capsys, [
         "--json", "check", "--M", "2", "--k", "7",

@@ -5,14 +5,16 @@ from pathlib import Path
 import pytest
 from sympy import factorint
 
-from eiscong import congruence
+from eiscong import congruence, eisenstein
 from eiscong.characters import DirichletChar, enumerate_pairs, parity_matches
+from eiscong.cli import run
 from eiscong.congruence import (bk_report, check_conditions, check_conditions_above,
                                 diamond_hypothesis,
                                 search_congruence_primes, value_conductor)
 from eiscong.cyclotomic import CycNum
 from eiscong.eisenstein import EisensteinParams
 from eiscong.lvalues import euler_factor, l_value_at_negative
+from eiscong.record import replace
 from eiscong.residue import FFElem, ord_exact, ord_positive, primes_above, reduce_cyc
 
 TRIV = DirichletChar(1, 1)
@@ -99,17 +101,35 @@ def test_search_determinism_and_replay():
 
 def test_search_evaluates_condition_one_once(monkeypatch):
     calls = []
-    real = congruence.l_value_at_negative
-    monkeypatch.setattr(congruence, "l_value_at_negative",
+    real = eisenstein.l_value_at_negative
+    monkeypatch.setattr(eisenstein, "l_value_at_negative",
                         lambda *a: calls.append(a) or real(*a))
     for params in (P0, P51, P53):
         calls.clear()
-        search_congruence_primes(params)
+        # a fresh copy, so that a quantity cached by an earlier test is not read
+        search_congruence_primes(replace(params))
         assert len(calls) == 1
 
 
+def test_search_and_check_report_through_check_conditions(capsys, monkeypatch):
+    # a wrapper on the module attribute, as perfbench's tracer sets one, sees
+    # every report that the search returns and that check prints
+    made = []
+    real = congruence.check_conditions
+    monkeypatch.setattr(congruence, "check_conditions",
+                        lambda *a: made.append(real(*a)) or made[-1])
+    out = search_congruence_primes(P51)
+    assert out and all(any(rep is m for m in made) for _, _, rep in out)
+    made.clear()
+    assert run(["--json", "check", "--M", "2", "--k", "7",
+                "--psi", "1.1", "--phi", "7.3", "--ell", "337"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert len(printed) == 2
+    assert printed == json.loads(json.dumps([rep.to_json() for rep in made]))
+
+
 def test_condition_one_quantity_value():
-    assert congruence._Quantities(P51).cond1.rational_value().numerator % 257 == 0
+    assert P51.cond1_quantity.rational_value().numerator % 257 == 0
 
 
 def test_condition_one_quantity_lives_in_the_value_field_at_m1():
@@ -120,13 +140,15 @@ def test_condition_one_quantity_lives_in_the_value_field_at_m1():
     assert len(entries) == 25
     for e in entries:
         params = _params(e["psi"], e["phi"], 1, e["k"])
-        assert congruence._Quantities(params).cond1.conductor == value_conductor(params), e
+        assert params.cond1_quantity.conductor == value_conductor(params), e
 
 
 def test_check_conditions_wrong_ell_rejected():
     lam = primes_above(257, 1)[0]
+    params = replace(P51)
     with pytest.raises(ValueError):
-        check_conditions(P51, 13, lam)
+        check_conditions(params, 13, lam)
+    assert "cond1_quantity" not in vars(params)  # refused before the L-value
 
 
 def test_m1_reduces_to_lvalue_divisibility():

@@ -272,6 +272,30 @@ def test_level_30_separates_once_the_old_forms_are_gone():
         spaces.verify_packet(p)
 
 
+@pytest.mark.parametrize("level, k, chi, packets", [(7, 4, "7.2", 1), (5, 6, "5.4", 1),
+                                                    (5, 3, "5.2", 0)])
+def test_eisenstein_factors_leave_where_no_atkin_lehner_prime_exists(level, k, chi, packets):
+    # level = cond(chi), so the kernel keeps the Eisenstein series, and the
+    # factors of m_all that vanish at an atom's eigenvalue of C are dropped;
+    # at (5, 3, 5.2), S_3 = 0 and the atoms alone fill the basis
+    space = spaces.Space(level, k, DirichletChar.from_label(chi), 0)
+    assert space.al_primes == []
+    found = spaces.extract_newforms(space)
+    assert space.eis_rank == space.w * space.dim_eis > 0
+    assert len(found) == packets
+    assert sum(p.kf.deg for p in found) == space.w * spaces.newform_dimension(k, space.chi)
+    for p in found:
+        spaces.verify_packet(p)
+
+
+def test_weight_3_with_cusp_forms_is_refused_before_the_span():
+    # no two weights >= 2 sum to 3, so S_3 would need the weight-1 atoms
+    space = spaces.Space(7, 3, DirichletChar.from_label("7.6"), 0)
+    assert space.pairs == [] and space.dim_cusp > 0
+    with pytest.raises(AssertionError, match="weight 3: .*weight-1 atoms"):
+        space.build_basis()
+
+
 def test_orbit_order_needs_trace_terms_coefficients():
     # a packet with fewer than TRACE_TERMS coefficients is refused, not
     # ordered on fewer traces
