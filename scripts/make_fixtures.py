@@ -2,9 +2,10 @@
 """Build the newform eigenvalue fixtures offline.
 
 Each label N.k.a.x in FIXTURE_SPECS names a newform orbit of
-S_k(Gamma_0(N), chi), which :mod:`eiscong.spaces` builds from exact
-q-expansions with its own Hecke prime and precision; 1.12.a.a is
-Ramanujan's Delta.  Progress goes to stderr.
+S_k(Gamma_0(N), chi), which :mod:`eiscong.spaces` builds from Manin
+symbols with its own Hecke prime, reading a_1 .. a_b_data off Heilbronn
+sums; 1.12.a.a is Ramanujan's Delta.  Progress goes to stderr, with each
+label's build time.
 
 Run from the repository root:  python scripts/make_fixtures.py
 """
@@ -12,6 +13,7 @@ Run from the repository root:  python scripts/make_fixtures.py
 from __future__ import annotations
 
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -48,8 +50,9 @@ def build_fixture(label: str) -> NewformData:
 
 def main():
     for label in FIXTURE_SPECS:
+        start = time.perf_counter()
         save_fixture(build_fixture(label), FIXTURE_DIR)
-        log(f"wrote {label}")
+        log(f"wrote {label} in {time.perf_counter() - start:.1f} s")
     log("all fixtures written")
 
 

@@ -60,16 +60,6 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def express(self, vec) -> list[Fraction]:
-        """Coordinates of vec over the rows.  vec may be truncated, if every
-        pivot lies inside it; the remainder must vanish, else ValueError."""
-        if any(p >= len(vec) for p in self.pivots):
-            raise ValueError("vector too short for the pivot set")
-        coords, rem = self.reduce(vec)
-        if any(rem):
-            raise ValueError("vector is not in the span")
-        return coords
-
 
 def _augmented(cols) -> Echelon:
     """The row echelon form of the rows cols[j] + e_j, e_j the j-th unit vector."""

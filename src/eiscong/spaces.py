@@ -1,33 +1,31 @@
 """Spaces of modular forms with character, and their newform eigensystems,
-from exact q-expansions (W. Stein, *Modular Forms: A Computational
-Approach*, 2007).
+from Manin symbols (W. Stein, *Modular Forms: A Computational Approach*,
+2007, ch. 8; L. Merel, *Universal Fourier expansions of modular forms*,
+LNM 1585, 1994).
 
-M_k(Gamma_0(N), chi) is spanned by Eisenstein series and products of two
-Eisenstein series of weights >= 2, under a rank check against the
-Cohen-Oesterle dimension.  No two such weights sum to 3, so a space with
-S_3 != 0, which needs weight-1 atoms, is refused before its span is
-built.  Levels are square-free and k >= 3, so the new part is the
-joint kernel of U_p^2 - chi0(p) p^(k-2) over the p | N prime to cond(chi):
-a newform has a_p^2 = chi0(p) p^(k-2) there (W.-C. W. Li, *Newforms and
-functional equations*, Math. Ann. 212, 1975), while U_p has eigenvalues
-of absolute value p^((k-1)/2) on p-old forms (P. Deligne, *La conjecture
-de Weil I*, 1974) and 1 or p^(k-1) on Eisenstein series.  Less the
-Eisenstein series it holds where no such p exists, the new part is
-checked against the newform dimension.  A space takes one Hecke prime q,
-the least prime not dividing the level, and reads T_q and each U_p to
-the Sturm bound.  They and zeta_c act on the q-expansion lattice through
-one matrix builder, which checks every coefficient it reads.  Newform
-eigensystems are cut out over an irreducible factor g of the minimal
-polynomial m of a combination C of T_q and zeta_c on a vector u0 of the
-new part; the eigenvector is r(C) u0, r = m / (x - x mod g), read off the
-Krylov vectors C^j u0.  A factor g is Eisenstein when it vanishes at
-c_z zeta_c + c_q a_q of an atom, a normalised T_q-eigenform.  Each
-eigenvalue packet is verified
-(Sturm-certified eigenform property, coefficient multiplicativity and
-recursions, Atkin-Lehner squares) before it becomes a
-:class:`NewformData`.  Linear algebra is :mod:`eiscong.linalg` over
-Q; elements of a coefficient field K = Q[x]/(g) are lists of Fractions,
-lowest degree first.
+M_k(Gamma_0(N), chi) is the sign-(+1) quotient of the symbols [X^i
+Y^(k-2-i), (u : v)], (u : v) in P^1(Z/N), over Q(zeta_c), c = ord chi:
+one elimination leaves the free symbols as a basis, of size dim S_k plus
+the Eisenstein series of sign +1 (all at even k, one of E_k(psi, phi),
+E_k(phi, psi) at odd k).  Every T_n, U_p at p | N included, is a sum
+over Merel's Heilbronn matrices of determinant n, and the matrices act
+on linear forms on the quotient.  Levels are square-free and k >= 3, so
+the new part is the joint kernel of U_p^2 - chi0(p) p^(k-2) over the p |
+N prime to cond(chi): a newform has a_p^2 = chi0(p) p^(k-2) there (W.-C.
+W. Li, Math. Ann. 212, 1975), while U_p has eigenvalues of absolute
+value p^((k-1)/2) on p-old forms (P. Deligne, *La conjecture de Weil I*,
+1974) and 1 or p^(k-1) on Eisenstein series.  Less the Eisenstein
+series it holds where no such p exists, it is checked against the
+newform dimension.  The eigenvector phi, a linear form, of a factor g of
+the minimal polynomial m of C = c_z zeta_c + c_q T_q, q the least prime
+not dividing N, on a form u0 of the new part is r(C) u0, r = m / (x - x
+mod g), read off the Krylov vectors C^j u0, and a_n = phi(T_n x) /
+phi(x) for one Manin symbol x.  g is Eisenstein when it vanishes at c_z
+zeta_c + c_q (psi(q) + phi(q) q^(k-1)) for primitive psi, phi with psi
+phi inducing chi.  Each packet is verified (coefficient multiplicativity
+and recursions, Atkin-Lehner squares) before it becomes a NewformData.
+Linear algebra is :mod:`eiscong.linalg` over Q; an element of K =
+Q[x]/(g) is a list of Fractions, lowest degree first.
 
 The checks are code, not asserts, so they hold under ``python -O``.
 Progress goes to stderr; nothing here writes to stdout.  The command
@@ -39,21 +37,18 @@ from __future__ import annotations
 import sys
 import time
 from fractions import Fraction
-from functools import cached_property, reduce
-from itertools import count, permutations
-from math import gcd, isqrt, lcm
+from functools import cache, cached_property, partial, reduce
+from itertools import count, permutations, product
+from math import comb, gcd, isqrt, lcm
 
 from . import fppoly
 from .arith import divisors, isprime, primefactors, primerange
 from .characters import DirichletChar, parity_matches, primitive_characters
-from .cyclotomic import (CycNum, _divide_monic, _ks_mul, _mod_phi, _phi, clear_denominators,
-                         cyclotomic_poly)
-from .eisenstein import QExpansion, _rows_in, alpha_m, eisenstein_series, hecke_tp
+from .cyclotomic import CycNum, _divide_monic, _phi, clear_denominators, cyclotomic_poly
 from .errors import NotSquareFree
 from .fppoly import trim
 from .linalg import Echelon, kernel, solver
-from .newforms import NewformData, gamma0_index, sturm_bound
-from .record import replace
+from .newforms import NewformData, gamma0_index
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -69,45 +64,52 @@ def log(msg: str):
     print(f"[{time.strftime('%H:%M:%S')}] {msg}", file=sys.stderr, flush=True)
 
 
-# -- Eisenstein atoms ------------------------------------------------
+# -- Manin symbols ------------------------------------------------------
+
+# x - xJ (sign +1), x + xS and x + xT + xT^2 as pairs (g, coefficient of xg),
+# g = (a, b, c, d) for [[a, b], [c, d]]; the two-term ones first keep rows short
+RELATIONS = ((((1, 0, 0, 1), 1), ((-1, 0, 0, 1), -1)),
+             (((1, 0, 0, 1), 1), ((0, -1, 1, 0), 1)),
+             (((1, 0, 0, 1), 1), ((0, -1, 1, -1), 1), ((-1, 1, -1, 0), 1)))
 
 
-def weight_atoms(k1: int, level: int, b: int) -> list[QExpansion]:
-    """All Eisenstein atoms of weight k1 >= 2 with level dividing `level`,
-    to precision b: each E_k1(psi, phi)(tz), and at k1 = 2, in place of the
-    quasimodular E_2, each E_2(z) - t E_2(tz) with t > 1."""
+def p1_classes(level: int):
+    """P^1(Z/level), square-free level: the class representatives (u0, v0),
+    and the map (u, v) -> (class, lam), (u, v) = lam (u0, v0) mod level with
+    lam a unit, or None where gcd(u, v, level) > 1.  Each prime p takes
+    (u, v) to (0 : 1) or (1 : t), and CRT joins the primes."""
+    primes = primefactors(level)
+    idem = [level // p * pow(level // p, -1, p) for p in primes]  # 1 mod p, 0 mod the rest
+
+    @cache
+    def normalise(u, v):
+        cls, lam = 0, 0
+        for p, e in zip(primes, idem):
+            if u % p:
+                local, lam_p = 1 + v * pow(u, -1, p) % p, u
+            elif v % p:
+                local, lam_p = 0, v
+            else:
+                return None
+            cls, lam = cls * (p + 1) + local, lam + e * lam_p
+        return cls, lam % level
+
+    locs = product(*([(0, 1)] + [(1, t) for t in range(p)] for p in primes))  # normalise's order
+    return [tuple(sum(e * uv[j] for e, uv in zip(idem, loc)) % level for j in (0, 1))
+            for loc in locs], normalise
+
+
+def heilbronn(n: int) -> list[tuple[int, int, int, int]]:
+    """Merel's matrices [[a, b], [c, d]] of determinant n with a > b >= 0
+    and d > c >= 0: c = 0 or b = 0 where ad = n, else b = (ad - n) / c."""
     out = []
-    for u in divisors(level):
-        for v in divisors(level // u):
-            for psi in primitive_characters(u):
-                for phi in primitive_characters(v):
-                    if not parity_matches(psi, phi, k1):
-                        continue
-                    if k1 == 2 and u == v == 1:
-                        continue
-                    series = eisenstein_series(k1, psi, phi, b)
-                    out += [alpha_m(series, t) for t in divisors(level // (u * v))]
-    if k1 == 2:
-        one = DirichletChar(1, 1)
-        e2 = eisenstein_series(2, one, one, b)
-        out += [replace(e2.sub(alpha_m(e2, t).scale(t)), level=t, character=one.lift(t))
-                for t in divisors(level) if t > 1]
+    for a in range(1, n + 1):
+        d0, r = divmod(n, a)
+        if r == 0:
+            out += [(a, b, 0, d0) for b in range(a)] + [(a, 0, c, d0) for c in range(1, d0)]
+        out += [(a, bc // c, c, d) for d in range(d0 + 1, n + 1) for bc in (a * d - n,)
+                for c in range(bc // a + 1, d) if bc % c == 0]
     return out
-
-
-def mul_series(f: QExpansion, g: QExpansion, b: int) -> QExpansion:
-    """f * g to precision b.  The rows of each, in their common field
-    Q(zeta_o), are spread 2 phi(o) - 1 slots apart, room for the product of
-    two rows, so one Kronecker product of the two arrays holds every sum
-    of row products side by side; each is then reduced mod Phi_o."""
-    o = lcm(f.field, g.field)
-    d = _phi(o)
-    s, pad = 2 * d - 1, (0,) * (d - 1)
-    spread = ([v for row in _rows_in(h.truncate(b), o) for v in row + pad] for h in (f, g))
-    fg = _ks_mul(*spread)
-    rows = tuple(tuple(_mod_phi(o, fg[n * s: n * s + s])) for n in range(b + 1))
-    return QExpansion(f.weight + g.weight, lcm(f.level, g.level), f.character * g.character,
-                      rows, (o,) * (b + 1), o, f.den * g.den)
 
 
 # -- K = Q[x]/(g) arithmetic (lists of Fractions, lowest degree first) ---
@@ -141,9 +143,6 @@ class KField:
         for i, c in enumerate(b):
             out[i] += c
         return trim(out)
-
-    def scal(self, a, c: Fraction):
-        return [x * c for x in a] if c else []
 
     def combo(self, pairs):
         """sum c x over the (c, x) pairs, c rational and x in K."""
@@ -205,13 +204,8 @@ def cohen_oesterle_dim_cusp(k: int, chi: DirichletChar) -> int:
     prod_term = 2 ** len(primefactors(n))
     gamma_k = {0: Fraction(1, 4), 2: Fraction(-1, 4)}.get(k % 4, ZERO)
     mu_k = {0: Fraction(1, 3), 2: Fraction(-1, 3)}.get(k % 3, ZERO)
-    e4 = CycNum.zero(1)
-    e3 = CycNum.zero(1)
-    for x in range(n):
-        if (x * x + 1) % n == 0:
-            e4 = e4 + chi(x)
-        if (x * x + x + 1) % n == 0:
-            e3 = e3 + chi(x)
+    e4 = sum((chi(x) for x in range(n) if (x * x + 1) % n == 0), CycNum.zero(1))
+    e3 = sum((chi(x) for x in range(n) if (x * x + x + 1) % n == 0), CycNum.zero(1))
     total = term - Fraction(1, 2) * prod_term \
         + gamma_k * e4.rational_value() + mu_k * e3.rational_value()
     require(total.denominator == 1, f"dimension formula gave {total}")
@@ -229,90 +223,112 @@ def newform_dimension(k: int, chi: DirichletChar) -> int:
 
 
 class Space:
-    """M_k(Gamma_0(level), chi) realised as exact truncated q-expansions,
-    for a square-free level and k >= 3.  Its Hecke prime q is the least
-    prime not dividing the level, its Atkin-Lehner primes are the p | level
-    with p not dividing cond(chi), and it is built to precision
-    max(b0, max(q, those p) (Sturm bound + 1)), so that T_q and each U_p of
-    a basis form are known to the Sturm bound, where they are determined
-    (J. Sturm, *On the congruence of modular forms*, LNM 1240, 1987)."""
+    """M_k(Gamma_0(level), chi), square-free level and k >= 3, as the
+    sign-(+1) quotient of its Manin symbols over Q(zeta_c), c = ord chi.
+    Symbol s = (k - 1) class + i is [X^i Y^(k-2-i), reps[class]], with w =
+    phi(c) columns, one per power of zeta_c.  q is the least prime not
+    dividing the level, the Atkin-Lehner primes are the p | level prime to
+    cond(chi), and newform packets carry a_1 .. a_b0."""
 
     def __init__(self, level: int, k: int, chi: DirichletChar, b0: int):
         require(all(level % (p * p) for p in primefactors(level)),
                 f"level {level} is not square-free")
         require(k >= 3, f"weight {k} < 3: Eisenstein series would pass as new")
-        self.level, self.k, self.chi, self.chi0 = level, k, chi, chi.primitive()
-        self.sturm = sturm_bound(k, level)
+        require(chi.parity == (-1) ** k, f"chi(-1) != (-1)^{k}: the space is 0")
+        self.level, self.k, self.chi, self.chi0, self.b0 = level, k, chi, chi.primitive(), b0
         self.q = next(p for p in count(2) if level % p and isprime(p))
         self.al_primes = [p for p in primefactors(level) if self.chi0.modulus % p]
-        self.b0 = b0 = max(b0, max([self.q, *self.al_primes]) * (self.sturm + 1))
-        self.eis_atoms = [a for a in weight_atoms(k, level, b0)
-                          if a.character.primitive() == self.chi0]
-        fields = {a.field for a in self.eis_atoms} | {chi.order}
-        self.pairs = []
-        for k1 in range(2, k // 2 + 1):
-            a2 = weight_atoms(k - k1, level, b0)
-            for x in weight_atoms(k1, level, b0):
-                for y in a2:
-                    if (x.character * y.character).primitive() == self.chi0:
-                        self.pairs.append((x, y))
-                        fields |= {x.field, y.field}
-        self.c = lcm(*fields)
-        self.w = _phi(self.c)
-        self.dim_eis = len(self.eis_atoms)
+        require(b0 >= max([self.q, *self.al_primes]),
+                f"b0 = {b0}: a packet's checks read a_q and each Atkin-Lehner a_p")
+        self.c, self.w = chi.order, _phi(chi.order)
+        # E_k(psi, phi)(tz), t | level / (u v), for primitive psi and phi of conductors
+        # u and v with psi phi inducing chi; their T_q-eigenvalue is psi(q) + phi(q) q^(k-1)
+        pairs = [(psi, phi, len(divisors(level // (u * v)))) for u in divisors(level)
+                 for v in divisors(level // u) for psi in primitive_characters(u)
+                 for phi in primitive_characters(v)
+                 if parity_matches(psi, phi, k) and (psi * phi).primitive() == self.chi0]
+        self.eis_q = [psi(self.q) + phi(self.q) * self.q ** (k - 1) for psi, phi, _ in pairs]
+        self.dim_eis = sum(t for _, _, t in pairs) // (1 if k % 2 == 0 else 2)  # of sign +1
         self.dim_cusp = cohen_oesterle_dim_cusp(k, chi)
-        self.dim_c = self.dim_eis + self.dim_cusp
-        self.dim_q = self.w * self.dim_c
-        log(f"space level={level} k={k} chi={chi.label}: dim_C = {self.dim_eis}+"
-            f"{self.dim_cusp} = {self.dim_c}, zeta-conductor {self.c}, "
-            f"{len(self.pairs)} candidate products")
-
-    # -- flattening ----------------------------------------------------
-
-    def flat(self, f: QExpansion, prec: int | None = None) -> list[Fraction]:
-        """a_0 .. a_prec of f (prec = b0 by default) in Q(zeta_c), one
-        coefficient vector after another."""
-        f = f.truncate(self.b0 if prec is None else prec)
-        return [Fraction(v, f.den) for row in _rows_in(f, self.c) for v in row]
-
-    def unflat(self, vec: list[Fraction]) -> QExpansion:
-        nums, den = clear_denominators(vec)
-        rows = tuple(tuple(nums[i: i + self.w]) for i in range(0, len(nums), self.w))
-        return QExpansion(self.k, self.level, self.chi, rows, (self.c,) * len(rows), self.c, den)
-
-    def zeta_shifts(self, f: QExpansion) -> list[list[Fraction]]:
-        """flat(f), flat(zeta_c f), ..., flat(zeta_c^(w-1) f)."""
-        return [self.flat(f.scale(CycNum.zeta(self.c, j))) for j in range(self.w)]
-
-    # -- basis ----------------------------------------------------------
-
-    def build_basis(self):
-        require(self.pairs or not self.dim_cusp,
-                f"weight {self.k}: dim S_k = {self.dim_cusp}, but no product of two Eisenstein "
-                f"series of weights >= 2 lies in the space (none does at weight 3), and "
-                f"weight-1 atoms are not built")
+        self.reps, p1 = p1_classes(level)
+        slots = [chi.slot(lam) for lam in range(level)]  # normalise: (class, slot of chi(lam))
+        self.normalise = lambda u, v: (cls := p1(u % level, v % level)) and (cls[0], slots[cls[1]])
+        self.binomials = [[comb(n, j) for j in range(n + 1)] for n in range(k - 1)]
+        self.zeta_rows = [CycNum.zeta(self.c, e).num for e in range(self.c)]
+        self.n_cols = len(self.reps) * (k - 1) * self.w
         ech = Echelon()
-        for f in self.eis_atoms:
-            for vec in self.zeta_shifts(f):
-                ech.add(vec)
-        self.eis_rank = ech.rank  # the atoms come first
-        for x, y in self.pairs:
-            if ech.rank >= self.dim_q:
-                break
-            for vec in self.zeta_shifts(mul_series(x, y, self.b0)):
-                ech.add(vec)
-        require(ech.rank == self.dim_q, f"span rank {ech.rank} != expected {self.dim_q}")
-        self.ech = ech
-        log(f"  basis complete: rank {ech.rank}")
+        for relation in RELATIONS:
+            seen = set()  # the classes of (u, v) g over the relation's g share its relations
+            for cls, (u, v) in enumerate(self.reps):
+                if cls not in seen:
+                    seen.update(self.normalise(u * a + v * c, u * b + v * d)[0]
+                                for (a, b, c, d), _ in relation)
+                    for i, t in product(range(k - 1), range(self.w)):
+                        terms = {}
+                        for g, x in relation:
+                            self.act(terms, x, i, u, v, g, t)
+                        ech.add(self.flat(terms))
+        rows = dict(zip(ech.pivots, ech.rows))
+        free = [col for col in range(self.n_cols) if col not in rows]
+        self.basis = [col // self.w for col in free[::self.w]]
+        self.dim_q = len(free)
+        require(free == [s * self.w + t for s in self.basis for t in range(self.w)],
+                "the free columns do not fill whole symbols")
+        require(self.dim_q == self.w * (self.dim_cusp + self.dim_eis),
+                f"quotient dimension {self.dim_q} != {self.w} ({self.dim_cusp} + {self.dim_eis})")
+        # a column's coordinates: its remainder at the free columns, less its row if a pivot
+        self.coords = [[-rows[col][j] if col in rows else int(j == col) for j in free]
+                       for col in range(self.n_cols)]
+        log(f"space {level}.{k}.{chi.label}: dim {self.dim_cusp} + {self.dim_eis}, c = {self.c}")
 
-    # -- Hecke action -----------------------------------------------------
+    def act(self, terms: dict, x: int, i: int, u: int, v: int, g, t: int):
+        """terms += x zeta_c^t [X^i Y^(k-2-i), (u, v)] g, where [P, (u, v)] g =
+        [P(aX + bY, cX + dY), (ua + vc, ub + vd)], [P, lam (u0, v0)] = chi(lam)
+        [P, (u0, v0)], and 0 where (u, v) g is not prime to the level: terms
+        maps (class, e) to zeta_c^e times its symbols' coefficients."""
+        a, b, c, d = g
+        if (key := self.normalise(u * a + v * c, u * b + v * d)) is None:
+            return
+        m, rows = self.k - 2, self.binomials
+        poly = terms.setdefault((key[0], (key[1] + t) % self.c), [0] * (m + 1))
+        right = [r * c ** j * d ** (m - i - j) for j, r in enumerate(rows[m - i])]
+        for j, r in enumerate(rows[i]):  # (aX + bY)^i (cX + dY)^(m-i)
+            y = x * r * a ** j * b ** (i - j)
+            if y:
+                for jz, z in enumerate(right, j):
+                    poly[jz] += y * z
 
-    def matrix(self, op, prec: int) -> list[list[Fraction]]:
-        """The matrix of the map op on QExpansions over the basis, each image
-        read to precision prec, where it must lie in the span (ValueError
-        otherwise): column j holds the coordinates of op(row j)."""
-        rows = [self.ech.express(self.flat(op(self.unflat(r)), prec)) for r in self.ech.rows]
-        return [list(col) for col in zip(*rows)]
+    def hecke(self, s: int, t: int, mats) -> dict:
+        """zeta_c^t T_n [s], the sum of [s] g over Merel's matrices g of
+        determinant n (U_n at n | level), as terms."""
+        cls, i = divmod(s, self.k - 1)
+        terms = {}
+        for g in mats:
+            self.act(terms, 1, i, *self.reps[cls], g, t)
+        return terms
+
+    def flat(self, terms: dict) -> list[int]:
+        """The terms on the symbols' columns."""
+        vec = [0] * self.n_cols
+        for (cls, e), poly in terms.items():
+            for s, x in enumerate(poly, cls * (self.k - 1)):
+                for col, z in enumerate(self.zeta_rows[e], s * self.w):
+                    vec[col] += x * z
+        return vec
+
+    def vector(self, terms: dict) -> list:
+        """The coordinates of the terms in the quotient."""
+        out = [0] * self.dim_q
+        for x, coords in zip(self.flat(terms), self.coords):
+            for j, y in enumerate(coords):
+                if x and y:
+                    out[j] += x * y
+        return out
+
+    def matrix(self, image) -> list[list]:
+        """A linear map as its images: row b w + t is image(basis[b], t), its
+        terms at zeta_c^t [basis[b]], so matvec(matrix, form) is form o map."""
+        return [self.vector(image(s, t)) for s in self.basis for t in range(self.w)]
 
 
 def matvec(mat, vec):
@@ -380,29 +396,26 @@ class EigenPacket:
 
 def extract_newforms(space: Space) -> list[EigenPacket]:
     """All newform orbits of the space, as eigenvalue packets."""
-    space.build_basis()
-    dim = space.ech.rank
-    q = space.q
-    zeta = CycNum.zeta(space.c)
-    tmat = space.matrix(lambda f: hecke_tp(f, q), space.b0 // q)
-    zmat = space.matrix(lambda f: f.scale(zeta), space.b0)
-    log(f"  hecke matrices done (q = {q})")
+    dim, q, w = space.dim_q, space.q, space.w
+    tmat = space.matrix(partial(space.hecke, mats=heilbronn(q)))
+    zmat = space.matrix(lambda s, t: space.hecke(s, t + 1, [(1, 0, 0, 1)]))
 
-    # the new part: the joint kernel of W_p = U_p^2 - chi0(p) p^(k-2), whose
-    # column j is U_p applied to column j of U_p, less column j of chi0(p) p^(k-2)
+    # the new part: the linear forms killed by each W_p = U_p^2 - chi0(p) p^(k-2), which
+    # vanish on every old form, so an old form sharing a newform's factor g never enters
+    # its eigenvector; cols[j] holds row j of each W_p, with U_p^2 the Heilbronn sum U_(p^2)
     cols = [[] for _ in range(dim)]
     for p in space.al_primes:
-        umat = space.matrix(lambda f: hecke_tp(f, p), space.b0 // p)
-        scalar = space.chi0(p) * Fraction(p) ** (space.k - 2)
-        smat = space.matrix(lambda f: f.scale(scalar), space.b0)
+        umat = space.matrix(partial(space.hecke, mats=heilbronn(p * p)))
+        e, scalar = space.chi0.slot(p), p ** (space.k - 2)
+        smat = space.matrix(lambda s, t: space.hecke(s, t + e, [(1, 0, 0, 1)]))
         for j, col in enumerate(zip(*umat)):
-            cols[j] += [u - row[j] for u, row in zip(matvec(umat, col), smat)]
+            cols[j] += [u - scalar * row[j] for u, row in zip(col, smat)]
     new = kernel(cols)
-    # the kernel holds the Eisenstein subspace only where no Atkin-Lehner prime exists
-    dim_new = len(new) - (0 if space.al_primes else space.eis_rank)
-    log(f"  kernel rank {len(new)}, Eisenstein rank {space.eis_rank}, new part {dim_new}")
-    require(dim_new == space.w * newform_dimension(space.k, space.chi),
-            f"new part {dim_new} is not {space.w} times the newform dimension")
+    # the kernel holds the Eisenstein series only where no Atkin-Lehner prime exists
+    dim_new = len(new) - (0 if space.al_primes else w * space.dim_eis)
+    log(f"  kernel rank {len(new)}, Eisenstein rank {w * space.dim_eis}, new part {dim_new}")
+    require(dim_new == w * newform_dimension(space.k, space.chi),
+            f"new part {dim_new} is not {w} times the newform dimension")
     if dim_new == 0:
         return []
 
@@ -424,11 +437,9 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
             all_factors = fppoly.factor_over_q(m_all)
         except NotSquareFree:  # a repeated factor: the mix did not separate
             all_factors = []
-        # on an atom's zeta-multiples C is multiplication by c_z zeta_c + c_q a_q
-        # (an undilated atom, a_1 = 1, is a normalised T_q-eigenform, and its
-        # dilations share its a_q), so the factors of m_all that vanish there
-        # are the Eisenstein ones, which it has where no Atkin-Lehner prime exists
-        mus = [CycNum.zeta(space.c) * cz + f[q] * cq for f in space.eis_atoms if f[1]]
+        # the factors that vanish at an Eisenstein eigenvalue of C are dropped;
+        # m_all has them where no Atkin-Lehner prime exists
+        mus = [CycNum.zeta(space.c) * cz + e_q * cq for e_q in space.eis_q]
         factors = [f for f in all_factors  # f(mu) by Horner's rule
                    if all(reduce(lambda acc, c: acc * mu + c, reversed(f), CycNum.zero())
                           for mu in mus)]
@@ -450,7 +461,6 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
         r.reverse()
         v = [kf.combo(zip((vec[i] for vec in krylov), r)) for i in range(dim)]
         require(any(v), "eigenvector is zero")
-        # eigenvalue checks and extraction
         pivot = next(i for i in range(dim) if v[i])
         inv_piv = kf.inv(v[pivot])
         img = [kf.combo(zip(row, v)) for row in tmat]
@@ -460,20 +470,20 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
         z = kf.mul(kf.combo(zip(zmat[pivot], v)), inv_piv)
         require(kf.eval_poly(list(cyclotomic_poly(space.c)), z) == [],
                 "character value is not a root of its cyclotomic polynomial")
-        # q-expansion over K: a_n = sum_(i, j) rows[i][n w + j] z^j v_i
-        w, rows, zpow = space.w, space.ech.rows, kf.powers(z, space.w)
-        vz = [kf.mul(vi, zj) for vi in v for zj in zpow]  # z^j v_i at i w + j
-        a_list = [kf.combo(zip((c for row in rows for c in row[n * w: n * w + w]), vz))
-                  for n in range(space.b0 + 1)]
-        require(a_list[0] == [], "newform must vanish at infinity")
-        inv_a1 = kf.inv(a_list[1])
-        a_list = [kf.mul(a, inv_a1) for a in a_list[1:]]
-        require(a_list[q - 1] == a_q, f"a_{q} mismatch after normalisation")
+        # a_n = v(T_n x) / v(x) for x = [X^i Y^(k-2-i), ...], v(x) != 0, at i = 0 or
+        # k - 2 where it can be (one binomial row per matrix); v(zeta_c^t [s]) = z^t v([s])
+        at = [kf.mul(zt, kf.combo(zip(coords, v))) for coords in space.coords[::w]
+              for zt in kf.powers(z, w)]
+        m = space.k - 1  # symbol s is [X^i Y^(k-2-i), ...] with i = s % m
+        x = min((s for s in range(len(at) // w) if at[s * w]), key=lambda s: 0 < s % m < m - 1)
+        inv_x = kf.inv(at[x * w])
+        a_list = [kf.mul(inv_x, kf.combo(zip(space.flat(space.hecke(x, 0, heilbronn(n))), at)))
+                  for n in range(1, space.b0 + 1)]
+        require(a_list[q - 1] == a_q, f"a_{q} is not the T_{q}-eigenvalue")
         packet = EigenPacket(space, g, a_list, z, space.chi)
         verify_packet(packet)
         packets.append(packet)
-        log(f"  newform orbit: deg {kf.deg} over Q, "
-            f"a_2 = {a_list[1] if len(a_list) > 1 else '?'}")
+        log(f"  newform orbit: deg {kf.deg} over Q, a_2 = {a_list[1:2]}")
     return packets
 
 
@@ -485,7 +495,7 @@ def verify_packet(packet: EigenPacket):
     k = space.k
     for p in primerange(2, b + 1):
         cp = packet.chi_image(p)
-        cppow = kf.scal(cp, Fraction(p) ** (k - 1)) if cp else []
+        cppow = kf.mul(cp, [Fraction(p) ** (k - 1)])
         # a_(np) + chi(p) p^(k-1) a_(n/p) = a_p a_n for every n: this is the
         # full eigenform property of T_p at the coefficient level
         for n in range(1, b // p + 1):
@@ -496,7 +506,7 @@ def verify_packet(packet: EigenPacket):
             require(lhs == rhs, (p, n, "hecke coefficient relation"))
     # Atkin-Lehner squares at the space's Atkin-Lehner primes
     for p in space.al_primes:
-        rhs = kf.scal(packet.chi_image(p, space.chi0), Fraction(p) ** (k - 2))
+        rhs = kf.mul(packet.chi_image(p, space.chi0), [Fraction(p) ** (k - 2)])
         lhs = kf.mul(packet.a_n(p), packet.a_n(p))
         require(lhs == rhs, f"Atkin-Lehner square failed at {p}")
     log(f"    packet verified (hecke structure to {b}, AL squares)")

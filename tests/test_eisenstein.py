@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from sympy import divisors, invert, primefactors, primerange
 
-from eiscong import arith, characters, eisenstein, spaces
+from eiscong import arith, characters, eisenstein
 from eiscong.characters import DirichletChar, gauss_sum, is_square_free, primitive_characters
 from eiscong.cyclotomic import CycNum, _phi, cyclotomic_poly
 from eiscong.eisenstein import (_SERIES_CACHE, CuspMatrix, DeltaChoice, EisensteinParams,
@@ -450,11 +450,6 @@ def _series(b):
         [eisenstein_series(3, TRIV, DirichletChar(5, 2), b)]
 
 
-def _unflat_series():
-    space = spaces.Space(5, 8, PHI5, 20)
-    return [space.unflat(space.flat(f.scale(CycNum.zeta(space.c, 1)))) for f in space.eis_atoms]
-
-
 # each way the library builds a QExpansion, on several parameter sets
 BUILDERS = {
     "eisenstein_series": lambda: _series(24),
@@ -469,7 +464,6 @@ BUILDERS = {
         f.sub(f.scale(CycNum.zeta(4, 3))),
         f.scale(Fraction(1, 6)).sub(f.scale(Fraction(1, 10))))],
     "alpha_m": lambda: [alpha_m(f, 3) for f in _series(24)],
-    "Space.unflat": _unflat_series,
 }
 
 

@@ -1,30 +1,32 @@
 """The fixture builder: eiscong.spaces and scripts/make_fixtures.py,
 which runs it over the fixture table.  Both load without sympy, the
 checks hold under ``python -O``, the field arithmetic agrees with sympy,
-the dimension formula and fixture table match what is built, a space
-derives its Hecke prime, Atkin-Lehner primes and precision and refuses
-what the new-part kernel does not cover, and the script rebuilds the
-packaged fixtures from scratch, Delta's against tau(n), without writing
-to stdout."""
+P^1(Z/N) and the Manin-symbol quotient have the sizes the dimension
+formulas give, the Hecke and zeta matrices commute, a space derives its
+Hecke prime and Atkin-Lehner primes and refuses what the new-part kernel
+does not cover, and the script rebuilds the packaged fixtures from
+scratch, Delta's against tau(n), without writing to stdout."""
 
+import functools
 import os
 import random
 import runpy
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import mpmath as mp
 import pytest
-from sympy import divisor_sigma, invert
+from hypothesis import assume, given, settings, strategies as st
+from sympy import invert
 
 from eiscong import spaces
-from eiscong.characters import DirichletChar
-from eiscong.cyclotomic import CycNum, cyclotomic_poly
-from eiscong.eisenstein import alpha_m, eisenstein_series, hecke_tp
+from eiscong.characters import DirichletChar, is_square_free
+from eiscong.cyclotomic import cyclotomic_poly
 from eiscong.fppoly import trim
-from eiscong.newforms import load_fixture
+from eiscong.newforms import gamma0_index, load_fixture
 from helpers import delta_an, from_qq, qq
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,22 +102,70 @@ def test_built_delta_is_ramanujans_tau(builder):
     assert all(built.a_vector(n) == (taus[n],) for n in range(1, 221))
 
 
+@functools.cache
+def _space(level, k, chi, b0):
+    return spaces.Space(level, k, DirichletChar.from_label(chi), b0)
+
+
 @pytest.mark.parametrize("level, k, chi, b0, q, built", [
     (1, 12, "1.1", 220, 2, 220), (6, 6, "6.1", 40, 5, 40), (10, 8, "10.9", 110, 3, 110),
-    (14, 7, "14.3", 60, 3, 60), (42, 6, "42.25", 60, 5, 245)])
+    (14, 7, "14.3", 60, 3, 60), (42, 6, "42.25", 60, 5, 60)])
 def test_space_derives_its_hecke_prime_and_precision(level, k, chi, b0, q, built):
-    # q is the least prime not dividing the level, and the space is built
-    # to max(b0, q (Sturm bound + 1)): at level 42, 5 * (48 + 1)
-    space = spaces.Space(level, k, DirichletChar.from_label(chi), b0)
+    # q is the least prime not dividing the level, and a packet carries the
+    # caller's b0 coefficients: 60 at level 42, below q (Sturm bound + 1) = 245
+    space = _space(level, k, chi, b0)
     assert (space.q, space.b0) == (q, built)
-    assert space.b0 // q >= space.sturm + 1
 
 
-def test_precision_reads_each_atkin_lehner_image_to_the_sturm_bound():
-    # at level 35 with chi = 5.2 lifted, q = 2 but U_7 is read: 7 (12 + 1)
-    space = spaces.Space(35, 3, DirichletChar(5, 2).lift(35), 0)
-    assert (space.q, space.al_primes, space.sturm) == (2, [7], 12)
-    assert space.b0 == 7 * (space.sturm + 1) == 91
+@pytest.mark.parametrize("level, k, chi, al_primes", [
+    (1, 12, "1.1", []), (10, 8, "10.9", [2]), (42, 6, "42.25", [2, 3]), (35, 3, "35.22", [7])])
+def test_atkin_lehner_primes_are_prime_to_cond_chi(level, k, chi, al_primes):
+    assert _space(level, k, chi, 60).al_primes == al_primes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 210).filter(is_square_free), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_p1_normalisation(level, u, v):
+    # (u, v) = lam (u0, v0) mod N with lam a unit, each representative is
+    # its own class with lam = 1, and there are [SL_2(Z) : Gamma_0(N)] of them
+    reps, normalise = spaces.p1_classes(level)
+    assert len(reps) == gamma0_index(level)
+    assert all(normalise(*rep) == (cls, 1 % level) for cls, rep in enumerate(reps))
+    assume(gcd(u, v, level) == 1)
+    cls, lam = normalise(u, v)
+    u0, v0 = reps[cls]
+    assert gcd(lam, level) == 1
+    assert ((u - lam * u0) % level, (v - lam * v0) % level) == (0, 0)
+
+
+@pytest.mark.parametrize("level, k, chi", [(1, 12, "1.1"), (7, 3, "7.6"), (10, 8, "10.9"),
+                                           (30, 4, "30.1")])
+def test_manin_symbols_number_k_minus_1_per_class_of_p1(level, k, chi):
+    # (k - 1) [SL_2(Z) : Gamma_0(N)] Manin symbols, with w = phi(ord chi) columns each
+    space = _space(level, k, chi, 60)
+    assert len(space.coords) == (k - 1) * gamma0_index(level) * space.w
+    assert all(len(c) == space.dim_q for c in space.coords)
+
+
+@pytest.mark.parametrize("level, k, chi, c, dims", [
+    (1, 12, "1.1", 1, (1, 1, 2)), (10, 8, "10.9", 2, (8, 4, 12)),
+    (14, 7, "14.3", 6, (10, 2, 24)), (42, 6, "42.25", 3, (36, 8, 88))])
+def test_quotient_dimension_at_the_fixture_spaces(level, k, chi, c, dims):
+    # sign +1 keeps S_k once and every Eisenstein series at even k; at odd k
+    # it keeps 2 of the 4 at 14.7.d.a's space, E_7(1, chi0)(tz) and
+    # E_7(chi0, 1)(tz) with t | 2 being paired, and the elimination over
+    # Q(zeta_c), c = ord chi, leaves w = phi(c) times their sum
+    space = _space(level, k, chi, 60)
+    assert space.c == c
+    assert (space.dim_cusp, space.dim_eis, space.dim_q) == dims
+    assert space.dim_q == space.w * (space.dim_cusp + space.dim_eis)
+
+
+def test_space_refuses_a_b0_below_the_primes_its_checks_read():
+    # a packet's checks read a_q and each Atkin-Lehner a_p: at level 6, q = 5
+    with pytest.raises(AssertionError, match="b0 = 4: "):
+        spaces.Space(6, 6, DirichletChar(6, 1), 4)
+    assert spaces.Space(6, 6, DirichletChar(6, 1), 5).b0 == 5
 
 
 @pytest.mark.parametrize("level, k, named", [(12, 6, "level 12"), (11, 2, "weight 2")])
@@ -126,42 +176,20 @@ def test_space_refuses_what_the_new_part_kernel_does_not_cover(level, k, named):
         spaces.Space(level, k, DirichletChar(level, 1), 40)
 
 
-@pytest.fixture(scope="module")
-def space_10_8():
-    space = spaces.Space(10, 8, DirichletChar.from_label("10.9"), 0)
-    space.build_basis()
-    return space
-
-
-def test_matrix_refuses_an_image_that_leaves_the_span_past_the_sturm_bound(space_10_8):
-    # T_q with a_(Sturm + 1) moved by 1: every coefficient that is read,
-    # here to b0 // q, is checked, not only those up to the Sturm bound
-    space = space_10_8
-    q, n, prec = space.q, space.sturm + 1, space.b0 // space.q
-    assert n <= prec
-
-    def bumped(f):
-        vec = space.flat(hecke_tp(f, q), prec)
-        vec[n * space.w] += 1
-        return space.unflat(vec)
-
-    assert len(space.matrix(lambda f: hecke_tp(f, q), prec)) == space.ech.rank
-    with pytest.raises(ValueError, match="not in the span"):
-        space.matrix(bumped, prec)
-
-
-def test_hecke_and_zeta_matrices_commute_and_phi_c_kills_zeta(space_10_8):
-    space = space_10_8
-    zeta = CycNum.zeta(space.c)
-    tmat = space.matrix(lambda f: hecke_tp(f, space.q), space.b0 // space.q)
-    zmat = space.matrix(lambda f: f.scale(zeta), space.b0)
-    dim = space.ech.rank
+def test_hecke_and_zeta_matrices_commute_and_phi_c_kills_zeta():
+    # on 14.7.d.a's space over Q(zeta_6): T_3, U_2 (its Heilbronn sum less
+    # the terms not prime to the level) and zeta_6 commute, and Phi_6(Z) = 0
+    space = _space(14, 7, "14.3", 60)
+    mats = [space.matrix(lambda s, t: space.hecke(s, t, spaces.heilbronn(n))) for n in (3, 2)]
+    mats.append(space.matrix(lambda s, t: space.hecke(s, t + 1, [(1, 0, 0, 1)])))
+    dim, zmat = space.dim_q, mats[-1]
     phi_c = cyclotomic_poly(space.c)
-    assert space.c == 4 and len(phi_c) == 3
+    assert space.c == 6 and len(phi_c) == 3 and dim == 24
     for j in range(dim):
         e = [Fraction(int(i == j)) for i in range(dim)]
-        tz = spaces.matvec(tmat, spaces.matvec(zmat, e))
-        assert tz == spaces.matvec(zmat, spaces.matvec(tmat, e)), j
+        for a, b in [(0, 1), (0, 2), (1, 2)]:
+            ab = spaces.matvec(mats[a], spaces.matvec(mats[b], e))
+            assert ab == spaces.matvec(mats[b], spaces.matvec(mats[a], e)), (j, a, b)
         acc = [Fraction(0)] * dim  # Phi_c(Z) e by Horner
         for c in reversed(phi_c):
             acc = [a + c * b for a, b in zip(spaces.matvec(zmat, acc), e)]
@@ -173,49 +201,12 @@ def test_rational_reconstruct_past_float_range():
     assert spaces._rational_reconstruct(7 * pow(11, -1, m) % m, m) == Fraction(7, 11)
 
 
-@pytest.mark.parametrize("level", [6, 10])
-def test_e2_atoms(level):
-    # the weight-2 atoms that replace E_2 are E_2(z) - t E_2(tz), of level t
-    ts = [t for t in range(2, level + 1) if level % t == 0]
-    atoms = spaces.weight_atoms(2, level, 40)[-len(ts):]
-    for t, f in zip(ts, atoms):
-        assert f.level == t and f.character == DirichletChar(t, 1)
-        want = [Fraction(t - 1, 24)] + [
-            int(divisor_sigma(n)) - (t * int(divisor_sigma(n // t)) if n % t == 0 else 0)
-            for n in range(1, 41)]
-        assert [f[n].rational_value() for n in range(41)] == want, t
-
-
-def _schoolbook(f, g, b):
-    out = [CycNum.zero(1)] * (b + 1)
-    for i in range(b + 1):
-        for j in range(b + 1 - i):
-            out[i + j] = out[i + j] + f[i] * g[j]
-    return out
-
-
-def test_mul_series_matches_schoolbook_product():
-    # atoms in Q, Q(zeta_4) and Q(zeta_6), some dilated, and products across
-    # two fields: rows spread 2 phi(o) - 1 apart must not overlap
-    one = DirichletChar(1, 1)
-    e4 = eisenstein_series(4, one, one, 30)
-    f4 = eisenstein_series(3, one, DirichletChar(5, 2), 30)
-    f6 = alpha_m(eisenstein_series(3, one, DirichletChar(7, 3), 30), 2)
-    g6 = eisenstein_series(3, DirichletChar(7, 3), one, 30)
-    assert (e4.field, f4.field, f6.field) == (1, 4, 6)
-    for f, g in [(e4, e4), (f4, f4), (f6, g6), (e4, f6), (f4, f6), (f4, g6)]:
-        h = spaces.mul_series(f, g, 30)
-        assert h.precision == 30 and h.den == f.den * g.den
-        assert [h[n] for n in range(31)] == _schoolbook(f, g, 30)
-
-
 @pytest.mark.parametrize("level, k, chi, dim", [
     (5, 8, "5.4", 2), (10, 8, "10.9", 8), (7, 7, "7.3", 3), (14, 7, "14.3", 10),
     (7, 6, "7.4", 2), (14, 6, "14.11", 8), (21, 6, "21.4", 11), (42, 6, "42.25", 36)])
 def test_cohen_oesterle_dim_cusp_at_the_built_spaces(level, k, chi, dim):
-    # each value but that of M_6(7, chi) passed the span-rank check of a
-    # full build; no build spans M_6(7, chi) any more, and its value enters
-    # the build only through the newform-dimension guard at level 42
+    # each value but that of M_6(7, chi) enters a quotient-dimension check;
+    # that one enters the build through the newform-dimension guard at level 42
     chi = DirichletChar.from_label(chi)
     assert chi.modulus == level
     assert spaces.cohen_oesterle_dim_cusp(k, chi) == dim
@@ -263,10 +254,10 @@ def test_guard_refuses_a_new_part_that_keeps_old_forms():
 def test_level_30_separates_once_the_old_forms_are_gone():
     # M_4(Gamma_0(30)) has old forms from levels 5, 6, 10 and 15; with them
     # outside the Krylov run, the first Hecke mix separates its two rational
-    # newforms, which come out over Q(zeta_4), each packet verified
+    # newforms, which come out over Q, each packet verified
     space = spaces.Space(30, 4, DirichletChar(30, 1), 40)
     packets = spaces.extract_newforms(space)
-    assert sum(p.kf.deg for p in packets) == space.w * spaces.newform_dimension(4, space.chi) == 4
+    assert sum(p.kf.deg for p in packets) == space.w * spaces.newform_dimension(4, space.chi) == 2
     assert sorted([p.a_n(n)[0] for n in (2, 3, 5)] for p in packets) == [[-2, 3, 5], [2, 3, -5]]
     for p in packets:
         spaces.verify_packet(p)
@@ -276,24 +267,26 @@ def test_level_30_separates_once_the_old_forms_are_gone():
                                                     (5, 3, "5.2", 0)])
 def test_eisenstein_factors_leave_where_no_atkin_lehner_prime_exists(level, k, chi, packets):
     # level = cond(chi), so the kernel keeps the Eisenstein series, and the
-    # factors of m_all that vanish at an atom's eigenvalue of C are dropped;
-    # at (5, 3, 5.2), S_3 = 0 and the atoms alone fill the basis
-    space = spaces.Space(level, k, DirichletChar.from_label(chi), 0)
+    # factors of m_all that vanish at an Eisenstein eigenvalue of C are
+    # dropped; at (5, 3, 5.2), S_3 = 0 and the Eisenstein series fill the quotient.
+    # b0 = 40 gives verify_packet 40 coefficients to check
+    space = spaces.Space(level, k, DirichletChar.from_label(chi), 40)
     assert space.al_primes == []
     found = spaces.extract_newforms(space)
-    assert space.eis_rank == space.w * space.dim_eis > 0
+    assert space.dim_eis > 0
     assert len(found) == packets
     assert sum(p.kf.deg for p in found) == space.w * spaces.newform_dimension(k, space.chi)
     for p in found:
         spaces.verify_packet(p)
 
 
-def test_weight_3_with_cusp_forms_is_refused_before_the_span():
-    # no two weights >= 2 sum to 3, so S_3 would need the weight-1 atoms
-    space = spaces.Space(7, 3, DirichletChar.from_label("7.6"), 0)
-    assert space.pairs == [] and space.dim_cusp > 0
-    with pytest.raises(AssertionError, match="weight 3: .*weight-1 atoms"):
-        space.build_basis()
+def test_weight_3_builds_the_cm_newform_7_3_b_a():
+    # S_3(7, chi_7) is the CM form of Q(sqrt(-7)): 3 and 5 are inert, so
+    # a_3 = a_5 = 0, and a_2 = -3
+    space = spaces.Space(7, 3, DirichletChar.from_label("7.6"), 40)
+    (packet,) = spaces.extract_newforms(space)
+    assert [packet.a_n(n) for n in (1, 2, 3, 5)] == [[1], [-3], [], []]
+    spaces.verify_packet(packet)
 
 
 def test_orbit_order_needs_trace_terms_coefficients():
