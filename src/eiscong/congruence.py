@@ -13,6 +13,13 @@ lambda' dividing either one puts ell in N(E_p) * N(E'_p); by Condition
 integer is factored: the gcd of that numerator and of N(E_p) * N(E'_p)
 over every p | M, which for M = 1 is the numerator itself.  The
 enumeration cannot miss a prime that satisfies both conditions.
+
+The Euler-factor norms need no norm computation.  E = psi(p) - phi(p) p^s
+is psi(p) (1 - zeta p^s) with zeta = phi(p)/psi(p) of some order d | c
+in Q(zeta_c), so |N(E)| = Phi_d(p^s)^(phi(c)/phi(d)): the primitive d-th
+roots zeta' give prod (1 - zeta' x) = +-Phi_d(x), and Q(zeta_c) has
+degree phi(c)/phi(d) over Q(zeta_d) (Brillhart et al., *Factorizations
+of b^n +- 1*, for the values Phi_d(b^s)).
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import factorint
-from .cyclotomic import CycNum
+from .arith import factorint, totient
+from .cyclotomic import cyclotomic_poly
 from .eisenstein import EisensteinParams
 from .errors import BadDivisor
 from .lvalues import bk_quotient_order_factor
@@ -87,8 +94,17 @@ def check_conditions_above(params: EisensteinParams, ell: int) -> list[Condition
             for lam in primes_above(ell, value_conductor(params))]
 
 
-def _norm_numerator(x: CycNum) -> int:
-    return abs(x.norm().numerator)
+def euler_norm(params: EisensteinParams, p: int, weight_shift: int = 0) -> int:
+    """|N(E)| for E = psi(p) - phi(p) p^s over Q(zeta_c), s = k - weight_shift
+    and c = value_conductor(params): Phi_d(p^s)^(phi(c)/phi(d)) with d the
+    order of phi(p)/psi(p), the denominator of the difference of the two
+    characters' exponents at p (see the module docstring); for d = 1 that
+    is (p^s - 1)^phi(c)."""
+    d = (params.phi.exponent(p) - params.psi.exponent(p)).denominator
+    x, value = p ** (params.k - weight_shift), 0
+    for a in reversed(cyclotomic_poly(d)):
+        value = value * x + a
+    return value ** (totient(value_conductor(params)) // totient(d))
 
 
 def search_congruence_primes(params: EisensteinParams, ell_max: int | None = None):
@@ -98,13 +114,14 @@ def search_congruence_primes(params: EisensteinParams, ell_max: int | None = Non
     The candidates for ell are the primes of one gcd: of the Condition-(1)
     norm numerator, which Condition (1) forces, and of N(E_p) N(E'_p) at
     every p | M, which Condition (2) forces (see the module docstring).
-    With ell_max only the primes <= ell_max of that gcd are taken, which
-    for ell_max <= 2^15 is trial division alone.
+    The Euler-factor norms are taken in closed form by euler_norm, so the
+    one norm computed is the Condition-(1) one.  With ell_max only the
+    primes <= ell_max of that gcd are taken, which for ell_max <= 2^15 is
+    trial division alone.
     """
     m = value_conductor(params)
-    g = gcd(_norm_numerator(params.cond1_quantity),
-            *(_norm_numerator(e_k) * _norm_numerator(e_k2)
-              for e_k, e_k2 in params.euler_factors.values()))
+    g = gcd(abs(params.cond1_quantity.norm().numerator),
+            *(euler_norm(params, p) * euler_norm(params, p, 2) for p in params.m_primes))
     nm = params.N * params.M
     out = []
     # factorint lists primes in increasing order and primes_above lists

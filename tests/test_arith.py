@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import prod
 from pathlib import Path
 
@@ -111,6 +112,42 @@ def test_factorint_search_grid_norms(monkeypatch):
         assert (len(str(p)), len(str(q))) == (dp, dq)
         assert arith.factorint(p * q) == {p: 1, q: 1} == sympy.factorint(p * q)
     assert b1s == {2000, 10_000}
+
+
+# cofactors left by the search grid's norms after trial division, with
+# the least prime p: p - 1 = 2^3 3^3 13 17 137 is 1000-smooth in the first,
+# and p - 1 = 2^4 5 19 151 257 4231 is 5000-smooth in the second
+PM1_COFACTORS = [(72555115387384088409042975533614237, 6539833),
+                 (155001429857802690952693, 249572473841)]
+
+
+def test_pminus1_steps_split_ahead_of_the_rho_and_ecm(monkeypatch):
+    called = []
+    for name in ("_brent_rho", "_ecm"):
+        real = getattr(arith, name)
+        monkeypatch.setattr(arith, name,
+                            lambda *a, name=name, real=real: called.append(name) or real(*a))
+    for (n, p), expect in zip(PM1_COFACTORS, [[], ["_brent_rho"]]):
+        called.clear()
+        assert arith.factorint(n) == {p: 1, n // p: 1} == sympy.factorint(n)
+        # the first step, to 1000, comes before the rho; the second
+        # cofactor fails the rho and splits at the step to 5000
+        assert called == expect
+
+
+def test_pminus1_steps_multiply_to_the_whole_stage_and_stop_at_n():
+    steps = arith._pminus1_exponents()
+    assert len(steps) == 10 and prod(steps) == arith._smooth_exponent(10_000)
+    assert [prod(steps[:i]) for i in (1, 5)] == \
+        [arith._smooth_exponent(1000), arith._smooth_exponent(5000)]
+    # both primes have 1000-smooth p - 1, so the first gcd is n: no factor
+    # and no further step
+    assert list(arith._pminus1(65537 * 6539833)) == [0]
+    assert list(islice(arith._pminus1(PM1_COFACTORS[1][0]), 5)) == [0, 0, 0, 0, 249572473841]
+
+
+def test_primorial_is_the_product_of_the_small_primes():
+    assert arith._primorial() == prod(arith._SMALL_PRIMES)
 
 
 # n: [outcome of each of 8 successive _ecm_curve(n, 2000, 100000, rng)

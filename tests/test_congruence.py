@@ -259,6 +259,40 @@ def test_search_grid_golden():
     assert search_grid_json(entries) == golden
 
 
+def test_euler_norm_is_the_norm_of_each_euler_factor():
+    # every E_p and E'_p of every Galois variant (psi^s, phi^s) of the grid,
+    # then M = 30, and d = 1 (phi(p) = psi(p)) over Q and over Q(zeta_2)
+    cases = []
+    for e in json.loads(SEARCH_GRID.read_text()):
+        a, b = DirichletChar.from_label(e["psi"]), DirichletChar.from_label(e["phi"])
+        o = lcm(a.order, b.order)
+        cases += [EisensteinParams(a.conductor * b.conductor, e["M"], e["k"],
+                                   a.power(s), b.power(s))
+                  for s in range(1, o + 1) if gcd(s, o) == 1]
+    cases += [EisensteinParams(7, 30, 7, TRIV, DirichletChar(7, 3)),
+              EisensteinParams(1, 2, 12, TRIV, TRIV),
+              EisensteinParams(5, 11, 8, TRIV, DirichletChar(5, 4))]
+    assert cases[-1].phi(11) == cases[-1].psi(11)
+    seen_d1 = 0
+    for params in cases:
+        for p, (e_k, e_k2) in params.euler_factors.items():
+            assert e_k.conductor == value_conductor(params)
+            assert congruence.euler_norm(params, p) == abs(e_k.norm().numerator)
+            assert congruence.euler_norm(params, p, 2) == abs(e_k2.norm().numerator)
+            seen_d1 += params.phi(p) == params.psi(p)
+    assert len(cases) > 60 and seen_d1 >= 2
+
+
+def test_search_computes_one_norm(monkeypatch):
+    calls = []
+    real = CycNum.norm
+    monkeypatch.setattr(CycNum, "norm", lambda x: calls.append(x) or real(x))
+    for params in (P0, P51, P53):
+        calls.clear()
+        search_congruence_primes(replace(params))
+        assert len(calls) == 1
+
+
 def test_search_ell_max_filters_the_full_search():
     # the M = 1 and M > 1 rules with ell_max on both sides of 2^15, where
     # the bounded search stops factoring and trial-divides alone
