@@ -3,9 +3,10 @@
 
 Each label N.k.a.x in FIXTURE_SPECS names a newform orbit of
 S_k(Gamma_0(N), chi), which :mod:`eiscong.spaces` builds from Manin
-symbols with its own Hecke prime, reading a_1 .. a_b_data off Heilbronn
-sums; 1.12.a.a is Ramanujan's Delta.  Progress goes to stderr, with each
-label's build time.
+symbols, separating its newforms by the Hecke primes not dividing N,
+taken in order from the least, and reading a_1 .. a_b_data off Heilbronn
+sums; 1.12.a.a is Ramanujan's Delta.  Progress goes to stderr, with the
+Hecke primes each space took and each label's build time.
 
 Run from the repository root:  python scripts/make_fixtures.py
 """

@@ -6,26 +6,26 @@ LNM 1585, 1994).
 M_k(Gamma_0(N), chi) is the sign-(+1) quotient of the symbols [X^i
 Y^(k-2-i), (u : v)], (u : v) in P^1(Z/N), over Q(zeta_c), c = ord chi:
 one elimination leaves the free symbols as a basis, of size dim S_k plus
-the Eisenstein series of sign +1 (all at even k, one of E_k(psi, phi),
-E_k(phi, psi) at odd k).  Every T_n, U_p at p | N included, is a sum
+the E_k(psi, phi)(tz) with psi(-1) = +1, those of sign +1 under the star
+involution (Stein, ch. 8).  Every T_n, U_p at p | N included, is a sum
 over Merel's Heilbronn matrices of determinant n, and the matrices act
 on linear forms on the quotient.  Levels are square-free and k >= 3, so
 the new part is the joint kernel of U_p^2 - chi0(p) p^(k-2) over the p |
 N prime to cond(chi): a newform has a_p^2 = chi0(p) p^(k-2) there (W.-C.
 W. Li, Math. Ann. 212, 1975), while U_p has eigenvalues of absolute
 value p^((k-1)/2) on p-old forms (P. Deligne, *La conjecture de Weil I*,
-1974) and 1 or p^(k-1) on Eisenstein series.  Less the Eisenstein
-series it holds where no such p exists, it is checked against the
-newform dimension.  The eigenvector phi, a linear form, of a factor g of
-the minimal polynomial m of C = c_z zeta_c + c_q T_q, q the least prime
-not dividing N, on a form u0 of the new part is r(C) u0, r = m / (x - x
-mod g), read off the Krylov vectors C^j u0, and a_n = phi(T_n x) /
-phi(x) for one Manin symbol x.  g is Eisenstein when it vanishes at c_z
-zeta_c + c_q (psi(q) + phi(q) q^(k-1)) for primitive psi, phi with psi
-phi inducing chi.  Each packet is verified (coefficient multiplicativity
-and recursions, Atkin-Lehner squares) before it becomes a NewformData.
-Linear algebra is :mod:`eiscong.linalg` over Q; an element of K =
-Q[x]/(g) is a list of Fractions, lowest degree first.
+1974) and 1 or p^(k-1) on Eisenstein series.  Less the Eisenstein series
+it holds where no such p exists, it is checked against the newform
+dimension.  C = zeta_c + T_q1 + ... + T_qj takes the primes q1 < q2 <
+... not dividing N until it separates the new part, none past a Sturm
+bound.  The eigenvector phi, a linear form, of a factor g of the minimal
+polynomial m of C on a form u0 of the new part is r(C) u0, r = m / (x -
+x mod g), read off the Krylov vectors C^j u0, and a_n = phi(T_n x) /
+phi(x) for one Manin symbol x.  g is Eisenstein when it vanishes at the
+C-eigenvalue of an E_k(psi, phi).  Each packet is verified (coefficient
+multiplicativity and recursions, Atkin-Lehner squares) before it becomes
+a NewformData.  Linear algebra is :mod:`eiscong.linalg` over Q; an
+element of K = Q[x]/(g) is a list of Fractions, lowest degree first.
 
 The checks are code, not asserts, so they hold under ``python -O``.
 Progress goes to stderr; nothing here writes to stdout.  The command
@@ -45,10 +45,9 @@ from . import fppoly
 from .arith import divisors, isprime, primefactors, primerange
 from .characters import DirichletChar, parity_matches, primitive_characters
 from .cyclotomic import CycNum, _divide_monic, _phi, clear_denominators, cyclotomic_poly
-from .errors import NotSquareFree
 from .fppoly import trim
 from .linalg import Echelon, kernel, solver
-from .newforms import NewformData, gamma0_index
+from .newforms import NewformData, gamma0_index, sturm_bound
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -237,18 +236,22 @@ class Space:
         require(chi.parity == (-1) ** k, f"chi(-1) != (-1)^{k}: the space is 0")
         self.level, self.k, self.chi, self.chi0, self.b0 = level, k, chi, chi.primitive(), b0
         self.q = next(p for p in count(2) if level % p and isprime(p))
+        # newforms whose a_p agree at the p <= hecke_bound prime to the level are equal: rid of
+        # their a_n at the n not prime to it (f - a_p f(p tau) at each p | level), they agree to
+        # the Sturm bound of level level^2 (Sturm, LNM 1240, 1987), then strong multiplicity one
+        self.hecke_bound = max(self.q, sturm_bound(k, level * level))
         self.al_primes = [p for p in primefactors(level) if self.chi0.modulus % p]
         require(b0 >= max([self.q, *self.al_primes]),
                 f"b0 = {b0}: a packet's checks read a_q and each Atkin-Lehner a_p")
         self.c, self.w = chi.order, _phi(chi.order)
-        # E_k(psi, phi)(tz), t | level / (u v), for primitive psi and phi of conductors
-        # u and v with psi phi inducing chi; their T_q-eigenvalue is psi(q) + phi(q) q^(k-1)
+        # E_k(psi, phi)(tz), t | level / (u v), psi phi inducing chi, psi and phi primitive of
+        # conductors u and v: T_p-eigenvalue psi(p) + phi(p) p^(k-1), sign +1 iff psi(-1) = +1
         pairs = [(psi, phi, len(divisors(level // (u * v)))) for u in divisors(level)
                  for v in divisors(level // u) for psi in primitive_characters(u)
                  for phi in primitive_characters(v)
                  if parity_matches(psi, phi, k) and (psi * phi).primitive() == self.chi0]
-        self.eis_q = [psi(self.q) + phi(self.q) * self.q ** (k - 1) for psi, phi, _ in pairs]
-        self.dim_eis = sum(t for _, _, t in pairs) // (1 if k % 2 == 0 else 2)  # of sign +1
+        self.eis_pairs = [(psi, phi) for psi, phi, _ in pairs]
+        self.dim_eis = sum(t for psi, _, t in pairs if psi.parity == 1)
         self.dim_cusp = cohen_oesterle_dim_cusp(k, chi)
         self.reps, p1 = p1_classes(level)
         slots = [chi.slot(lam) for lam in range(level)]  # normalise: (class, slot of chi(lam))
@@ -320,9 +323,10 @@ class Space:
         """The coordinates of the terms in the quotient."""
         out = [0] * self.dim_q
         for x, coords in zip(self.flat(terms), self.coords):
-            for j, y in enumerate(coords):
-                if x and y:
-                    out[j] += x * y
+            if x:
+                for j, y in enumerate(coords):
+                    if y:
+                        out[j] += x * y
         return out
 
     def matrix(self, image) -> list[list]:
@@ -396,7 +400,7 @@ class EigenPacket:
 
 def extract_newforms(space: Space) -> list[EigenPacket]:
     """All newform orbits of the space, as eigenvalue packets."""
-    dim, q, w = space.dim_q, space.q, space.w
+    dim, q, w, k = space.dim_q, space.q, space.w, space.k
     tmat = space.matrix(partial(space.hecke, mats=heilbronn(q)))
     zmat = space.matrix(lambda s, t: space.hecke(s, t + 1, [(1, 0, 0, 1)]))
 
@@ -406,7 +410,7 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
     cols = [[] for _ in range(dim)]
     for p in space.al_primes:
         umat = space.matrix(partial(space.hecke, mats=heilbronn(p * p)))
-        e, scalar = space.chi0.slot(p), p ** (space.k - 2)
+        e, scalar = space.chi0.slot(p), p ** (k - 2)
         smat = space.matrix(lambda s, t: space.hecke(s, t + e, [(1, 0, 0, 1)]))
         for j, col in enumerate(zip(*umat)):
             cols[j] += [u - scalar * row[j] for u, row in zip(col, smat)]
@@ -414,17 +418,22 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
     # the kernel holds the Eisenstein series only where no Atkin-Lehner prime exists
     dim_new = len(new) - (0 if space.al_primes else w * space.dim_eis)
     log(f"  kernel rank {len(new)}, Eisenstein rank {w * space.dim_eis}, new part {dim_new}")
-    require(dim_new == w * newform_dimension(space.k, space.chi),
+    require(dim_new == w * newform_dimension(k, space.chi),
             f"new part {dim_new} is not {w} times the newform dimension")
     if dim_new == 0:
         return []
 
-    # C = c_z zeta + c_q T_q: zeta-multiplication always enters the mix so
-    # that conjugate copies of the same eigensystem get distinct eigenvalues
-    for attempt, (cz, cq) in enumerate([(1, 1), (3, 1), (1, 2), (5, 1)]):
-        cmat = [[cz * z + cq * t for z, t in zip(zrow, trow)] for zrow, trow in zip(zmat, tmat)]
-        u0 = [sum((Fraction((7 * i * i + 3 * i + 5 + attempt) % 101 - 50) * vec[j]
-                   for i, vec in enumerate(new)), ZERO) for j in range(dim)]
+    # C = zeta + T_q1 + ... + T_qj: zeta separates conjugate copies of an eigensystem, and the
+    # next prime enters while m_all's cusp factors (squarefree: C is semisimple) miss dim_new
+    u0 = [sum((Fraction((7 * i * i + 3 * i + 5) % 101 - 50) * vec[j]
+               for i, vec in enumerate(new)), ZERO) for j in range(dim)]
+    primes = [p for p in primerange(q, space.hecke_bound + 1) if space.level % p]
+    cmat, mus = zmat, [CycNum.zeta(space.c)] * len(space.eis_pairs)
+    for j, p in enumerate(primes):
+        pmat = tmat if p == q else space.matrix(partial(space.hecke, mats=heilbronn(p)))
+        cmat = [[c + t for c, t in zip(crow, prow)] for crow, prow in zip(cmat, pmat)]
+        # the Eisenstein eigenvalues of C: m_all has them where no Atkin-Lehner prime exists
+        mus = [mu + psi(p) + phi(p) * p ** (k - 1) for mu, (psi, phi) in zip(mus, space.eis_pairs)]
         krylov = [u0]  # C^j u0, j <= deg m_all, kept for the eigenvectors
 
         def step(v):
@@ -432,22 +441,14 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
             return krylov[-1]
 
         m_all = minpoly(step, u0, dim)
-        # m_all is squarefree: C combines commuting semisimple operators
-        try:
-            all_factors = fppoly.factor_over_q(m_all)
-        except NotSquareFree:  # a repeated factor: the mix did not separate
-            all_factors = []
-        # the factors that vanish at an Eisenstein eigenvalue of C are dropped;
-        # m_all has them where no Atkin-Lehner prime exists
-        mus = [CycNum.zeta(space.c) * cz + e_q * cq for e_q in space.eis_q]
-        factors = [f for f in all_factors  # f(mu) by Horner's rule
+        factors = [f for f in fppoly.factor_over_q(m_all)  # f(mu) by Horner's rule
                    if all(reduce(lambda acc, c: acc * mu + c, reversed(f), CycNum.zero())
                           for mu in mus)]
-        if sum(len(f) - 1 for f in factors) == dim_new:
+        if separated := sum(len(f) - 1 for f in factors) == dim_new:
             break
-        log(f"  combination {(cz, cq)} did not separate (attempt {attempt}); retrying")
-    else:
-        raise RuntimeError("no Hecke combination separated the new part")
+    require(separated, f"{space.level}.{k}.{space.chi.label}: zeta + T_p over the p <= "
+            f"{space.hecke_bound} prime to the level did not separate the new part")
+    log(f"  C = zeta + {' + '.join(f'T_{p}' for p in primes[:j + 1])} separates the new part")
 
     packets = []
     for g in sorted(factors, key=lambda f: (len(f), [str(c) for c in f])):
@@ -465,8 +466,7 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
         inv_piv = kf.inv(v[pivot])
         img = [kf.combo(zip(row, v)) for row in tmat]
         a_q = kf.mul(img[pivot], inv_piv)
-        for i in range(dim):
-            require(img[i] == kf.mul(a_q, v[i]), f"not an eigenvector of T_{q}")
+        require(all(x == kf.mul(a_q, y) for x, y in zip(img, v)), f"not an eigenvector of T_{q}")
         z = kf.mul(kf.combo(zip(zmat[pivot], v)), inv_piv)
         require(kf.eval_poly(list(cyclotomic_poly(space.c)), z) == [],
                 "character value is not a root of its cyclotomic polynomial")
@@ -474,7 +474,7 @@ def extract_newforms(space: Space) -> list[EigenPacket]:
         # k - 2 where it can be (one binomial row per matrix); v(zeta_c^t [s]) = z^t v([s])
         at = [kf.mul(zt, kf.combo(zip(coords, v))) for coords in space.coords[::w]
               for zt in kf.powers(z, w)]
-        m = space.k - 1  # symbol s is [X^i Y^(k-2-i), ...] with i = s % m
+        m = k - 1  # symbol s is [X^i Y^(k-2-i), ...] with i = s % m
         x = min((s for s in range(len(at) // w) if at[s * w]), key=lambda s: 0 < s % m < m - 1)
         inv_x = kf.inv(at[x * w])
         a_list = [kf.mul(inv_x, kf.combo(zip(space.flat(space.hecke(x, 0, heilbronn(n))), at)))

@@ -4,12 +4,15 @@ checks hold under ``python -O``, the field arithmetic agrees with sympy,
 P^1(Z/N) and the Manin-symbol quotient have the sizes the dimension
 formulas give, the Hecke and zeta matrices commute, a space derives its
 Hecke prime and Atkin-Lehner primes and refuses what the new-part kernel
-does not cover, and the script rebuilds the packaged fixtures from
-scratch, Delta's against tau(n), without writing to stdout."""
+does not cover, the Hecke primes taken in order separate its new part or
+the space is refused by name, and the script rebuilds the packaged
+fixtures from scratch, Delta's against tau(n), without writing to
+stdout."""
 
 import functools
 import os
 import random
+import re
 import runpy
 import subprocess
 import sys
@@ -87,12 +90,14 @@ def test_rebuilds_a_packaged_fixture(builder, capsys, label):
     # one path for every label: Delta rebased onto x, 10.8.b.a with its
     # 2-old forms outside the kernel of U_2^2 - chi0(2) 2^6 and rebased onto
     # x^4 - 15x^2 + 64, and 14.7.d.a, whose space is flattened over
-    # Q(zeta_6); progress goes to stderr, so that stdout stays free for a
-    # caller's output
+    # Q(zeta_6)
+    # progress goes to stderr, so that stdout stays free for a caller's
+    # output; the space's least Hecke prime alone separates its new part
     built = builder["build_fixture"](label)
     assert built.to_json() == load_fixture(label).to_json()
     out, err = capsys.readouterr()
     assert out == "" and "newform orbits" in err
+    assert re.search(r"C = zeta \+ T_\d+ separates the new part", err)
 
 
 def test_built_delta_is_ramanujans_tau(builder):
@@ -149,12 +154,15 @@ def test_manin_symbols_number_k_minus_1_per_class_of_p1(level, k, chi):
 
 @pytest.mark.parametrize("level, k, chi, c, dims", [
     (1, 12, "1.1", 1, (1, 1, 2)), (10, 8, "10.9", 2, (8, 4, 12)),
-    (14, 7, "14.3", 6, (10, 2, 24)), (42, 6, "42.25", 3, (36, 8, 88))])
+    (14, 7, "14.3", 6, (10, 2, 24)), (42, 6, "42.25", 3, (36, 8, 88)),
+    (15, 4, "15.2", 4, (4, 2, 12)), (15, 4, "15.8", 4, (4, 2, 12)),
+    (21, 4, "21.5", 6, (6, 2, 16))])
 def test_quotient_dimension_at_the_fixture_spaces(level, k, chi, c, dims):
-    # sign +1 keeps S_k once and every Eisenstein series at even k; at odd k
-    # it keeps 2 of the 4 at 14.7.d.a's space, E_7(1, chi0)(tz) and
-    # E_7(chi0, 1)(tz) with t | 2 being paired, and the elimination over
-    # Q(zeta_c), c = ord chi, leaves w = phi(c) times their sum
+    # sign +1 keeps S_k once and each E_k(psi, phi)(tz) with psi(-1) = +1:
+    # at odd k one of each pair, 2 of the 4 at 14.7.d.a's space, and at even
+    # k those with psi and phi even, 2 of the 4 at levels 15 and 21, where
+    # E_4(chi_3, chi_5) and E_4(chi_5, chi_3) have both odd.  The elimination
+    # over Q(zeta_c), c = ord chi, leaves w = phi(c) times their sum
     space = _space(level, k, chi, 60)
     assert space.c == c
     assert (space.dim_cusp, space.dim_eis, space.dim_q) == dims
@@ -278,6 +286,37 @@ def test_eisenstein_factors_leave_where_no_atkin_lehner_prime_exists(level, k, c
     assert sum(p.kf.deg for p in found) == space.w * spaces.newform_dimension(k, space.chi)
     for p in found:
         spaces.verify_packet(p)
+
+
+@pytest.mark.parametrize("level, k, chi", [
+    (15, 4, "15.2"), (15, 6, "15.2"), (30, 3, "30.29"), (15, 5, "15.14"), (17, 4, "17.16"),
+    (17, 6, "17.16"), (19, 4, "19.7")])
+def test_hecke_primes_in_order_separate_the_new_part(level, k, chi):
+    # the first two spaces count 2 Eisenstein series of sign +1, not 4; in
+    # the other five zeta + T_q leaves newforms with equal eigenvalues, and
+    # the next prime not dividing the level separates them
+    space = spaces.Space(level, k, DirichletChar.from_label(chi), 40)
+    packets = spaces.extract_newforms(space)
+    assert sum(p.kf.deg for p in packets) == space.w * spaces.newform_dimension(k, space.chi)
+    for p in packets:
+        spaces.verify_packet(p)
+
+
+def test_a_new_part_left_unseparated_at_the_bound_is_refused_under_python_O():
+    # at (30, 3, 30.29) the newforms come in pairs with equal a_7, so with
+    # the bound cut to 7 zeta + T_7 is all C gets, and the space is named
+    code = ("import sys, runpy; runpy.run_path(sys.argv[1], run_name='make_fixtures'); "
+            "from eiscong import spaces; from eiscong.characters import DirichletChar; "
+            "space = spaces.Space(30, 3, DirichletChar.from_label('30.29'), 40); "
+            "space.hecke_bound = 7; spaces.extract_newforms(space)")
+    proc = subprocess.run([sys.executable, "-O", "-c", code, str(SCRIPT)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode != 0
+    assert proc.stderr.strip().splitlines()[-1] == (
+        "AssertionError: 30.3.30.29: zeta + T_p over the p <= 7 prime to the level"
+        " did not separate the new part")
+    assert proc.stdout == ""
 
 
 def test_weight_3_builds_the_cm_newform_7_3_b_a():
