@@ -13,11 +13,13 @@ conductor, lifts and primitive parts are all read off the w_j.  Values
 are exact roots of unity (:class:`~eiscong.cyclotomic.CycNum`).
 
 The generators and exponent table of each prime power are built once and
-cached; readers may share them freely, initialisation is idempotent.  The
-other shared state is the Gauss-sum store: :func:`gauss_sum` keeps each
-sum it builds, by character (so equal characters built separately share
-one entry), up to a fixed total of numerators, and writes to it under a
-lock.
+cached; readers may share them freely, initialisation is idempotent.
+``DirichletChar(q, a)`` is one shared object per (q, a mod q), kept in a
+table bounded by the sum of its moduli, so labels, inverses, products,
+lifts and primitive parts reuse the order, conductor and values an equal
+character holds.  The Gauss-sum store keeps each sum :func:`gauss_sum`
+builds, by character, up to a fixed total of numerators.  Both tables
+drop their oldest entries first and are written under a lock.
 """
 
 from __future__ import annotations
@@ -84,12 +86,22 @@ def _layout(q: int) -> tuple[int, tuple]:
                       for p, pe, gens, table in local)
 
 
+# the characters built so far by (q, a), a in [1, q], oldest first, and the
+# sum of their moduli; every write holds _CHARS_LOCK.  A character caches at
+# most q values, so _CHAR_MODULI bounds the values kept alive, and the largest
+# modulus the ceiling admits fits on its own.
+_CHARS: dict[tuple[int, int], "DirichletChar"] = {}
+_chars_held = 0
+_CHARS_LOCK = threading.Lock()
+_CHAR_MODULI = 1 << 18
+
+
 class DirichletChar:
     """Dirichlet character of given modulus in the Conrey convention."""
 
     __slots__ = ("modulus", "index", "order", "_parts", "_den", "_conductor", "_values")
 
-    def __init__(self, modulus: int, index: int):
+    def __new__(cls, modulus: int, index: int):
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
         if modulus > MODULUS_MAX:
@@ -98,8 +110,11 @@ class DirichletChar:
         index %= modulus
         if index == 0:
             index = modulus  # canonical representative in [1, q]
+        if (kept := _CHARS.get((modulus, index))) is not None:
+            return kept
         if gcd(index, modulus) != 1:
             raise ValueError(f"index {index} not coprime to modulus {modulus}")
+        self = object.__new__(cls)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "index", index)
         # one part (p, p^e, exponent table, (w_j)) per prime power p^e || q
@@ -114,9 +129,21 @@ class DirichletChar:
         object.__setattr__(self, "order", den // g)
         object.__setattr__(self, "_conductor", None)
         object.__setattr__(self, "_values", {})
+        global _chars_held
+        with _CHARS_LOCK:  # another thread may have stored it meanwhile
+            if (kept := _CHARS.get((modulus, index))) is not None:
+                return kept
+            while _chars_held + modulus > _CHAR_MODULI:
+                _chars_held -= _CHARS.pop(next(iter(_CHARS))).modulus
+            _CHARS[modulus, index] = self
+            _chars_held += modulus
+        return self
 
     def __setattr__(self, *args):
         raise AttributeError("DirichletChar is immutable")
+
+    def __reduce__(self):
+        return DirichletChar, (self.modulus, self.index)
 
     # -- identification -------------------------------------------------
 

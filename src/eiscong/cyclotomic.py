@@ -27,7 +27,8 @@ unpacked); below that it is long division.
 The norm is x times the product of its other Galois conjugates, which is
 rational, and the inverse is that product over the norm.
 Values are immutable after construction and safe to share between
-threads; the only shared state is the memoised Phi_n and Psi_n tables.
+threads; the only shared state is the memoised Phi_n and Psi_n tables
+and the 128 packing offsets of at most 4 KiB used last.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import accumulate, compress
 from math import gcd, lcm
 
 from .arith import primefactors, totient
@@ -53,7 +54,8 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 def _binomial_product(n: int, sign: int, length: int) -> list[int]:
     """prod_{d | n} (1 - x^d)^(sign * mu(n/d)) mod x^length, one stride-d pass
-    per factor: times 1 - x^d, or the power-series quotient g_i = f_i + g_(i-d)."""
+    per factor: times 1 - x^d, or the power-series quotient g_i = f_i + g_(i-d),
+    a running sum along each class mod d."""
     f = [1] + [0] * (length - 1)
     moebius = [(n, 1)]  # (n/s, mu(s)) over the square-free s | n
     for p in primefactors(n):
@@ -62,8 +64,8 @@ def _binomial_product(n: int, sign: int, length: int) -> list[int]:
         if d < length and sign * mu > 0:
             f[d:] = [a - b for a, b in zip(f[d:], f)]
         elif d < length:
-            for j in range(d, length, d):
-                f[j:j + d] = [a + b for a, b in zip(f[j:j + d], f[j - d:j])]
+            for r in range(d):
+                f[r::d] = accumulate(f[r::d])
     return f
 
 
@@ -130,8 +132,17 @@ def _reduce(n: int, nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
 
 
 def _offset(length: int, width: int) -> int:
-    """2^(8*width - 1) in each of length slots of width bytes."""
+    """2^(8*width - 1) in each of length slots of width bytes; offsets of at
+    most 4096 bytes are kept, the 128 used last, so at most 512 KiB."""
+    return (_kept_offset if length * width <= 4096 else _build_offset)(length, width)
+
+
+def _build_offset(length: int, width: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
+
+
+# a cusp-constants pass asks for 128 (length, width) keys, each of at most 2664 bytes
+_kept_offset = lru_cache(maxsize=128)(_build_offset)
 
 
 # struct codes of the signed little-endian machine words; a slot of any
@@ -283,6 +294,9 @@ class CycNum:
 
     def __setattr__(self, *args):
         raise AttributeError("CycNum is immutable")
+
+    def __reduce__(self):
+        return _new, (self.conductor, self.num, self.den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

@@ -20,8 +20,8 @@ process (the series cache, keyed by (k, psi, phi)), Gauss sums, per
 character, for the life of the process (the store of
 characters.gauss_sum, bounded by the numerators it holds), the longest
 lift E_delta for as long as its DeltaChoice lives (shorter requests are
-truncated copies), and the cusp constant, Euler factors and Condition-(1)
-quantity for as long as their EisensteinParams lives.  e_delta_via_hecke
+truncated copies), and the L-value, cusp constant, Euler factors and
+Condition-(1) quantity while their EisensteinParams lives.  e_delta_via_hecke
 reads only the series cache, so it stays an independent reference.
 """
 
@@ -94,8 +94,12 @@ class EisensteinParams(Record):
         and of every constant term at a cusp that depends on the parameter
         set alone; the Gauss-sum ratio is taken first, so its conductor
         ceiling refuses before the L-value is computed."""
-        return _gauss_ratio(self.psi, self.phi) * Fraction(-1, 2) * \
-            l_value_at_negative(self.k, self.psi.inverse() * self.phi)
+        return _gauss_ratio(self.psi, self.phi) * Fraction(-1, 2) * self.l_value
+
+    @cached_property
+    def l_value(self) -> CycNum:
+        """L(1-k, psi^-1 phi), read by the cusp constant and Condition (1)."""
+        return l_value_at_negative(self.k, self.psi.inverse() * self.phi)
 
     @cached_property
     def euler_factors(self) -> dict[int, tuple[CycNum, CycNum]]:
@@ -106,8 +110,7 @@ class EisensteinParams(Record):
     @cached_property
     def cond1_quantity(self) -> CycNum:
         """L(1-k, psi^-1 phi) prod_{p | M} E_p, the quantity of Condition (1)."""
-        return prod((e_k for e_k, _ in self.euler_factors.values()),
-                    start=l_value_at_negative(self.k, self.psi.inverse() * self.phi))
+        return prod((e_k for e_k, _ in self.euler_factors.values()), start=self.l_value)
 
     @property
     def u(self) -> int:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 import threading
@@ -285,12 +287,16 @@ def gauss_store(monkeypatch):
     return characters._GAUSS
 
 
-def test_gauss_sum_kept_once_per_character(gauss_store):
+def test_gauss_sum_kept_once_per_character(gauss_store, char_table, monkeypatch):
     import eiscong
     from eiscong import eisenstein
     assert eiscong.gauss_sum is gauss_sum and eisenstein.gauss_sum is gauss_sum
-    g = gauss_sum(DirichletChar(13, 2))
-    assert gauss_sum(DirichletChar.from_label("13.2")) is g  # equal, built separately
+    chi = DirichletChar(13, 2)
+    g = gauss_sum(chi)
+    char_table.clear()  # as after an eviction: an equal character, built separately
+    monkeypatch.setattr(characters, "_chars_held", 0)
+    again = DirichletChar.from_label("13.2")
+    assert again is not chi and gauss_sum(again) is g
     assert gauss_sum(DirichletChar(13, 15)) is g  # index 15 = 2 mod 13
     psi, phi = DirichletChar(5, 2), DirichletChar(7, 3)
     eisenstein._gauss_ratio(psi, phi)  # the cusp constants fill the same store
@@ -360,6 +366,120 @@ def test_gauss_store_shared_by_threads(gauss_store, monkeypatch):
                 assert all(g is gauss_store[phi] for out in seen for phi, g in out)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.fixture
+def char_table(monkeypatch):
+    """An empty character table for one test; the process's table comes
+    back after it."""
+    monkeypatch.setattr(characters, "_CHARS", {})
+    monkeypatch.setattr(characters, "_chars_held", 0)
+    return characters._CHARS
+
+
+def test_equal_keys_give_one_character(char_table):
+    assert DirichletChar(1, 0) is DirichletChar(1, 1) is DirichletChar(1, -3)
+    chi = DirichletChar(7, 3)
+    assert DirichletChar(7, 10) is chi and DirichletChar(7, -4) is chi
+    assert DirichletChar(7, 3 - 7 * 10**6) is chi
+    assert DirichletChar.from_label("7.3") is chi and DirichletChar.from_label("7.17") is chi
+    assert set(char_table) == {(1, 1), (7, 3)} and characters._chars_held == 8
+    chi(2)
+    assert 2 in DirichletChar(7, 10)._values  # the value cache is shared too
+
+
+def test_inverses_products_lifts_and_primitive_parts_are_shared(char_table):
+    phi, psi = DirichletChar(7, 3), DirichletChar(5, 2)
+    assert phi.inverse().inverse() is phi and phi.inverse() is DirichletChar(7, 5)
+    assert phi.power(phi.order + 1) is phi and phi.power(-1) is phi.inverse()
+    prod = psi * phi
+    assert prod is phi * psi is DirichletChar(35, prod.index)
+    lifted = phi.lift(21)
+    assert lifted is DirichletChar(21, lifted.index) and lifted.primitive() is phi
+    assert prod.lift(70).primitive() is prod and phi.lift(7) is phi
+    assert (phi.lift(14) * psi).primitive() is prod
+    assert all(char_table[ch.modulus, ch.index] is ch for ch in (phi, psi, prod, lifted))
+
+
+def test_refused_characters_raise_every_time_and_store_nothing(char_table):
+    DirichletChar(7, 3)
+    before = dict(char_table), characters._chars_held
+    for _ in range(2):
+        for q, a in [(12, 9), (7, 0), (7, 14), (30, -6)]:
+            with pytest.raises(ValueError, match="not coprime"):
+                DirichletChar(q, a)
+        for q in (0, -5):
+            with pytest.raises(ValueError, match="modulus must be >= 1"):
+                DirichletChar(q, 1)
+        with pytest.raises(ModulusTooLarge):
+            DirichletChar(MODULUS_MAX + 1, 1)
+        with pytest.raises(ValueError, match="not coprime"):
+            DirichletChar.from_label("12.9")
+        assert (char_table, characters._chars_held) == before
+
+
+def test_character_table_stays_within_its_budget(char_table, monkeypatch):
+    # 500 moduli hold a few dozen of the 1102 characters mod <= 60: building
+    # past the budget drops the oldest, the newest is always kept, and a
+    # character built again after it was dropped equals the old object
+    assert characters._CHAR_MODULI >= MODULUS_MAX  # the largest fits on its own
+    monkeypatch.setattr(characters, "_CHAR_MODULI", 500)
+    first = DirichletChar(3, 2)
+    built = 0
+    for q in range(1, 61):
+        for a in filter(lambda a: gcd(a, q) == 1, range(1, q + 1)):
+            chi = DirichletChar(q, a)
+            built += 1
+            assert characters._chars_held == sum(q for q, _ in char_table) <= 500
+            assert char_table[q, a] is chi and chi.label == f"{q}.{a}"
+    assert built == 1102 and len(char_table) < 100 and (3, 2) not in char_table
+    again = DirichletChar(3, 2)
+    assert again is not first and again == first and {first: 1}[again] == 1
+    assert again.order == first.order and again(2) == first(2)
+
+
+def test_character_table_shared_by_threads(char_table, monkeypatch):
+    # eight threads building the same characters in the same order, with
+    # room for all of them (one object per character) and with a budget
+    # that forces evictions (the held count matches the table, every object
+    # is right); switches are forced often and each case runs five times, so
+    # that removing the lock fails this test in most runs
+    keys = [(q, a) for q in range(1, 60) for a in range(1, q + 1) if gcd(a, q) == 1]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for budget in (characters._CHAR_MODULI, 1000) * 5:
+            monkeypatch.setattr(characters, "_CHAR_MODULI", budget)
+            char_table.clear()
+            monkeypatch.setattr(characters, "_chars_held", 0)
+            seen = [[] for _ in range(8)]
+            threads = [threading.Thread(target=lambda out=out: out.extend(
+                (key, DirichletChar(*key)) for key in keys * 2)) for out in seen]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert all(len(out) == 2 * len(keys) for out in seen)
+            assert characters._chars_held == sum(q for q, _ in char_table) <= budget
+            assert all((ch.modulus, ch.index) == key for out in seen for key, ch in out)
+            if budget != 1000:
+                assert len(char_table) == len(keys)
+                assert all(ch is char_table[key] for out in seen for key, ch in out)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_characters_copy_and_pickle_to_the_shared_object(char_table):
+    chi = DirichletChar(35, 3)
+    chi(2)
+    for other in (copy.copy(chi), copy.deepcopy(chi), pickle.loads(pickle.dumps(chi))):
+        assert other is chi
+    data = pickle.dumps([chi, chi.inverse()])
+    char_table.clear()  # as in a fresh process: an equal object, then shared
+    loaded = pickle.loads(data)
+    assert loaded == [chi, chi.inverse()] and loaded[0] is not chi
+    assert loaded[0] is DirichletChar(35, 3) and loaded[1] is loaded[0].inverse()
 
 
 def test_enumerate_pairs():

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -174,6 +176,15 @@ def test_json_roundtrip():
     assert x.to_json() == {"conductor": 6, "coeffs": [["3", "2"], ["-7", "5"]]}
 
 
+def test_copy_and_pickle_keep_the_normal_form():
+    for x in (CycNum(12, [Fraction(1, 3), -2, 0, 5]), CycNum.zero(7), CycNum.from_rational(-3)):
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and (y.conductor, y.num, y.den) == (x.conductor, x.num, x.den)
+            assert type(y.num) is tuple
+            with pytest.raises(AttributeError, match="immutable"):
+                y.den = 2
+
+
 def test_division():
     z5 = CycNum.zeta(5)
     assert (z5 + 2) / (z5 + 2) == 1
@@ -344,6 +355,23 @@ def test_slots_round_trip_every_width(width):
         assert packed == sum(x << (8 * width * i) for i, x in enumerate(v))
         off = cyclotomic._offset(len(v), width)
         assert cyclotomic._unpack(packed + off, len(v), width) == v
+
+
+def test_only_small_offsets_are_kept():
+    # an offset of at most 4096 bytes is kept, a larger one is built for
+    # its caller alone, and the store never holds more than 128 of them
+    kept = cyclotomic._kept_offset
+    kept.cache_clear()
+    try:
+        for length, width in [(4096, 1), (512, 8), (4097, 1), (513, 8), (2000, 16)]:
+            off = cyclotomic._offset(length, width)
+            assert off == sum(1 << (8 * width * i + 8 * width - 1) for i in range(length))
+        assert kept.cache_info().currsize == 2
+        for length in range(1, 300):
+            cyclotomic._offset(length, 4)
+        assert kept.cache_info().currsize == kept.cache_info().maxsize == 128
+    finally:
+        kept.cache_clear()
 
 
 # widths of each struct word and of the int.from_bytes path on either side

@@ -1,8 +1,10 @@
+import copy
 import dataclasses
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -51,6 +53,19 @@ def test_params_validation():
         EisensteinParams(5, 5, 8, TRIV, PHI5)  # N, M not coprime
     with pytest.raises(ValueError):
         EisensteinParams(10, 1, 8, TRIV, PHI5)  # u*v != N
+
+
+def test_params_copy_and_pickle_with_their_cached_values():
+    params = EisensteinParams(5, 2, 8, TRIV, PHI5)  # a new instance: nothing cached
+    params.cusp_constant, params.cond1_quantity
+    for other in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+        assert other == params and other is not params
+        assert other.describe() == params.describe()
+        assert other.__dict__.keys() == params.__dict__.keys()
+        assert other.cusp_constant == params.cusp_constant
+        assert other.cond1_quantity == params.cond1_quantity
+        with pytest.raises(AttributeError, match="immutable"):
+            other.k = 6
 
 
 def test_sigma_examples():
@@ -353,7 +368,9 @@ def test_cusp_constant_taken_once_per_parameter_set(monkeypatch):
     for dc in DeltaChoice.all_choices(params):
         constant_term_e_delta(params, dc, gamma)
     assert c_gamma(params, CuspMatrix(1, 0, 0, 1)) == params.cusp_constant
+    cond1 = params.cond1_quantity  # Condition (1) reads the same L-value
     assert calls == {"gauss_sum": 2, "l_value_at_negative": 1}
+    assert cond1 == params.l_value * prod(e_k for e_k, _ in params.euler_factors.values())
 
 
 def test_e_delta_leaves_series_cache_alone():
